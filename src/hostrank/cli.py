@@ -76,6 +76,14 @@ EXIT_NUMERIC = 4
 _PATH_KEYS = ("hierarchy", "judgments", "decision_matrix", "pool", "plans", "swot", "climate")
 
 
+def _setting(value: Any, key: str, kind: type = int) -> Any:
+    """Cast one config value, reporting a bad one as a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One parsed configuration file with resolved input paths."""
@@ -128,7 +136,7 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.raw.get("seed", 0))
+        return _setting(self.raw.get("seed", 0), "seed")
 
     @property
     def output_dir(self) -> Path:
@@ -189,7 +197,7 @@ def _weighting(cfg: RunConfig, feature_count: int | None = None) -> WeightingOut
         judgments,
         matrix,
         mode=wcfg.get("mode", "per_category"),
-        feature_count=None if coverage is not None else int(k),
+        feature_count=None if coverage is not None else _setting(k, "weighting.feature_count"),
         coverage_target=coverage,
     )
 
@@ -385,8 +393,10 @@ def _stage1(cfg: RunConfig, cities: list[CityProfile]) -> list[CityProfile]:
         return list(cities)
     kept = screen_candidates(
         cities,
-        gdp_cutoff=Cutoff.rank(int(s1.get("gdp_rank", len(cities)))),
-        sports_cutoff=Cutoff.rank(int(s1.get("sports_rank", len(cities)))),
+        gdp_cutoff=Cutoff.rank(_setting(s1.get("gdp_rank", len(cities)), "screen.stage1.gdp_rank")),
+        sports_cutoff=Cutoff.rank(
+            _setting(s1.get("sports_rank", len(cities)), "screen.stage1.sports_rank")
+        ),
     )
     return kept
 
@@ -406,7 +416,7 @@ def _cmd_screen_winter(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
         raise ValidationError("every pool city is excluded")
 
     requirement = load_requirement(scfg.get("requirement"))
-    until = int(scfg.get("until", 2050))
+    until = _setting(scfg.get("until", 2050), "screen.winter.until")
     assessments = winter_climate_filter(candidates, requirement, until)
     climate_rows = [
         (a.city.name, a.feb_temp, a.feb_snow, a.passed, a.ideal) for a in assessments
@@ -452,7 +462,7 @@ def _cmd_screen_summer(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
     hierarchy, matrix = w.hierarchy, w.matrix
     stage1 = _stage1(cfg, _load_cities(cfg, args.pool))
 
-    sports_rank = int(scfg.get("sports_rank", 8))
+    sports_rank = _setting(scfg.get("sports_rank", 8), "screen.summer.sports_rank")
     shortlist = screen_candidates(
         stage1,
         gdp_cutoff=Cutoff.rank(len(stage1)),
@@ -551,12 +561,20 @@ def _cmd_compare_schemes(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
 def _cmd_sensitivity(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
     scfg = cfg.section("sensitivity")
     seed = args.seed if args.seed is not None else cfg.seed
-    trials = args.trials if args.trials is not None else int(scfg.get("trials", 20))
+    trials = (
+        args.trials
+        if args.trials is not None
+        else _setting(scfg.get("trials", 20), "sensitivity.trials")
+    )
     prov = _provenance(cfg, f"sensitivity --seed {seed} --trials {trials}", seed=seed)
     w = _weighting(cfg)
     pconfig = PerturbationConfig(
         seed=seed,
-        n_swap=args.n_swap if args.n_swap is not None else int(scfg.get("n_swap", 5)),
+        n_swap=(
+            args.n_swap
+            if args.n_swap is not None
+            else _setting(scfg.get("n_swap", 5), "sensitivity.n_swap")
+        ),
         trials=trials,
     )
     report = factor_substitution(w.selection, w.total, w.matrix, pconfig, w.hierarchy)
@@ -614,18 +632,19 @@ def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
     if args.grid < 3:
         raise ConfigError("grid needs at least 3 levels per factor")
 
+    # A span of 1 or more gives a box with zero or negative feature weights.
+    # A span of 0 is kept: it collapses the design, which the fit reports.
+    span = _setting(rcfg.get("span", 0.5), "rsm.span", float)
+    if not 0.0 <= span < 1.0:
+        raise ConfigError(f"rsm.span must lie in [0, 1), got {span!r}")
+
     baseline_name = rcfg.get("baseline_alternative", matrix.rows[0])
     if baseline_name not in matrix.rows:
         raise ConfigError(f"baseline alternative {baseline_name!r} not in the decision matrix")
-    profiles = [
-        CityProfile(name=label, country="", gdp=0.0, sports_score=0.0,
-                    indicators=matrix.row(label))
-        for label in matrix.rows
-    ]
-    scaler = FeatureScaler.fit(profiles, w.selection.ids, hierarchy)
-    xi = scaler.transform(next(p for p in profiles if p.name == baseline_name))
+    columns = [matrix.cols.index(i) for i in w.selection.ids]
+    scaler = FeatureScaler.from_values(matrix.values[:, columns], w.selection.ids, hierarchy)
+    xi = scaler.transform_values(matrix.values[matrix.rows.index(baseline_name), columns])
 
-    span = float(rcfg.get("span", 0.5))
     nominal = w.selection.gamma[positions]
     box = [(g * (1.0 - span), g * (1.0 + span)) for g in nominal]
     axes = [np.linspace(lo, hi, args.grid) for lo, hi in box]

@@ -336,6 +336,7 @@ class DecisionMatrix:
     cols: tuple[IndicatorId, ...]
     values: np.ndarray
     units: tuple[str, ...] | None = None
+    _row_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(self.rows))
@@ -348,8 +349,10 @@ class DecisionMatrix:
             )
         if not np.all(np.isfinite(vals)):
             raise ValidationError("matrix contains missing or non-finite cells")
-        if len(set(self.rows)) != len(self.rows):
+        row_index = {label: i for i, label in enumerate(self.rows)}
+        if len(row_index) != len(self.rows):
             raise ValidationError("duplicate sample label")
+        object.__setattr__(self, "_row_index", row_index)
         if len(set(self.cols)) != len(self.cols):
             raise ValidationError("duplicate indicator column")
         if self.units is not None:
@@ -377,10 +380,10 @@ class DecisionMatrix:
 
     def row(self, label: str) -> dict[IndicatorId, float]:
         try:
-            i = self.rows.index(label)
-        except ValueError:
+            i = self._row_index[label]
+        except KeyError:
             raise ValidationError(f"sample {label!r} not in matrix") from None
-        return {c: float(v) for c, v in zip(self.cols, self.values[i])}
+        return dict(zip(self.cols, self.values[i].tolist()))
 
 
 def _read_text(source: str | Path | IO[str]) -> str:

@@ -322,6 +322,23 @@ class FeatureScaler:
         if not cities:
             raise ValidationError("cannot fit a scaler on an empty city set")
         grid = np.array([[_feature_value(c, i) for i in ids] for c in cities])
+        return cls.from_values(grid, ids, hierarchy)
+
+    @classmethod
+    def from_values(
+        cls,
+        values: np.ndarray,
+        ids: Sequence[IndicatorId],
+        hierarchy: IndicatorHierarchy,
+    ) -> "FeatureScaler":
+        """Fit on a (cities x features) array whose columns follow ``ids``."""
+        grid = np.asarray(values, dtype=float)
+        if grid.ndim != 2 or grid.shape[1] != len(ids):
+            raise ValidationError(
+                f"value array of shape {grid.shape} does not have {len(ids)} feature columns"
+            )
+        if grid.shape[0] == 0:
+            raise ValidationError("cannot fit a scaler on an empty city set")
         flip = np.array(
             [hierarchy.spec(i).polarity is Polarity.NEGATIVE for i in ids]
         )
@@ -333,10 +350,13 @@ class FeatureScaler:
         )
 
     def transform(self, city: CityProfile) -> np.ndarray:
-        raw = np.array([_feature_value(city, i) for i in self.ids])
+        return self.transform_values(np.array([_feature_value(city, i) for i in self.ids]))
+
+    def transform_values(self, values: np.ndarray) -> np.ndarray:
+        """Scale raw values whose last axis follows ``ids``; any leading shape."""
         span = self.maxs - self.mins
         with np.errstate(invalid="ignore", divide="ignore"):
-            scaled = np.where(span > 0, (raw - self.mins) / span, 0.5)
+            scaled = np.where(span > 0, (values - self.mins) / span, 0.5)
         scaled = np.clip(scaled, 0.0, 1.0)
         return np.where(self.flip & (span > 0), 1.0 - scaled, scaled)
 

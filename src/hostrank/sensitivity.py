@@ -21,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .combining import FeatureSelection, TotalWeights, weighted_score
+from .combining import FeatureSelection, TotalWeights
 from .errors import ConfigError, NumericError, ValidationError
 from .indicators import DecisionMatrix, IndicatorHierarchy, IndicatorId
-from .selection import CityProfile, FeatureScaler
+from .selection import FeatureScaler
 
 __all__ = [
     "PerturbationConfig",
@@ -125,10 +125,25 @@ def factor_substitution(
             f"need {config.n_swap}"
         )
 
-    alternatives = {label: data.row(label) for label in data.rows}
-    baseline = _score_group(selection.ids, selection.gamma, alternatives, hierarchy)
+    column_of = {c: j for j, c in enumerate(data.cols)}
 
-    trials: list[TrialRecord] = []
+    def columns(group: Sequence[IndicatorId]) -> list[int]:
+        try:
+            return [column_of[i] for i in group]
+        except KeyError as exc:
+            raise ValidationError(
+                f"decision matrix has no column for feature {exc.args[0]}"
+            ) from None
+
+    # Min-max scaling is per column across all alternatives, so scaling the
+    # whole matrix once gives every trial's scaled cells.
+    scaler = FeatureScaler.from_values(data.values, data.cols, hierarchy)
+    scaled = scaler.transform_values(data.values)
+
+    # Row 0 scores the baseline group; row t + 1 scores trial t.
+    group_columns = [columns(selection.ids)]
+    gammas = [selection.gamma]
+    swaps: list[tuple[tuple[IndicatorId, ...], tuple[IndicatorId, ...]]] = []
     for t in range(config.trials):
         rng = np.random.default_rng([config.seed, t])
         if config.n_swap == 0:
@@ -151,54 +166,71 @@ def factor_substitution(
         total = gamma.sum()
         if total <= 0:
             raise NumericError("substituted group carries no total weight")
-        gamma = gamma / total
-        chi = _score_group(tuple(group), gamma, alternatives, hierarchy)
-        abs_dev = {alt: chi[alt] - baseline[alt] for alt in chi}
-        rel_dev = {
-            alt: (abs_dev[alt] / abs(baseline[alt]) if baseline[alt] != 0 else float("nan"))
-            for alt in chi
-        }
-        trials.append(
-            TrialRecord(
-                index=t, removed=removed, added=added,
-                chi=chi, abs_deviation=abs_dev, rel_deviation=rel_dev,
-            )
+        group_columns.append(columns(group))
+        gammas.append(gamma / total)
+        swaps.append((removed, added))
+
+    chi = _weighted_scores(scaled, np.array(group_columns, dtype=np.intp), np.array(gammas))
+    base = chi[0]
+    abs_dev = chi[1:] - base
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel_dev = np.where(base != 0, abs_dev / np.abs(base), np.nan)
+
+    labels = data.rows
+    baseline = dict(zip(labels, base.tolist()))
+    trials = tuple(
+        TrialRecord(
+            index=t, removed=removed, added=added,
+            chi=dict(zip(labels, c)),
+            abs_deviation=dict(zip(labels, a)),
+            rel_deviation=dict(zip(labels, r)),
         )
-
-    summary: dict[str, dict[str, float]] = {}
-    for alt in baseline:
-        devs = np.array([abs(t.abs_deviation[alt]) for t in trials])
-        summary[alt] = {
-            "mean_abs_dev": float(devs.mean()),
-            "max_abs_dev": float(devs.max()),
-            "std_abs_dev": float(devs.std()),
-        }
-    all_devs = np.array(
-        [abs(t.abs_deviation[alt]) for t in trials for alt in baseline]
+        for t, ((removed, added), c, a, r) in enumerate(
+            zip(swaps, chi[1:].tolist(), abs_dev.tolist(), rel_dev.tolist())
+        )
     )
-    summary["(overall)"] = {
-        "mean_abs_dev": float(all_devs.mean()),
-        "max_abs_dev": float(all_devs.max()),
-        "std_abs_dev": float(all_devs.std()),
+
+    # One contiguous 1-D reduction per alternative, then over every cell in
+    # trial-major order: a 2-D axis reduction would sum in another order.
+    magnitudes = np.abs(abs_dev)
+    summary = {
+        alt: _deviation_stats(devs)
+        for alt, devs in zip(labels, np.ascontiguousarray(magnitudes.T))
     }
-    return SensitivityReport(
-        config=config, baseline=baseline, trials=tuple(trials), summary=summary
-    )
+    summary["(overall)"] = _deviation_stats(magnitudes.ravel())
+    return SensitivityReport(config=config, baseline=baseline, trials=trials, summary=summary)
 
 
-def _score_group(
-    ids: tuple[IndicatorId, ...],
-    gamma: np.ndarray,
-    alternatives: dict[str, dict[IndicatorId, float]],
-    hierarchy: IndicatorHierarchy,
-) -> dict[str, float]:
-    """Min-max scale the group's columns across alternatives and score each."""
-    profiles = [
-        CityProfile(name=label, country="", gdp=0.0, sports_score=0.0, indicators=vals)
-        for label, vals in alternatives.items()
-    ]
-    scaler = FeatureScaler.fit(profiles, ids, hierarchy)
-    return {p.name: weighted_score(gamma, scaler.transform(p)) for p in profiles}
+def _deviation_stats(devs: np.ndarray) -> dict[str, float]:
+    return {
+        "mean_abs_dev": float(devs.mean()),
+        "max_abs_dev": float(devs.max()),
+        "std_abs_dev": float(devs.std()),
+    }
+
+
+# Cells gathered per batch in _weighted_scores, which bounds its working memory.
+_GATHER_CELLS = 1 << 20
+
+
+def _weighted_scores(
+    scaled: np.ndarray, group_columns: np.ndarray, gammas: np.ndarray
+) -> np.ndarray:
+    """``out[t, a] = gammas[t] . scaled[a, group_columns[t]]`` for every group t.
+
+    Each score is one BLAS dot over a contiguous k-vector, the same
+    accumulation ``np.dot`` does for a single alternative, so the batch is
+    bit-identical to scoring one alternative at a time.
+    """
+    n = scaled.shape[0]
+    groups, k = group_columns.shape
+    step = max(1, _GATHER_CELLS // max(1, n * k))
+    out = np.empty((groups, n))
+    for lo in range(0, groups, step):
+        batch = slice(lo, lo + step)
+        cells = np.ascontiguousarray(scaled[:, group_columns[batch]].swapaxes(0, 1))
+        out[batch] = np.vecdot(gammas[batch, None, :], cells)
+    return out
 
 
 @dataclass(frozen=True)

@@ -203,6 +203,32 @@ class TestErrorContract:
             "screen", "winter", "--pool", "/nope.json", "--config", str(config_path),
         ]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "section, key, value, argv",
+        [
+            (None, "seed", "abc", ["weights"]),
+            ("sensitivity", "trials", "ten", ["sensitivity"]),
+            ("sensitivity", "n_swap", "x", ["sensitivity", "--trials", "2"]),
+            ("rsm", "span", 5.0, ["rsm", "--factors", "1,2", "--grid", "5"]),
+            ("rsm", "span", -0.5, ["rsm", "--factors", "1,2", "--grid", "5"]),
+            ("rsm", "span", "wide", ["rsm", "--factors", "1,2", "--grid", "5"]),
+        ],
+    )
+    def test_bad_config_value_is_a_config_error(
+        self, tmp_path, fixtures_dir, outdir, capsys, section, key, value, argv
+    ):
+        cfg = json.loads((fixtures_dir / "run.json").read_text())
+        for path_key in ("hierarchy", "judgments", "decision_matrix", "pool", "plans", "swot"):
+            cfg[path_key] = str(fixtures_dir / cfg[path_key])
+        (cfg if section is None else cfg[section])[key] = value
+        bad_cfg = tmp_path / "run.json"
+        bad_cfg.write_text(json.dumps(cfg))
+
+        assert main([argv[0], "--config", str(bad_cfg), *argv[1:]]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not outdir.exists()
+
     def test_degenerate_design_is_a_numeric_error(
         self, tmp_path, fixtures_dir, outdir, capsys
     ):

@@ -248,6 +248,23 @@ class TestSuitabilityScore:
         with pytest.raises(ValidationError, match="Sparse.*A2"):
             FeatureScaler.fit([full, sparse], sel.ids, hierarchy)
 
+    def test_array_path_matches_per_city_path(self, hierarchy, matrix):
+        ids = matrix.cols
+        cities = [
+            CityProfile(name=r, country="", gdp=0, sports_score=0, indicators=matrix.row(r))
+            for r in matrix.rows
+        ]
+        fitted = FeatureScaler.fit(cities, ids, hierarchy)
+        from_array = FeatureScaler.from_values(matrix.values, ids, hierarchy)
+        for name in ("mins", "maxs", "flip"):
+            assert np.array_equal(getattr(fitted, name), getattr(from_array, name))
+        per_city = np.array([fitted.transform(c) for c in cities])
+        assert np.array_equal(from_array.transform_values(matrix.values), per_city)
+        with pytest.raises(ValidationError, match="feature columns"):
+            FeatureScaler.from_values(matrix.values[:, :3], ids, hierarchy)
+        with pytest.raises(ValidationError, match="empty"):
+            FeatureScaler.from_values(matrix.values[:0], ids, hierarchy)
+
 
 class TestRankCities:
     def test_reference_ordering(self):

@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hostrank.combining import select_features
+from hostrank import sensitivity
+from hostrank.combining import FeatureSelection, select_features, weighted_score
 from hostrank.errors import ConfigError, NumericError, ValidationError
+from hostrank.indicators import DecisionMatrix, Polarity
+from hostrank.selection import CityProfile, FeatureScaler
 from hostrank.sensitivity import (
     PerturbationConfig,
+    SensitivityReport,
+    TrialRecord,
     bbd_design,
     factor_substitution,
     fit_response_surface,
@@ -114,6 +119,122 @@ class TestFactorSubstitution:
             PerturbationConfig(seed=0, trials=0)
         with pytest.raises(ConfigError):
             PerturbationConfig(seed=0, n_swap=-1)
+
+
+def reference_substitution(selection, omega, data, config, hierarchy):
+    """Per-trial loop: a CityProfile per row, a FeatureScaler fitted on each
+    group, one weighted_score per alternative. The batched factor_substitution
+    must reproduce it bit for bit."""
+
+    def score(ids, gamma):
+        profiles = [
+            CityProfile(name=r, country="", gdp=0.0, sports_score=0.0, indicators=data.row(r))
+            for r in data.rows
+        ]
+        scaler = FeatureScaler.fit(profiles, ids, hierarchy)
+        return {p.name: weighted_score(gamma, scaler.transform(p)) for p in profiles}
+
+    by_id = omega.by_id()
+    unselected = [i for i in omega.ids if i not in set(selection.ids)]
+    baseline = score(selection.ids, selection.gamma)
+    trials = []
+    for t in range(config.trials):
+        rng = np.random.default_rng([config.seed, t])
+        group, removed, added = list(selection.ids), (), ()
+        if config.n_swap:
+            positions = sorted(
+                rng.choice(selection.k, size=config.n_swap, replace=False).tolist()
+            )
+            picks = sorted(
+                rng.choice(len(unselected), size=config.n_swap, replace=False).tolist()
+            )
+            removed = tuple(group[p] for p in positions)
+            added = tuple(unselected[p] for p in picks)
+            for pos, sub in zip(positions, added):
+                group[pos] = sub
+        gamma = np.array([by_id[i] for i in group])
+        chi = score(tuple(group), gamma / gamma.sum())
+        abs_dev = {a: chi[a] - baseline[a] for a in chi}
+        rel_dev = {
+            a: abs_dev[a] / abs(baseline[a]) if baseline[a] != 0 else float("nan")
+            for a in chi
+        }
+        trials.append(TrialRecord(t, removed, added, chi, abs_dev, rel_dev))
+
+    def stats(devs):
+        return {
+            "mean_abs_dev": float(devs.mean()),
+            "max_abs_dev": float(devs.max()),
+            "std_abs_dev": float(devs.std()),
+        }
+
+    summary = {
+        alt: stats(np.array([abs(t.abs_deviation[alt]) for t in trials])) for alt in baseline
+    }
+    summary["(overall)"] = stats(
+        np.array([abs(t.abs_deviation[alt]) for t in trials for alt in baseline])
+    )
+    return SensitivityReport(config, baseline, tuple(trials), summary)
+
+
+def _with_values(data, values):
+    return DecisionMatrix(rows=data.rows, cols=data.cols, values=values)
+
+
+def _equivalence_case(name, weighting):
+    """(selection, data) for one equivalence scenario over the fixture weights."""
+    sel, omega, data, h = (
+        weighting.selection, weighting.total, weighting.matrix, weighting.hierarchy
+    )
+    unselected = [i for i in omega.ids if i not in sel.ids]
+    if name == "fixture":
+        return sel, data
+    if name == "negative_polarity_group":
+        negatives = [i for i in omega.ids if h.spec(i).polarity is Polarity.NEGATIVE]
+        by_id = omega.by_id()
+        ids = sorted(set(sel.ids[:6]) | set(negatives[:4]), key=lambda i: -by_id[i])
+        weights = np.array([by_id[i] for i in ids])
+        group = FeatureSelection(ids=ids, gamma=weights / weights.sum(), coverage=weights.sum())
+        return group, data
+    values = data.values.copy()
+    if name == "zero_span_selected_column":
+        values[:, data.cols.index(sel.ids[2])] = 4.0
+        return sel, _with_values(data, values)
+    # zero_baseline: row 0 is the worst alternative in every column, so its
+    # baseline score is exactly 0 and its relative deviations are NaN; one
+    # unselected column is flat, so trials that draw it scale it to 0.5.
+    for j, ind in enumerate(data.cols):
+        negative = h.spec(ind).polarity is Polarity.NEGATIVE
+        values[0, j] = values[:, j].max() if negative else values[:, j].min()
+    values[:, data.cols.index(unselected[0])] = 2.5
+    return sel, _with_values(data, values)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 4242])
+@pytest.mark.parametrize("n_swap", [0, 3, 5])
+@pytest.mark.parametrize(
+    "case",
+    ["fixture", "negative_polarity_group", "zero_span_selected_column", "zero_baseline"],
+)
+def test_batched_trials_equal_per_trial_reference(weighting, case, n_swap, seed, monkeypatch):
+    # Gather two groups per batch, so batch edges are crossed too.
+    monkeypatch.setattr(sensitivity, "_GATHER_CELLS", 1000)
+    selection, data = _equivalence_case(case, weighting)
+    config = PerturbationConfig(seed=seed, n_swap=n_swap, trials=12)
+    batched = factor_substitution(selection, weighting.total, data, config, weighting.hierarchy)
+    reference = reference_substitution(
+        selection, weighting.total, data, config, weighting.hierarchy
+    )
+    assert batched.baseline == reference.baseline
+    for got, want in zip(batched.trials, reference.trials, strict=True):
+        assert (got.removed, got.added) == (want.removed, want.added)
+        assert got.chi == want.chi
+        assert got.abs_deviation == want.abs_deviation
+    # repr() round-trips floats, so equal text means bit-equal values, NaN included.
+    assert batched.to_csv_text() == reference.to_csv_text()
+    if case == "zero_baseline":
+        assert reference.baseline[data.rows[0]] == 0.0
+        assert np.isnan(batched.trials[0].rel_deviation[data.rows[0]])
 
 
 class TestBBDesign:
