@@ -158,7 +158,12 @@ class RunReport:
     summary: list[str] = field(default_factory=list)
 
     def write(self, outdir: Path) -> list[Path]:
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory {outdir}: {exc.strerror or exc}"
+            ) from None
         written = []
         for name, content in self.outputs.items():
             target = outdir / name

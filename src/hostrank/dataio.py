@@ -63,29 +63,44 @@ def load_pool(source: str | Path | IO[str]) -> list[CityProfile]:
 
 
 def _pool_from_json(text: str) -> list[CityProfile]:
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"pool file is not valid JSON: {exc}") from None
+    entries = obj.get("cities")
+    if not isinstance(entries, list):
+        raise ValidationError('pool file must hold a "cities" list')
     cities = []
-    for entry in obj["cities"]:
-        climate = {
-            str(var): _series_from_obj(f"{entry['name']}/{var}", series)
-            for var, series in entry.get("climate", {}).items()
-        }
-        indicators = {
-            IndicatorId.parse(k): float(v)
-            for k, v in entry.get("indicators", {}).items()
-        }
-        cities.append(
-            CityProfile(
-                name=str(entry["name"]),
-                country=str(entry.get("country", "")),
-                gdp=float(entry.get("gdp", 0.0)),
-                sports_score=float(entry.get("sports_score", 0.0)),
-                climate=climate,
-                indicators=indicators,
-            )
-        )
+    for pos, entry in enumerate(entries, start=1):
+        try:
+            cities.append(_city_from_obj(entry))
+        except ValidationError:
+            raise
+        except KeyError as exc:
+            raise ValidationError(f"pool city #{pos} lacks the key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationError(f"bad value in pool city #{pos}: {exc}") from None
     _check_unique(cities)
     return cities
+
+
+def _city_from_obj(entry: Mapping) -> CityProfile:
+    climate = {
+        str(var): _series_from_obj(f"{entry['name']}/{var}", series)
+        for var, series in entry.get("climate", {}).items()
+    }
+    indicators = {
+        IndicatorId.parse(k): float(v)
+        for k, v in entry.get("indicators", {}).items()
+    }
+    return CityProfile(
+        name=str(entry["name"]),
+        country=str(entry.get("country", "")),
+        gdp=float(entry.get("gdp", 0.0)),
+        sports_score=float(entry.get("sports_score", 0.0)),
+        climate=climate,
+        indicators=indicators,
+    )
 
 
 def _pool_from_csv(text: str) -> list[CityProfile]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -69,7 +70,7 @@ class TimeSeries:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1:
             raise ValidationError("time series values must be 1-D")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValidationError(f"series {self.label!r} contains non-finite values")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -99,9 +100,10 @@ class TimeSeries:
 class GreyModel:
     """Fitted grey model: developing coefficient, control coefficient, diagnostics.
 
-    ``fitted_cumulative`` starts at the first observation exactly;
     ``midpoint_coefficients`` are the raw least-squares pair before the
-    continuous mapping. ``smoothness`` records the ratios
+    continuous mapping. The diagnostics are read-only and computed from
+    the fit on first access: ``fitted_cumulative`` starts at the first
+    observation exactly; ``smoothness`` records the ratios
     x0(k) / x1(k-1) for k >= 2 (a falling trend marks a series the model
     suits); ``variance_ratio`` is the posterior ratio of residual to
     data spread (smaller is better).
@@ -110,22 +112,56 @@ class GreyModel:
     alpha: float
     mu: float
     source: TimeSeries
-    fitted_cumulative: np.ndarray
-    residuals: np.ndarray
     midpoint_coefficients: tuple[float, float]
     class_ratio_ok: bool
-    smoothness: np.ndarray
-    variance_ratio: float
 
-    def __post_init__(self) -> None:
-        for name in ("fitted_cumulative", "residuals", "smoothness"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+    @property
+    def _dispersion_free(self) -> bool:
+        x0 = self.source.values
+        return bool(x0.max() == x0.min())
+
+    @cached_property
+    def fitted_cumulative(self) -> np.ndarray:
+        x0 = self.source.values
+        if self._dispersion_free:
+            return _read_only(float(x0[0]) * np.arange(1, x0.size + 1, dtype=float))
+        return _read_only(_cumulative_curve(self.alpha, self.mu, float(x0[0]), x0.size))
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        x0 = self.source.values
+        if self._dispersion_free:
+            return _read_only(np.zeros(x0.size))
+        return _read_only(x0 - _differences(self.fitted_cumulative))
+
+    @cached_property
+    def smoothness(self) -> np.ndarray:
+        x0 = self.source.values
+        return _read_only(x0[1:] / np.cumsum(x0)[:-1])
+
+    @cached_property
+    def variance_ratio(self) -> float:
+        if self._dispersion_free:
+            return 0.0
+        spread = float(np.std(self.source.values))
+        return float(np.std(self.residuals[1:]) / spread) if spread > 0 else 0.0
 
     @property
     def relative_residuals(self) -> np.ndarray:
         return self.residuals / self.source.values
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _differences(cumulative: np.ndarray) -> np.ndarray:
+    """First entry, then first differences: the original-scale values."""
+    out = np.empty_like(cumulative)
+    out[0] = cumulative[0]
+    np.subtract(cumulative[1:], cumulative[:-1], out=out[1:])
+    return out
 
 
 def class_ratio_bounds(n: int) -> tuple[float, float]:
@@ -136,7 +172,7 @@ def class_ratio_bounds(n: int) -> tuple[float, float]:
 def _check_class_ratios(values: np.ndarray, label: str) -> bool:
     lo, hi = class_ratio_bounds(values.size)
     ratios = values[:-1] / values[1:]
-    ok = bool(np.all((ratios > lo) & (ratios < hi)))
+    ok = bool(ratios.min() > lo and ratios.max() < hi)
     if not ok:
         warnings.warn(
             f"series {label!r} fails the class-ratio test "
@@ -147,12 +183,17 @@ def _check_class_ratios(values: np.ndarray, label: str) -> bool:
 
 
 def _cumulative_curve(alpha: float, mu: float, first: float, count: int) -> np.ndarray:
-    k = np.arange(count, dtype=float)
+    out = np.arange(count, dtype=float)
     if abs(alpha) < _ALPHA_EPS:
         # Removable singularity: linear cumulative growth.
-        out = first + mu * k
+        out *= mu
+        out += first
     else:
-        out = (first - mu / alpha) * np.exp(-alpha * k) + mu / alpha
+        c = mu / alpha
+        out *= -alpha
+        np.exp(out, out=out)
+        out *= first - c
+        out += c
     out[0] = first  # anchored exactly; (first - c) + c need not round back
     return out
 
@@ -170,32 +211,27 @@ def fit_gm11(series: TimeSeries) -> GreyModel:
         raise ValidationError(
             f"series {series.label!r} has {n} observations; need >= {_MIN_LENGTH}"
         )
-    if np.any(x0 <= 0):
+    lowest = x0.min()
+    if lowest <= 0:
         raise ValidationError(
             f"series {series.label!r} has nonpositive values; shift before fitting"
         )
     ratio_ok = _check_class_ratios(x0, series.label)
-    cumulative = np.cumsum(x0)
-    smoothness = x0[1:] / cumulative[:-1]
 
-    if x0.max() == x0.min():
+    if x0.max() == lowest:
         c = float(x0[0])
-        fitted1 = c * np.arange(1, n + 1, dtype=float)
         return GreyModel(
-            alpha=0.0,
-            mu=c,
-            source=series,
-            fitted_cumulative=fitted1,
-            residuals=np.zeros(n),
-            midpoint_coefficients=(0.0, c),
-            class_ratio_ok=ratio_ok,
-            smoothness=smoothness,
-            variance_ratio=0.0,
+            alpha=0.0, mu=c, source=series,
+            midpoint_coefficients=(0.0, c), class_ratio_ok=ratio_ok,
         )
 
-    x1 = cumulative
-    z = 0.5 * (x1[1:] + x1[:-1])
-    design = np.column_stack([-z, np.ones(n - 1)])
+    # Design rows (-z(k), 1) with midpoint background z(k) = (x1(k) + x1(k-1)) / 2.
+    x1 = np.cumsum(x0)
+    design = np.empty((n - 1, 2))
+    z = design[:, 0]
+    np.add(x1[1:], x1[:-1], out=z)
+    z *= -0.5
+    design[:, 1] = 1.0
     coef, _, rank, _ = np.linalg.lstsq(design, x0[1:], rcond=None)
     if rank < 2:
         raise NumericError(f"singular normal equations for series {series.label!r}")
@@ -210,22 +246,9 @@ def fit_gm11(series: TimeSeries) -> GreyModel:
     else:
         alpha = math.log((_COEF_LIMIT + a) / (_COEF_LIMIT - a))
         mu = b * alpha / a
-
-    fitted1 = _cumulative_curve(alpha, mu, float(x0[0]), n)
-    fitted0 = np.concatenate([[fitted1[0]], np.diff(fitted1)])
-    residuals = x0 - fitted0
-    spread = float(np.std(x0))
-    variance_ratio = float(np.std(residuals[1:]) / spread) if spread > 0 else 0.0
     return GreyModel(
-        alpha=alpha,
-        mu=mu,
-        source=series,
-        fitted_cumulative=fitted1,
-        residuals=residuals,
-        midpoint_coefficients=(a, b),
-        class_ratio_ok=ratio_ok,
-        smoothness=smoothness,
-        variance_ratio=variance_ratio,
+        alpha=alpha, mu=mu, source=series,
+        midpoint_coefficients=(a, b), class_ratio_ok=ratio_ok,
     )
 
 
@@ -238,9 +261,10 @@ def predict(model: GreyModel, horizon: int) -> np.ndarray:
     """
     if horizon < 0:
         raise ValidationError("horizon must be nonnegative")
-    n = len(model.source)
-    x1 = _cumulative_curve(model.alpha, model.mu, float(model.source.values[0]), n + horizon)
-    return np.concatenate([[x1[0]], np.diff(x1)])
+    values = model.source.values
+    return _differences(
+        _cumulative_curve(model.alpha, model.mu, float(values[0]), values.size + horizon)
+    )
 
 
 def forecast_series(series: TimeSeries, until: int) -> TimeSeries:
@@ -255,19 +279,21 @@ def forecast_series(series: TimeSeries, until: int) -> TimeSeries:
             f"until={until} precedes the last observation ({series.last_period})"
         )
     horizon = until - series.last_period
-    lowest = float(series.values.min())
+    values = series.values
+    lowest = float(values.min())
     shift = 1.0 - lowest if lowest <= 0.0 else 0.0
     fit_input = series if shift == 0.0 else TimeSeries(
         label=series.label,
         start_period=series.start_period,
-        values=series.values + shift,
+        values=values + shift,
     )
     model = fit_gm11(fit_input)
-    tail = predict(model, horizon)[len(series):] - shift
+    tail = predict(model, horizon)[values.size:]
+    tail -= shift
     return TimeSeries(
         label=series.label,
         start_period=series.start_period,
-        values=np.concatenate([series.values, tail]),
+        values=np.concatenate([values, tail]),
     )
 
 

@@ -19,6 +19,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import IO, Mapping
 
@@ -104,10 +105,17 @@ class IndicatorId:
 
     @classmethod
     def parse(cls, text: str) -> "IndicatorId":
-        m = _ID_PATTERN.match(text.strip())
-        if m is None:
-            raise ValidationError(f"unknown indicator {text!r}")
-        return cls(Category(m.group(1)), int(m.group(2)))
+        return _parse_indicator_id(text)
+
+
+@lru_cache(maxsize=1024)
+def _parse_indicator_id(text: str) -> IndicatorId:
+    # Ids are frozen, so every parse of the same text may share one
+    # instance; a failed parse raises and is not cached.
+    m = _ID_PATTERN.match(text.strip())
+    if m is None:
+        raise ValidationError(f"unknown indicator {text!r}")
+    return IndicatorId(Category(m.group(1)), int(m.group(2)))
 
 
 def all_indicator_ids() -> tuple[IndicatorId, ...]:

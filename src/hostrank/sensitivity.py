@@ -319,9 +319,6 @@ class QuadraticSurface:
         h[np.diag_indices(k)] = 2.0 * self.squares
         return h
 
-    def gradient_at(self, point: np.ndarray) -> np.ndarray:
-        return self.linear + self.hessian() @ np.asarray(point, dtype=float)
-
     def _coef_vector(self) -> np.ndarray:
         return np.concatenate(
             [[self.intercept], self.linear, self.interactions, self.squares]

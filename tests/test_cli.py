@@ -204,6 +204,50 @@ class TestErrorContract:
         ]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("missing_values", "lacks the key 'values'"),
+            ("truncated", "not valid JSON"),
+            ("text_gdp", "could not convert string to float: 'lots'"),
+        ],
+    )
+    def test_malformed_pool_is_a_validation_error(
+        self, tmp_path, fixtures_dir, config_path, outdir, capsys, damage, message
+    ):
+        text = (fixtures_dir / "winter_pool.json").read_text()
+        pool = json.loads(text)
+        if damage == "missing_values":
+            del pool["cities"][1]["climate"]["feb_snow_cm"]["values"]
+            text = json.dumps(pool)
+        elif damage == "truncated":
+            text = text[: len(text) // 2]
+        else:
+            pool["cities"][2]["gdp"] = "lots"
+            text = json.dumps(pool)
+        bad_pool = tmp_path / "pool.json"
+        bad_pool.write_text(text)
+
+        code = main(["screen", "winter", "--pool", str(bad_pool), "--config", str(config_path)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not outdir.exists()
+
+    def test_output_dir_that_is_a_file_is_a_config_error(
+        self, tmp_path, config_path, monkeypatch, capsys
+    ):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(blocker))
+
+        assert main(["weights", "--config", str(config_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create output directory")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "not a directory"
+
+    @pytest.mark.parametrize(
         "section, key, value, argv",
         [
             (None, "seed", "abc", ["weights"]),

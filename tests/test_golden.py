@@ -1,10 +1,15 @@
-"""Byte-for-byte pins of CLI outputs on the shipped fixtures.
+"""Byte-for-byte pins of CLI outputs.
 
-The files under ``tests/golden/`` are the outputs with their provenance
-header lines removed. Regenerate them only on purpose, by rerunning the
-invocations below and stripping the leading ``# `` lines, and record why.
+The files under ``tests/golden/<id>/`` are the outputs of each invocation
+below with their provenance header lines removed; ``winter-300/`` also
+holds the warnings the run emits, one per line, in order. Regenerate them
+only on purpose, by rerunning the invocations and stripping the leading
+``# `` lines, and record why.
 """
 
+import json
+import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,12 +18,45 @@ from hostrank.cli import EXIT_OK, OUTPUT_DIR_ENV, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+WEIGHTS_FILES = [
+    "ahp_categories.csv", "ahp_indicators.csv", "ahp_consistency.csv",
+    "entropy.csv", "combined.csv", "total.csv", "features.csv",
+]
+WINTER_FILES = ["winter_climate.csv", "winter_ranking.csv", "winter_features.csv"]
+
+# (id, argv after the subcommand words, output files); ``{fixtures}`` is
+# replaced by the shipped fixture directory.
 INVOCATIONS = [
-    (["sensitivity", "--seed", "7", "--trials", "50"], ["sensitivity.csv"]),
-    (["evaluate", "--features", "10"], ["evaluation.csv"]),
+    ("sensitivity", ["sensitivity", "--seed", "7", "--trials", "50"], ["sensitivity.csv"]),
+    ("evaluate", ["evaluate", "--features", "10"], ["evaluation.csv", "features.csv"]),
     (
+        "rsm",
         ["rsm", "--factors", "xi1,xi10", "--grid", "25"],
         ["rsm_grid.csv", "rsm_surface.csv", "rsm_extrema.csv"],
+    ),
+    ("weights", ["weights", "--method", "combined"], WEIGHTS_FILES),
+    (
+        "forecast",
+        ["forecast", "--pool", "{fixtures}/winter_pool.json", "--indicator", "feb_temp_c",
+         "--until", "2050", "--city", "Calgary"],
+        ["forecast.csv"],
+    ),
+    (
+        "forecast-all",
+        ["forecast", "--pool", "{fixtures}/winter_pool.json", "--indicator", "feb_snow_cm",
+         "--until", "2040"],
+        ["forecast.csv"],
+    ),
+    ("screen-winter", ["screen", "winter", "--pool", "{fixtures}/winter_pool.json"], WINTER_FILES),
+    (
+        "screen-summer",
+        ["screen", "summer", "--pool", "{fixtures}/world_pool.csv"],
+        ["summer_screen.csv", "summer_ranking.csv", "summer_features.csv", "swot_report.txt"],
+    ),
+    (
+        "compare-schemes",
+        ["compare-schemes", "--plans", "{fixtures}/plans.json"],
+        ["schemes.csv", "scheme_features.csv"],
     ),
 ]
 
@@ -31,13 +69,112 @@ def strip_provenance(text: str) -> str:
     return "\n".join(lines[i:])
 
 
-@pytest.mark.parametrize(
-    "argv, names", INVOCATIONS, ids=[argv[0] for argv, _ in INVOCATIONS]
-)
-def test_outputs_match_golden_files(argv, names, fixtures_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
-    config = str(fixtures_dir / "run.json")
-    assert main([argv[0], "--config", config, *argv[1:]]) == EXIT_OK
+def run_cli(argv: list[str], config: Path, outdir: Path, monkeypatch) -> list[str]:
+    """Run the CLI into ``outdir`` and return the warnings it emitted, in order."""
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(outdir))
+    words = 2 if argv[0] == "screen" else 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv[:words], "--config", str(config), *argv[words:]]) == EXIT_OK
+    return [str(w.message) for w in caught]
+
+
+def assert_matches_golden(outdir: Path, golden_dir: Path, names: list[str]) -> None:
     for name in names:
-        produced = strip_provenance((tmp_path / name).read_text(encoding="utf-8"))
-        assert produced.encode("utf-8") == (GOLDEN / name).read_bytes(), name
+        produced = strip_provenance((outdir / name).read_text(encoding="utf-8"))
+        assert produced.encode("utf-8") == (golden_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "case, argv, names", INVOCATIONS, ids=[case for case, _, _ in INVOCATIONS]
+)
+def test_outputs_match_golden_files(case, argv, names, fixtures_dir, tmp_path, monkeypatch):
+    argv = [a.replace("{fixtures}", str(fixtures_dir)) for a in argv]
+    run_cli(argv, fixtures_dir / "run.json", tmp_path, monkeypatch)
+    assert_matches_golden(tmp_path, GOLDEN / case, names)
+
+
+def _scaled_series(series: dict, rng: random.Random) -> dict:
+    values = series["values"]
+    level = sum(values) / len(values)
+    level_scale, shape_scale = rng.uniform(0.95, 1.05), rng.uniform(0.5, 2.0)
+    return {
+        "start_period": series["start_period"],
+        "values": [round(level * level_scale + (v - level) * shape_scale, 4) for v in values],
+    }
+
+
+def _random_walk(level: float, step: float, rng: random.Random) -> dict:
+    n = rng.randint(4, 9)
+    values, v = [], level
+    for _ in range(n):
+        values.append(round(v, 3))
+        v += rng.gauss(0.0, step)
+    return {"start_period": 2021 - n, "values": values}
+
+
+def winter_pool_300(
+    rng: random.Random, fixtures: Path
+) -> tuple[list[dict], dict[str, float]]:
+    """300 cities derived from the 12 shipped winter cities.
+
+    Most copies rescale the shipped climate series around their mean;
+    every fifth city gets random-walk series of random length instead,
+    and every 23rd a flat snowfall series, so the pool holds gate passers
+    and failures, class-ratio failures, series shifted for nonpositive
+    values and dispersion-free fits.
+    """
+    shipped = json.loads((fixtures / "winter_pool.json").read_text())["cities"]
+    base_s = json.loads((fixtures / "run.json").read_text())["screen"]["winter"]["s_base"]
+    cities, s_base = [], {}
+    for i in range(300):
+        base = shipped[i % len(shipped)]
+        name = f"{base['name']} {i:03d}"
+        temp, snow = base["climate"]["feb_temp_c"], base["climate"]["feb_snow_cm"]
+        if i % 5 == 4:
+            t_mean = sum(temp["values"]) / len(temp["values"])
+            s_mean = sum(snow["values"]) / len(snow["values"])
+            climate = {
+                "feb_temp_c": _random_walk(t_mean, rng.uniform(0.05, 1.5), rng),
+                "feb_snow_cm": _random_walk(s_mean, rng.uniform(0.05, 0.04 * s_mean), rng),
+            }
+        else:
+            climate = {
+                "feb_temp_c": _scaled_series(temp, rng),
+                "feb_snow_cm": _scaled_series(snow, rng),
+            }
+        if i % 23 == 11:
+            flat = round(rng.uniform(25.0, 60.0), 1)
+            climate["feb_snow_cm"] = {"start_period": 2015, "values": [flat] * 6}
+        cities.append({
+            "name": name,
+            "country": base["country"],
+            "gdp": round(base["gdp"] * rng.uniform(0.8, 1.25), 4),
+            "sports_score": round(base["sports_score"] * rng.uniform(0.8, 1.25), 2),
+            "climate": climate,
+            "indicators": {k: round(v * rng.uniform(0.95, 1.05), 4)
+                           for k, v in base["indicators"].items()},
+        })
+        if base["name"] in base_s:
+            s_base[name] = base_s[base["name"]]
+    return cities, s_base
+
+
+def test_winter_screen_on_a_generated_pool_matches_golden(fixtures_dir, tmp_path, monkeypatch):
+    cities, s_base = winter_pool_300(random.Random(0), fixtures_dir)
+    pool = tmp_path / "winter_pool.json"
+    pool.write_text(json.dumps({"cities": cities}), encoding="utf-8")
+    cfg = json.loads((fixtures_dir / "run.json").read_text())
+    for key in ("hierarchy", "judgments", "decision_matrix", "plans", "swot"):
+        cfg[key] = str(fixtures_dir / cfg[key])
+    cfg["pool"] = str(pool)
+    cfg["screen"]["stage1"] = {"gdp_rank": len(cities), "sports_rank": len(cities)}
+    cfg["screen"]["winter"].update(exclude=[], s_base=s_base)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+
+    outdir = tmp_path / "out"
+    caught = run_cli(["screen", "winter"], config, outdir, monkeypatch)
+    golden = GOLDEN / "winter-300"
+    assert_matches_golden(outdir, golden, WINTER_FILES)
+    assert "\n".join(caught) + "\n" == (golden / "warnings.txt").read_text(encoding="utf-8")
