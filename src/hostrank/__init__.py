@@ -72,12 +72,10 @@ from .selection import (
     ClimateRequirement,
     Cutoff,
     ImpactScale,
-    MedalTally,
     SchemePlan,
     SuitabilityScore,
     SwotRecord,
     compare_schemes,
-    medal_points,
     rank_cities,
     screen_candidates,
     suitability_score,
@@ -145,14 +143,12 @@ __all__ = [
     "CityProfile",
     "ClimateRequirement",
     "SuitabilityScore",
-    "MedalTally",
     "SchemePlan",
     "ImpactScale",
     "SwotRecord",
     "Cutoff",
     "screen_candidates",
     "winter_climate_filter",
-    "medal_points",
     "suitability_score",
     "rank_cities",
     "compare_schemes",

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -64,7 +64,7 @@ from .sensitivity import (
     surface_extrema,
 )
 
-__all__ = ["RunConfig", "RunReport", "run", "main"]
+__all__ = ["RunConfig", "RunReport", "main"]
 
 OUTPUT_DIR_ENV = "HOSTRANK_OUTDIR"
 
@@ -116,7 +116,13 @@ class RunConfig:
         p = Path(value)
         return p if p.is_absolute() else (self.path.parent / p)
 
-    def input_path(self, key: str) -> Path:
+    def input_path(self, key: str, override: str | None = None) -> Path:
+        """The input file named by a command-line ``override``, else by the config."""
+        if override is not None:
+            path = Path(override)
+            if not path.is_file():
+                raise ConfigError(f"{key} file not found: {path}")
+            return path
         value = self.raw.get(key)
         if value is None:
             raise ConfigError(f"config key {key!r} is required for this subcommand")
@@ -207,11 +213,8 @@ def _weighting(cfg: RunConfig, feature_count: int | None = None) -> WeightingOut
     )
 
 
-def _load_cities(cfg: RunConfig, pool_path: str | Path | None) -> list[CityProfile]:
-    path = Path(pool_path) if pool_path is not None else cfg.input_path("pool")
-    if not path.is_file():
-        raise ConfigError(f"pool file not found: {path}")
-    cities = load_pool(path)
+def _load_cities(cfg: RunConfig, pool_path: str | None) -> list[CityProfile]:
+    cities = load_pool(cfg.input_path("pool", pool_path))
     climate_path = cfg.optional_path("climate")
     if climate_path is not None:
         cities = merge_climate(cities, load_climate_csv(climate_path))
@@ -365,53 +368,10 @@ def _cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
     )
 
 
-def _screen_common_tables(
-    ranked, scaler: FeatureScaler, selection, prov: Provenance, prefix: str
-) -> dict[str, str]:
-    ranking_rows = [
-        (i + 1, c.name, c.country, s.s_base, s.s_evaluate, s.total)
-        for i, (c, s) in enumerate(ranked)
-    ]
-    feature_rows = []
-    for c, _ in ranked:
-        xi = scaler.transform(c)
-        for ind, g, value in zip(selection.ids, selection.gamma, xi):
-            feature_rows.append((c.name, str(ind), float(value), float(g), float(g) * float(value)))
-    return {
-        f"{prefix}_ranking.csv": render_table(
-            ["rank", "city", "country", "s_base", "s_evaluate", "total"],
-            ranking_rows,
-            prov,
-        ),
-        f"{prefix}_features.csv": render_table(
-            ["city", "indicator", "scaled_value", "gamma", "contribution"],
-            feature_rows,
-            prov,
-        ),
-    }
-
-
-def _stage1(cfg: RunConfig, cities: list[CityProfile]) -> list[CityProfile]:
-    """Coarse GDP/sports cut applied before any season-specific screen."""
-    s1 = cfg.section("screen", "stage1")
-    if not s1:
-        return list(cities)
-    kept = screen_candidates(
-        cities,
-        gdp_cutoff=Cutoff.rank(_setting(s1.get("gdp_rank", len(cities)), "screen.stage1.gdp_rank")),
-        sports_cutoff=Cutoff.rank(
-            _setting(s1.get("sports_rank", len(cities)), "screen.stage1.sports_rank")
-        ),
-    )
-    return kept
-
-
-def _cmd_screen_winter(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
-    prov = _provenance(cfg, "screen winter")
-    w = _weighting(cfg)
-    scfg = cfg.section("screen", "winter")
-    cities = _stage1(cfg, _load_cities(cfg, args.pool))
-
+def _winter_candidates(
+    scfg: dict, cities: list[CityProfile], w: WeightingOutputs, prov: Provenance
+) -> tuple[list[CityProfile], dict[str, str], list[str]]:
+    """Drop excluded cities, then keep those passing the climate gate."""
     excluded = set(scfg.get("exclude", ()))
     unknown = excluded - {c.name for c in cities}
     if unknown:
@@ -429,102 +389,104 @@ def _cmd_screen_winter(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
     passers = [a.city for a in assessments if a.passed]
     if not passers:
         raise ValidationError("no city passes the winter climate gate")
-
-    scored = score_cities(
-        passers,
-        scfg.get("s_base", {}),
-        w.selection,
-        w.hierarchy,
-        default_base=scfg.get("default_s_base"),
+    table = render_table(
+        ["city", "feb_temp_c", "feb_snow_cm", "passed", "ideal"],
+        climate_rows,
+        prov,
     )
-    ranked = rank_cities(scored)
-    scaler = FeatureScaler.fit(passers, w.selection.ids, w.hierarchy)
-
-    outputs = {
-        "winter_climate.csv": render_table(
-            ["city", "feb_temp_c", "feb_snow_cm", "passed", "ideal"],
-            climate_rows,
-            prov,
-        ),
-        **_screen_common_tables(ranked, scaler, w.selection, prov, "winter"),
-    }
-    top_city, top_score = ranked[0]
-    return RunReport(
-        stage="screen winter",
-        provenance=prov,
-        outputs=outputs,
-        summary=[
-            f"climate gate: {len(passers)}/{len(candidates)} cities pass",
-            f"top winter host: {top_city.name} (total {format_number(top_score.total)})",
-        ],
-    )
+    summary = [f"climate gate: {len(passers)}/{len(candidates)} cities pass"]
+    return passers, {"winter_climate.csv": table}, summary
 
 
-def _cmd_screen_summer(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
-    prov = _provenance(cfg, "screen summer")
-    w = _weighting(cfg)
-    scfg = cfg.section("screen", "summer")
-    hierarchy, matrix = w.hierarchy, w.matrix
-    stage1 = _stage1(cfg, _load_cities(cfg, args.pool))
-
+def _summer_candidates(
+    scfg: dict, cities: list[CityProfile], w: WeightingOutputs, prov: Provenance
+) -> tuple[list[CityProfile], dict[str, str], list[str]]:
+    """Shortlist by sports score; indicators come from the decision matrix."""
     sports_rank = _setting(scfg.get("sports_rank", 8), "screen.summer.sports_rank")
     shortlist = screen_candidates(
-        stage1,
-        gdp_cutoff=Cutoff.rank(len(stage1)),
+        cities,
+        gdp_cutoff=Cutoff.rank(len(cities)),
         sports_cutoff=Cutoff.rank(sports_rank),
     )
     screen_rows = [
         (i + 1, c.name, c.country, c.sports_score) for i, c in enumerate(shortlist)
     ]
+    table = render_table(
+        ["rank", "city", "country", "sports_score"], screen_rows, prov
+    )
+    candidates = [replace(c, indicators=w.matrix.row(c.name)) for c in shortlist]
+    summary = [f"stage-1 keeps {len(cities)} cities, sports screen keeps {len(shortlist)}"]
+    return candidates, {"summer_screen.csv": table}, summary
 
-    profiles = []
-    for c in shortlist:
-        profiles.append(
-            CityProfile(
-                name=c.name, country=c.country, gdp=c.gdp,
-                sports_score=c.sports_score, climate=c.climate,
-                indicators=matrix.row(c.name),
-            )
+
+# Per season: the step that picks the candidates, and the base score of a
+# city that the season's s_base table does not name.
+_SEASONS = {"winter": (_winter_candidates, None), "summer": (_summer_candidates, 0.5)}
+
+
+def _cmd_screen(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
+    season = args.season
+    prov = _provenance(cfg, f"screen {season}")
+    w = _weighting(cfg)
+    scfg = cfg.section("screen", season)
+    pick, default_base = _SEASONS[season]
+    cities = _load_cities(cfg, args.pool)
+    s1 = cfg.section("screen", "stage1")
+    if s1:  # the coarse GDP/sports cut, before the season's own step
+        cities = screen_candidates(
+            cities,
+            gdp_cutoff=Cutoff.rank(
+                _setting(s1.get("gdp_rank", len(cities)), "screen.stage1.gdp_rank")
+            ),
+            sports_cutoff=Cutoff.rank(
+                _setting(s1.get("sports_rank", len(cities)), "screen.stage1.sports_rank")
+            ),
         )
+    candidates, outputs, summary = pick(scfg, cities, w, prov)
+
     scored = score_cities(
-        profiles,
+        candidates,
         scfg.get("s_base", {}),
         w.selection,
-        hierarchy,
-        default_base=scfg.get("default_s_base", 0.5),
+        w.hierarchy,
+        default_base=scfg.get("default_s_base", default_base),
     )
     ranked = rank_cities(scored)
-    scaler = FeatureScaler.fit(profiles, w.selection.ids, hierarchy)
-
-    outputs = {
-        "summer_screen.csv": render_table(
-            ["rank", "city", "country", "sports_score"], screen_rows, prov
-        ),
-        **_screen_common_tables(ranked, scaler, w.selection, prov, "summer"),
-    }
+    scaler = FeatureScaler.fit(candidates, w.selection.ids, w.hierarchy)
+    ranking_rows = [
+        (i + 1, c.name, c.country, s.s_base, s.s_evaluate, s.total)
+        for i, (c, s) in enumerate(ranked)
+    ]
+    feature_rows = []
+    for c, _ in ranked:
+        xi = scaler.transform(c)
+        for ind, g, value in zip(w.selection.ids, w.selection.gamma, xi):
+            feature_rows.append((c.name, str(ind), float(value), float(g), float(g) * float(value)))
+    outputs[f"{season}_ranking.csv"] = render_table(
+        ["rank", "city", "country", "s_base", "s_evaluate", "total"],
+        ranking_rows,
+        prov,
+    )
+    outputs[f"{season}_features.csv"] = render_table(
+        ["city", "indicator", "scaled_value", "gamma", "contribution"],
+        feature_rows,
+        prov,
+    )
     swot_path = cfg.optional_path("swot")
-    if swot_path is not None:
+    if season == "summer" and swot_path is not None:
         records = load_swot(swot_path)
         outputs["swot_report.txt"] = "\n".join(prov.header_lines()) + "\n" + swot_report(records)
     top_city, top_score = ranked[0]
-    return RunReport(
-        stage="screen summer",
-        provenance=prov,
-        outputs=outputs,
-        summary=[
-            f"stage-1 keeps {len(stage1)} cities, sports screen keeps {len(shortlist)}",
-            f"top summer host: {top_city.name} (total {format_number(top_score.total)})",
-        ],
+    summary.append(
+        f"top {season} host: {top_city.name} (total {format_number(top_score.total)})"
     )
+    return RunReport(stage=f"screen {season}", provenance=prov, outputs=outputs, summary=summary)
 
 
 def _cmd_compare_schemes(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
     prov = _provenance(cfg, "compare-schemes")
     w = _weighting(cfg)
-    plans_path = Path(args.plans) if args.plans is not None else cfg.input_path("plans")
-    if not plans_path.is_file():
-        raise ConfigError(f"plans file not found: {plans_path}")
-    plans = load_plans(plans_path)
+    plans = load_plans(cfg.input_path("plans", args.plans))
     results = compare_schemes(plans, w.selection)
     outputs = {
         "schemes.csv": render_table(
@@ -762,42 +724,19 @@ _HANDLERS = {
     "weights": _cmd_weights,
     "evaluate": _cmd_evaluate,
     "forecast": _cmd_forecast,
+    "screen": _cmd_screen,
     "compare-schemes": _cmd_compare_schemes,
     "sensitivity": _cmd_sensitivity,
     "rsm": _cmd_rsm,
 }
 
 
-def run(config: str | Path, subcommand: str, **options) -> RunReport:
-    """Programmatic entry point mirroring the CLI subcommands."""
-    argv = [subcommand]
-    if subcommand == "screen":
-        argv.append(str(options.pop("season")))
-    argv += ["--config", str(config)]
-    for key, value in options.items():
-        if value is None:
-            continue
-        argv += [f"--{key.replace('_', '-')}", str(value)]
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    _, report = _dispatch(args)
-    return report
-
-
-def _dispatch(args: argparse.Namespace) -> tuple[RunConfig, RunReport]:
-    cfg = RunConfig.load(args.config)
-    if args.subcommand == "screen":
-        handler = _cmd_screen_winter if args.season == "winter" else _cmd_screen_summer
-    else:
-        handler = _HANDLERS[args.subcommand]
-    return cfg, handler(cfg, args)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg, report = _dispatch(args)
+        cfg = RunConfig.load(args.config)
+        report = _HANDLERS[args.subcommand](cfg, args)
         written = report.write(cfg.output_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+from dataclasses import replace
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .grey import TimeSeries
-from .indicators import IndicatorId
+from .indicators import IndicatorId, _json_document, _malformed, _read_text
 from .selection import CityProfile, ClimateRequirement, SchemeId, SchemePlan, SwotRecord
 
 __all__ = [
@@ -32,18 +32,12 @@ __all__ = [
 ]
 
 
-def _read_text(source: str | Path | IO[str]) -> str:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    return source.read()
-
-
 def load_judgments(source: str | Path | IO[str]) -> dict[str, list[list[float]]]:
     """Judgment matrices keyed by level name ('primary' or a category letter)."""
-    obj = json.loads(_read_text(source))
-    if not isinstance(obj, dict):
-        raise ConfigError("judgments file must map level names to nested arrays")
-    return {str(k): v for k, v in obj.items()}
+    with _json_document(_read_text(source), "judgments file") as obj:
+        if not isinstance(obj, dict):
+            raise ConfigError("judgments file must map level names to nested arrays")
+        return {str(k): v for k, v in obj.items()}
 
 
 def _series_from_obj(label: str, entry: Mapping) -> TimeSeries:
@@ -63,23 +57,14 @@ def load_pool(source: str | Path | IO[str]) -> list[CityProfile]:
 
 
 def _pool_from_json(text: str) -> list[CityProfile]:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"pool file is not valid JSON: {exc}") from None
-    entries = obj.get("cities")
+    with _json_document(text, "pool file") as obj:
+        entries = obj.get("cities")
     if not isinstance(entries, list):
         raise ValidationError('pool file must hold a "cities" list')
     cities = []
     for pos, entry in enumerate(entries, start=1):
-        try:
+        with _malformed(f"pool city #{pos}"):
             cities.append(_city_from_obj(entry))
-        except ValidationError:
-            raise
-        except KeyError as exc:
-            raise ValidationError(f"pool city #{pos} lacks the key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad value in pool city #{pos}: {exc}") from None
     _check_unique(cities)
     return cities
 
@@ -181,54 +166,45 @@ def merge_climate(
     out = []
     for c in cities:
         extra = climate.get(c.name)
-        if not extra:
-            out.append(c)
-            continue
-        merged = dict(c.climate)
-        merged.update(extra)
-        out.append(
-            CityProfile(
-                name=c.name, country=c.country, gdp=c.gdp,
-                sports_score=c.sports_score, climate=merged,
-                indicators=c.indicators,
-            )
-        )
+        if extra:
+            c = replace(c, climate={**c.climate, **extra})
+        out.append(c)
     return out
 
 
 def load_plans(source: str | Path | IO[str]) -> list[SchemePlan]:
     """Hosting schemes with per-feature impact grades."""
-    obj = json.loads(_read_text(source))
-    plans = []
-    for entry in obj["plans"]:
-        impacts = {
-            IndicatorId.parse(k): int(v) for k, v in entry["impacts"].items()
-        }
-        try:
-            plans.append(
-                SchemePlan(
-                    id=SchemeId(entry["id"]),
-                    description=str(entry.get("description", "")),
-                    impacts=impacts,
+    with _json_document(_read_text(source), "plans file") as obj:
+        plans = []
+        for entry in obj["plans"]:
+            impacts = {
+                IndicatorId.parse(k): int(v) for k, v in entry["impacts"].items()
+            }
+            try:
+                plans.append(
+                    SchemePlan(
+                        id=SchemeId(entry["id"]),
+                        description=str(entry.get("description", "")),
+                        impacts=impacts,
+                    )
                 )
-            )
-        except ValueError as exc:
-            raise ValidationError(f"bad plan entry {entry.get('id')!r}: {exc}") from None
-    return plans
+            except ValueError as exc:
+                raise ValidationError(f"bad plan entry {entry.get('id')!r}: {exc}") from None
+        return plans
 
 
 def load_swot(source: str | Path | IO[str]) -> list[SwotRecord]:
-    obj = json.loads(_read_text(source))
-    return [
-        SwotRecord(
-            city=str(e["city"]),
-            strengths=tuple(e.get("strengths", ())),
-            weaknesses=tuple(e.get("weaknesses", ())),
-            opportunities=tuple(e.get("opportunities", ())),
-            threats=tuple(e.get("threats", ())),
-        )
-        for e in obj["records"]
-    ]
+    with _json_document(_read_text(source), "swot file") as obj:
+        return [
+            SwotRecord(
+                city=str(e["city"]),
+                strengths=tuple(e.get("strengths", ())),
+                weaknesses=tuple(e.get("weaknesses", ())),
+                opportunities=tuple(e.get("opportunities", ())),
+                threats=tuple(e.get("threats", ())),
+            )
+            for e in obj["records"]
+        ]
 
 
 def load_requirement(obj: Mapping | None) -> ClimateRequirement:

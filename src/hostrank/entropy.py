@@ -18,7 +18,6 @@ dispersion carries maximum entropy e_j = 1 and weight 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .errors import NumericError, ValidationError
 from .indicators import DecisionMatrix, IndicatorHierarchy, Polarity
 
 __all__ = [
-    "NormalizationMethod",
     "NormalizedMatrix",
     "EntropyResult",
     "interval_normalize",
@@ -36,17 +34,11 @@ __all__ = [
 ]
 
 
-class NormalizationMethod(str, Enum):
-    INTERVAL_POSITIVE = "interval-positive"
-    VECTOR_NORM = "vector-norm"
-
-
 @dataclass(frozen=True)
 class NormalizedMatrix:
     """Column-normalized data ready for entropy weighting."""
 
     values: np.ndarray
-    method: NormalizationMethod
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float)
@@ -119,7 +111,7 @@ def vector_normalize(data: DecisionMatrix | np.ndarray) -> NormalizedMatrix:
     if np.any(norms == 0.0):
         j = int(np.argmax(norms == 0.0))
         raise ValidationError(f"all-zero column at index {j}")
-    return NormalizedMatrix(values=vals / norms, method=NormalizationMethod.VECTOR_NORM)
+    return NormalizedMatrix(values=vals / norms)
 
 
 def entropy_weights(z: NormalizedMatrix | np.ndarray) -> EntropyResult:

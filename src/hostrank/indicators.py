@@ -17,15 +17,16 @@ import csv
 import io
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO, Any, Iterator, Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 __all__ = [
     "Category",
@@ -53,10 +54,6 @@ class Category(str, Enum):
     SOCIOCULTURAL = "C"
     POLITICAL = "D"
     ENVIRONMENTAL = "E"
-
-    @property
-    def title(self) -> str:
-        return self.name.capitalize()
 
 
 #: Number of secondary indicators per category. These bounds are fixed;
@@ -254,24 +251,24 @@ def default_hierarchy(
 
 def load_hierarchy(source: str | Path | IO[str]) -> IndicatorHierarchy:
     """Load a hierarchy from its JSON file form (see docs/data-format.md)."""
-    obj = json.loads(_read_text(source))
-    specs = []
-    for entry in obj["indicators"]:
-        interval = entry.get("ideal_interval")
-        specs.append(
-            IndicatorSpec(
-                id=IndicatorId.parse(entry["id"]),
-                name=entry.get("name", entry["id"]),
-                polarity=Polarity(entry.get("polarity", "+")),
-                ideal_interval=tuple(interval) if interval else None,
+    with _json_document(_read_text(source), "hierarchy file") as obj:
+        specs = []
+        for entry in obj["indicators"]:
+            interval = entry.get("ideal_interval")
+            specs.append(
+                IndicatorSpec(
+                    id=IndicatorId.parse(entry["id"]),
+                    name=entry.get("name", entry["id"]),
+                    polarity=Polarity(entry.get("polarity", "+")),
+                    ideal_interval=tuple(interval) if interval else None,
+                )
             )
+        weights = {Category(k): float(v) for k, v in obj["primary_weights"].items()}
+        return IndicatorHierarchy(
+            specs=tuple(specs),
+            primary_weights=weights,
+            reduced=bool(obj.get("reduced", False)),
         )
-    weights = {Category(k): float(v) for k, v in obj["primary_weights"].items()}
-    return IndicatorHierarchy(
-        specs=tuple(specs),
-        primary_weights=weights,
-        reduced=bool(obj.get("reduced", False)),
-    )
 
 
 _WEIGHT_SUM_TOL = 1e-9
@@ -379,13 +376,6 @@ class DecisionMatrix:
     def m(self) -> int:
         return len(self.cols)
 
-    def column(self, indicator: IndicatorId) -> np.ndarray:
-        try:
-            j = self.cols.index(indicator)
-        except ValueError:
-            raise ValidationError(f"indicator {indicator} not in matrix") from None
-        return self.values[:, j]
-
     def row(self, label: str) -> dict[IndicatorId, float]:
         try:
             i = self._row_index[label]
@@ -398,6 +388,32 @@ def _read_text(source: str | Path | IO[str]) -> str:
     if isinstance(source, (str, Path)):
         return Path(source).read_text(encoding="utf-8")
     return source.read()
+
+
+@contextmanager
+def _malformed(what: str) -> Iterator[None]:
+    """Report malformed input read in the block as a one-line ValidationError.
+
+    Invalid JSON, a missing key, or a value of the wrong kind is named
+    after ``what``; the toolkit's own errors pass through unchanged.
+    """
+    try:
+        yield
+    except (ConfigError, ValidationError):
+        raise
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise ValidationError(f"{what} lacks the key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad value in {what}: {exc}") from None
+
+
+@contextmanager
+def _json_document(text: str, what: str) -> Iterator[Any]:
+    """Parse ``text`` as JSON for the block that builds a value from it."""
+    with _malformed(what):
+        yield json.loads(text)
 
 
 def _sniff_delimiter(sample: str) -> str:
@@ -503,33 +519,33 @@ def _parse_delimited_matrix(text: str):
 
 
 def _parse_json_matrix(text: str):
-    obj = json.loads(text)
-    labels = [str(r) for r in obj["rows"]]
-    ids = [IndicatorId.parse(tok) for tok in obj["columns"]]
-    units = obj.get("units")
-    if units is not None:
-        if len(units) != len(ids):
-            raise ValidationError("units list does not match the column count")
-        units = [str(u) for u in units]
-    grid: list[list[float]] = []
-    for label, row in zip(labels, obj["values"]):
-        if len(row) != len(ids):
-            raise ValidationError(
-                f"column count mismatch at row {label!r}: "
-                f"expected {len(ids)}, got {len(row)}"
-            )
-        parsed = []
-        for ind, cell in zip(ids, row):
-            if cell is None:
-                parsed.append(float("nan"))
-            elif isinstance(cell, (int, float)):
-                parsed.append(float(cell))
-            else:
+    with _json_document(text, "decision matrix file") as obj:
+        labels = [str(r) for r in obj["rows"]]
+        ids = [IndicatorId.parse(tok) for tok in obj["columns"]]
+        units = obj.get("units")
+        if units is not None:
+            if len(units) != len(ids):
+                raise ValidationError("units list does not match the column count")
+            units = [str(u) for u in units]
+        grid: list[list[float]] = []
+        for label, row in zip(labels, obj["values"]):
+            if len(row) != len(ids):
                 raise ValidationError(
-                    f"non-numeric cell {cell!r} at row {label!r}, column {ind}"
+                    f"column count mismatch at row {label!r}: "
+                    f"expected {len(ids)}, got {len(row)}"
                 )
-        grid.append(parsed)
-    return labels, ids, grid, units
+            parsed = []
+            for ind, cell in zip(ids, row):
+                if cell is None:
+                    parsed.append(float("nan"))
+                elif isinstance(cell, (int, float)):
+                    parsed.append(float(cell))
+                else:
+                    raise ValidationError(
+                        f"non-numeric cell {cell!r} at row {label!r}, column {ind}"
+                    )
+            grid.append(parsed)
+        return labels, ids, grid, units
 
 
 def serialize_decision_matrix(matrix: DecisionMatrix) -> str:

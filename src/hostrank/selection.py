@@ -3,8 +3,8 @@
 Screening runs in stages: a coarse cut on national GDP and sports
 standing, then for winter events a hard climate gate (forecast February
 mean temperature below 0 C and at least 30 cm of February snowfall,
-with an ideal band of -17..-10 C), or for summer events a medal-points
-cut. Survivors are separated by a suitability score
+with an ideal band of -17..-10 C), or for summer events a cut on the
+sports score. Survivors are separated by a suitability score
 
     total = s_base + s_evaluate,
 
@@ -34,7 +34,6 @@ __all__ = [
     "ClimateRequirement",
     "ClimateAssessment",
     "SuitabilityScore",
-    "MedalTally",
     "SchemeId",
     "ImpactScale",
     "SchemePlan",
@@ -44,7 +43,6 @@ __all__ = [
     "FeatureScaler",
     "screen_candidates",
     "winter_climate_filter",
-    "medal_points",
     "suitability_score",
     "score_cities",
     "rank_cities",
@@ -116,27 +114,6 @@ class SuitabilityScore:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "total", self.s_base + self.s_evaluate)
-
-
-@dataclass(frozen=True)
-class MedalTally:
-    """Medal counts with the 5 / 1 / 0.5 points convention."""
-
-    gold: int
-    silver: int
-    bronze: int
-
-    def __post_init__(self) -> None:
-        if min(self.gold, self.silver, self.bronze) < 0:
-            raise ValidationError("medal counts must be nonnegative")
-
-    @property
-    def points(self) -> float:
-        return 5.0 * self.gold + 1.0 * self.silver + 0.5 * self.bronze
-
-
-def medal_points(tally: MedalTally) -> float:
-    return tally.points
 
 
 class SchemeId(str, Enum):

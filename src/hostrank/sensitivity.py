@@ -299,11 +299,6 @@ class QuadraticSurface:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def coefficient_count(self) -> int:
-        k = self.factor_count
-        return 1 + k + k * (k - 1) // 2 + k
-
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return _design_matrix(pts, self.factor_count) @ self._coef_vector()

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -14,7 +17,6 @@ from hostrank.cli import (
     EXIT_VALIDATION,
     OUTPUT_DIR_ENV,
     main,
-    run,
 )
 
 
@@ -118,6 +120,94 @@ class TestScreenCommands:
         assert ranking[0]["city"] == "Beijing"
         swot = (outdir / "swot_report.txt").read_text()
         assert swot.count("== ") == 4
+
+
+def write_config(tmp_path: Path, fixtures_dir: Path, edit) -> Path:
+    """The shipped run config with absolute input paths, changed by ``edit(cfg)``."""
+    cfg = json.loads((fixtures_dir / "run.json").read_text())
+    for key in ("hierarchy", "judgments", "decision_matrix", "pool", "plans", "swot"):
+        cfg[key] = str(fixtures_dir / cfg[key])
+    edit(cfg)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def screen_winter(config: Path, fixtures_dir: Path) -> int:
+    return main([
+        "screen", "winter", "--pool", str(fixtures_dir / "winter_pool.json"),
+        "--config", str(config),
+    ])
+
+
+def winter_city_names(fixtures_dir: Path) -> list[str]:
+    pool = json.loads((fixtures_dir / "winter_pool.json").read_text())
+    return [c["name"] for c in pool["cities"]]
+
+
+class TestScreenPaths:
+    def test_exclusion_name_absent_from_pool_warns(self, tmp_path, fixtures_dir, outdir):
+        def edit(cfg):
+            cfg["screen"]["winter"]["exclude"] = ["Bangkok", "Atlantis"]
+
+        config = write_config(tmp_path, fixtures_dir, edit)
+        with pytest.warns(UserWarning, match=r"absent from the pool: \['Atlantis'\]"):
+            assert screen_winter(config, fixtures_dir) == EXIT_OK
+        _, climate = read_table(outdir / "winter_climate.csv")
+        assert "Bangkok" not in {r["city"] for r in climate}
+        assert len(climate) == len(winter_city_names(fixtures_dir)) - 1
+
+    def test_every_city_excluded_is_a_validation_error(
+        self, tmp_path, fixtures_dir, outdir, capsys
+    ):
+        def edit(cfg):
+            cfg["screen"]["winter"]["exclude"] = winter_city_names(fixtures_dir)
+
+        config = write_config(tmp_path, fixtures_dir, edit)
+        assert screen_winter(config, fixtures_dir) == EXIT_VALIDATION
+        assert "every pool city is excluded" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_no_city_passing_the_gate_is_a_validation_error(
+        self, tmp_path, fixtures_dir, outdir, capsys
+    ):
+        def edit(cfg):
+            cfg["screen"]["winter"]["requirement"]["min_feb_snow"] = 1e6
+
+        config = write_config(tmp_path, fixtures_dir, edit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert screen_winter(config, fixtures_dir) == EXIT_VALIDATION
+        assert "no city passes the winter climate gate" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "season, pool, expected",
+        [
+            ("winter", "winter_pool.json", EXIT_CONFIG),  # no default base score
+            ("summer", "world_pool.csv", EXIT_OK),  # defaults to 0.5
+        ],
+    )
+    def test_city_without_a_base_score(
+        self, tmp_path, fixtures_dir, outdir, capsys, season, pool, expected
+    ):
+        def edit(cfg):
+            cfg["screen"][season]["s_base"] = {}
+            del cfg["screen"][season]["default_s_base"]
+
+        config = write_config(tmp_path, fixtures_dir, edit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([
+                "screen", season, "--pool", str(fixtures_dir / pool), "--config", str(config),
+            ])
+        assert code == expected
+        if expected == EXIT_CONFIG:
+            assert "no base score configured for city" in capsys.readouterr().err
+            assert not outdir.exists()
+        else:
+            _, ranking = read_table(outdir / f"{season}_ranking.csv")
+            assert {r["s_base"] for r in ranking} == {"0.5"}
 
 
 class TestOtherCommands:
@@ -234,6 +324,42 @@ class TestErrorContract:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "key, damage, argv, message",
+        [
+            ("hierarchy", "truncate", ["weights"], "hierarchy file is not valid JSON"),
+            ("hierarchy", "drop primary_weights", ["weights"], "lacks the key 'primary_weights'"),
+            ("judgments", "truncate", ["weights"], "judgments file is not valid JSON"),
+            ("plans", "truncate", ["compare-schemes"], "plans file is not valid JSON"),
+            ("plans", "impact x", ["compare-schemes"], "bad value in plans file"),
+            ("swot", "truncate", ["screen", "summer"], "swot file is not valid JSON"),
+        ],
+    )
+    def test_malformed_json_input_is_a_validation_error(
+        self, tmp_path, fixtures_dir, outdir, capsys, key, damage, argv, message
+    ):
+        def edit(cfg):
+            text = (fixtures_dir / cfg[key]).read_text()
+            if damage == "truncate":
+                text = text[: len(text) // 2]
+            elif damage == "drop primary_weights":
+                obj = json.loads(text)
+                del obj["primary_weights"]
+                text = json.dumps(obj)
+            else:
+                obj = json.loads(text)
+                obj["plans"][1]["impacts"]["A2"] = "x"
+                text = json.dumps(obj)
+            cfg[key] = str(tmp_path / f"{key}.json")
+            (tmp_path / f"{key}.json").write_text(text)
+
+        config = write_config(tmp_path, fixtures_dir, edit)
+        assert main([*argv, "--config", str(config)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not outdir.exists()
+
     def test_output_dir_that_is_a_file_is_a_config_error(
         self, tmp_path, config_path, monkeypatch, capsys
     ):
@@ -313,8 +439,22 @@ class TestDeterminism:
         assert header["seed"] == "20260810"
         assert header["invocation"].startswith("weights")
 
-    def test_programmatic_run_matches_cli(self, config_path, outdir):
-        report = run(config_path, "weights", method="combined")
-        assert main(["weights", "--config", str(config_path)]) == EXIT_OK
-        for name, content in report.outputs.items():
-            assert (outdir / name).read_text() == content
+
+class TestTracedRun:
+    def test_weights_runs_under_the_benchmark_tracer(self, fixtures_dir, tmp_path):
+        """perfbench/trace_child.py wraps hostrank functions by name; a renamed
+        or deleted one makes it fail before the command runs."""
+        root = fixtures_dir.parent
+        env = {**os.environ, OUTPUT_DIR_ENV: str(tmp_path / "out")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        spans = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "trace_child.py"), str(spans), "0",
+             "--", "weights", "--config", str(fixtures_dir / "run.json")],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(spans.read_text().splitlines()[0])["counts"]
+        assert counts["pipeline.compute_weights_calls"] == 1

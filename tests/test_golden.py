@@ -2,18 +2,24 @@
 
 The files under ``tests/golden/<id>/`` are the outputs of each invocation
 below with their provenance header lines removed; ``winter-300/`` also
-holds the warnings the run emits, one per line, in order. Regenerate them
-only on purpose, by rerunning the invocations and stripping the leading
-``# `` lines, and record why.
+holds the warnings the run emits, one per line, in order. Each directory
+also holds ``stdout.txt``, what the run prints with the config hash masked
+and every written path reduced to its file name, and ``provenance.txt``,
+the ``# seed=`` and ``# invocation=`` header lines every output starts
+with. Regenerate them only on purpose, by rerunning the invocations and
+stripping the leading ``# `` lines, and record why.
 """
 
+import hashlib
 import json
 import random
+import re
 import warnings
 from pathlib import Path
 
 import pytest
 
+from hostrank import __version__
 from hostrank.cli import EXIT_OK, OUTPUT_DIR_ENV, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -35,6 +41,12 @@ INVOCATIONS = [
         ["rsm_grid.csv", "rsm_surface.csv", "rsm_extrema.csv"],
     ),
     ("weights", ["weights", "--method", "combined"], WEIGHTS_FILES),
+    (
+        "weights-ahp",
+        ["weights", "--method", "ahp"],
+        ["ahp_categories.csv", "ahp_indicators.csv", "ahp_consistency.csv"],
+    ),
+    ("weights-entropy", ["weights", "--method", "entropy"], ["entropy.csv"]),
     (
         "forecast",
         ["forecast", "--pool", "{fixtures}/winter_pool.json", "--indicator", "feb_temp_c",
@@ -69,29 +81,51 @@ def strip_provenance(text: str) -> str:
     return "\n".join(lines[i:])
 
 
-def run_cli(argv: list[str], config: Path, outdir: Path, monkeypatch) -> list[str]:
-    """Run the CLI into ``outdir`` and return the warnings it emitted, in order."""
+def run_cli(
+    argv: list[str], config: Path, outdir: Path, monkeypatch, capsys
+) -> tuple[list[str], str]:
+    """Run the CLI into ``outdir``; return its warnings, in order, and its stdout.
+
+    The stdout is normalized as ``stdout.txt`` holds it.
+    """
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(outdir))
     words = 2 if argv[0] == "screen" else 1
+    capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([*argv[:words], "--config", str(config), *argv[words:]]) == EXIT_OK
-    return [str(w.message) for w in caught]
+    stdout = capsys.readouterr().out
+    stdout = re.sub(r"(\] config )[0-9a-f]{12}( seed )", r"\1<hash>\2", stdout)
+    stdout = re.sub(r"(  wrote ).*[/\\]", r"\1", stdout)
+    return [str(w.message) for w in caught], stdout
 
 
-def assert_matches_golden(outdir: Path, golden_dir: Path, names: list[str]) -> None:
+def assert_matches_golden(
+    outdir: Path, golden_dir: Path, names: list[str], config: Path, stdout: str
+) -> None:
+    config_hash = hashlib.sha256(config.read_bytes()).hexdigest()
+    provenance = (golden_dir / "provenance.txt").read_text(encoding="utf-8").splitlines()
     for name in names:
-        produced = strip_provenance((outdir / name).read_text(encoding="utf-8"))
+        text = (outdir / name).read_text(encoding="utf-8")
+        header = text.split("\n")[:4]
+        assert header[0] == f"# config_hash={config_hash}", name
+        assert header[2] == f"# version={__version__}", name
+        assert [header[1], header[3]] == provenance, name
+        produced = strip_provenance(text)
         assert produced.encode("utf-8") == (golden_dir / name).read_bytes(), name
+    assert stdout.encode("utf-8") == (golden_dir / "stdout.txt").read_bytes()
 
 
 @pytest.mark.parametrize(
     "case, argv, names", INVOCATIONS, ids=[case for case, _, _ in INVOCATIONS]
 )
-def test_outputs_match_golden_files(case, argv, names, fixtures_dir, tmp_path, monkeypatch):
+def test_outputs_match_golden_files(
+    case, argv, names, fixtures_dir, tmp_path, monkeypatch, capsys
+):
     argv = [a.replace("{fixtures}", str(fixtures_dir)) for a in argv]
-    run_cli(argv, fixtures_dir / "run.json", tmp_path, monkeypatch)
-    assert_matches_golden(tmp_path, GOLDEN / case, names)
+    config = fixtures_dir / "run.json"
+    _, stdout = run_cli(argv, config, tmp_path, monkeypatch, capsys)
+    assert_matches_golden(tmp_path, GOLDEN / case, names, config, stdout)
 
 
 def _scaled_series(series: dict, rng: random.Random) -> dict:
@@ -160,7 +194,9 @@ def winter_pool_300(
     return cities, s_base
 
 
-def test_winter_screen_on_a_generated_pool_matches_golden(fixtures_dir, tmp_path, monkeypatch):
+def test_winter_screen_on_a_generated_pool_matches_golden(
+    fixtures_dir, tmp_path, monkeypatch, capsys
+):
     cities, s_base = winter_pool_300(random.Random(0), fixtures_dir)
     pool = tmp_path / "winter_pool.json"
     pool.write_text(json.dumps({"cities": cities}), encoding="utf-8")
@@ -174,7 +210,7 @@ def test_winter_screen_on_a_generated_pool_matches_golden(fixtures_dir, tmp_path
     config.write_text(json.dumps(cfg), encoding="utf-8")
 
     outdir = tmp_path / "out"
-    caught = run_cli(["screen", "winter"], config, outdir, monkeypatch)
+    caught, stdout = run_cli(["screen", "winter"], config, outdir, monkeypatch, capsys)
     golden = GOLDEN / "winter-300"
-    assert_matches_golden(outdir, golden, WINTER_FILES)
+    assert_matches_golden(outdir, golden, WINTER_FILES, config, stdout)
     assert "\n".join(caught) + "\n" == (golden / "warnings.txt").read_text(encoding="utf-8")

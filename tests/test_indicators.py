@@ -186,6 +186,19 @@ class TestLoadDecisionMatrix:
         m = load_decision_matrix(io.StringIO(json.dumps(obj)), h)
         assert m.units == tuple(str(i) for i in h.ids)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"rows": ["a"], "columns": ["A1"', "decision matrix file is not valid JSON"),
+            ('{"rows": ["a"], "columns": ["A1"]}', "decision matrix file lacks the key 'values'"),
+            ('["a", "b"]', "bad value in decision matrix file"),
+            ('{"rows": ["a"], "columns": ["A1"], "values": [5]}', "bad value in decision"),
+        ],
+    )
+    def test_malformed_json_form_is_a_validation_error(self, text, message):
+        with pytest.raises(ValidationError, match=message):
+            load_decision_matrix(io.StringIO(text), default_hierarchy())
+
     def test_round_trip_is_bit_exact(self):
         h = default_hierarchy()
         rng = np.random.default_rng(3)

@@ -15,13 +15,11 @@ from hostrank.selection import (
     Cutoff,
     FeatureScaler,
     ImpactScale,
-    MedalTally,
     SchemeId,
     SchemePlan,
     SuitabilityScore,
     SwotRecord,
     compare_schemes,
-    medal_points,
     rank_cities,
     screen_candidates,
     suitability_score,
@@ -186,21 +184,6 @@ class TestWinterClimateFilter:
     def test_ideal_band_must_sit_below_cap(self):
         with pytest.raises(ValidationError, match="below the maximum"):
             ClimateRequirement(max_feb_temp=-20.0)
-
-
-class TestMedalPoints:
-    def test_empty_tally(self):
-        assert medal_points(MedalTally(0, 0, 0)) == 0.0
-
-    def test_mixed_tally(self):
-        assert medal_points(MedalTally(2, 1, 3)) == 12.5
-
-    def test_gold_outweighs_silver_and_bronze(self):
-        assert medal_points(MedalTally(1, 0, 0)) > medal_points(MedalTally(0, 4, 1))
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValidationError):
-            MedalTally(-1, 0, 0)
 
 
 def _selection_of(ids_gamma):
