@@ -78,7 +78,6 @@ from .selection import (
     compare_schemes,
     rank_cities,
     screen_candidates,
-    suitability_score,
     swot_report,
     winter_climate_filter,
 )
@@ -149,7 +148,6 @@ __all__ = [
     "Cutoff",
     "screen_candidates",
     "winter_climate_filter",
-    "suitability_score",
     "rank_cities",
     "compare_schemes",
     "swot_report",

@@ -452,16 +452,14 @@ def _cmd_screen(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
         default_base=scfg.get("default_s_base", default_base),
     )
     ranked = rank_cities(scored)
-    scaler = FeatureScaler.fit(candidates, w.selection.ids, w.hierarchy)
     ranking_rows = [
         (i + 1, c.name, c.country, s.s_base, s.s_evaluate, s.total)
         for i, (c, s) in enumerate(ranked)
     ]
     feature_rows = []
-    for c, _ in ranked:
-        xi = scaler.transform(c)
-        for ind, g, value in zip(w.selection.ids, w.selection.gamma, xi):
-            feature_rows.append((c.name, str(ind), float(value), float(g), float(g) * float(value)))
+    for c, s in ranked:
+        for ind, g, value in zip(w.selection.ids, w.selection.gamma, s.scaled):
+            feature_rows.append((c.name, str(ind), value, float(g), float(g) * value))
     outputs[f"{season}_ranking.csv"] = render_table(
         ["rank", "city", "country", "s_base", "s_evaluate", "total"],
         ranking_rows,

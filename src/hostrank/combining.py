@@ -47,6 +47,7 @@ __all__ = [
     "select_features",
     "weighted_score",
     "evaluate_chi",
+    "score_rows",
 ]
 
 _SUM_TOL = 1e-9
@@ -342,3 +343,20 @@ def weighted_score(gamma: Sequence[float], values: Sequence[float]) -> float:
 def evaluate_chi(selection: FeatureSelection, xi_values: Sequence[float]) -> float:
     """Evaluation score of one alternative from its scaled feature values."""
     return weighted_score(selection.gamma, xi_values)
+
+
+def score_rows(gamma: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Weighted sum over the last axis of ``rows``: one score per alternative.
+
+    ``gamma`` broadcasts against the leading axes of ``rows``. Each score
+    is one BLAS dot over a contiguous k-vector, the accumulation
+    ``weighted_score`` does for a single alternative, so a batch is
+    bit-identical to scoring its rows one at a time.
+    """
+    g = np.ascontiguousarray(gamma, dtype=float)
+    x = np.ascontiguousarray(rows, dtype=float)
+    if g.shape[-1] != x.shape[-1]:
+        raise ValidationError(
+            f"length mismatch: {g.shape[-1]} weights vs {x.shape[-1]} values"
+        )
+    return np.vecdot(g, x)

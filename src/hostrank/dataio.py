@@ -16,7 +16,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .grey import TimeSeries
 from .indicators import IndicatorId, _json_document, _malformed, _read_text
 from .selection import CityProfile, ClimateRequirement, SchemeId, SchemePlan, SwotRecord
@@ -36,7 +36,7 @@ def load_judgments(source: str | Path | IO[str]) -> dict[str, list[list[float]]]
     """Judgment matrices keyed by level name ('primary' or a category letter)."""
     with _json_document(_read_text(source), "judgments file") as obj:
         if not isinstance(obj, dict):
-            raise ConfigError("judgments file must map level names to nested arrays")
+            raise ValidationError("judgments file must map level names to nested arrays")
         return {str(k): v for k, v in obj.items()}
 
 

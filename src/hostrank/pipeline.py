@@ -22,7 +22,7 @@ from .combining import (
     FeatureSelection,
     TotalWeights,
     combine_weights,
-    evaluate_chi,
+    score_rows,
     select_features,
     total_weights,
 )
@@ -34,7 +34,7 @@ from .indicators import (
     IndicatorHierarchy,
     validate_hierarchy,
 )
-from .selection import CityProfile, FeatureScaler
+from .selection import CityProfile, scale_cities
 
 __all__ = ["WeightingOutputs", "compute_weights", "evaluate_alternatives"]
 
@@ -146,5 +146,5 @@ def evaluate_alternatives(
                     indicators=matrix.row(label))
         for label in matrix.rows
     ]
-    scaler = FeatureScaler.fit(profiles, selection.ids, hierarchy)
-    return [(p.name, evaluate_chi(selection, scaler.transform(p))) for p in profiles]
+    chi = score_rows(selection.gamma, scale_cities(profiles, selection.ids, hierarchy))
+    return list(zip(matrix.rows, chi.tolist()))

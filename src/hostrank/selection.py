@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .combining import FeatureSelection, evaluate_chi
+from .combining import FeatureSelection, score_rows
 from .errors import ConfigError, ValidationError
 from .grey import TimeSeries, forecast_indicator
 from .indicators import IndicatorHierarchy, IndicatorId, Polarity
@@ -43,7 +43,7 @@ __all__ = [
     "FeatureScaler",
     "screen_candidates",
     "winter_climate_filter",
-    "suitability_score",
+    "scale_cities",
     "score_cities",
     "rank_cities",
     "compare_schemes",
@@ -106,10 +106,15 @@ class ClimateAssessment:
 
 @dataclass(frozen=True)
 class SuitabilityScore:
-    """Score decomposition; the total is the exact sum of its parts."""
+    """Score decomposition; the total is the exact sum of its parts.
+
+    ``scaled`` holds the scaled feature values that ``s_evaluate`` weighs,
+    in feature-group order, when the score was computed from them.
+    """
 
     s_base: float
     s_evaluate: float
+    scaled: tuple[float, ...] = ()
     total: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -296,10 +301,7 @@ class FeatureScaler:
         ids: Sequence[IndicatorId],
         hierarchy: IndicatorHierarchy,
     ) -> "FeatureScaler":
-        if not cities:
-            raise ValidationError("cannot fit a scaler on an empty city set")
-        grid = np.array([[_feature_value(c, i) for i in ids] for c in cities])
-        return cls.from_values(grid, ids, hierarchy)
+        return cls.from_values(_feature_grid(cities, ids), ids, hierarchy)
 
     @classmethod
     def from_values(
@@ -347,15 +349,21 @@ def _feature_value(city: CityProfile, indicator: IndicatorId) -> float:
         ) from None
 
 
-def suitability_score(
-    city: CityProfile,
-    s_base: float,
-    selection: FeatureSelection,
-    scaler: FeatureScaler,
-) -> SuitabilityScore:
-    """Base score plus the evaluation score of the city's scaled features."""
-    xi = scaler.transform(city)
-    return SuitabilityScore(s_base=float(s_base), s_evaluate=evaluate_chi(selection, xi))
+def _feature_grid(cities: Sequence[CityProfile], ids: Sequence[IndicatorId]) -> np.ndarray:
+    """Raw (cities x features) values; rows follow ``cities``, columns ``ids``."""
+    rows = [[_feature_value(c, i) for i in ids] for c in cities]
+    # The reshape keeps an empty city set 2-D, so the fit reports it as empty.
+    return np.array(rows, dtype=float).reshape(len(cities), len(ids))
+
+
+def scale_cities(
+    cities: Sequence[CityProfile],
+    ids: Sequence[IndicatorId],
+    hierarchy: IndicatorHierarchy,
+) -> np.ndarray:
+    """Every city's features min-max scaled across the set, one row per city."""
+    grid = _feature_grid(cities, ids)
+    return FeatureScaler.from_values(grid, ids, hierarchy).transform_values(grid)
 
 
 def score_cities(
@@ -367,16 +375,18 @@ def score_cities(
     default_base: float | None = None,
 ) -> list[tuple[CityProfile, SuitabilityScore]]:
     """Score every city against the others, scaling features across the set."""
-    scaler = FeatureScaler.fit(cities, selection.ids, hierarchy)
+    scaled = scale_cities(cities, selection.ids, hierarchy)
+    chi = score_rows(selection.gamma, scaled)
     out = []
-    for city in cities:
+    for city, xi, s_evaluate in zip(cities, scaled.tolist(), chi.tolist()):
         if city.name in s_base:
             base = float(s_base[city.name])
         elif default_base is not None:
             base = float(default_base)
         else:
             raise ConfigError(f"no base score configured for city {city.name!r}")
-        out.append((city, suitability_score(city, base, selection, scaler)))
+        score = SuitabilityScore(s_base=base, s_evaluate=s_evaluate, scaled=tuple(xi))
+        out.append((city, score))
     return out
 
 

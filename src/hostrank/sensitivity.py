@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combining import FeatureSelection, TotalWeights
+from .combining import FeatureSelection, TotalWeights, score_rows
 from .errors import ConfigError, NumericError, ValidationError
 from .indicators import DecisionMatrix, IndicatorHierarchy, IndicatorId
 from .selection import FeatureScaler
@@ -216,20 +216,15 @@ _GATHER_CELLS = 1 << 20
 def _weighted_scores(
     scaled: np.ndarray, group_columns: np.ndarray, gammas: np.ndarray
 ) -> np.ndarray:
-    """``out[t, a] = gammas[t] . scaled[a, group_columns[t]]`` for every group t.
-
-    Each score is one BLAS dot over a contiguous k-vector, the same
-    accumulation ``np.dot`` does for a single alternative, so the batch is
-    bit-identical to scoring one alternative at a time.
-    """
+    """``out[t, a] = gammas[t] . scaled[a, group_columns[t]]`` for every group t."""
     n = scaled.shape[0]
     groups, k = group_columns.shape
     step = max(1, _GATHER_CELLS // max(1, n * k))
     out = np.empty((groups, n))
     for lo in range(0, groups, step):
         batch = slice(lo, lo + step)
-        cells = np.ascontiguousarray(scaled[:, group_columns[batch]].swapaxes(0, 1))
-        out[batch] = np.vecdot(gammas[batch, None, :], cells)
+        cells = scaled[:, group_columns[batch]].swapaxes(0, 1)
+        out[batch] = score_rows(gammas[batch, None, :], cells)
     return out
 
 

@@ -333,6 +333,7 @@ class TestErrorContract:
             ("plans", "truncate", ["compare-schemes"], "plans file is not valid JSON"),
             ("plans", "impact x", ["compare-schemes"], "bad value in plans file"),
             ("swot", "truncate", ["screen", "summer"], "swot file is not valid JSON"),
+            ("judgments", "list root", ["weights"], "judgments file must map level names"),
         ],
     )
     def test_malformed_json_input_is_a_validation_error(
@@ -342,6 +343,8 @@ class TestErrorContract:
             text = (fixtures_dir / cfg[key]).read_text()
             if damage == "truncate":
                 text = text[: len(text) // 2]
+            elif damage == "list root":
+                text = "[1, 2, 3]"
             elif damage == "drop primary_weights":
                 obj = json.loads(text)
                 del obj["primary_weights"]
@@ -441,9 +444,10 @@ class TestDeterminism:
 
 
 class TestTracedRun:
-    def test_weights_runs_under_the_benchmark_tracer(self, fixtures_dir, tmp_path):
-        """perfbench/trace_child.py wraps hostrank functions by name; a renamed
-        or deleted one makes it fail before the command runs."""
+    """perfbench/trace_child.py wraps hostrank functions by name; a renamed or
+    deleted one makes it fail before the command runs."""
+
+    def traced_counts(self, fixtures_dir, tmp_path, argv):
         root = fixtures_dir.parent
         env = {**os.environ, OUTPUT_DIR_ENV: str(tmp_path / "out")}
         env["PYTHONPATH"] = os.pathsep.join(
@@ -452,9 +456,17 @@ class TestTracedRun:
         spans = tmp_path / "spans.json"
         proc = subprocess.run(
             [sys.executable, str(root / "perfbench" / "trace_child.py"), str(spans), "0",
-             "--", "weights", "--config", str(fixtures_dir / "run.json")],
+             "--", *argv, "--config", str(fixtures_dir / "run.json")],
             cwd=root, env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        counts = json.loads(spans.read_text().splitlines()[0])["counts"]
+        return json.loads(spans.read_text().splitlines()[0])["counts"]
+
+    def test_weights_runs_under_the_benchmark_tracer(self, fixtures_dir, tmp_path):
+        counts = self.traced_counts(fixtures_dir, tmp_path, ["weights"])
         assert counts["pipeline.compute_weights_calls"] == 1
+
+    def test_evaluate_reads_each_row_once_under_the_tracer(self, fixtures_dir, tmp_path):
+        """The benchmark's evaluate workload pins one row() read per parsed row."""
+        counts = self.traced_counts(fixtures_dir, tmp_path, ["evaluate"])
+        assert counts["indicators.row_calls"] == counts["indicators.rows_parsed"] == 45

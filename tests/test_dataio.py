@@ -15,7 +15,7 @@ from hostrank.dataio import (
     load_swot,
     merge_climate,
 )
-from hostrank.errors import ConfigError, ValidationError
+from hostrank.errors import ValidationError
 
 
 class TestLoadPool:
@@ -120,7 +120,7 @@ class TestJudgmentsAndRequirement:
         assert len(judgments["primary"]) == 5
 
     def test_non_object_judgments_rejected(self):
-        with pytest.raises(ConfigError, match="level names"):
+        with pytest.raises(ValidationError, match="level names"):
             load_judgments(io.StringIO("[1, 2, 3]"))
 
     def test_requirement_defaults_and_overrides(self):

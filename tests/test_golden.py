@@ -2,7 +2,8 @@
 
 The files under ``tests/golden/<id>/`` are the outputs of each invocation
 below with their provenance header lines removed; ``winter-300/`` also
-holds the warnings the run emits, one per line, in order. Each directory
+holds the warnings the run emits, one per line, in order, and
+``evaluate-1000/`` pins ``evaluate`` on a generated 1,000-row matrix. Each directory
 also holds ``stdout.txt``, what the run prints with the config hash masked
 and every written path reduced to its file name, and ``provenance.txt``,
 the ``# seed=`` and ``# invocation=`` header lines every output starts
@@ -214,3 +215,39 @@ def test_winter_screen_on_a_generated_pool_matches_golden(
     golden = GOLDEN / "winter-300"
     assert_matches_golden(outdir, golden, WINTER_FILES, config, stdout)
     assert "\n".join(caught) + "\n" == (golden / "warnings.txt").read_text(encoding="utf-8")
+
+
+def decision_matrix_1000(rng: random.Random, fixtures: Path) -> str:
+    """CSV text of a 1,000-row decision matrix over the shipped indicators.
+
+    Each column draws uniformly from its own positive range at its own
+    number of decimals, so scaled values and scores vary in magnitude.
+    """
+    hierarchy = json.loads((fixtures / "hierarchy.json").read_text())
+    ids = [spec["id"] for spec in hierarchy["indicators"]]
+    columns = [
+        (rng.uniform(0.5, 50.0), rng.uniform(1.0, 500.0), rng.randint(1, 4)) for _ in ids
+    ]
+    lines = ["city," + ",".join(ids)]
+    for i in range(1000):
+        cells = (round(lo + width * rng.random(), places) for lo, width, places in columns)
+        lines.append(f"alt-{i:04d}," + ",".join(str(c) for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_evaluate_on_a_generated_matrix_matches_golden(
+    fixtures_dir, tmp_path, monkeypatch, capsys
+):
+    matrix = tmp_path / "decision_matrix.csv"
+    matrix.write_text(decision_matrix_1000(random.Random(0), fixtures_dir), encoding="utf-8")
+    cfg = json.loads((fixtures_dir / "run.json").read_text())
+    for key in ("hierarchy", "judgments", "pool", "plans", "swot"):
+        cfg[key] = str(fixtures_dir / cfg[key])
+    cfg["decision_matrix"] = str(matrix)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+
+    outdir = tmp_path / "out"
+    _, stdout = run_cli(["evaluate", "--features", "10"], config, outdir, monkeypatch, capsys)
+    names = ["evaluation.csv", "features.csv"]
+    assert_matches_golden(outdir, GOLDEN / "evaluate-1000", names, config, stdout)

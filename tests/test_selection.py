@@ -1,12 +1,16 @@
 """Tests for screening, climate gating, scoring, ranking, schemes, and SWOT."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hostrank.combining import evaluate_chi
 from hostrank.dataio import load_pool
 from hostrank.errors import ValidationError
 from hostrank.grey import TimeSeries
-from hostrank.indicators import IndicatorId
+from hostrank.indicators import DecisionMatrix, IndicatorHierarchy, IndicatorId, Polarity
+from hostrank.pipeline import evaluate_alternatives
 from hostrank.selection import (
     FEB_SNOW,
     FEB_TEMP,
@@ -21,8 +25,8 @@ from hostrank.selection import (
     SwotRecord,
     compare_schemes,
     rank_cities,
+    score_cities,
     screen_candidates,
-    suitability_score,
     swot_report,
     winter_climate_filter,
 )
@@ -216,9 +220,7 @@ class TestSuitabilityScore:
             CityProfile(name="Lo", country="X", gdp=1, sports_score=1,
                         indicators={IndicatorId.parse("A1"): 2.0, IndicatorId.parse("A2"): 4.0}),
         ]
-        scaler = FeatureScaler.fit(cities, sel.ids, hierarchy)
-        hi = suitability_score(cities[0], 0.5, sel, scaler)
-        lo = suitability_score(cities[1], 0.5, sel, scaler)
+        [(_, hi), (_, lo)] = score_cities(cities, {"Hi": 0.5, "Lo": 0.5}, sel, hierarchy)
         assert hi.s_evaluate == pytest.approx(1.0)
         assert lo.s_evaluate == pytest.approx(0.0)
 
@@ -247,6 +249,65 @@ class TestSuitabilityScore:
             FeatureScaler.from_values(matrix.values[:, :3], ids, hierarchy)
         with pytest.raises(ValidationError, match="empty"):
             FeatureScaler.from_values(matrix.values[:0], ids, hierarchy)
+
+
+def _profiles(matrix):
+    return [
+        CityProfile(name=r, country="", gdp=0, sports_score=0, indicators=matrix.row(r))
+        for r in matrix.rows
+    ]
+
+
+def _negative(hierarchy, ids):
+    """The hierarchy with the given indicators turned to negative polarity."""
+    specs = tuple(
+        dataclasses.replace(s, polarity=Polarity.NEGATIVE) if s.id in ids else s
+        for s in hierarchy.specs
+    )
+    return IndicatorHierarchy(specs=specs, primary_weights=hierarchy.primary_weights)
+
+
+def _batch_case(case, hierarchy, matrix, selection):
+    """(matrix, hierarchy) for one batch-versus-per-city comparison."""
+    if case == "fixture":
+        return matrix, hierarchy
+    if case == "negative-polarity":
+        return matrix, _negative(hierarchy, {selection.ids[0], selection.ids[3]})
+    if case == "zero-span":
+        values = matrix.values.copy()
+        values[:, matrix.cols.index(selection.ids[1])] = 42.0
+        return DecisionMatrix(rows=matrix.rows, cols=matrix.cols, values=values), hierarchy
+    rng = np.random.default_rng(2000)
+    values = np.round(rng.uniform(1.0, 100.0, size=(2000, len(matrix.cols))), 3)
+    rows = tuple(f"alt-{i:04d}" for i in range(2000))
+    return DecisionMatrix(rows=rows, cols=matrix.cols, values=values), hierarchy
+
+
+class TestBatchedScoresMatchPerCity:
+    """One scaled grid and one row-wise dot give the per-city scores exactly."""
+
+    @pytest.mark.parametrize(
+        "case", ["fixture", "negative-polarity", "zero-span", "seeded-2000"]
+    )
+    def test_batch_equals_per_city_reference(self, case, hierarchy, matrix, weighting):
+        sel = weighting.selection
+        data, h = _batch_case(case, hierarchy, matrix, sel)
+        cities = _profiles(data)
+        scaler = FeatureScaler.fit(cities, sel.ids, h)
+        scaled = [scaler.transform(c) for c in cities]
+        reference = [evaluate_chi(sel, xi) for xi in scaled]
+
+        assert evaluate_alternatives(data, h, sel) == list(zip(data.rows, reference))
+        scored = score_cities(cities, {}, sel, h, default_base=0.5)
+        assert [s.s_evaluate for _, s in scored] == reference
+        assert [s.scaled for _, s in scored] == [tuple(xi.tolist()) for xi in scaled]
+
+        if case == "negative-polarity":
+            j = data.cols.index(sel.ids[0])
+            best = int(np.argmin(data.values[:, j]))
+            assert scaled[best][0] == 1.0
+        if case == "zero-span":
+            assert all(xi[1] == 0.5 for xi in scaled)
 
 
 class TestRankCities:
@@ -285,8 +346,6 @@ class TestRankCities:
 
     def test_city_order_does_not_change_scores_or_ranking(self, hierarchy):
         """Scoring fans out per city and must be order-independent."""
-        from hostrank.selection import score_cities
-
         rng = np.random.default_rng(17)
         sel = _selection_of([("A1", 0.5), ("A5", 0.3), ("B2", 0.2)])
         cities = [
