@@ -44,7 +44,7 @@ def _series_from_obj(label: str, entry: Mapping) -> TimeSeries:
     return TimeSeries(
         label=label,
         start_period=int(entry["start_period"]),
-        values=np.asarray(entry["values"], dtype=float),
+        values=entry["values"],
     )
 
 
@@ -118,7 +118,8 @@ def _pool_from_csv(text: str) -> list[CityProfile]:
 def _check_unique(cities: Sequence[CityProfile]) -> None:
     keys = [c.key for c in cities]
     if len(set(keys)) != len(keys):
-        dup = next(k for i, k in enumerate(keys) if k in keys[:i])
+        seen: set = set()  # set.add returns None, so next() stops at the first repeat
+        dup = next(k for k in keys if k in seen or seen.add(k))
         raise ValidationError(f"duplicate city {dup[0]!r} ({dup[1]}) in pool")
 
 

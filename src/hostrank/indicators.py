@@ -88,6 +88,7 @@ class IndicatorId:
 
     category: Category
     index: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         limit = CATEGORY_SIZES[self.category]
@@ -96,6 +97,11 @@ class IndicatorId:
                 f"indicator index {self.index} out of range 1..{limit} "
                 f"for category {self.category.value}"
             )
+        # From ints only: unlike a (salted) str hash it is the same in every process.
+        object.__setattr__(self, "_hash", hash((ord(self.category.value), self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.category.value}{self.index}"
@@ -386,7 +392,10 @@ class DecisionMatrix:
 
 def _read_text(source: str | Path | IO[str]) -> str:
     if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
+        try:
+            return Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{source} is not UTF-8 text (byte {exc.start})") from None
     return source.read()
 
 
@@ -416,7 +425,9 @@ def _json_document(text: str, what: str) -> Iterator[Any]:
         yield json.loads(text)
 
 
-def _sniff_delimiter(sample: str) -> str:
+def _sniff_delimiter(text: str) -> str:
+    # Whole, non-blank lines only: a cut-off or empty line spoils the per-line counts.
+    sample = "\n".join(line for line in text[:2048].split("\n")[:-1] if line.strip())
     try:
         return csv.Sniffer().sniff(sample, delimiters=",;\t").delimiter
     except csv.Error:
@@ -447,15 +458,17 @@ def load_decision_matrix(
     for ind in ids:
         if ind not in known:
             raise ValidationError(f"unknown indicator {ind!r}")
-    if len(set(ids)) != len(ids):
+    present = set(ids)
+    if len(present) != len(ids):
         raise ValidationError("duplicate indicator column in header")
-    missing_cols = [str(i) for i in hierarchy.ids if i not in set(ids)]
+    missing_cols = [str(i) for i in hierarchy.ids if i not in present]
     if missing_cols:
         raise ValidationError(
             "missing indicator columns: " + ", ".join(missing_cols)
         )
     if len(set(labels)) != len(labels):
-        dup = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
+        seen: set = set()  # set.add returns None, so next() stops at the first repeat
+        dup = next(lab for lab in labels if lab in seen or seen.add(lab))
         raise ValidationError(f"duplicate sample label {dup!r}")
 
     arr = np.array(grid, dtype=float)  # may contain NaN placeholders here
@@ -485,9 +498,9 @@ def load_decision_matrix(
 
 
 def _parse_delimited_matrix(text: str):
-    delim = _sniff_delimiter(text[:2048])
+    delim = _sniff_delimiter(text)
     reader = csv.reader(io.StringIO(text), delimiter=delim)
-    rows = [r for r in reader if r and any(cell.strip() for cell in r)]
+    rows = [r for r in reader if "".join(r).strip()]
     if len(rows) < 2:
         raise ValidationError("matrix file needs a header row and at least one sample")
     header = [c.strip() for c in rows[0]]
@@ -501,21 +514,23 @@ def _parse_delimited_matrix(text: str):
                 f"expected {len(header)}, got {len(raw)}"
             )
         labels.append(raw[0].strip())
-        parsed: list[float] = []
-        for ind, cell in zip(ids, raw[1:]):
-            cell = cell.strip()
-            if cell == "":
-                parsed.append(float("nan"))
-                continue
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise ValidationError(
-                    f"non-numeric cell {cell!r} at row {raw[0].strip()!r}, "
-                    f"column {ind}"
-                ) from None
-        grid.append(parsed)
+        # float() strips padding itself; only a row with a gap or a bad cell
+        # needs the cell-by-cell pass.
+        try:
+            grid.append(list(map(float, raw[1:])))
+        except ValueError:
+            grid.append([_cell_value(c, labels[-1], ind) for ind, c in zip(ids, raw[1:])])
     return labels, ids, grid, None
+
+
+def _cell_value(cell: str, label: str, ind: IndicatorId) -> float:
+    cell = cell.strip()
+    if cell == "":
+        return float("nan")
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValidationError(f"non-numeric cell {cell!r} at row {label!r}, column {ind}") from None
 
 
 def _parse_json_matrix(text: str):

@@ -34,7 +34,7 @@ from .indicators import (
     IndicatorHierarchy,
     validate_hierarchy,
 )
-from .selection import CityProfile, scale_cities
+from .selection import FeatureScaler, _feature_grid
 
 __all__ = ["WeightingOutputs", "compute_weights", "evaluate_alternatives"]
 
@@ -141,10 +141,7 @@ def evaluate_alternatives(
     selection: FeatureSelection,
 ) -> list[tuple[str, float]]:
     """Evaluation score per matrix row, features scaled across the rows."""
-    profiles = [
-        CityProfile(name=label, country="", gdp=0.0, sports_score=0.0,
-                    indicators=matrix.row(label))
-        for label in matrix.rows
-    ]
-    chi = score_rows(selection.gamma, scale_cities(profiles, selection.ids, hierarchy))
-    return list(zip(matrix.rows, chi.tolist()))
+    ids = selection.ids
+    values = _feature_grid(list(map(matrix.row, matrix.rows)), matrix.rows, ids)
+    scaled = FeatureScaler.from_values(values, ids, hierarchy).transform_values(values)
+    return list(zip(matrix.rows, score_rows(selection.gamma, scaled).tolist()))

@@ -45,12 +45,10 @@ def format_number(value: float) -> str:
 
 
 def _cell(value) -> str:
+    if isinstance(value, float):  # the common cell, so tested first
+        return format_number(value)
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return format_number(value)
     return str(value)
 
 

@@ -222,7 +222,8 @@ def screen_candidates(
         raise ValidationError("candidate pool is empty")
     keys = [c.key for c in pool]
     if len(set(keys)) != len(keys):
-        dup = next(k for i, k in enumerate(keys) if k in keys[:i])
+        seen: set = set()  # set.add returns None, so next() stops at the first repeat
+        dup = next(k for k in keys if k in seen or seen.add(k))
         raise ValidationError(f"duplicate city in pool: {dup[0]!r} ({dup[1]})")
 
     gdp_rank = _ranks(pool, lambda c: c.gdp)
@@ -301,7 +302,8 @@ class FeatureScaler:
         ids: Sequence[IndicatorId],
         hierarchy: IndicatorHierarchy,
     ) -> "FeatureScaler":
-        return cls.from_values(_feature_grid(cities, ids), ids, hierarchy)
+        grid = _feature_grid([c.indicators for c in cities], [c.name for c in cities], ids)
+        return cls.from_values(grid, ids, hierarchy)
 
     @classmethod
     def from_values(
@@ -329,7 +331,7 @@ class FeatureScaler:
         )
 
     def transform(self, city: CityProfile) -> np.ndarray:
-        return self.transform_values(np.array([_feature_value(city, i) for i in self.ids]))
+        return self.transform_values(_feature_grid([city.indicators], [city.name], self.ids)[0])
 
     def transform_values(self, values: np.ndarray) -> np.ndarray:
         """Scale raw values whose last axis follows ``ids``; any leading shape."""
@@ -340,20 +342,21 @@ class FeatureScaler:
         return np.where(self.flip & (span > 0), 1.0 - scaled, scaled)
 
 
-def _feature_value(city: CityProfile, indicator: IndicatorId) -> float:
+def _feature_grid(
+    rows: Sequence[Mapping[IndicatorId, float]],
+    names: Sequence[str],
+    ids: Sequence[IndicatorId],
+) -> np.ndarray:
+    """Raw (cities x features) values from each city's indicator map, named by ``names``."""
     try:
-        return float(city.indicators[indicator])
-    except KeyError:
+        grid = [[row[i] for i in ids] for row in rows]
+    except KeyError as exc:
+        name = next(n for n, row in zip(names, rows) if exc.args[0] not in row)
         raise ValidationError(
-            f"city {city.name!r} is missing a value for feature {indicator}"
+            f"city {name!r} is missing a value for feature {exc.args[0]}"
         ) from None
-
-
-def _feature_grid(cities: Sequence[CityProfile], ids: Sequence[IndicatorId]) -> np.ndarray:
-    """Raw (cities x features) values; rows follow ``cities``, columns ``ids``."""
-    rows = [[_feature_value(c, i) for i in ids] for c in cities]
     # The reshape keeps an empty city set 2-D, so the fit reports it as empty.
-    return np.array(rows, dtype=float).reshape(len(cities), len(ids))
+    return np.array(grid, dtype=float).reshape(len(rows), len(ids))
 
 
 def scale_cities(
@@ -362,7 +365,7 @@ def scale_cities(
     hierarchy: IndicatorHierarchy,
 ) -> np.ndarray:
     """Every city's features min-max scaled across the set, one row per city."""
-    grid = _feature_grid(cities, ids)
+    grid = _feature_grid([c.indicators for c in cities], [c.name for c in cities], ids)
     return FeatureScaler.from_values(grid, ids, hierarchy).transform_values(grid)
 
 

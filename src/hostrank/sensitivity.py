@@ -118,7 +118,8 @@ def factor_substitution(
             f"n_swap={config.n_swap} exceeds the feature-group size {selection.k}"
         )
     omega_by_id = omega.by_id()
-    unselected = [i for i in omega.ids if i not in set(selection.ids)]
+    selected = set(selection.ids)
+    unselected = [i for i in omega.ids if i not in selected]
     if len(unselected) < config.n_swap:
         raise ValidationError(
             f"only {len(unselected)} unselected indicators available; "

@@ -363,6 +363,41 @@ class TestErrorContract:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "key, fixture, argv",
+        [
+            ("hierarchy", "hierarchy.json", ["weights"]),
+            ("judgments", "judgments.json", ["weights"]),
+            ("decision_matrix", "decision_matrix.csv", ["evaluate"]),
+            ("pool", "world_pool.csv", ["screen", "summer"]),
+            (None, "winter_pool.json", ["screen", "winter", "--pool", "{damaged}"]),
+            ("plans", "plans.json", ["compare-schemes"]),
+            ("swot", "swot.json", ["screen", "summer"]),
+            ("climate", "climate_sample.csv",
+             ["screen", "winter", "--pool", "{fixtures}/winter_pool.json"]),
+        ],
+    )
+    def test_non_utf8_input_is_a_validation_error(
+        self, tmp_path, fixtures_dir, outdir, capsys, key, fixture, argv
+    ):
+        damaged = tmp_path / fixture
+        # A latin-1 "\u00e0" in place of the first "a" is not UTF-8.
+        damaged.write_bytes((fixtures_dir / fixture).read_bytes().replace(b"a", b"\xe0", 1))
+
+        def edit(cfg):
+            if key is not None:
+                cfg[key] = str(damaged)
+
+        config = write_config(tmp_path, fixtures_dir, edit)
+        argv = [a.format(damaged=damaged, fixtures=fixtures_dir) for a in argv]
+        words = 2 if argv[0] == "screen" else 1
+        assert main([*argv[:words], "--config", str(config), *argv[words:]]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:")
+        assert f"{damaged} is not UTF-8 text" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not outdir.exists()
+
     def test_output_dir_that_is_a_file_is_a_config_error(
         self, tmp_path, config_path, monkeypatch, capsys
     ):

@@ -251,3 +251,26 @@ def test_evaluate_on_a_generated_matrix_matches_golden(
     _, stdout = run_cli(["evaluate", "--features", "10"], config, outdir, monkeypatch, capsys)
     names = ["evaluation.csv", "features.csv"]
     assert_matches_golden(outdir, GOLDEN / "evaluate-1000", names, config, stdout)
+
+
+def test_evaluate_on_a_padded_semicolon_crlf_matrix_matches_golden(
+    fixtures_dir, tmp_path, monkeypatch, capsys
+):
+    """Delimiter, cell padding and line endings do not reach the numbers."""
+    rows = (fixtures_dir / "decision_matrix.csv").read_text(encoding="utf-8").splitlines()
+    assert all(";" not in row and '"' not in row for row in rows)
+    matrix = tmp_path / "decision_matrix.csv"
+    matrix.write_bytes(
+        "".join(" ; ".join(f" {c}" for c in row.split(",")) + "\r\n" for row in rows).encode()
+    )
+    cfg = json.loads((fixtures_dir / "run.json").read_text())
+    for key in ("hierarchy", "judgments", "pool", "plans", "swot"):
+        cfg[key] = str(fixtures_dir / cfg[key])
+    cfg["decision_matrix"] = str(matrix)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+
+    outdir = tmp_path / "out"
+    _, stdout = run_cli(["evaluate", "--features", "10"], config, outdir, monkeypatch, capsys)
+    names = ["evaluation.csv", "features.csv"]
+    assert_matches_golden(outdir, GOLDEN / "evaluate", names, config, stdout)

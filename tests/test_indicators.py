@@ -1,10 +1,20 @@
 """Tests for the indicator hierarchy and decision-matrix ingestion."""
 
+import copy
+import csv
 import io
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hostrank import indicators
 from hostrank.errors import ValidationError
 from hostrank.indicators import (
     Category,
@@ -41,7 +51,42 @@ class TestIndicatorId:
         ids = all_indicator_ids()
         assert len(ids) == 30
         assert sorted(ids) == list(ids)
+        assert sorted(reversed(ids)) == list(ids)
         assert IndicatorId.parse("A6") < IndicatorId.parse("B1")
+
+    def test_hash_does_not_depend_on_how_the_id_was_made(self):
+        parsed = IndicatorId.parse("A5")
+        made = IndicatorId(Category.ECONOMY, 5)
+        assert hash(parsed) == hash(made) == hash(copy.deepcopy(made))
+        assert {parsed: "x"}[made] == "x"
+        assert len({hash(i) for i in all_indicator_ids()}) == 30
+
+    def test_pickled_ids_find_dict_entries_under_another_hash_seed(self):
+        """The hash is cached in each id, so it must not use the per-process str salt."""
+        dump = (
+            "import pickle, sys; from hostrank.indicators import all_indicator_ids as a; "
+            "sys.stdout.buffer.write(pickle.dumps((a(), {i: str(i) for i in a()})))"
+        )
+        load = (
+            "import pickle, sys; from hostrank.indicators import all_indicator_ids as a; "
+            "ids, table = pickle.loads(sys.stdin.buffer.read()); "
+            "fresh = {i: str(i) for i in a()}; "
+            "print(all(fresh[i] == table[j] == str(j) for i, j in zip(ids, a())))"
+        )
+        src = str(Path(indicators.__file__).resolve().parents[1])
+
+        def run(code, seed, data=None):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            return subprocess.run(
+                [sys.executable, "-c", code], input=data, env=env,
+                capture_output=True, check=True, timeout=60,
+            ).stdout
+
+        pickled = run(dump, "1")
+        assert run(load, "2", pickled) == b"True\n"
+        ids, table = pickle.loads(pickled)
+        fresh = {i: str(i) for i in all_indicator_ids()}
+        assert all(fresh[i] == table[j] == str(j) for i, j in zip(ids, all_indicator_ids()))
 
 
 class TestValidateHierarchy:
@@ -159,6 +204,20 @@ class TestLoadDecisionMatrix:
         # value written under the shuffled header must land in its own column
         assert m.values[0, ids.index("A1")] == 29.0
 
+    @pytest.mark.parametrize("delim", [";", "\t"])
+    def test_wide_rows_and_blank_lines_do_not_hide_the_delimiter(self, delim):
+        """Fewer than ten whole lines fit the sniffed sample; the last is cut off."""
+        h = default_hierarchy()
+        rng = np.random.default_rng(5)
+        rows = [(f"city {i}", [repr(v) for v in rng.uniform(0, 1e3, 30).tolist()]) for i in range(12)]
+        comma = _csv_for(h, rows)
+        lines = [f" {delim} ".join(line.split(",")) for line in comma.splitlines()]
+        text = "\r\n".join([lines[0], "", *lines[1:]]) + "\r\n"
+        assert len(text[:2048].split("\n")) < 10
+        m, reference = (load_decision_matrix(io.StringIO(t), h) for t in (text, comma))
+        assert m.rows == reference.rows
+        assert m.values.tobytes() == reference.values.tobytes()
+
     def test_json_form_accepted(self):
         h = default_hierarchy()
         obj = {
@@ -221,3 +280,131 @@ class TestLoadDecisionMatrix:
         h = default_hierarchy()
         assert h.spec(IndicatorId.parse("A5")).polarity is Polarity.NEGATIVE
         assert h.spec(IndicatorId.parse("A1")).polarity is Polarity.POSITIVE
+
+
+def _per_cell_parse(text: str):
+    """The cell-by-cell CSV parser the whole-row parse replaced, kept as the reference."""
+    delim = indicators._sniff_delimiter(text)
+    reader = csv.reader(io.StringIO(text), delimiter=delim)
+    rows = [r for r in reader if r and any(cell.strip() for cell in r)]
+    if len(rows) < 2:
+        raise ValidationError("matrix file needs a header row and at least one sample")
+    header = [c.strip() for c in rows[0]]
+    ids = [IndicatorId.parse(tok) for tok in header[1:]]
+    labels: list[str] = []
+    grid: list[list[float]] = []
+    for raw in rows[1:]:
+        if len(raw) != len(header):
+            raise ValidationError(
+                f"column count mismatch at row {raw[0]!r}: "
+                f"expected {len(header)}, got {len(raw)}"
+            )
+        labels.append(raw[0].strip())
+        parsed: list[float] = []
+        for ind, cell in zip(ids, raw[1:]):
+            cell = cell.strip()
+            if cell == "":
+                parsed.append(float("nan"))
+                continue
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise ValidationError(
+                    f"non-numeric cell {cell!r} at row {raw[0].strip()!r}, "
+                    f"column {ind}"
+                ) from None
+        grid.append(parsed)
+    return labels, ids, grid, None
+
+
+_SMALL = IndicatorHierarchy(
+    specs=tuple(IndicatorSpec(IndicatorId.parse(t), t) for t in ("A1", "A2", "B1")),
+    primary_weights={Category.ECONOMY: 0.5, Category.HUMAN: 0.5},
+    reduced=True,
+)
+
+
+def _outcomes(parse, text):
+    """Raw parse, then loads without and with imputation: arrays as bytes, or error text."""
+    out = []
+    try:
+        labels, ids, grid, _ = parse(text)
+        out.append((labels, ids, np.array(grid, dtype=float).tobytes()))
+    except ValidationError as exc:
+        out.append(str(exc))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indicators, "_parse_delimited_matrix", parse)
+        for impute in (False, True):
+            try:
+                m = load_decision_matrix(io.StringIO(text), _SMALL, impute_missing=impute)
+                out.append((m.rows, m.values.tobytes()))
+            except ValidationError as exc:
+                out.append(str(exc))
+    return out
+
+
+def _assert_parses_like_reference(text):
+    assert _outcomes(indicators._parse_delimited_matrix, text) == _outcomes(
+        _per_cell_parse, text
+    )
+
+
+_H = "city,A1,A2,B1\n"
+
+
+class TestWholeRowParseMatchesPerCellReference:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _H + "x, 1.5 ,\t2 ,3\ny,4,5,6\nz,  7,8  ,9\n",
+            _H + "x,1,,3\ny,4,5,6\nz,7,8,\n",
+            _H + "x,1, ,3\ny,4,5,6\n",
+            _H + "x,nan,2,3\ny,4, NaN ,6\nz,7,8,9\n",
+            _H + "x,inf,2,3\ny,4,5,6\n",
+            _H + "x,1,2,-Infinity\ny,4,5,6\n",
+            _H + "x,1e400,2,3\ny,4,5,6\n",
+            _H + "x,1_000,+1e3,-0.0\ny,4,5,6\n",
+            _H + "x,1,abc,3\ny,4,5,6\n",
+            _H + "x,1,,3\ny,4,5, x \n",
+            _H + "x,1,2\n",
+            _H,
+            _H + ",,,\nx,1,2,3\n ,  , ,\ny,4,5,6\n\n",
+            "city;A1;A2;B1\r\nx; 1 ;2;3\r\n\r\ny;4;;6\r\nz;7;8;9\r\n",
+            "city\tA1\tA2\tB1\nx\t1\t2\t3\n\n   \ny\t4\t5\t6\n",
+            " city , A1 , A2 , B1 \r\n x , 1 , 2 , 3 \r\n y , 4 , 5 , 6 \r\n",
+        ],
+    )
+    def test_hand_cases(self, text):
+        _assert_parses_like_reference(text)
+
+    @settings(max_examples=300)
+    @given(
+        cells=st.lists(
+            st.lists(
+                st.tuples(
+                    st.text(alphabet=" \u00a0\u2003\x0b\x0c\x1c", max_size=2),
+                    st.one_of(
+                        st.floats().map(repr),
+                        st.sampled_from(
+                            ["", "nan", "-NaN", "inf", "-Infinity", "1_000", "+1e3",
+                             "1e400", "1__0", "0x10", "abc", "\u0661\u0662"]
+                        ),
+                        st.text(alphabet="0123456789.eE+-_na ", max_size=5),
+                    ),
+                    st.text(alphabet=" \u00a0\u2003\x0b\x0c\x1c", max_size=2),
+                ).map("".join),
+                min_size=3, max_size=3,
+            ),
+            min_size=1, max_size=4,
+        ),
+        delim=st.sampled_from([",", ";", "\t"]),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        blank=st.sampled_from([None, "", "   ", ";;;"]),
+    )
+    def test_drawn_cells(self, cells, delim, newline, blank):
+        lines = [delim.join(["city", "A1", "A2", "B1"])]
+        for i, row in enumerate(cells):
+            lines.append(delim.join([f"r{i}", *row]))
+            if blank is not None:
+                lines.append(blank)
+        _assert_parses_like_reference(newline.join(lines) + newline)
