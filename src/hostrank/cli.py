@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .pipeline import WeightingOutputs, compute_weights, evaluate_alternatives
 from .reporting import Provenance, format_number, hash_bytes, render_table
 from .selection import (
     CityProfile,
+    ClimateRequirement,
     Cutoff,
     FeatureScaler,
     compare_schemes,
@@ -76,21 +78,83 @@ EXIT_NUMERIC = 4
 _PATH_KEYS = ("hierarchy", "judgments", "decision_matrix", "pool", "plans", "swot", "climate")
 
 
-def _setting(value: Any, key: str, kind: type = int) -> Any:
-    """Cast one config value, reporting a bad one as a config error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}") from None
+def _is_number(value: Any) -> bool:
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+# Rules for config values: (what a value must be, the test it must pass).
+# ``type(v) is int`` keeps out JSON true and false.
+_STRING = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
+_FLAG = ("true or false", lambda v: isinstance(v, bool))
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_COUNT = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
+_RANK = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_NUMBER = ("a number", _is_number)
+_SHARE = ("a number in (0, 1]", lambda v: _is_number(v) and 0 < v <= 1)
+_SPAN = ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1)
+_PAIR = ("a pair of numbers", lambda v: type(v) is list and len(v) == 2 and all(map(_is_number, v)))
+_MODE = ('"per_category" or "global"', lambda v: v in ("per_category", "global"))
+_NAMES = ("a list of strings", lambda v: type(v) is list and all(type(c) is str for c in v))
+_SCORES = ("an object of numbers", lambda v: type(v) is dict and all(map(_is_number, v.values())))
+
+# ClimateRequirement owns the defaults of these keys.
+_REQUIREMENT = "screen.winter.requirement"
+_REQUIREMENT_KEYS = {"max_feb_temp": _NUMBER, "ideal_temp_range": _PAIR, "min_feb_snow": _NUMBER}
+
+
+def _key(dotted: str, default: Any, rule: tuple[str, Callable[[Any], bool]]) -> Any:
+    """A RunConfig field holding config key ``dotted``; absent or null gives ``default``."""
+    return field(metadata={"config": (dotted, default, *rule)})
+
+
+def _checked(doc: dict, key: str, default: Any, want: str, ok: Callable[[Any], bool]) -> Any:
+    """The value at dotted ``key``, or ``default`` when it or a block above it is absent or null."""
+    value: Any = doc
+    for depth, part in enumerate(key.split(".")):
+        if not isinstance(value, dict):
+            block = key.split(".")[:depth]
+            raise ConfigError(f"config key {'.'.join(block)!r} must be an object, got {value!r}")
+        value = value.get(part)
+        if value is None:
+            return default
+    if not ok(value):
+        raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One parsed configuration file with resolved input paths."""
+    """One run configuration, read and checked whole by ``load``.
 
-    path: Path
-    raw: dict
+    Each field after ``inputs`` holds one config key, and its ``_key``
+    states the default. ``inputs`` maps the input keys the file sets to
+    their paths. A stage-1 rank of None keeps the whole pool.
+    """
+
     config_hash: str
+    winter_requirement: ClimateRequirement
+    inputs: Mapping[str, Path]
+    seed: int = _key("seed", 0, _COUNT)
+    output_dir: Path = _key("output_dir", "out", _STRING)
+    weighting_mode: str = _key("weighting.mode", "per_category", _MODE)
+    feature_count: int = _key("weighting.feature_count", 10, _RANK)
+    coverage_target: float | None = _key("weighting.coverage_target", None, _SHARE)
+    impute_missing: bool = _key("ingestion.impute_missing", False, _FLAG)
+    stage1_gdp_rank: int | None = _key("screen.stage1.gdp_rank", None, _RANK)
+    stage1_sports_rank: int | None = _key("screen.stage1.sports_rank", None, _RANK)
+    winter_until: int = _key("screen.winter.until", 2050, _INTEGER)
+    winter_exclude: Sequence[str] = _key("screen.winter.exclude", (), _NAMES)
+    winter_s_base: Mapping[str, float] = _key("screen.winter.s_base", {}, _SCORES)
+    winter_default_s_base: float | None = _key("screen.winter.default_s_base", None, _NUMBER)
+    summer_sports_rank: int = _key("screen.summer.sports_rank", 8, _RANK)
+    summer_s_base: Mapping[str, float] = _key("screen.summer.s_base", {}, _SCORES)
+    summer_default_s_base: float | None = _key("screen.summer.default_s_base", 0.5, _NUMBER)
+    trials: int = _key("sensitivity.trials", 20, _RANK)
+    n_swap: int = _key("sensitivity.n_swap", 5, _COUNT)
+    rsm_baseline: str | None = _key("rsm.baseline_alternative", None, _STRING)
+    # A span of 1 or more gives a box with zero or negative feature weights.
+    # A span of 0 is kept: it collapses the design, which the fit reports.
+    rsm_span: float = _key("rsm.span", 0.5, _SPAN)
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
@@ -104,17 +168,23 @@ class RunConfig:
             raise ConfigError(f"config file {p} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        cfg = cls(path=p, raw=raw, config_hash=hash_bytes(data))
+        values = {f.name: _checked(raw, *f.metadata["config"]) for f in fields(cls) if f.metadata}
+        block = _checked(raw, _REQUIREMENT, {}, "an object", lambda v: type(v) is dict)
+        for key, rule in _REQUIREMENT_KEYS.items():
+            _checked(raw, f"{_REQUIREMENT}.{key}", None, *rule)
+        # A key the requirement does not have reaches ClimateRequirement, which rejects it.
+        values["winter_requirement"] = load_requirement(block)
+        inputs = {}
         for key in _PATH_KEYS:
-            if raw.get(key) is not None:
-                resolved = cfg.resolve(raw[key])
-                if not resolved.is_file():
-                    raise ConfigError(f"config key {key!r} points at missing file {resolved}")
-        return cfg
-
-    def resolve(self, value: str) -> Path:
-        p = Path(value)
-        return p if p.is_absolute() else (self.path.parent / p)
+            value = _checked(raw, key, None, *_STRING)
+            if value is not None:
+                inputs[key] = p.parent / value  # an absolute value replaces the parent
+                if not inputs[key].is_file():
+                    raise ConfigError(f"config key {key!r} points at missing file {inputs[key]}")
+        # Inputs resolve against the config file; the output directory is
+        # working-directory relative so runs stay out of the fixture tree.
+        values["output_dir"] = Path(os.environ.get(OUTPUT_DIR_ENV) or values["output_dir"])
+        return cls(config_hash=hash_bytes(data), inputs=inputs, **values)
 
     def input_path(self, key: str, override: str | None = None) -> Path:
         """The input file named by a command-line ``override``, else by the config."""
@@ -123,35 +193,9 @@ class RunConfig:
             if not path.is_file():
                 raise ConfigError(f"{key} file not found: {path}")
             return path
-        value = self.raw.get(key)
-        if value is None:
+        if key not in self.inputs:
             raise ConfigError(f"config key {key!r} is required for this subcommand")
-        return self.resolve(value)
-
-    def optional_path(self, key: str) -> Path | None:
-        value = self.raw.get(key)
-        return None if value is None else self.resolve(value)
-
-    def section(self, *keys: str) -> dict:
-        node: Any = self.raw
-        for key in keys:
-            if not isinstance(node, dict) or key not in node:
-                return {}
-            node = node[key]
-        return node if isinstance(node, dict) else {}
-
-    @property
-    def seed(self) -> int:
-        return _setting(self.raw.get("seed", 0), "seed")
-
-    @property
-    def output_dir(self) -> Path:
-        # Input paths resolve against the config file; the output directory
-        # is working-directory relative so runs stay out of the fixture tree.
-        override = os.environ.get(OUTPUT_DIR_ENV)
-        if override:
-            return Path(override)
-        return Path(self.raw.get("output_dir", "out"))
+        return self.inputs[key]
 
 
 @dataclass(frozen=True)
@@ -193,31 +237,28 @@ def _load_inputs(cfg: RunConfig) -> tuple[IndicatorHierarchy, dict, DecisionMatr
     matrix = load_decision_matrix(
         cfg.input_path("decision_matrix"),
         hierarchy,
-        impute_missing=bool(cfg.section("ingestion").get("impute_missing", False)),
+        impute_missing=cfg.impute_missing,
     )
     return hierarchy, judgments, matrix
 
 
 def _weighting(cfg: RunConfig, feature_count: int | None = None) -> WeightingOutputs:
+    """The weighting chain; ``feature_count`` overrides the config's, a coverage target both."""
     hierarchy, judgments, matrix = _load_inputs(cfg)
-    wcfg = cfg.section("weighting")
-    coverage = wcfg.get("coverage_target")
-    k = feature_count if feature_count is not None else wcfg.get("feature_count", 10)
     return compute_weights(
         hierarchy,
         judgments,
         matrix,
-        mode=wcfg.get("mode", "per_category"),
-        feature_count=None if coverage is not None else _setting(k, "weighting.feature_count"),
-        coverage_target=coverage,
+        mode=cfg.weighting_mode,
+        feature_count=cfg.feature_count if feature_count is None else feature_count,
+        coverage_target=cfg.coverage_target,
     )
 
 
 def _load_cities(cfg: RunConfig, pool_path: str | None) -> list[CityProfile]:
     cities = load_pool(cfg.input_path("pool", pool_path))
-    climate_path = cfg.optional_path("climate")
-    if climate_path is not None:
-        cities = merge_climate(cities, load_climate_csv(climate_path))
+    if "climate" in cfg.inputs:
+        cities = merge_climate(cities, load_climate_csv(cfg.inputs["climate"]))
     return cities
 
 
@@ -317,8 +358,8 @@ def _cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
 
 
 def _cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
-    prov = _provenance(cfg, f"evaluate --features {args.features}")
     w = _weighting(cfg, feature_count=args.features)
+    prov = _provenance(cfg, f"evaluate --features {w.selection.k}")
     scores = evaluate_alternatives(w.matrix, w.hierarchy, w.selection)
     ranked = sorted(scores, key=lambda s: (-s[1], s[0]))
     outputs = {
@@ -369,10 +410,10 @@ def _cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
 
 
 def _winter_candidates(
-    scfg: dict, cities: list[CityProfile], w: WeightingOutputs, prov: Provenance
+    cfg: RunConfig, cities: list[CityProfile], prov: Provenance
 ) -> tuple[list[CityProfile], dict[str, str], list[str]]:
     """Drop excluded cities, then keep those passing the climate gate."""
-    excluded = set(scfg.get("exclude", ()))
+    excluded = set(cfg.winter_exclude)
     unknown = excluded - {c.name for c in cities}
     if unknown:
         warnings.warn(f"exclusion list names absent from the pool: {sorted(unknown)}")
@@ -380,9 +421,7 @@ def _winter_candidates(
     if not candidates:
         raise ValidationError("every pool city is excluded")
 
-    requirement = load_requirement(scfg.get("requirement"))
-    until = _setting(scfg.get("until", 2050), "screen.winter.until")
-    assessments = winter_climate_filter(candidates, requirement, until)
+    assessments = winter_climate_filter(candidates, cfg.winter_requirement, cfg.winter_until)
     climate_rows = [
         (a.city.name, a.feb_temp, a.feb_snow, a.passed, a.ideal) for a in assessments
     ]
@@ -399,14 +438,13 @@ def _winter_candidates(
 
 
 def _summer_candidates(
-    scfg: dict, cities: list[CityProfile], w: WeightingOutputs, prov: Provenance
+    cfg: RunConfig, cities: list[CityProfile], w: WeightingOutputs, prov: Provenance
 ) -> tuple[list[CityProfile], dict[str, str], list[str]]:
     """Shortlist by sports score; indicators come from the decision matrix."""
-    sports_rank = _setting(scfg.get("sports_rank", 8), "screen.summer.sports_rank")
     shortlist = screen_candidates(
         cities,
         gdp_cutoff=Cutoff.rank(len(cities)),
-        sports_cutoff=Cutoff.rank(sports_rank),
+        sports_cutoff=Cutoff.rank(cfg.summer_sports_rank),
     )
     screen_rows = [
         (i + 1, c.name, c.country, c.sports_score) for i, c in enumerate(shortlist)
@@ -419,37 +457,27 @@ def _summer_candidates(
     return candidates, {"summer_screen.csv": table}, summary
 
 
-# Per season: the step that picks the candidates, and the base score of a
-# city that the season's s_base table does not name.
-_SEASONS = {"winter": (_winter_candidates, None), "summer": (_summer_candidates, 0.5)}
-
-
 def _cmd_screen(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
     season = args.season
     prov = _provenance(cfg, f"screen {season}")
     w = _weighting(cfg)
-    scfg = cfg.section("screen", season)
-    pick, default_base = _SEASONS[season]
     cities = _load_cities(cfg, args.pool)
-    s1 = cfg.section("screen", "stage1")
-    if s1:  # the coarse GDP/sports cut, before the season's own step
+    gdp_rank, sports_rank = cfg.stage1_gdp_rank, cfg.stage1_sports_rank
+    if gdp_rank is not None or sports_rank is not None:
+        # Stage 1, the coarse GDP/sports cut; an unset rank keeps the whole pool.
         cities = screen_candidates(
             cities,
-            gdp_cutoff=Cutoff.rank(
-                _setting(s1.get("gdp_rank", len(cities)), "screen.stage1.gdp_rank")
-            ),
-            sports_cutoff=Cutoff.rank(
-                _setting(s1.get("sports_rank", len(cities)), "screen.stage1.sports_rank")
-            ),
+            gdp_cutoff=Cutoff.rank(gdp_rank or len(cities)),
+            sports_cutoff=Cutoff.rank(sports_rank or len(cities)),
         )
-    candidates, outputs, summary = pick(scfg, cities, w, prov)
-
+    if season == "winter":
+        candidates, outputs, summary = _winter_candidates(cfg, cities, prov)
+        s_base, default_base = cfg.winter_s_base, cfg.winter_default_s_base
+    else:
+        candidates, outputs, summary = _summer_candidates(cfg, cities, w, prov)
+        s_base, default_base = cfg.summer_s_base, cfg.summer_default_s_base
     scored = score_cities(
-        candidates,
-        scfg.get("s_base", {}),
-        w.selection,
-        w.hierarchy,
-        default_base=scfg.get("default_s_base", default_base),
+        candidates, s_base, w.selection, w.hierarchy, default_base=default_base
     )
     ranked = rank_cities(scored)
     ranking_rows = [
@@ -470,9 +498,8 @@ def _cmd_screen(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
         feature_rows,
         prov,
     )
-    swot_path = cfg.optional_path("swot")
-    if season == "summer" and swot_path is not None:
-        records = load_swot(swot_path)
+    if season == "summer" and "swot" in cfg.inputs:
+        records = load_swot(cfg.inputs["swot"])
         outputs["swot_report.txt"] = "\n".join(prov.header_lines()) + "\n" + swot_report(records)
     top_city, top_score = ranked[0]
     summary.append(
@@ -490,7 +517,7 @@ def _cmd_compare_schemes(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
         "schemes.csv": render_table(
             ["rank", "plan", "aggregate", "description"],
             [
-                (i + 1, r.plan.id.value, r.aggregate, r.plan.description)
+                (i + 1, r.plan.id, r.aggregate, r.plan.description)
                 for i, r in enumerate(results)
             ],
             prov,
@@ -499,7 +526,7 @@ def _cmd_compare_schemes(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
             ["plan", "indicator", "impact", "gamma", "contribution"],
             [
                 (
-                    r.plan.id.value,
+                    r.plan.id,
                     str(ind),
                     int(r.plan.impacts[ind]),
                     float(g),
@@ -517,29 +544,20 @@ def _cmd_compare_schemes(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
         provenance=prov,
         outputs=outputs,
         summary=[
-            f"best plan: {best.plan.id.value} "
+            f"best plan: {best.plan.id} "
             f"(aggregate {format_number(best.aggregate)})"
         ],
     )
 
 
 def _cmd_sensitivity(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
-    scfg = cfg.section("sensitivity")
-    seed = args.seed if args.seed is not None else cfg.seed
-    trials = (
-        args.trials
-        if args.trials is not None
-        else _setting(scfg.get("trials", 20), "sensitivity.trials")
-    )
+    seed = cfg.seed if args.seed is None else args.seed
+    trials = cfg.trials if args.trials is None else args.trials
     prov = _provenance(cfg, f"sensitivity --seed {seed} --trials {trials}", seed=seed)
     w = _weighting(cfg)
     pconfig = PerturbationConfig(
         seed=seed,
-        n_swap=(
-            args.n_swap
-            if args.n_swap is not None
-            else _setting(scfg.get("n_swap", 5), "sensitivity.n_swap")
-        ),
+        n_swap=cfg.n_swap if args.n_swap is None else args.n_swap,
         trials=trials,
     )
     report = factor_substitution(w.selection, w.total, w.matrix, pconfig, w.hierarchy)
@@ -587,7 +605,6 @@ def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
     prov = _provenance(cfg, f"rsm --factors {args.factors} --grid {args.grid}")
     w = _weighting(cfg)
     hierarchy, matrix = w.hierarchy, w.matrix
-    rcfg = cfg.section("rsm")
 
     positions = [_parse_factor(tok, w.selection) for tok in args.factors.split(",")]
     if len(positions) < 2 or len(positions) > 3:
@@ -597,13 +614,7 @@ def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
     if args.grid < 3:
         raise ConfigError("grid needs at least 3 levels per factor")
 
-    # A span of 1 or more gives a box with zero or negative feature weights.
-    # A span of 0 is kept: it collapses the design, which the fit reports.
-    span = _setting(rcfg.get("span", 0.5), "rsm.span", float)
-    if not 0.0 <= span < 1.0:
-        raise ConfigError(f"rsm.span must lie in [0, 1), got {span!r}")
-
-    baseline_name = rcfg.get("baseline_alternative", matrix.rows[0])
+    baseline_name = cfg.rsm_baseline or matrix.rows[0]
     if baseline_name not in matrix.rows:
         raise ConfigError(f"baseline alternative {baseline_name!r} not in the decision matrix")
     columns = [matrix.cols.index(i) for i in w.selection.ids]
@@ -611,7 +622,7 @@ def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
     xi = scaler.transform_values(matrix.values[matrix.rows.index(baseline_name), columns])
 
     nominal = w.selection.gamma[positions]
-    box = [(g * (1.0 - span), g * (1.0 + span)) for g in nominal]
+    box = [(g * (1.0 - cfg.rsm_span), g * (1.0 + cfg.rsm_span)) for g in nominal]
     axes = [np.linspace(lo, hi, args.grid) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
@@ -682,51 +693,45 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name: str, **kwargs) -> argparse.ArgumentParser:
+    def add(name: str, handler: Callable[..., RunReport], **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--config", required=True, help="path to the run configuration JSON")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("weights", help="compute indicator weights")
+    p = add("weights", _cmd_weights, help="compute indicator weights")
     p.add_argument("--method", choices=("ahp", "entropy", "combined"), default="combined")
 
-    p = add("evaluate", help="score every decision-matrix row")
-    p.add_argument("--features", type=int, default=10, help="feature-group size")
+    p = add("evaluate", _cmd_evaluate, help="score every decision-matrix row")
+    p.add_argument("--features", type=int, help="feature-group size (default: the config's)")
 
-    p = add("forecast", help="grey-forecast a climate series")
+    p = add("forecast", _cmd_forecast, help="grey-forecast a climate series")
     p.add_argument("--pool", help="city pool file (defaults to the config's pool)")
     p.add_argument("--indicator", required=True, help="series name, e.g. feb_temp_c")
     p.add_argument("--until", type=int, required=True, help="last forecast period")
     p.add_argument("--city", help="restrict to one city")
 
-    p = add("screen", help="run a screening pipeline")
+    p = add("screen", _cmd_screen, help="run a screening pipeline")
     p.add_argument("season", choices=("winter", "summer"))
     p.add_argument("--pool", help="city pool file (defaults to the config's pool)")
 
-    p = add("compare-schemes", help="aggregate scheme impacts over the feature group")
+    p = add(
+        "compare-schemes",
+        _cmd_compare_schemes,
+        help="aggregate scheme impacts over the feature group",
+    )
     p.add_argument("--plans", help="plans file (defaults to the config's plans)")
 
-    p = add("sensitivity", help="random feature-substitution trials")
+    p = add("sensitivity", _cmd_sensitivity, help="random feature-substitution trials")
     p.add_argument("--seed", type=int, help="RNG seed (defaults to the config seed)")
     p.add_argument("--trials", type=int, help="trial count (defaults to the config)")
     p.add_argument("--n-swap", type=int, dest="n_swap", help="features replaced per trial")
 
-    p = add("rsm", help="response-surface grid over feature-weight perturbations")
+    p = add("rsm", _cmd_rsm, help="response-surface grid over feature-weight perturbations")
     p.add_argument("--factors", required=True, help="comma-separated feature ids or 1-based positions")
     p.add_argument("--grid", type=int, default=25, help="levels per factor")
 
     return parser
-
-
-_HANDLERS = {
-    "weights": _cmd_weights,
-    "evaluate": _cmd_evaluate,
-    "forecast": _cmd_forecast,
-    "screen": _cmd_screen,
-    "compare-schemes": _cmd_compare_schemes,
-    "sensitivity": _cmd_sensitivity,
-    "rsm": _cmd_rsm,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -734,7 +739,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.load(args.config)
-        report = _HANDLERS[args.subcommand](cfg, args)
+        report = args.handler(cfg, args)
         written = report.write(cfg.output_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,14 +12,14 @@ import csv
 import io
 from dataclasses import replace
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .grey import TimeSeries
 from .indicators import IndicatorId, _json_document, _malformed, _read_text
-from .selection import CityProfile, ClimateRequirement, SchemeId, SchemePlan, SwotRecord
+from .selection import CityProfile, ClimateRequirement, SchemePlan, SwotRecord, _check_unique
 
 __all__ = [
     "load_judgments",
@@ -115,14 +115,6 @@ def _pool_from_csv(text: str) -> list[CityProfile]:
     return cities
 
 
-def _check_unique(cities: Sequence[CityProfile]) -> None:
-    keys = [c.key for c in cities]
-    if len(set(keys)) != len(keys):
-        seen: set = set()  # set.add returns None, so next() stops at the first repeat
-        dup = next(k for k in keys if k in seen or seen.add(k))
-        raise ValidationError(f"duplicate city {dup[0]!r} ({dup[1]}) in pool")
-
-
 def load_climate_csv(source: str | Path | IO[str]) -> dict[str, dict[str, TimeSeries]]:
     """Observations as rows (city, variable, period, value), assembled into series.
 
@@ -174,23 +166,28 @@ def merge_climate(
 
 
 def load_plans(source: str | Path | IO[str]) -> list[SchemePlan]:
-    """Hosting schemes with per-feature impact grades."""
+    """Hosting schemes with per-feature impact grades; ids are free-form, non-empty, unique."""
     with _json_document(_read_text(source), "plans file") as obj:
         plans = []
         for entry in obj["plans"]:
+            plan_id = entry["id"]
+            if not isinstance(plan_id, str) or not plan_id.strip():
+                raise ValidationError(f"plan id must be a non-empty string, got {plan_id!r}")
+            if any(p.id == plan_id for p in plans):
+                raise ValidationError(f"duplicate plan id {plan_id!r} in plans file")
             impacts = {
                 IndicatorId.parse(k): int(v) for k, v in entry["impacts"].items()
             }
             try:
                 plans.append(
                     SchemePlan(
-                        id=SchemeId(entry["id"]),
+                        id=plan_id,
                         description=str(entry.get("description", "")),
                         impacts=impacts,
                     )
                 )
             except ValueError as exc:
-                raise ValidationError(f"bad plan entry {entry.get('id')!r}: {exc}") from None
+                raise ValidationError(f"bad plan entry {plan_id!r}: {exc}") from None
         return plans
 
 
@@ -208,12 +205,12 @@ def load_swot(source: str | Path | IO[str]) -> list[SwotRecord]:
         ]
 
 
-def load_requirement(obj: Mapping | None) -> ClimateRequirement:
-    """Climate requirement from its config block; defaults when absent."""
-    if obj is None:
-        return ClimateRequirement()
-    return ClimateRequirement(
-        max_feb_temp=float(obj.get("max_feb_temp", 0.0)),
-        ideal_temp_range=tuple(obj.get("ideal_temp_range", (-17.0, -10.0))),
-        min_feb_snow=float(obj.get("min_feb_snow", 30.0)),
-    )
+def load_requirement(block: Mapping[str, Any]) -> ClimateRequirement:
+    """Winter climate requirement from its config block; None keeps a key's default.
+
+    A key ClimateRequirement does not have, or an inconsistent range, is a config error.
+    """
+    try:
+        return ClimateRequirement(**{k: v for k, v in block.items() if v is not None})
+    except (TypeError, ValidationError) as exc:
+        raise ConfigError(f"config key 'screen.winter.requirement': {exc}") from None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "ClimateRequirement",
     "ClimateAssessment",
     "SuitabilityScore",
-    "SchemeId",
     "ImpactScale",
     "SchemePlan",
     "SchemeComparison",
@@ -84,7 +83,8 @@ class ClimateRequirement:
     min_feb_snow: float = 30.0
 
     def __post_init__(self) -> None:
-        lo, hi = self.ideal_temp_range
+        lo, hi = map(float, self.ideal_temp_range)
+        object.__setattr__(self, "ideal_temp_range", (lo, hi))
         if not lo <= hi:
             raise ValidationError(f"ideal temperature range reversed: ({lo}, {hi})")
         if hi >= self.max_feb_temp:
@@ -121,14 +121,6 @@ class SuitabilityScore:
         object.__setattr__(self, "total", self.s_base + self.s_evaluate)
 
 
-class SchemeId(str, Enum):
-    ORIGINAL = "Original"
-    A = "A"
-    B = "B"
-    C = "C"
-    D = "D"
-
-
 class ImpactScale(IntEnum):
     """Five-level impact grade; only the odd values exist."""
 
@@ -141,9 +133,9 @@ class ImpactScale(IntEnum):
 
 @dataclass(frozen=True)
 class SchemePlan:
-    """A hosting scheme and its per-feature impact grades."""
+    """A hosting scheme, named by a free-form id, and its per-feature impact grades."""
 
-    id: SchemeId
+    id: str
     description: str
     impacts: Mapping[IndicatorId, ImpactScale]
 
@@ -201,6 +193,15 @@ class Cutoff:
         return cls("value", float(v))
 
 
+def _check_unique(cities: Sequence[CityProfile]) -> None:
+    """Reject a pool that names one city (name and country) twice."""
+    keys = [c.key for c in cities]
+    if len(set(keys)) != len(keys):
+        seen: set = set()  # set.add returns None, so next() stops at the first repeat
+        dup = next(k for k in keys if k in seen or seen.add(k))
+        raise ValidationError(f"duplicate city {dup[0]!r} ({dup[1]}) in pool")
+
+
 def _ranks(pool: Sequence[CityProfile], metric) -> dict[tuple[str, str], int]:
     ordered = sorted(pool, key=lambda c: (-metric(c), c.name, c.country))
     return {c.key: i + 1 for i, c in enumerate(ordered)}
@@ -220,11 +221,7 @@ def screen_candidates(
     """
     if not pool:
         raise ValidationError("candidate pool is empty")
-    keys = [c.key for c in pool]
-    if len(set(keys)) != len(keys):
-        seen: set = set()  # set.add returns None, so next() stops at the first repeat
-        dup = next(k for k in keys if k in seen or seen.add(k))
-        raise ValidationError(f"duplicate city in pool: {dup[0]!r} ({dup[1]})")
+    _check_unique(pool)
 
     gdp_rank = _ranks(pool, lambda c: c.gdp)
     sports_rank = _ranks(pool, lambda c: c.sports_score)
@@ -430,7 +427,7 @@ def compare_schemes(
             if extra:
                 parts.append("extraneous " + ", ".join(str(i) for i in sorted(extra)))
             raise ValidationError(
-                f"plan {plan.id.value} impacts do not cover the feature group: "
+                f"plan {plan.id} impacts do not cover the feature group: "
                 + "; ".join(parts)
             )
         contributions = {
@@ -444,7 +441,7 @@ def compare_schemes(
                 contributions=contributions,
             )
         )
-    results.sort(key=lambda r: (-r.aggregate, r.plan.id.value))
+    results.sort(key=lambda r: (-r.aggregate, r.plan.id))
     return results
 
 

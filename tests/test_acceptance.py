@@ -337,20 +337,20 @@ def test_c9_property_coverage(weighting):
     assert abs(ext.max_value - vals.max()) <= 1e-6
 
     # scheme aggregates are linear in any single impact grade
-    from hostrank.selection import ImpactScale, SchemeId, SchemePlan, compare_schemes
+    from hostrank.selection import ImpactScale, SchemePlan, compare_schemes
 
     base_grades = {i: ImpactScale(5) for i in sel.ids}
     raised = dict(base_grades)
     raised[sel.ids[0]] = ImpactScale(7)
     results = compare_schemes(
         [
-            SchemePlan(id=SchemeId.A, description="", impacts=base_grades),
-            SchemePlan(id=SchemeId.B, description="", impacts=raised),
+            SchemePlan(id="A", description="", impacts=base_grades),
+            SchemePlan(id="B", description="", impacts=raised),
         ],
         sel,
     )
     by_id = {r.plan.id: r.aggregate for r in results}
-    assert by_id[SchemeId.B] - by_id[SchemeId.A] == pytest.approx(
+    assert by_id["B"] - by_id["A"] == pytest.approx(
         2.0 * sel.gamma[0], abs=1e-12
     )
 

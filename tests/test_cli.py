@@ -232,6 +232,39 @@ class TestOtherCommands:
         assert flags[:6] == ["0"] * 6 and flags[6:] == ["1"] * 10
         assert [r["period"] for r in rows][:3] == ["2015", "2016", "2017"]
 
+    @pytest.mark.parametrize(
+        "weighting, argv, count",
+        [
+            ({"feature_count": 5}, [], 5),
+            ({"feature_count": 5}, ["--features", "7"], 7),
+            ({"coverage_target": 0.5}, ["--features", "7"], 11),
+        ],
+    )
+    def test_evaluate_names_the_feature_count_it_used(
+        self, tmp_path, fixtures_dir, outdir, weighting, argv, count
+    ):
+        """--features falls back to the config; a coverage target overrides both."""
+        config = write_config(tmp_path, fixtures_dir, lambda cfg: cfg["weighting"].update(weighting))
+        assert main(["evaluate", "--config", str(config), *argv]) == EXIT_OK
+        header, rows = read_table(outdir / "features.csv")
+        assert len(rows) == count
+        assert header["invocation"] == f"evaluate --features {count}"
+
+    def test_free_form_plan_id_ranks(self, tmp_path, fixtures_dir, outdir, capsys):
+        plans = json.loads((fixtures_dir / "plans.json").read_text())
+        bid = plans["plans"][2]  # "B" has the fixture's second-best aggregate
+        bid["id"] = "Spring/Autumn bid"
+        bid["impacts"] = {k: 9 for k in bid["impacts"]}
+        plans_path = tmp_path / "plans.json"
+        plans_path.write_text(json.dumps(plans))
+
+        config = str(fixtures_dir / "run.json")
+        assert main(["compare-schemes", "--config", config, "--plans", str(plans_path)]) == EXIT_OK
+        _, rows = read_table(outdir / "schemes.csv")
+        assert [r["plan"] for r in rows] == ["Spring/Autumn bid", "D", "C", "A", "Original"]
+        assert float(rows[0]["aggregate"]) == pytest.approx(9.0, abs=1e-9)
+        assert "best plan: Spring/Autumn bid (aggregate 9)" in capsys.readouterr().out
+
     def test_compare_schemes_orders_plans(self, config_path, outdir):
         assert main(["compare-schemes", "--config", str(config_path)]) == EXIT_OK
         _, rows = read_table(outdir / "schemes.csv")
@@ -332,6 +365,8 @@ class TestErrorContract:
             ("judgments", "truncate", ["weights"], "judgments file is not valid JSON"),
             ("plans", "truncate", ["compare-schemes"], "plans file is not valid JSON"),
             ("plans", "impact x", ["compare-schemes"], "bad value in plans file"),
+            ("plans", "duplicate id", ["compare-schemes"], "duplicate plan id 'A'"),
+            ("plans", "empty id", ["compare-schemes"], "plan id must be a non-empty string"),
             ("swot", "truncate", ["screen", "summer"], "swot file is not valid JSON"),
             ("judgments", "list root", ["weights"], "judgments file must map level names"),
         ],
@@ -349,9 +384,13 @@ class TestErrorContract:
                 obj = json.loads(text)
                 del obj["primary_weights"]
                 text = json.dumps(obj)
-            else:
+            elif damage == "impact x":
                 obj = json.loads(text)
                 obj["plans"][1]["impacts"]["A2"] = "x"
+                text = json.dumps(obj)
+            else:
+                obj = json.loads(text)
+                obj["plans"][3]["id"] = "A" if damage == "duplicate id" else ""
                 text = json.dumps(obj)
             cfg[key] = str(tmp_path / f"{key}.json")
             (tmp_path / f"{key}.json").write_text(text)
@@ -420,21 +459,59 @@ class TestErrorContract:
             ("rsm", "span", 5.0, ["rsm", "--factors", "1,2", "--grid", "5"]),
             ("rsm", "span", -0.5, ["rsm", "--factors", "1,2", "--grid", "5"]),
             ("rsm", "span", "wide", ["rsm", "--factors", "1,2", "--grid", "5"]),
+            # Each key is checked whichever subcommand runs.
+            (None, "hierarchy", 5, ["weights"]),
+            (None, "weighting", [1], ["weights"]),
+            ("weighting", "coverage_target", "x", ["weights"]),
+            ("weighting", "coverage_target", 2.0, ["weights"]),
+            ("weighting", "mode", "bogus", ["weights"]),
+            ("weighting", "feature_count", 0, ["weights"]),
+            ("ingestion", "impute_missing", "false", ["weights"]),
+            ("sensitivity", "trials", 1.5, ["weights"]),
+            ("screen.winter", "until", 2050.9, ["weights"]),
+            ("screen.winter", "exclude", "Calgary", ["weights"]),
+            ("screen.winter", "requirement", [1], ["weights"]),
+            ("screen.winter.requirement", "max_feb_temp", "x", ["weights"]),
+            ("screen.winter.requirement", "ideal_temp_range", 5, ["weights"]),
+            ("screen.winter.requirement", "ideal_temp_range", [1, 2, 3], ["weights"]),
+            ("screen.winter", "s_base", {"Calgary": "x"}, ["weights"]),
+            ("screen.winter", "s_base", [1], ["weights"]),
         ],
     )
     def test_bad_config_value_is_a_config_error(
         self, tmp_path, fixtures_dir, outdir, capsys, section, key, value, argv
     ):
-        cfg = json.loads((fixtures_dir / "run.json").read_text())
-        for path_key in ("hierarchy", "judgments", "decision_matrix", "pool", "plans", "swot"):
-            cfg[path_key] = str(fixtures_dir / cfg[path_key])
-        (cfg if section is None else cfg[section])[key] = value
-        bad_cfg = tmp_path / "run.json"
-        bad_cfg.write_text(json.dumps(cfg))
+        """``section`` is the dotted path of the block that holds ``key``."""
+        # A hierarchy file that is not JSON exits 3 if any input is read first.
+        unread = tmp_path / "hierarchy.json"
+        unread.write_text("{")
 
-        assert main([argv[0], "--config", str(bad_cfg), *argv[1:]]) == EXIT_CONFIG
+        def edit(cfg):
+            cfg["hierarchy"] = str(unread)
+            node = cfg
+            for block in section.split(".") if section else ():
+                node = node[block]
+            node[key] = value
+
+        config = write_config(tmp_path, fixtures_dir, edit)
+        assert main([argv[0], "--config", str(config), *argv[1:]]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and key in err
+        assert err.startswith("config error:")
+        assert repr(f"{section}.{key}" if section else key) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not outdir.exists()
+
+    def test_key_the_climate_requirement_lacks_is_a_config_error(
+        self, tmp_path, fixtures_dir, outdir, capsys
+    ):
+        def edit(cfg):
+            cfg["screen"]["winter"]["requirement"]["max_feb_snow"] = 40.0
+
+        config = write_config(tmp_path, fixtures_dir, edit)
+        assert main(["weights", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config key 'screen.winter.requirement'")
+        assert "'max_feb_snow'" in err and err.count("\n") == 1
         assert not outdir.exists()
 
     def test_degenerate_design_is_a_numeric_error(
@@ -482,19 +559,24 @@ class TestTracedRun:
     """perfbench/trace_child.py wraps hostrank functions by name; a renamed or
     deleted one makes it fail before the command runs."""
 
-    def traced_counts(self, fixtures_dir, tmp_path, argv):
+    def run_child(self, fixtures_dir, tmp_path, script, args):
         root = fixtures_dir.parent
         env = {**os.environ, OUTPUT_DIR_ENV: str(tmp_path / "out")}
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
         )
-        spans = tmp_path / "spans.json"
         proc = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "trace_child.py"), str(spans), "0",
-             "--", *argv, "--config", str(fixtures_dir / "run.json")],
+            [sys.executable, str(root / "perfbench" / script), *args],
             cwd=root, env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def traced_counts(self, fixtures_dir, tmp_path, argv):
+        spans = tmp_path / "spans.json"
+        self.run_child(
+            fixtures_dir, tmp_path, "trace_child.py",
+            [str(spans), "0", "--", *argv, "--config", str(fixtures_dir / "run.json")],
+        )
         return json.loads(spans.read_text().splitlines()[0])["counts"]
 
     def test_weights_runs_under_the_benchmark_tracer(self, fixtures_dir, tmp_path):
@@ -505,3 +587,22 @@ class TestTracedRun:
         """The benchmark's evaluate workload pins one row() read per parsed row."""
         counts = self.traced_counts(fixtures_dir, tmp_path, ["evaluate"])
         assert counts["indicators.row_calls"] == counts["indicators.rows_parsed"] == 45
+
+    def test_screen_winter_runs_under_the_tracer(self, fixtures_dir, tmp_path):
+        pool = str(fixtures_dir / "winter_pool.json")
+        counts = self.traced_counts(fixtures_dir, tmp_path, ["screen", "winter", "--pool", pool])
+        # load_judgments and load_requirement, which the config parse calls
+        assert counts["dataio.load_other_calls"] == 2
+        assert counts["selection.gate_passed"] == 3
+
+    def test_compare_schemes_runs_under_the_tracer(self, fixtures_dir, tmp_path):
+        counts = self.traced_counts(fixtures_dir, tmp_path, ["compare-schemes"])
+        # load_judgments, load_requirement and load_plans
+        assert counts["dataio.load_other_calls"] == 3
+
+    def test_setup_probe_loads_every_input(self, fixtures_dir, tmp_path):
+        """perfbench/setup_child.py reads RunConfig and the loaders by name."""
+        loaders = ["load_hierarchy", "load_judgments", "load_decision_matrix", "load_pool"]
+        self.run_child(
+            fixtures_dir, tmp_path, "setup_child.py", [str(fixtures_dir / "run.json"), *loaders]
+        )

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hostrank.dataio import (
     load_swot,
     merge_climate,
 )
-from hostrank.errors import ValidationError
+from hostrank.errors import ConfigError, ValidationError
 
 
 class TestLoadPool:
@@ -91,7 +92,7 @@ class TestClimateCsv:
 class TestPlansAndSwot:
     def test_fixture_plans(self, fixtures_dir):
         plans = load_plans(fixtures_dir / "plans.json")
-        assert [p.id.value for p in plans] == ["Original", "A", "B", "C", "D"]
+        assert [p.id for p in plans] == ["Original", "A", "B", "C", "D"]
         original = plans[0]
         assert all(int(v) == 1 for v in original.impacts.values())
 
@@ -102,9 +103,18 @@ class TestPlansAndSwot:
         with pytest.raises(ValidationError, match="bad plan"):
             load_plans(io.StringIO(text))
 
-    def test_unknown_plan_id_rejected(self):
-        text = json.dumps({"plans": [{"id": "Z", "impacts": {"A1": 5}}]})
-        with pytest.raises(ValidationError, match="bad plan"):
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (["A", "B", "A"], "duplicate plan id 'A'"),
+            (["A", ""], "plan id must be a non-empty string, got ''"),
+            (["  "], "plan id must be a non-empty string"),
+            ([7], "plan id must be a non-empty string, got 7"),
+        ],
+    )
+    def test_duplicate_or_empty_plan_id_rejected(self, ids, message):
+        text = json.dumps({"plans": [{"id": i, "impacts": {"A1": 5}} for i in ids]})
+        with pytest.raises(ValidationError, match=re.escape(message)):
             load_plans(io.StringIO(text))
 
     def test_fixture_swot(self, fixtures_dir):
@@ -124,11 +134,27 @@ class TestJudgmentsAndRequirement:
             load_judgments(io.StringIO("[1, 2, 3]"))
 
     def test_requirement_defaults_and_overrides(self):
-        default = load_requirement(None)
-        assert default.max_feb_temp == 0.0
-        assert default.min_feb_snow == 30.0
+        for absent in ({}, {"max_feb_temp": None, "ideal_temp_range": None}):
+            default = load_requirement(absent)
+            assert default.max_feb_temp == 0.0
+            assert default.ideal_temp_range == (-17.0, -10.0)
+            assert default.min_feb_snow == 30.0
         custom = load_requirement(
             {"max_feb_temp": -2.0, "ideal_temp_range": [-20, -15], "min_feb_snow": 40}
         )
         assert custom.ideal_temp_range == (-20.0, -15.0)
+        assert all(type(v) is float for v in custom.ideal_temp_range)
         assert custom.min_feb_snow == 40.0
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ({"max_feb_snow": 30.0}, "unexpected keyword argument 'max_feb_snow'"),
+            ({"ideal_temp_range": [-10, -17]}, "ideal temperature range reversed"),
+            ({"max_feb_temp": -20.0}, "must lie below the maximum temperature"),
+        ],
+    )
+    def test_malformed_requirement_is_a_config_error(self, block, message):
+        with pytest.raises(ConfigError, match="screen.winter.requirement") as err:
+            load_requirement(block)
+        assert message in str(err.value)

@@ -19,7 +19,6 @@ from hostrank.selection import (
     Cutoff,
     FeatureScaler,
     ImpactScale,
-    SchemeId,
     SchemePlan,
     SuitabilityScore,
     SwotRecord,
@@ -367,7 +366,7 @@ class TestCompareSchemes:
     def _plans(self, sel, grades_by_plan):
         return [
             SchemePlan(
-                id=SchemeId(pid),
+                id=pid,
                 description=f"plan {pid}",
                 impacts={i: g for i, g in zip(sel.ids, grades)},
             )
@@ -390,12 +389,12 @@ class TestCompareSchemes:
             self._plans(sel, {"A": [3, 5, 5], "B": [5, 5, 5]}), sel
         )
         by_id = {r.plan.id: r.aggregate for r in results}
-        assert by_id[SchemeId.B] - by_id[SchemeId.A] == pytest.approx(2 * 0.5, abs=1e-12)
+        assert by_id["B"] - by_id["A"] == pytest.approx(2 * 0.5, abs=1e-12)
 
     def test_missing_impact_rejected(self):
         sel = _selection_of([("A1", 0.5), ("B1", 0.5)])
         plan = SchemePlan(
-            id=SchemeId.C, description="", impacts={sel.ids[0]: ImpactScale(5)}
+            id="C", description="", impacts={sel.ids[0]: ImpactScale(5)}
         )
         with pytest.raises(ValidationError, match="missing B1"):
             compare_schemes([plan], sel)
@@ -403,7 +402,7 @@ class TestCompareSchemes:
     def test_extraneous_impact_rejected(self):
         sel = _selection_of([("A1", 1.0)])
         plan = SchemePlan(
-            id=SchemeId.C,
+            id="C",
             description="",
             impacts={sel.ids[0]: ImpactScale(5), IndicatorId.parse("E5"): ImpactScale(3)},
         )
@@ -419,7 +418,7 @@ class TestCompareSchemes:
         results = compare_schemes(
             self._plans(sel, {"A": [3, 3], "B": [7, 7], "C": [5, 5]}), sel
         )
-        assert [r.plan.id.value for r in results] == ["B", "C", "A"]
+        assert [r.plan.id for r in results] == ["B", "C", "A"]
 
 
 class TestSwotReport:
