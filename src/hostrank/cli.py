@@ -2,11 +2,15 @@
 
 Subcommands: weights, evaluate, forecast, screen (winter|summer),
 compare-schemes, sensitivity, rsm. Every run loads one JSON
-configuration file, computes its stage completely, and only then
-writes output tables, so a failing stage leaves no partial outputs.
+configuration file and calls one handler, which reads only the inputs
+its stage uses and returns the stage's tables; ``_report`` renders each
+under the run's one provenance header. Files are written only after the
+stage has succeeded, so a failing stage writes nothing; a write that
+fails midway can leave the files written before it.
 
-Exit codes: 0 success, 2 configuration errors, 3 data-validation
-errors, 4 numeric errors.
+Exit codes: 0 success, 2 configuration errors (including bad flags and
+an output directory that cannot be created or written), 3
+data-validation errors, 4 numeric errors.
 """
 
 from __future__ import annotations
@@ -202,10 +206,9 @@ class RunConfig:
 class RunReport:
     """Stage outputs held in memory until the stage has fully succeeded."""
 
-    stage: str
     provenance: Provenance
-    outputs: dict[str, str] = field(default_factory=dict)
-    summary: list[str] = field(default_factory=list)
+    outputs: dict[str, str]
+    summary: list[str]
 
     def write(self, outdir: Path) -> list[Path]:
         try:
@@ -217,40 +220,59 @@ class RunReport:
         written = []
         for name, content in self.outputs.items():
             target = outdir / name
-            target.write_text(content, encoding="utf-8")
+            try:
+                target.write_text(content, encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from None
             written.append(target)
         return written
 
 
-def _provenance(cfg: RunConfig, invocation: str, seed: int | None = None) -> Provenance:
-    return Provenance(
+# An output table: (columns, rows) for render_table, or preformatted text.
+Table = tuple[Sequence[str], Sequence[Sequence]] | str
+
+
+def _report(
+    cfg: RunConfig,
+    invocation: str,
+    tables: Mapping[str, Table],
+    summary: list[str],
+    seed: int | None = None,
+) -> RunReport:
+    """Render a stage's tables, in order, each under the run's one provenance header."""
+    prov = Provenance(
         config_hash=cfg.config_hash,
         seed=cfg.seed if seed is None else seed,
         version=__version__,
         invocation=invocation,
     )
+    header = "\n".join(prov.header_lines()) + "\n"
+    outputs = {
+        name: header + table if isinstance(table, str) else render_table(*table, prov)
+        for name, table in tables.items()
+    }
+    return RunReport(prov, outputs, summary)
 
 
-def _load_inputs(cfg: RunConfig) -> tuple[IndicatorHierarchy, dict, DecisionMatrix]:
-    hierarchy = load_hierarchy(cfg.input_path("hierarchy"))
-    judgments = load_judgments(cfg.input_path("judgments"))
-    matrix = load_decision_matrix(
-        cfg.input_path("decision_matrix"),
-        hierarchy,
-        impute_missing=cfg.impute_missing,
-    )
-    return hierarchy, judgments, matrix
+def _load_matrix(cfg: RunConfig, hierarchy: IndicatorHierarchy) -> DecisionMatrix:
+    path = cfg.input_path("decision_matrix")
+    return load_decision_matrix(path, hierarchy, impute_missing=cfg.impute_missing)
 
 
 def _weighting(cfg: RunConfig, feature_count: int | None = None) -> WeightingOutputs:
     """The weighting chain; ``feature_count`` overrides the config's, a coverage target both."""
-    hierarchy, judgments, matrix = _load_inputs(cfg)
+    hierarchy = load_hierarchy(cfg.input_path("hierarchy"))
+    # The count is bounded by the indicators, known once the hierarchy is read.
+    count = cfg.feature_count if feature_count is None else feature_count
+    if not 1 <= count <= len(hierarchy.ids):
+        name = "config key 'weighting.feature_count'" if feature_count is None else "--features"
+        raise ConfigError(f"{name} must be in 1..{len(hierarchy.ids)}, got {count}")
     return compute_weights(
         hierarchy,
-        judgments,
-        matrix,
+        load_judgments(cfg.input_path("judgments")),
+        _load_matrix(cfg, hierarchy),
         mode=cfg.weighting_mode,
-        feature_count=cfg.feature_count if feature_count is None else feature_count,
+        feature_count=count,
         coverage_target=cfg.coverage_target,
     )
 
@@ -262,125 +284,99 @@ def _load_cities(cfg: RunConfig, pool_path: str | None) -> list[CityProfile]:
     return cities
 
 
-def _features_table(w: WeightingOutputs, prov: Provenance) -> str:
+def _features_table(w: WeightingOutputs) -> Table:
     rows = []
     acc = 0.0
     omega = w.total.by_id()
     for rank, (ind, g) in enumerate(zip(w.selection.ids, w.selection.gamma), start=1):
         acc += omega[ind]
         rows.append((rank, str(ind), float(g), float(omega[ind]), acc))
-    return render_table(
-        ["rank", "indicator", "gamma", "omega", "cumulative_omega"], rows, prov
-    )
+    return ["rank", "indicator", "gamma", "omega", "cumulative_omega"], rows
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (invocation, tables, summary) for
+# ``_report``, and sensitivity also the seed it ran with.
 
 
-def _ahp_tables(subjective, prov: Provenance) -> dict[str, str]:
+def _ahp_tables(subjective) -> dict[str, Table]:
     return {
-        "ahp_categories.csv": render_table(
+        "ahp_categories.csv": (
             ["category", "weight"],
             [(c.value, v) for c, v in subjective.category_weights.items()],
-            prov,
         ),
-        "ahp_indicators.csv": render_table(
+        "ahp_indicators.csv": (
             ["indicator", "weight"],
             [(str(i), v) for i, v in subjective.indicator_weights.items()],
-            prov,
         ),
-        "ahp_consistency.csv": render_table(
+        "ahp_consistency.csv": (
             ["matrix", "lambda_max", "ci", "ri", "cr", "passed"],
             [
                 (key, r.lambda_max, r.ci, r.ri, r.cr, r.passed)
                 for key, r in subjective.reports.items()
             ],
-            prov,
         ),
     }
 
 
-def _entropy_table(cols, ent, prov: Provenance) -> str:
-    return render_table(
-        ["indicator", "entropy", "weight"],
-        [
-            (str(i), float(e), float(hw))
-            for i, e, hw in zip(cols, ent.entropies, ent.weights)
-        ],
-        prov,
-    )
+def _entropy_table(cols, ent) -> Table:
+    rows = [(str(i), float(e), float(hw)) for i, e, hw in zip(cols, ent.entropies, ent.weights)]
+    return ["indicator", "entropy", "weight"], rows
 
 
-def _cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
-    prov = _provenance(cfg, f"weights --method {args.method}")
-    outputs: dict[str, str] = {}
-    summary: list[str] = []
-
+def _cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> tuple:
+    """Each method reads only its own inputs: ahp no matrix, entropy no judgments."""
     if args.method == "ahp":
-        hierarchy, judgments, _ = _load_inputs(cfg)
-        subjective = ahp_weights(hierarchy, judgments)
-        outputs.update(_ahp_tables(subjective, prov))
+        hierarchy = load_hierarchy(cfg.input_path("hierarchy"))
+        subjective = ahp_weights(hierarchy, load_judgments(cfg.input_path("judgments")))
+        tables = _ahp_tables(subjective)
         u_sum = sum(subjective.category_weights.values())
-        summary.append(f"subjective category weights sum: {format_number(u_sum)}")
+        summary = [f"subjective category weights sum: {format_number(u_sum)}"]
     elif args.method == "entropy":
-        hierarchy, _, matrix = _load_inputs(cfg)
+        hierarchy = load_hierarchy(cfg.input_path("hierarchy"))
+        matrix = _load_matrix(cfg, hierarchy)
         ent = entropy_weights(vector_normalize(positivize_matrix(matrix, hierarchy)))
-        outputs["entropy.csv"] = _entropy_table(matrix.cols, ent, prov)
-        summary.append(
-            f"entropy weights sum: {format_number(float(ent.weights.sum()))}"
-        )
+        tables = {"entropy.csv": _entropy_table(matrix.cols, ent)}
+        summary = [f"entropy weights sum: {format_number(float(ent.weights.sum()))}"]
     else:  # combined
         w = _weighting(cfg)
-        outputs.update(_ahp_tables(w.ahp, prov))
-        outputs["entropy.csv"] = _entropy_table(w.matrix.cols, w.entropy, prov)
+        tables = _ahp_tables(w.ahp)
+        tables["entropy.csv"] = _entropy_table(w.matrix.cols, w.entropy)
         combined_rows = []
         for cat, cw in w.per_category.items():
             for spec, weight in zip(w.hierarchy.by_category(cat), cw.weights):
                 combined_rows.append((str(spec.id), cat.value, float(weight)))
-        outputs["combined.csv"] = render_table(
-            ["indicator", "category", "weight"], combined_rows, prov
-        )
-        outputs["total.csv"] = render_table(
+        tables["combined.csv"] = (["indicator", "category", "weight"], combined_rows)
+        tables["total.csv"] = (
             ["indicator", "omega"],
             [(str(i), float(o)) for i, o in zip(w.total.ids, w.total.omega)],
-            prov,
         )
-        outputs["features.csv"] = _features_table(w, prov)
-        summary.append(
-            f"total weights sum: {format_number(float(w.total.omega.sum()))}"
-        )
-        summary.append(
+        tables["features.csv"] = _features_table(w)
+        summary = [
+            f"total weights sum: {format_number(float(w.total.omega.sum()))}",
             f"feature group: {', '.join(str(i) for i in w.selection.ids)} "
-            f"(coverage {format_number(w.selection.coverage)})"
-        )
-    return RunReport(stage="weights", provenance=prov, outputs=outputs, summary=summary)
+            f"(coverage {format_number(w.selection.coverage)})",
+        ]
+    return f"weights --method {args.method}", tables, summary
 
 
-def _cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
+def _cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     w = _weighting(cfg, feature_count=args.features)
-    prov = _provenance(cfg, f"evaluate --features {w.selection.k}")
     scores = evaluate_alternatives(w.matrix, w.hierarchy, w.selection)
     ranked = sorted(scores, key=lambda s: (-s[1], s[0]))
-    outputs = {
-        "evaluation.csv": render_table(
+    tables = {
+        "evaluation.csv": (
             ["rank", "alternative", "chi"],
             [(i + 1, name, val) for i, (name, val) in enumerate(ranked)],
-            prov,
         ),
-        "features.csv": _features_table(w, prov),
+        "features.csv": _features_table(w),
     }
     top = ranked[0]
-    return RunReport(
-        stage="evaluate",
-        provenance=prov,
-        outputs=outputs,
-        summary=[f"top alternative: {top[0]} (chi {format_number(top[1])})"],
-    )
+    summary = [f"top alternative: {top[0]} (chi {format_number(top[1])})"]
+    return f"evaluate --features {w.selection.k}", tables, summary
 
 
-def _cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
-    prov = _provenance(cfg, f"forecast --indicator {args.indicator} --until {args.until}")
+def _cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     cities = _load_cities(cfg, args.pool)
     if args.city is not None:
         cities = [c for c in cities if c.name == args.city]
@@ -396,22 +392,14 @@ def _cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
         series = forecast_indicator(city, args.indicator, args.until)
         for offset, (period, value) in enumerate(zip(series.periods, series.values)):
             rows.append((city.name, int(period), float(value), offset >= history_len))
-    outputs = {
-        "forecast.csv": render_table(
-            ["city", "period", "value", "forecast"], rows, prov
-        )
-    }
-    return RunReport(
-        stage="forecast",
-        provenance=prov,
-        outputs=outputs,
-        summary=[f"forecast {args.indicator} to {args.until} for {len(cities)} cities"],
-    )
+    tables = {"forecast.csv": (["city", "period", "value", "forecast"], rows)}
+    summary = [f"forecast {args.indicator} to {args.until} for {len(cities)} cities"]
+    return f"forecast --indicator {args.indicator} --until {args.until}", tables, summary
 
 
 def _winter_candidates(
-    cfg: RunConfig, cities: list[CityProfile], prov: Provenance
-) -> tuple[list[CityProfile], dict[str, str], list[str]]:
+    cfg: RunConfig, cities: list[CityProfile]
+) -> tuple[list[CityProfile], dict[str, Table], list[str]]:
     """Drop excluded cities, then keep those passing the climate gate."""
     excluded = set(cfg.winter_exclude)
     unknown = excluded - {c.name for c in cities}
@@ -428,18 +416,14 @@ def _winter_candidates(
     passers = [a.city for a in assessments if a.passed]
     if not passers:
         raise ValidationError("no city passes the winter climate gate")
-    table = render_table(
-        ["city", "feb_temp_c", "feb_snow_cm", "passed", "ideal"],
-        climate_rows,
-        prov,
-    )
+    table = (["city", "feb_temp_c", "feb_snow_cm", "passed", "ideal"], climate_rows)
     summary = [f"climate gate: {len(passers)}/{len(candidates)} cities pass"]
     return passers, {"winter_climate.csv": table}, summary
 
 
 def _summer_candidates(
-    cfg: RunConfig, cities: list[CityProfile], w: WeightingOutputs, prov: Provenance
-) -> tuple[list[CityProfile], dict[str, str], list[str]]:
+    cfg: RunConfig, cities: list[CityProfile], w: WeightingOutputs
+) -> tuple[list[CityProfile], dict[str, Table], list[str]]:
     """Shortlist by sports score; indicators come from the decision matrix."""
     shortlist = screen_candidates(
         cities,
@@ -449,17 +433,14 @@ def _summer_candidates(
     screen_rows = [
         (i + 1, c.name, c.country, c.sports_score) for i, c in enumerate(shortlist)
     ]
-    table = render_table(
-        ["rank", "city", "country", "sports_score"], screen_rows, prov
-    )
+    table = (["rank", "city", "country", "sports_score"], screen_rows)
     candidates = [replace(c, indicators=w.matrix.row(c.name)) for c in shortlist]
     summary = [f"stage-1 keeps {len(cities)} cities, sports screen keeps {len(shortlist)}"]
     return candidates, {"summer_screen.csv": table}, summary
 
 
-def _cmd_screen(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
+def _cmd_screen(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     season = args.season
-    prov = _provenance(cfg, f"screen {season}")
     w = _weighting(cfg)
     cities = _load_cities(cfg, args.pool)
     gdp_rank, sports_rank = cfg.stage1_gdp_rank, cfg.stage1_sports_rank
@@ -471,10 +452,10 @@ def _cmd_screen(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
             sports_cutoff=Cutoff.rank(sports_rank or len(cities)),
         )
     if season == "winter":
-        candidates, outputs, summary = _winter_candidates(cfg, cities, prov)
+        candidates, tables, summary = _winter_candidates(cfg, cities)
         s_base, default_base = cfg.winter_s_base, cfg.winter_default_s_base
     else:
-        candidates, outputs, summary = _summer_candidates(cfg, cities, w, prov)
+        candidates, tables, summary = _summer_candidates(cfg, cities, w)
         s_base, default_base = cfg.summer_s_base, cfg.summer_default_s_base
     scored = score_cities(
         candidates, s_base, w.selection, w.hierarchy, default_base=default_base
@@ -488,41 +469,36 @@ def _cmd_screen(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
     for c, s in ranked:
         for ind, g, value in zip(w.selection.ids, w.selection.gamma, s.scaled):
             feature_rows.append((c.name, str(ind), value, float(g), float(g) * value))
-    outputs[f"{season}_ranking.csv"] = render_table(
+    tables[f"{season}_ranking.csv"] = (
         ["rank", "city", "country", "s_base", "s_evaluate", "total"],
         ranking_rows,
-        prov,
     )
-    outputs[f"{season}_features.csv"] = render_table(
+    tables[f"{season}_features.csv"] = (
         ["city", "indicator", "scaled_value", "gamma", "contribution"],
         feature_rows,
-        prov,
     )
     if season == "summer" and "swot" in cfg.inputs:
-        records = load_swot(cfg.inputs["swot"])
-        outputs["swot_report.txt"] = "\n".join(prov.header_lines()) + "\n" + swot_report(records)
+        tables["swot_report.txt"] = swot_report(load_swot(cfg.inputs["swot"]))
     top_city, top_score = ranked[0]
     summary.append(
         f"top {season} host: {top_city.name} (total {format_number(top_score.total)})"
     )
-    return RunReport(stage=f"screen {season}", provenance=prov, outputs=outputs, summary=summary)
+    return f"screen {season}", tables, summary
 
 
-def _cmd_compare_schemes(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
-    prov = _provenance(cfg, "compare-schemes")
+def _cmd_compare_schemes(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     w = _weighting(cfg)
     plans = load_plans(cfg.input_path("plans", args.plans))
     results = compare_schemes(plans, w.selection)
-    outputs = {
-        "schemes.csv": render_table(
+    tables = {
+        "schemes.csv": (
             ["rank", "plan", "aggregate", "description"],
             [
                 (i + 1, r.plan.id, r.aggregate, r.plan.description)
                 for i, r in enumerate(results)
             ],
-            prov,
         ),
-        "scheme_features.csv": render_table(
+        "scheme_features.csv": (
             ["plan", "indicator", "impact", "gamma", "contribution"],
             [
                 (
@@ -535,47 +511,32 @@ def _cmd_compare_schemes(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
                 for r in results
                 for ind, g in zip(w.selection.ids, w.selection.gamma)
             ],
-            prov,
         ),
     }
     best = results[0]
-    return RunReport(
-        stage="compare-schemes",
-        provenance=prov,
-        outputs=outputs,
-        summary=[
-            f"best plan: {best.plan.id} "
-            f"(aggregate {format_number(best.aggregate)})"
-        ],
-    )
+    summary = [f"best plan: {best.plan.id} (aggregate {format_number(best.aggregate)})"]
+    return "compare-schemes", tables, summary
 
 
-def _cmd_sensitivity(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
-    seed = cfg.seed if args.seed is None else args.seed
-    trials = cfg.trials if args.trials is None else args.trials
-    prov = _provenance(cfg, f"sensitivity --seed {seed} --trials {trials}", seed=seed)
-    w = _weighting(cfg)
+def _cmd_sensitivity(cfg: RunConfig, args: argparse.Namespace) -> tuple:
+    # Built first, so a bad --seed, --trials or --n-swap fails before any input is read.
     pconfig = PerturbationConfig(
-        seed=seed,
+        seed=cfg.seed if args.seed is None else args.seed,
         n_swap=cfg.n_swap if args.n_swap is None else args.n_swap,
-        trials=trials,
+        trials=cfg.trials if args.trials is None else args.trials,
     )
+    w = _weighting(cfg)
     report = factor_substitution(w.selection, w.total, w.matrix, pconfig, w.hierarchy)
-    payload = "\n".join(prov.header_lines()) + "\n" + report.to_csv_text()
     overall = report.summary["(overall)"]
-    return RunReport(
-        stage="sensitivity",
-        provenance=prov,
-        outputs={"sensitivity.csv": payload},
-        summary=[
-            f"{pconfig.trials} trials, swap size {pconfig.n_swap}",
-            "deviation mean/max/std: "
-            + "/".join(
-                format_number(overall[k])
-                for k in ("mean_abs_dev", "max_abs_dev", "std_abs_dev")
-            ),
-        ],
-    )
+    summary = [
+        f"{pconfig.trials} trials, swap size {pconfig.n_swap}",
+        "deviation mean/max/std: "
+        + "/".join(
+            format_number(overall[k]) for k in ("mean_abs_dev", "max_abs_dev", "std_abs_dev")
+        ),
+    ]
+    invocation = f"sensitivity --seed {pconfig.seed} --trials {pconfig.trials}"
+    return invocation, {"sensitivity.csv": report.to_csv_text()}, summary, pconfig.seed
 
 
 def _parse_factor(token: str, selection) -> int:
@@ -601,18 +562,18 @@ def _parse_factor(token: str, selection) -> int:
         raise ConfigError(f"factor {token} is not in the selected feature group") from None
 
 
-def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
-    prov = _provenance(cfg, f"rsm --factors {args.factors} --grid {args.grid}")
+def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> tuple:
+    tokens = args.factors.split(",")
+    if not 2 <= len(tokens) <= 3:
+        raise ConfigError("rsm expects two or three factors")
+    if args.grid < 3:
+        raise ConfigError("grid needs at least 3 levels per factor")
     w = _weighting(cfg)
     hierarchy, matrix = w.hierarchy, w.matrix
 
-    positions = [_parse_factor(tok, w.selection) for tok in args.factors.split(",")]
-    if len(positions) < 2 or len(positions) > 3:
-        raise ConfigError("rsm expects two or three factors")
+    positions = [_parse_factor(tok, w.selection) for tok in tokens]
     if len(set(positions)) != len(positions):
         raise ConfigError("rsm factors must be distinct")
-    if args.grid < 3:
-        raise ConfigError("grid needs at least 3 levels per factor")
 
     baseline_name = cfg.rsm_baseline or matrix.rows[0]
     if baseline_name not in matrix.rows:
@@ -627,12 +588,9 @@ def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
 
-    def response(weight_rows: np.ndarray) -> np.ndarray:
-        gammas = np.tile(w.selection.gamma, (weight_rows.shape[0], 1))
-        gammas[:, positions] = weight_rows
-        return gammas @ xi
-
-    responses = response(points)
+    gammas = np.tile(w.selection.gamma, (points.shape[0], 1))
+    gammas[:, positions] = points
+    responses = gammas @ xi
     factor_names = [str(w.selection.ids[p]) for p in positions]
     grid_rows = [
         (*[float(v) for v in point], float(r)) for point, r in zip(points, responses)
@@ -659,26 +617,22 @@ def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> RunReport:
         for name, r in zip(factor_names, extrema.per_factor_range)
     ]
 
-    outputs = {
-        "rsm_grid.csv": render_table([*factor_names, "response"], grid_rows, prov),
-        "rsm_surface.csv": render_table(["term", "value"], coef_rows, prov),
-        "rsm_extrema.csv": render_table(["quantity", "value"], extrema_rows, prov),
+    tables = {
+        "rsm_grid.csv": ([*factor_names, "response"], grid_rows),
+        "rsm_surface.csv": (["term", "value"], coef_rows),
+        "rsm_extrema.csv": (["quantity", "value"], extrema_rows),
     }
-    return RunReport(
-        stage="rsm",
-        provenance=prov,
-        outputs=outputs,
-        summary=[
-            f"baseline alternative: {baseline_name}",
-            f"fit R^2: {format_number(surface.r_squared)}",
-            "relative ranges: "
-            + ", ".join(
-                f"{name}={format_number(float(r))}"
-                for name, r in zip(factor_names, extrema.per_factor_range)
-            )
-            + f", joint={format_number(extrema.joint_range)}",
-        ],
-    )
+    summary = [
+        f"baseline alternative: {baseline_name}",
+        f"fit R^2: {format_number(surface.r_squared)}",
+        "relative ranges: "
+        + ", ".join(
+            f"{name}={format_number(float(r))}"
+            for name, r in zip(factor_names, extrema.per_factor_range)
+        )
+        + f", joint={format_number(extrema.joint_range)}",
+    ]
+    return f"rsm --factors {args.factors} --grid {args.grid}", tables, summary
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +647,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name: str, handler: Callable[..., RunReport], **kwargs) -> argparse.ArgumentParser:
+    def add(name: str, handler: Callable[..., tuple], **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--config", required=True, help="path to the run configuration JSON")
         p.set_defaults(handler=handler)
@@ -734,24 +688,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The message label and exit code of each error type a run may raise.
+_ERRORS = {
+    ConfigError: ("config", EXIT_CONFIG),
+    ValidationError: ("validation", EXIT_VALIDATION),
+    NumericError: ("numeric", EXIT_NUMERIC),
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config)
-        report = args.handler(cfg, args)
+        report = _report(cfg, *args.handler(cfg, args))
         written = report.write(cfg.output_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except tuple(_ERRORS) as exc:
+        label, code = _ERRORS[type(exc)]
+        print(f"{label} error: {exc}", file=sys.stderr)
+        return code
 
-    print(f"[{report.stage}] config {report.provenance.config_hash[:12]} seed {report.provenance.seed}")
+    prov = report.provenance
+    stage = prov.invocation.partition(" --")[0]
+    print(f"[{stage}] config {prov.config_hash[:12]} seed {prov.seed}")
     for line in report.summary:
         print(f"  {line}")
     for path in written:

@@ -450,6 +450,65 @@ class TestErrorContract:
         assert err.count("\n") == 1
         assert blocker.read_text() == "not a directory"
 
+    def test_output_file_that_cannot_be_written_is_a_config_error(
+        self, config_path, outdir, capsys
+    ):
+        blocker = outdir / "features.csv"
+        blocker.mkdir(parents=True)
+
+        assert main(["evaluate", "--config", str(config_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {blocker}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert blocker.is_dir()
+
+    @pytest.mark.parametrize(
+        "argv, feature_count, message",
+        [
+            (["sensitivity", "--trials", "0"], None, "need at least one trial"),
+            (["sensitivity", "--n-swap", "-1"], None, "n_swap must be nonnegative"),
+            (["sensitivity", "--seed", "-1"], None, "seed must be a nonnegative integer"),
+            (["rsm", "--factors", "1,2", "--grid", "2"], None, "grid needs at least 3 levels"),
+            (["rsm", "--factors", "1,2,3,4"], None, "rsm expects two or three factors"),
+            # The indicator count bounds the feature count, so these read the hierarchy.
+            (["evaluate", "--features", "0"], None, "--features must be in 1..30, got 0"),
+            (["evaluate", "--features", "31"], None, "--features must be in 1..30, got 31"),
+            (
+                ["evaluate"], 31,
+                "config key 'weighting.feature_count' must be in 1..30, got 31",
+            ),
+            (["weights"], 31, "'weighting.feature_count' must be in 1..30, got 31"),
+        ],
+    )
+    def test_bad_flag_is_a_config_error_before_inputs_are_read(
+        self, tmp_path, fixtures_dir, outdir, capsys, argv, feature_count, message
+    ):
+        """Judgments that are not JSON and a matrix that is not UTF-8 exit 3 if read;
+        so does the hierarchy, unless the check needs it."""
+        unread = {
+            "hierarchy": tmp_path / "hierarchy.json",
+            "judgments": tmp_path / "judgments.json",
+            "decision_matrix": tmp_path / "decision_matrix.csv",
+        }
+        unread["hierarchy"].write_text("{")
+        unread["judgments"].write_text("{")
+        matrix = (fixtures_dir / "decision_matrix.csv").read_bytes()
+        unread["decision_matrix"].write_bytes(matrix.replace(b"a", b"\xe0", 1))
+        if "--features" in argv or feature_count is not None:
+            del unread["hierarchy"]
+
+        def edit(cfg):
+            cfg.update({key: str(path) for key, path in unread.items()})
+            if feature_count is not None:
+                cfg["weighting"]["feature_count"] = feature_count
+
+        config = write_config(tmp_path, fixtures_dir, edit)
+        assert main([argv[0], "--config", str(config), *argv[1:]]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize(
         "section, key, value, argv",
         [
@@ -599,6 +658,31 @@ class TestTracedRun:
         counts = self.traced_counts(fixtures_dir, tmp_path, ["compare-schemes"])
         # load_judgments, load_requirement and load_plans
         assert counts["dataio.load_other_calls"] == 3
+
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (["weights", "--method", "ahp"],
+             ["ahp_categories.csv", "ahp_consistency.csv", "ahp_indicators.csv"]),
+            (["weights", "--method", "entropy"], ["entropy.csv"]),
+            (["forecast", "--pool", "{fixtures}/winter_pool.json", "--indicator", "feb_temp_c",
+              "--until", "2030"], ["forecast.csv"]),
+            (["screen", "summer", "--pool", "{fixtures}/world_pool.csv"],
+             ["summer_features.csv", "summer_ranking.csv", "summer_screen.csv", "swot_report.txt"]),
+            (["sensitivity", "--trials", "3"], ["sensitivity.csv"]),
+            (["rsm", "--factors", "1,2", "--grid", "5"],
+             ["rsm_extrema.csv", "rsm_grid.csv", "rsm_surface.csv"]),
+        ],
+        ids=["weights-ahp", "weights-entropy", "forecast", "screen-summer", "sensitivity", "rsm"],
+    )
+    def test_every_table_renders_once_under_the_tracer(self, fixtures_dir, tmp_path, argv, files):
+        """render_table runs once per CSV table; sensitivity.csv and the SWOT
+        report are preformatted text that only gets the header."""
+        argv = [a.format(fixtures=fixtures_dir) for a in argv]
+        counts = self.traced_counts(fixtures_dir, tmp_path, argv)
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == files
+        tables = [f for f in files if f not in ("sensitivity.csv", "swot_report.txt")]
+        assert counts.get("reporting.render_table_calls", 0) == len(tables)
 
     def test_setup_probe_loads_every_input(self, fixtures_dir, tmp_path):
         """perfbench/setup_child.py reads RunConfig and the loaders by name."""

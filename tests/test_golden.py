@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from hostrank import __version__
-from hostrank.cli import EXIT_OK, OUTPUT_DIR_ENV, main
+from hostrank.cli import EXIT_OK, EXIT_VALIDATION, OUTPUT_DIR_ENV, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -127,6 +127,52 @@ def test_outputs_match_golden_files(
     config = fixtures_dir / "run.json"
     _, stdout = run_cli(argv, config, tmp_path, monkeypatch, capsys)
     assert_matches_golden(tmp_path, GOLDEN / case, names, config, stdout)
+
+
+def config_with_a_damaged_input(fixtures: Path, tmp_path: Path, key: str) -> Path:
+    """The shipped config with input ``key`` unreadable: a decision matrix
+    that is not UTF-8, or judgments cut off mid-JSON."""
+    cfg = json.loads((fixtures / "run.json").read_text())
+    for name in ("hierarchy", "judgments", "decision_matrix", "pool", "plans", "swot"):
+        cfg[name] = str(fixtures / cfg[name])
+    data = Path(cfg[key]).read_bytes()
+    damaged = tmp_path / Path(cfg[key]).name
+    damaged.write_bytes(
+        data.replace(b"a", b"\xe0", 1) if key == "decision_matrix" else data[: len(data) // 2]
+    )
+    cfg[key] = str(damaged)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    return config
+
+
+@pytest.mark.parametrize("method, unused", [("ahp", "decision_matrix"), ("entropy", "judgments")])
+def test_weights_method_reads_only_its_own_inputs(
+    method, unused, fixtures_dir, tmp_path, monkeypatch, capsys
+):
+    config = config_with_a_damaged_input(fixtures_dir, tmp_path, unused)
+    outdir = tmp_path / "out"
+    _, stdout = run_cli(["weights", "--method", method], config, outdir, monkeypatch, capsys)
+    golden = GOLDEN / f"weights-{method}"
+    names = next(names for case, _, names in INVOCATIONS if case == golden.name)
+    assert_matches_golden(outdir, golden, names, config, stdout)
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [("decision_matrix", "is not UTF-8 text"), ("judgments", "judgments file is not valid JSON")],
+)
+def test_combined_weights_read_every_input(
+    key, message, fixtures_dir, tmp_path, monkeypatch, capsys
+):
+    config = config_with_a_damaged_input(fixtures_dir, tmp_path, key)
+    outdir = tmp_path / "out"
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(outdir))
+    assert main(["weights", "--config", str(config), "--method", "combined"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not outdir.exists()
 
 
 def _scaled_series(series: dict, rng: random.Random) -> dict:
