@@ -48,7 +48,6 @@ from .combining import (
 )
 from .entropy import (
     EntropyResult,
-    NormalizedMatrix,
     entropy_weights,
     interval_normalize,
     vector_normalize,
@@ -82,7 +81,6 @@ from .selection import (
     winter_climate_filter,
 )
 from .sensitivity import (
-    BBDesign,
     PerturbationConfig,
     QuadraticSurface,
     SensitivityReport,
@@ -116,7 +114,6 @@ __all__ = [
     "consistency",
     "ahp_weights",
     # entropy
-    "NormalizedMatrix",
     "EntropyResult",
     "interval_normalize",
     "vector_normalize",
@@ -154,7 +151,6 @@ __all__ = [
     # sensitivity
     "PerturbationConfig",
     "SensitivityReport",
-    "BBDesign",
     "QuadraticSurface",
     "factor_substitution",
     "bbd_design",

@@ -5,12 +5,15 @@ compare-schemes, sensitivity, rsm. Every run loads one JSON
 configuration file and calls one handler, which reads only the inputs
 its stage uses and returns the stage's tables; ``_report`` renders each
 under the run's one provenance header. Files are written only after the
-stage has succeeded, so a failing stage writes nothing; a write that
-fails midway can leave the files written before it.
+stage has succeeded, and then all or none: each goes to a temporary
+name in the output directory and is renamed into place once every one
+is written. A failing run replaces no file, and files the stage does
+not write are never touched.
 
 Exit codes: 0 success, 2 configuration errors (including bad flags and
-an output directory that cannot be created or written), 3
-data-validation errors, 4 numeric errors.
+an output directory or output file that cannot be created or written),
+3 data-validation errors (including an empty candidate pool), 4 numeric
+errors.
 """
 
 from __future__ import annotations
@@ -211,21 +214,29 @@ class RunReport:
     summary: list[str]
 
     def write(self, outdir: Path) -> list[Path]:
+        """Write every output or none; return the final paths in output order."""
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(
                 f"cannot create output directory {outdir}: {exc.strerror or exc}"
             ) from None
-        written = []
-        for name, content in self.outputs.items():
-            target = outdir / name
-            try:
-                target.write_text(content, encoding="utf-8")
-            except OSError as exc:
-                raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from None
-            written.append(target)
-        return written
+        targets = [outdir / name for name in self.outputs]
+        for target in targets:
+            if target.exists() and not target.is_file():
+                raise ConfigError(f"cannot write {target}: it exists and is not a regular file")
+        temps: list[Path] = []
+        try:
+            for target, content in zip(targets, self.outputs.values()):
+                temps.append(target.with_name(f".{target.name}.{os.getpid()}.tmp"))
+                temps[-1].write_text(content, encoding="utf-8")
+            for temp, target in zip(temps, targets):
+                os.replace(temp, target)
+        except OSError as exc:
+            for temp in temps:
+                temp.unlink(missing_ok=True)
+            raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from None
+        return targets
 
 
 # An output table: (columns, rows) for render_table, or preformatted text.
@@ -279,6 +290,8 @@ def _weighting(cfg: RunConfig, feature_count: int | None = None) -> WeightingOut
 
 def _load_cities(cfg: RunConfig, pool_path: str | None) -> list[CityProfile]:
     cities = load_pool(cfg.input_path("pool", pool_path))
+    if not cities:
+        raise ValidationError("candidate pool is empty")
     if "climate" in cfg.inputs:
         cities = merge_climate(cities, load_climate_csv(cfg.inputs["climate"]))
     return cities
@@ -539,39 +552,45 @@ def _cmd_sensitivity(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     return invocation, {"sensitivity.csv": report.to_csv_text()}, summary, pconfig.seed
 
 
-def _parse_factor(token: str, selection) -> int:
-    """Accept a feature by 1-based position ('1', 'xi1', 'ξ1') or indicator id ('A5')."""
+def _factor_key(token: str) -> int | IndicatorId:
+    """A feature by 1-based position ('1', 'xi1', 'ξ1') or by indicator id ('A5')."""
     token = token.strip()
     lowered = token.lower()
-    if lowered.startswith("xi") and lowered[2:].isdigit():
-        token = lowered[2:]
-    elif lowered.startswith("ξ") and lowered[1:].isdigit():
-        token = lowered[1:]
-    if token.isdigit():
-        pos = int(token) - 1
-        if not 0 <= pos < selection.k:
-            raise ConfigError(f"factor position {token} outside 1..{selection.k}")
-        return pos
+    for prefix in ("xi", "ξ"):
+        if lowered.startswith(prefix) and lowered[len(prefix) :].isdecimal():
+            token = lowered[len(prefix) :]
+    if token.isdecimal():
+        return int(token)
     try:
-        ind = IndicatorId.parse(token)
+        return IndicatorId.parse(token)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _factor_position(key: int | IndicatorId, selection) -> int:
+    if isinstance(key, int):
+        if not 1 <= key <= selection.k:
+            raise ConfigError(f"factor position {key} outside 1..{selection.k}")
+        return key - 1
     try:
-        return selection.ids.index(ind)
+        return selection.ids.index(key)
     except ValueError:
-        raise ConfigError(f"factor {token} is not in the selected feature group") from None
+        raise ConfigError(f"factor {key} is not in the selected feature group") from None
 
 
 def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> tuple:
-    tokens = args.factors.split(",")
-    if not 2 <= len(tokens) <= 3:
+    # The flags' form is checked before any input is read; positions need the selection.
+    keys = [_factor_key(tok) for tok in args.factors.split(",")]
+    if not 2 <= len(keys) <= 3:
         raise ConfigError("rsm expects two or three factors")
+    if len(set(keys)) != len(keys):
+        raise ConfigError("rsm factors must be distinct")
     if args.grid < 3:
         raise ConfigError("grid needs at least 3 levels per factor")
     w = _weighting(cfg)
     hierarchy, matrix = w.hierarchy, w.matrix
 
-    positions = [_parse_factor(tok, w.selection) for tok in tokens]
+    positions = [_factor_position(key, w.selection) for key in keys]
     if len(set(positions)) != len(positions):
         raise ConfigError("rsm factors must be distinct")
 

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .indicators import Category, DecisionMatrix, IndicatorHierarchy, IndicatorId
+from .indicators import Category, IndicatorHierarchy, IndicatorId
 
 __all__ = [
     "ImportanceRatios",
@@ -153,7 +153,7 @@ class FeatureSelection:
 
 
 def dispersion(
-    data: DecisionMatrix | np.ndarray,
+    data: np.ndarray,
     entropy_w: Sequence[float],
     subjective_w: Sequence[float],
 ) -> np.ndarray:
@@ -162,7 +162,7 @@ def dispersion(
     Both weight vectors must be strictly positive since the harmonic
     factor divides by their product.
     """
-    vals = data.values if isinstance(data, DecisionMatrix) else np.asarray(data, dtype=float)
+    vals = np.asarray(data, dtype=float)
     h = np.asarray(entropy_w, dtype=float)
     v = np.asarray(subjective_w, dtype=float)
     m = vals.shape[1]
@@ -244,7 +244,7 @@ def order_weights(ratios: ImportanceRatios) -> CombinedWeights:
 
 
 def combine_weights(
-    data: DecisionMatrix | np.ndarray,
+    data: np.ndarray,
     entropy_w: Sequence[float],
     subjective_w: Sequence[float],
 ) -> CombinedWeights:

@@ -25,25 +25,12 @@ from .errors import NumericError, ValidationError
 from .indicators import DecisionMatrix, IndicatorHierarchy, Polarity
 
 __all__ = [
-    "NormalizedMatrix",
     "EntropyResult",
     "interval_normalize",
     "positivize_matrix",
     "vector_normalize",
     "entropy_weights",
 ]
-
-
-@dataclass(frozen=True)
-class NormalizedMatrix:
-    """Column-normalized data ready for entropy weighting."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)
@@ -98,23 +85,25 @@ def positivize_matrix(matrix: DecisionMatrix, hierarchy: IndicatorHierarchy) -> 
     return out
 
 
-def vector_normalize(data: DecisionMatrix | np.ndarray) -> NormalizedMatrix:
-    """Divide each column by its Euclidean norm.
+def vector_normalize(data: np.ndarray) -> np.ndarray:
+    """Divide each column by its Euclidean norm, into a new read-only array.
 
     Negative-polarity columns must already be positivized; an all-zero
     column has no direction and is rejected.
     """
-    vals = data.values if isinstance(data, DecisionMatrix) else np.asarray(data, dtype=float)
+    vals = np.asarray(data, dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
     norms = np.sqrt((vals**2).sum(axis=0))
     if np.any(norms == 0.0):
         j = int(np.argmax(norms == 0.0))
         raise ValidationError(f"all-zero column at index {j}")
-    return NormalizedMatrix(values=vals / norms)
+    z = vals / norms
+    z.flags.writeable = False
+    return z
 
 
-def entropy_weights(z: NormalizedMatrix | np.ndarray) -> EntropyResult:
+def entropy_weights(z: np.ndarray) -> EntropyResult:
     """Entropy weights from a nonnegative normalized matrix.
 
     Needs at least two samples (ln 1 = 0 would divide) and at least one
@@ -122,7 +111,7 @@ def entropy_weights(z: NormalizedMatrix | np.ndarray) -> EntropyResult:
     Dispersion-free columns are detected exactly and assigned e_j = 1,
     H_j = 0.
     """
-    vals = z.values if isinstance(z, NormalizedMatrix) else np.asarray(z, dtype=float)
+    vals = np.asarray(z, dtype=float)
     if vals.ndim != 2:
         raise ValidationError("entropy weighting expects a 2-D matrix")
     n, m = vals.shape

@@ -26,7 +26,7 @@ from .combining import (
     select_features,
     total_weights,
 )
-from .entropy import EntropyResult, NormalizedMatrix, entropy_weights, positivize_matrix, vector_normalize
+from .entropy import EntropyResult, entropy_weights, positivize_matrix, vector_normalize
 from .errors import ValidationError
 from .indicators import (
     Category,
@@ -46,7 +46,7 @@ class WeightingOutputs:
     hierarchy: IndicatorHierarchy
     matrix: DecisionMatrix
     ahp: AhpWeights
-    normalized: NormalizedMatrix
+    normalized: np.ndarray
     entropy: EntropyResult
     per_category: dict[Category, CombinedWeights]
     total: TotalWeights
@@ -97,7 +97,7 @@ def compute_weights(
             v_cat = np.array([subjective.indicator_weights[i] for i in ids])
             try:
                 per_category[cat] = combine_weights(
-                    normalized.values[:, cols], h_cat, v_cat
+                    normalized[:, cols], h_cat, v_cat
                 )
             except ValidationError as exc:
                 raise ValidationError(f"category {cat.value}: {exc}") from None
@@ -115,7 +115,7 @@ def compute_weights(
             ]
         )
         h_global = np.array([h_by_col[i] for i in matrix.cols])
-        combined = combine_weights(normalized.values, h_global, v_global)
+        combined = combine_weights(normalized, h_global, v_global)
         omega = TotalWeights(ids=matrix.cols, omega=combined.weights)
 
     selection = select_features(

@@ -14,7 +14,6 @@ extrema exactly via stationary-point plus boundary enumeration.
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,9 +27,7 @@ from .selection import FeatureScaler
 
 __all__ = [
     "PerturbationConfig",
-    "TrialRecord",
     "SensitivityReport",
-    "BBDesign",
     "QuadraticSurface",
     "SurfaceExtrema",
     "factor_substitution",
@@ -57,45 +54,52 @@ class PerturbationConfig:
             raise ConfigError("need at least one trial")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One substitution trial: what was swapped and how the scores moved."""
-
-    index: int
-    removed: tuple[IndicatorId, ...]
-    added: tuple[IndicatorId, ...]
-    chi: dict[str, float]
-    abs_deviation: dict[str, float]
-    rel_deviation: dict[str, float]
+# One trial's swap: the features it removed and the ones it added in their place.
+Swap = tuple[tuple[IndicatorId, ...], tuple[IndicatorId, ...]]
 
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Baseline scores, per-trial records, and deviation summaries."""
+    """Baseline scores, per-trial scores and deviations, and deviation summaries.
+
+    ``baseline`` holds one score per alternative. ``chi``, ``abs_dev``
+    and ``rel_dev`` are read-only (trials x alternatives) arrays whose
+    row t belongs to ``trials[t]``; ``rel_dev`` is NaN where the
+    baseline is 0.
+    """
 
     config: PerturbationConfig
-    baseline: dict[str, float]
-    trials: tuple[TrialRecord, ...]
+    alternatives: tuple[str, ...]
+    baseline: np.ndarray
+    trials: tuple[Swap, ...]
+    chi: np.ndarray
+    abs_dev: np.ndarray
+    rel_dev: np.ndarray
     summary: dict[str, dict[str, float]]
 
     def to_csv_text(self) -> str:
         """Deterministic serialization; byte-identical for identical configs."""
-        out = io.StringIO()
-        out.write("section,trial,alternative,swapped_out,swapped_in,chi,abs_dev,rel_dev\n")
-        for alt in self.baseline:
-            out.write(f"baseline,,{alt},,,{self.baseline[alt]!r},,\n")
-        for t in self.trials:
-            removed = "|".join(str(i) for i in t.removed)
-            added = "|".join(str(i) for i in t.added)
-            for alt in t.chi:
-                out.write(
-                    f"trial,{t.index},{alt},{removed},{added},"
-                    f"{t.chi[alt]!r},{t.abs_deviation[alt]!r},{t.rel_deviation[alt]!r}\n"
-                )
+        labels = [_csv_field(alt) for alt in self.alternatives]
+        out = ["section,trial,alternative,swapped_out,swapped_in,chi,abs_dev,rel_dev\n"]
+        out += [f"baseline,,{alt},,,{v!r},,\n" for alt, v in zip(labels, self.baseline.tolist())]
+        rows = zip(self.trials, self.chi.tolist(), self.abs_dev.tolist(), self.rel_dev.tolist())
+        for t, ((removed, added), chi, dev, rel) in enumerate(rows):
+            swap = f"{'|'.join(map(str, removed))},{'|'.join(map(str, added))}"
+            out += [
+                f"trial,{t},{alt},{swap},{c!r},{a!r},{r!r}\n"
+                for alt, c, a, r in zip(labels, chi, dev, rel)
+            ]
         for alt, stats in self.summary.items():
-            for key, value in stats.items():
-                out.write(f"summary,,{alt},{key},,{value!r},,\n")
-        return out.getvalue()
+            label = _csv_field(alt)
+            out += [f"summary,,{label},{key},,{value!r},,\n" for key, value in stats.items()]
+        return "".join(out)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted as ``csv.writer`` quotes it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def factor_substitution(
@@ -144,7 +148,7 @@ def factor_substitution(
     # Row 0 scores the baseline group; row t + 1 scores trial t.
     group_columns = [columns(selection.ids)]
     gammas = [selection.gamma]
-    swaps: list[tuple[tuple[IndicatorId, ...], tuple[IndicatorId, ...]]] = []
+    swaps: list[Swap] = []
     for t in range(config.trials):
         rng = np.random.default_rng([config.seed, t])
         if config.n_swap == 0:
@@ -172,34 +176,25 @@ def factor_substitution(
         swaps.append((removed, added))
 
     chi = _weighted_scores(scaled, np.array(group_columns, dtype=np.intp), np.array(gammas))
+    chi.flags.writeable = False
     base = chi[0]
     abs_dev = chi[1:] - base
     with np.errstate(invalid="ignore", divide="ignore"):
         rel_dev = np.where(base != 0, abs_dev / np.abs(base), np.nan)
-
-    labels = data.rows
-    baseline = dict(zip(labels, base.tolist()))
-    trials = tuple(
-        TrialRecord(
-            index=t, removed=removed, added=added,
-            chi=dict(zip(labels, c)),
-            abs_deviation=dict(zip(labels, a)),
-            rel_deviation=dict(zip(labels, r)),
-        )
-        for t, ((removed, added), c, a, r) in enumerate(
-            zip(swaps, chi[1:].tolist(), abs_dev.tolist(), rel_dev.tolist())
-        )
-    )
+    abs_dev.flags.writeable = rel_dev.flags.writeable = False
 
     # One contiguous 1-D reduction per alternative, then over every cell in
     # trial-major order: a 2-D axis reduction would sum in another order.
     magnitudes = np.abs(abs_dev)
     summary = {
         alt: _deviation_stats(devs)
-        for alt, devs in zip(labels, np.ascontiguousarray(magnitudes.T))
+        for alt, devs in zip(data.rows, np.ascontiguousarray(magnitudes.T))
     }
     summary["(overall)"] = _deviation_stats(magnitudes.ravel())
-    return SensitivityReport(config=config, baseline=baseline, trials=trials, summary=summary)
+    return SensitivityReport(
+        config=config, alternatives=data.rows, baseline=base, trials=tuple(swaps),
+        chi=chi[1:], abs_dev=abs_dev, rel_dev=rel_dev, summary=summary,
+    )
 
 
 def _deviation_stats(devs: np.ndarray) -> dict[str, float]:
@@ -229,30 +224,14 @@ def _weighted_scores(
     return out
 
 
-@dataclass(frozen=True)
-class BBDesign:
-    """Three-level design: edge-midpoint points plus center replicates.
+def bbd_design(k: int, center_replicates: int = 3) -> np.ndarray:
+    """The three-level second-order design for ``k`` factors, one point per row.
 
     For k >= 3 every non-center point sets exactly two factors to +-1,
-    giving 4 * k(k-1)/2 points before the centers; k = 2 falls back to
-    the full two-level factorial with centers.
+    giving 4 * k(k-1)/2 points before the center replicates; k = 2 falls
+    back to the full two-level factorial with centers. The array is
+    read-only.
     """
-
-    factor_count: int
-    points: np.ndarray
-    center_replicates: int
-
-    def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=float)
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def bbd_design(k: int, center_replicates: int = 3) -> BBDesign:
-    """Build the three-level second-order design for ``k`` factors."""
     if k < 2:
         raise ValidationError("response-surface designs need at least 2 factors")
     if center_replicates < 0:
@@ -270,7 +249,9 @@ def bbd_design(k: int, center_replicates: int = 3) -> BBDesign:
                 point[j] = sj
                 rows.append(point)
     rows.extend(np.zeros(k) for _ in range(center_replicates))
-    return BBDesign(factor_count=k, points=np.vstack(rows), center_replicates=center_replicates)
+    points = np.vstack(rows)
+    points.flags.writeable = False
+    return points
 
 
 @dataclass(frozen=True)
@@ -325,11 +306,11 @@ def _design_matrix(points: np.ndarray, k: int) -> np.ndarray:
 
 
 def fit_response_surface(
-    design: BBDesign | np.ndarray,
+    points: np.ndarray,
     responses: Sequence[float],
 ) -> QuadraticSurface:
-    """Least-squares fit of the full quadratic to design-point responses."""
-    points = design.points if isinstance(design, BBDesign) else np.atleast_2d(np.asarray(design, dtype=float))
+    """Least-squares fit of the full quadratic to responses at design points (one per row)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     y = np.asarray(responses, dtype=float)
     if y.shape != (points.shape[0],):
         raise ValidationError(

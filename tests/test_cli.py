@@ -288,6 +288,27 @@ class TestOtherCommands:
         terms = {r["term"]: float(r["value"]) for r in surface}
         assert terms["r_squared"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_sensitivity_quotes_a_label_holding_a_comma_and_a_quote(
+        self, tmp_path, fixtures_dir, outdir
+    ):
+        label = 'New York, "NY"'
+        matrix = (fixtures_dir / "decision_matrix.csv").read_text()
+        assert matrix.count("\nNew York,") == 1
+        renamed = tmp_path / "decision_matrix.csv"
+        renamed.write_text(matrix.replace("\nNew York,", '\n"New York, ""NY""",'))
+        config = write_config(
+            tmp_path, fixtures_dir, lambda cfg: cfg.update(decision_matrix=str(renamed))
+        )
+
+        assert main(["sensitivity", "--config", str(config), "--trials", "3"]) == EXIT_OK
+        text = (outdir / "sensitivity.csv").read_text()
+        body = [line for line in text.splitlines(keepends=True) if not line.startswith("# ")]
+        rows = list(csv.reader(body))
+        assert {len(row) for row in rows} == {8}
+        # once as the baseline, in each of 3 trials and in 3 summary rows
+        assert sum(row[2] == label for row in rows) == 7
+        assert f'"{label.replace(chr(34), chr(34) * 2)}"' in text
+
     def test_rsm_accepts_feature_ids_and_xi_positions(self, config_path, outdir):
         assert main([
             "rsm", "--config", str(config_path), "--factors", "xi1,xi2", "--grid", "5",
@@ -320,6 +341,23 @@ class TestErrorContract:
         assert main([
             "rsm", "--config", str(config_path), "--factors", "A5,B1", "--grid", "5",
         ]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("season", ["winter", "summer"])
+    @pytest.mark.parametrize(
+        "name, text",
+        [("pool.csv", "name,country,gdp,sports_score\n"), ("pool.json", '{"cities": []}')],
+    )
+    def test_empty_pool_is_a_validation_error(
+        self, tmp_path, fixtures_dir, outdir, capsys, season, name, text
+    ):
+        pool = tmp_path / name
+        pool.write_text(text)
+        config = write_config(tmp_path, fixtures_dir, lambda cfg: cfg["screen"].pop("stage1"))
+        code = main(["screen", season, "--pool", str(pool), "--config", str(config)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "validation error: candidate pool is empty\n"
+        assert not outdir.exists()
 
     def test_bad_pool_path_is_a_config_error(self, config_path, outdir):
         assert main([
@@ -453,14 +491,44 @@ class TestErrorContract:
     def test_output_file_that_cannot_be_written_is_a_config_error(
         self, config_path, outdir, capsys
     ):
+        """A target that is not a regular file stops the run before any output is replaced."""
         blocker = outdir / "features.csv"
         blocker.mkdir(parents=True)
+        (outdir / "evaluation.csv").write_bytes(b"stale\n")
+        (outdir / "notes.txt").write_bytes(b"not an output\n")
 
         assert main(["evaluate", "--config", str(config_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write {blocker}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert blocker.is_dir()
+        assert (outdir / "evaluation.csv").read_bytes() == b"stale\n"
+        assert (outdir / "notes.txt").read_bytes() == b"not an output\n"
+        left = sorted(p.name for p in outdir.iterdir())
+        assert left == ["evaluation.csv", "features.csv", "notes.txt"]
+
+    def test_write_that_fails_midway_replaces_nothing(
+        self, config_path, outdir, capsys, monkeypatch
+    ):
+        outdir.mkdir()
+        (outdir / "evaluation.csv").write_bytes(b"stale\n")
+        write_text = Path.write_text
+        calls = []
+
+        def failing_second_write(self, *args, **kwargs):
+            calls.append(self)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_second_write)
+        assert main(["evaluate", "--config", str(config_path)]) == EXIT_CONFIG
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        target = outdir / "features.csv"
+        assert err == f"config error: cannot write {target}: No space left on device\n"
+        assert (outdir / "evaluation.csv").read_bytes() == b"stale\n"
+        assert sorted(p.name for p in outdir.iterdir()) == ["evaluation.csv"]
 
     @pytest.mark.parametrize(
         "argv, feature_count, message",
@@ -470,6 +538,11 @@ class TestErrorContract:
             (["sensitivity", "--seed", "-1"], None, "seed must be a nonnegative integer"),
             (["rsm", "--factors", "1,2", "--grid", "2"], None, "grid needs at least 3 levels"),
             (["rsm", "--factors", "1,2,3,4"], None, "rsm expects two or three factors"),
+            (["rsm", "--factors", "foo,1"], None, "unknown indicator 'foo'"),
+            (["rsm", "--factors", "²,1"], None, "unknown indicator '²'"),
+            (["rsm", "--factors", "1,1"], None, "rsm factors must be distinct"),
+            (["rsm", "--factors", "xi2,2"], None, "rsm factors must be distinct"),
+            (["rsm", "--factors", "A5, A5"], None, "rsm factors must be distinct"),
             # The indicator count bounds the feature count, so these read the hierarchy.
             (["evaluate", "--features", "0"], None, "--features must be in 1..30, got 0"),
             (["evaluate", "--features", "31"], None, "--features must be in 1..30, got 31"),

@@ -50,16 +50,17 @@ class TestIntervalNormalize:
 class TestVectorNormalize:
     def test_three_four_five_triangle(self):
         z = vector_normalize(np.array([[3.0], [4.0]]))
-        assert z.values[:, 0] == pytest.approx([0.6, 0.8])
+        assert z[:, 0] == pytest.approx([0.6, 0.8])
+        assert not z.flags.writeable
 
     def test_constant_positive_column(self):
         z = vector_normalize(np.array([[5.0], [5.0]]))
-        assert z.values[:, 0] == pytest.approx([math.sqrt(2) / 2] * 2)
+        assert z[:, 0] == pytest.approx([math.sqrt(2) / 2] * 2)
 
     def test_all_columns_have_unit_norm(self):
         rng = np.random.default_rng(1)
         z = vector_normalize(rng.uniform(0.1, 9.0, size=(5, 3)))
-        assert np.linalg.norm(z.values, axis=0) == pytest.approx([1, 1, 1], abs=1e-9)
+        assert np.linalg.norm(z, axis=0) == pytest.approx([1, 1, 1], abs=1e-9)
 
     def test_zero_column_rejected(self):
         with pytest.raises(ValidationError, match="all-zero column"):

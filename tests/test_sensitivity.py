@@ -1,5 +1,7 @@
 """Tests for substitution trials, second-order designs, and response surfaces."""
 
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -15,7 +17,6 @@ from hostrank.selection import CityProfile, FeatureScaler
 from hostrank.sensitivity import (
     PerturbationConfig,
     SensitivityReport,
-    TrialRecord,
     bbd_design,
     factor_substitution,
     fit_response_surface,
@@ -34,9 +35,9 @@ class TestFactorSubstitution:
         sel, omega, data, h = substitution_setup
         cfg = PerturbationConfig(seed=1, n_swap=0, trials=3)
         report = factor_substitution(sel, omega, data, cfg, h)
-        for trial in report.trials:
-            assert trial.removed == () and trial.added == ()
-            assert all(v == 0.0 for v in trial.abs_deviation.values())
+        assert report.trials == (((), ()),) * 3
+        assert report.abs_dev.shape == (3, data.n)
+        assert np.all(report.abs_dev == 0.0)
 
     def test_identical_seeds_give_byte_identical_reports(self, substitution_setup):
         sel, omega, data, h = substitution_setup
@@ -44,7 +45,9 @@ class TestFactorSubstitution:
         a = factor_substitution(sel, omega, data, cfg, h)
         b = factor_substitution(sel, omega, data, cfg, h)
         assert a.to_csv_text() == b.to_csv_text()
-        assert a == b
+        assert (a.alternatives, a.trials, a.summary) == (b.alternatives, b.trials, b.summary)
+        for name in ("baseline", "chi", "abs_dev", "rel_dev"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
     def test_different_seeds_change_the_draws(self, substitution_setup):
         sel, omega, data, h = substitution_setup
@@ -63,6 +66,7 @@ class TestFactorSubstitution:
             sel, omega, data, PerturbationConfig(seed=9, n_swap=3, trials=6), h
         )
         assert long.trials[: len(short.trials)] == short.trials
+        assert long.chi[: len(short.trials)].tobytes() == short.chi.tobytes()
 
     def test_known_swap_matches_direct_recomputation(self, substitution_setup):
         """Recompute one trial's scores from its reported swap with plain
@@ -70,11 +74,11 @@ class TestFactorSubstitution:
         sel, omega, data, h = substitution_setup
         cfg = PerturbationConfig(seed=5, n_swap=2, trials=1)
         report = factor_substitution(sel, omega, data, cfg, h)
-        trial = report.trials[0]
+        (removals, additions), = report.trials
 
         # rebuild the substituted group from the reported removals
         group = list(sel.ids)
-        for removed, added in zip(trial.removed, trial.added):
+        for removed, added in zip(removals, additions):
             group[group.index(removed)] = added
 
         by_id = omega.by_id()
@@ -91,11 +95,8 @@ class TestFactorSubstitution:
             if h.spec(ind).polarity is Polarity.NEGATIVE and span[j] > 0:
                 scaled[:, j] = 1.0 - scaled[:, j]
         expected = scaled @ gamma
-        for label, value in zip(data.rows, expected):
-            assert trial.chi[label] == pytest.approx(value, abs=1e-12)
-            assert trial.abs_deviation[label] == pytest.approx(
-                value - report.baseline[label], abs=1e-12
-            )
+        assert report.chi[0] == pytest.approx(expected, abs=1e-12)
+        assert report.abs_dev[0] == pytest.approx(expected - report.baseline, abs=1e-12)
 
     def test_swap_count_capped_by_group_size(self, substitution_setup):
         sel, omega, data, h = substitution_setup
@@ -111,6 +112,12 @@ class TestFactorSubstitution:
             factor_substitution(
                 wide, omega, data, PerturbationConfig(seed=0, n_swap=5, trials=1), h
             )
+
+    def test_report_arrays_are_read_only(self, substitution_setup):
+        sel, omega, data, h = substitution_setup
+        report = factor_substitution(sel, omega, data, PerturbationConfig(seed=3, trials=2), h)
+        for name in ("baseline", "chi", "abs_dev", "rel_dev"):
+            assert not getattr(report, name).flags.writeable, name
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -137,7 +144,7 @@ def reference_substitution(selection, omega, data, config, hierarchy):
     by_id = omega.by_id()
     unselected = [i for i in omega.ids if i not in set(selection.ids)]
     baseline = score(selection.ids, selection.gamma)
-    trials = []
+    swaps, chis, abs_devs, rel_devs = [], [], [], []
     for t in range(config.trials):
         rng = np.random.default_rng([config.seed, t])
         group, removed, added = list(selection.ids), (), ()
@@ -159,7 +166,10 @@ def reference_substitution(selection, omega, data, config, hierarchy):
             a: abs_dev[a] / abs(baseline[a]) if baseline[a] != 0 else float("nan")
             for a in chi
         }
-        trials.append(TrialRecord(t, removed, added, chi, abs_dev, rel_dev))
+        swaps.append((removed, added))
+        chis.append([chi[a] for a in data.rows])
+        abs_devs.append([abs_dev[a] for a in data.rows])
+        rel_devs.append([rel_dev[a] for a in data.rows])
 
     def stats(devs):
         return {
@@ -169,12 +179,14 @@ def reference_substitution(selection, omega, data, config, hierarchy):
         }
 
     summary = {
-        alt: stats(np.array([abs(t.abs_deviation[alt]) for t in trials])) for alt in baseline
+        alt: stats(np.array([abs(devs[j]) for devs in abs_devs]))
+        for j, alt in enumerate(data.rows)
     }
-    summary["(overall)"] = stats(
-        np.array([abs(t.abs_deviation[alt]) for t in trials for alt in baseline])
+    summary["(overall)"] = stats(np.array([abs(d) for devs in abs_devs for d in devs]))
+    return SensitivityReport(
+        config, data.rows, np.array([baseline[a] for a in data.rows]), tuple(swaps),
+        np.array(chis), np.array(abs_devs), np.array(rel_devs), summary,
     )
-    return SensitivityReport(config, baseline, tuple(trials), summary)
 
 
 def _with_values(data, values):
@@ -225,19 +237,41 @@ def test_batched_trials_equal_per_trial_reference(weighting, case, n_swap, seed,
     reference = reference_substitution(
         selection, weighting.total, data, config, weighting.hierarchy
     )
-    assert batched.baseline == reference.baseline
-    for got, want in zip(batched.trials, reference.trials, strict=True):
-        assert (got.removed, got.added) == (want.removed, want.added)
-        assert got.chi == want.chi
-        assert got.abs_deviation == want.abs_deviation
+    assert batched.alternatives == reference.alternatives
+    assert batched.trials == reference.trials
+    for name in ("baseline", "chi", "abs_dev"):
+        got, want = getattr(batched, name), getattr(reference, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert np.array_equal(batched.rel_dev, reference.rel_dev, equal_nan=True)
+    assert batched.summary == reference.summary
     # repr() round-trips floats, so equal text means bit-equal values, NaN included.
     assert batched.to_csv_text() == reference.to_csv_text()
     if case == "zero_baseline":
-        assert reference.baseline[data.rows[0]] == 0.0
-        assert np.isnan(batched.trials[0].rel_deviation[data.rows[0]])
+        assert reference.baseline[0] == 0.0
+        assert np.isnan(batched.rel_dev[0, 0])
+
+
+@pytest.mark.parametrize("label", ['New York, "NY"', "two\nlines", "carriage\rreturn", "plain"])
+def test_csv_quotes_labels_as_the_csv_module_reads_them(weighting, label):
+    data = weighting.matrix
+    renamed = DecisionMatrix(rows=(label, *data.rows[1:]), cols=data.cols, values=data.values)
+    config = PerturbationConfig(seed=1, n_swap=2, trials=2)
+    report = factor_substitution(
+        weighting.selection, weighting.total, renamed, config, weighting.hierarchy
+    )
+    rows = list(csv.reader(io.StringIO(report.to_csv_text(), newline="")))
+    assert {len(row) for row in rows} == {8}
+    # the header, then the label as baseline, in each trial and in 3 summary rows
+    assert [row[2] for row in rows].count(label) == 1 + 2 + 3
+    assert len(rows) == 1 + data.n * (1 + 2 + 3) + 3
 
 
 class TestBBDesign:
+    def test_design_is_a_read_only_array(self):
+        design = bbd_design(3)
+        assert isinstance(design, np.ndarray) and design.shape == (15, 3)
+        assert not design.flags.writeable
+
     def test_three_factor_design_with_three_centers(self):
         design = bbd_design(3, center_replicates=3)
         assert len(design) == 15  # 4 * 3 * 2 / 2 + 3
@@ -251,8 +285,7 @@ class TestBBDesign:
                 assert len(bbd_design(k, c)) == 4 * k * (k - 1) // 2 + c
 
     def test_non_center_points_have_exactly_two_active_factors(self):
-        design = bbd_design(5, center_replicates=2)
-        pts = design.points
+        pts = bbd_design(5, center_replicates=2)
         non_center = pts[: len(pts) - 2]
         assert np.all((non_center != 0).sum(axis=1) == 2)
         assert np.all(np.isin(non_center[non_center != 0], (-1.0, 1.0)))
@@ -260,7 +293,7 @@ class TestBBDesign:
 
     def test_two_factor_fallback_is_the_full_factorial(self):
         design = bbd_design(2, center_replicates=1)
-        corners = {tuple(p) for p in design.points[:4]}
+        corners = {tuple(p) for p in design[:4]}
         assert corners == {(-1, -1), (-1, 1), (1, -1), (1, 1)}
         assert len(design) == 5
 
@@ -269,9 +302,9 @@ class TestBBDesign:
             bbd_design(1)
 
     def test_deterministic_point_order(self):
-        a = bbd_design(4, 2).points
-        b = bbd_design(4, 2).points
-        assert np.array_equal(a, b)
+        a = bbd_design(4, 2)
+        b = bbd_design(4, 2)
+        assert a.tobytes() == b.tobytes()
 
 
 def _random_quadratic(rng, k):
@@ -301,7 +334,7 @@ class TestFitResponseSurface:
         rng = np.random.default_rng(seed)
         (intercept, linear, inter, squares), f = _random_quadratic(rng, k)
         design = bbd_design(k, center_replicates=3)
-        surface = fit_response_surface(design, f(design.points))
+        surface = fit_response_surface(design, f(design))
         assert surface.r_squared == pytest.approx(1.0, abs=1e-9)
         assert surface.intercept == pytest.approx(intercept, abs=1e-9)
         assert surface.linear == pytest.approx(linear, abs=1e-9)
@@ -391,7 +424,7 @@ class TestSurfaceExtrema:
     def test_matches_dense_grid_search(self, seed):
         rng = np.random.default_rng(seed)
         _, f = _random_quadratic(rng, 2)
-        design = bbd_design(2, center_replicates=0).points
+        design = bbd_design(2, center_replicates=0)
         extra = rng.uniform(-1, 1, size=(8, 2))
         pts = np.vstack([design, [[0.0, 0.0]], extra])
         surface = fit_response_surface(pts, f(pts))
