@@ -560,6 +560,8 @@ def _factor_key(token: str) -> int | IndicatorId:
         if lowered.startswith(prefix) and lowered[len(prefix) :].isdecimal():
             token = lowered[len(prefix) :]
     if token.isdecimal():
+        if int(token) < 1:
+            raise ConfigError(f"factor position {token} is below 1")
         return int(token)
     try:
         return IndicatorId.parse(token)

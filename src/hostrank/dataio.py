@@ -188,6 +188,8 @@ def load_plans(source: str | Path | IO[str]) -> list[SchemePlan]:
                 )
             except ValueError as exc:
                 raise ValidationError(f"bad plan entry {plan_id!r}: {exc}") from None
+        if not plans:
+            raise ValidationError("plans file lists no plans")
         return plans
 
 

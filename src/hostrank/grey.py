@@ -28,6 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,6 +45,8 @@ __all__ = [
     "fit_gm11",
     "predict",
     "forecast_series",
+    "forecast_value",
+    "climate_series",
     "forecast_indicator",
 ]
 
@@ -125,7 +128,7 @@ class GreyModel:
         x0 = self.source.values
         if self._dispersion_free:
             return _read_only(float(x0[0]) * np.arange(1, x0.size + 1, dtype=float))
-        return _read_only(_cumulative_curve(self.alpha, self.mu, float(x0[0]), x0.size))
+        return _read_only(_cumulative_curve(self, np.arange(x0.size)))
 
     @cached_property
     def residuals(self) -> np.ndarray:
@@ -169,10 +172,10 @@ def class_ratio_bounds(n: int) -> tuple[float, float]:
     return math.exp(-2.0 / (n + 1)), math.exp(2.0 / (n + 1))
 
 
-def _check_class_ratios(values: np.ndarray, label: str) -> bool:
-    lo, hi = class_ratio_bounds(values.size)
-    ratios = values[:-1] / values[1:]
-    ok = bool(ratios.min() > lo and ratios.max() < hi)
+def _check_class_ratios(values: list[float], label: str) -> bool:
+    lo, hi = class_ratio_bounds(len(values))
+    ratios = [a / b for a, b in zip(values, values[1:])]
+    ok = min(ratios) > lo and max(ratios) < hi
     if not ok:
         warnings.warn(
             f"series {label!r} fails the class-ratio test "
@@ -182,8 +185,10 @@ def _check_class_ratios(values: np.ndarray, label: str) -> bool:
     return ok
 
 
-def _cumulative_curve(alpha: float, mu: float, first: float, count: int) -> np.ndarray:
-    out = np.arange(count, dtype=float)
+def _cumulative_curve(model: GreyModel, k: "np.ndarray | tuple[int, int]") -> np.ndarray:
+    """x1_hat at the ascending indices ``k``; index 0 is the first observation exactly."""
+    alpha, mu, first = model.alpha, model.mu, float(model.source.values[0])
+    out = np.array(k, dtype=float)
     if abs(alpha) < _ALPHA_EPS:
         # Removable singularity: linear cumulative growth.
         out *= mu
@@ -194,7 +199,8 @@ def _cumulative_curve(alpha: float, mu: float, first: float, count: int) -> np.n
         np.exp(out, out=out)
         out *= first - c
         out += c
-    out[0] = first  # anchored exactly; (first - c) + c need not round back
+    if k[0] == 0:
+        out[0] = first  # anchored exactly; (first - c) + c need not round back
     return out
 
 
@@ -205,34 +211,29 @@ def fit_gm11(series: TimeSeries) -> GreyModel:
     poorly conditioned series is acceptable. A dispersion-free series
     is handled exactly (alpha = 0, mu = the constant).
     """
-    x0 = series.values
-    n = x0.size
+    x0 = series.values.tolist()
+    n = len(x0)
     if n < _MIN_LENGTH:
         raise ValidationError(
             f"series {series.label!r} has {n} observations; need >= {_MIN_LENGTH}"
         )
-    lowest = x0.min()
+    lowest = min(x0)
     if lowest <= 0:
         raise ValidationError(
             f"series {series.label!r} has nonpositive values; shift before fitting"
         )
     ratio_ok = _check_class_ratios(x0, series.label)
 
-    if x0.max() == lowest:
-        c = float(x0[0])
+    if max(x0) == lowest:
         return GreyModel(
-            alpha=0.0, mu=c, source=series,
-            midpoint_coefficients=(0.0, c), class_ratio_ok=ratio_ok,
+            alpha=0.0, mu=x0[0], source=series,
+            midpoint_coefficients=(0.0, x0[0]), class_ratio_ok=ratio_ok,
         )
 
     # Design rows (-z(k), 1) with midpoint background z(k) = (x1(k) + x1(k-1)) / 2.
-    x1 = np.cumsum(x0)
-    design = np.empty((n - 1, 2))
-    z = design[:, 0]
-    np.add(x1[1:], x1[:-1], out=z)
-    z *= -0.5
-    design[:, 1] = 1.0
-    coef, _, rank, _ = np.linalg.lstsq(design, x0[1:], rcond=None)
+    x1 = list(accumulate(x0))
+    design = np.array([((x1[k] + x1[k - 1]) * -0.5, 1.0) for k in range(1, n)])
+    coef, _, rank, _ = np.linalg.lstsq(design, series.values[1:], rcond=None)
     if rank < 2:
         raise NumericError(f"singular normal equations for series {series.label!r}")
     a, b = float(coef[0]), float(coef[1])
@@ -261,10 +262,20 @@ def predict(model: GreyModel, horizon: int) -> np.ndarray:
     """
     if horizon < 0:
         raise ValidationError("horizon must be nonnegative")
-    values = model.source.values
-    return _differences(
-        _cumulative_curve(model.alpha, model.mu, float(values[0]), values.size + horizon)
-    )
+    return _differences(_cumulative_curve(model, np.arange(len(model.source) + horizon)))
+
+
+def _fit_shifted(series: TimeSeries, until: int) -> tuple[GreyModel, float]:
+    """The fit behind a forecast through ``until`` and the shift it was fitted at."""
+    if until < series.last_period:
+        raise ValidationError(
+            f"until={until} precedes the last observation ({series.last_period})"
+        )
+    lowest = min(series.values.tolist())
+    shift = 1.0 - lowest if lowest <= 0.0 else 0.0
+    if shift:
+        series = TimeSeries(series.label, series.start_period, series.values + shift)
+    return fit_gm11(series), shift
 
 
 def forecast_series(series: TimeSeries, until: int) -> TimeSeries:
@@ -274,39 +285,41 @@ def forecast_series(series: TimeSeries, until: int) -> TimeSeries:
     shifted by 1 - min before fitting and shifted back after, so the
     returned history is always the input verbatim.
     """
-    if until < series.last_period:
-        raise ValidationError(
-            f"until={until} precedes the last observation ({series.last_period})"
-        )
-    horizon = until - series.last_period
-    values = series.values
-    lowest = float(values.min())
-    shift = 1.0 - lowest if lowest <= 0.0 else 0.0
-    fit_input = series if shift == 0.0 else TimeSeries(
-        label=series.label,
-        start_period=series.start_period,
-        values=values + shift,
-    )
-    model = fit_gm11(fit_input)
-    tail = predict(model, horizon)[values.size:]
+    model, shift = _fit_shifted(series, until)
+    tail = predict(model, until - series.last_period)[len(series):]
     tail -= shift
-    return TimeSeries(
-        label=series.label,
-        start_period=series.start_period,
-        values=np.concatenate([values, tail]),
-    )
+    return TimeSeries(series.label, series.start_period, np.concatenate([series.values, tail]))
 
 
-def forecast_indicator(city: "CityProfile", indicator: str, until: int) -> TimeSeries:
-    """Forecast one of a city's climate series through ``until``."""
+def forecast_value(series: TimeSeries, until: int) -> float:
+    """``forecast_series(series, until).value_at(until)``, evaluating the
+    cumulative curve only at ``until`` and the period before it."""
+    model, shift = _fit_shifted(series, until)
+    k = until - series.start_period
+    if k < len(series):
+        return float(series.values[k])
+    # exp overflows past 709.78; if it can by k - 1, only the whole curve warns as predict does.
+    points = (k - 1, k) if model.alpha * (k - 1) > -700.0 else np.arange(k + 1)
+    x1 = _cumulative_curve(model, points)
+    value = float((x1[1:] - x1[:-1])[-1]) - shift
+    if not math.isfinite(value):
+        raise ValidationError(f"series {series.label!r} contains non-finite values")
+    return value
+
+
+def climate_series(city: "CityProfile", indicator: str) -> TimeSeries:
+    """One of a city's climate series, checked to be long enough to forecast."""
     if indicator not in city.climate:
-        raise ValidationError(
-            f"city {city.name!r} has no series for {indicator!r}"
-        )
+        raise ValidationError(f"city {city.name!r} has no series for {indicator!r}")
     series = city.climate[indicator]
     if len(series) < _MIN_LENGTH:
         raise ValidationError(
             f"city {city.name!r} has only {len(series)} observations of "
             f"{indicator!r}; need >= {_MIN_LENGTH}"
         )
-    return forecast_series(series, until)
+    return series
+
+
+def forecast_indicator(city: "CityProfile", indicator: str, until: int) -> TimeSeries:
+    """Forecast one of a city's climate series through ``until``."""
+    return forecast_series(climate_series(city, indicator), until)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .combining import FeatureSelection, score_rows
 from .errors import ConfigError, ValidationError
-from .grey import TimeSeries, forecast_indicator
+from .grey import TimeSeries, climate_series, forecast_value
 from .indicators import IndicatorHierarchy, IndicatorId, Polarity
 
 __all__ = [
@@ -257,14 +257,14 @@ def winter_climate_filter(
     """
     out: list[ClimateAssessment] = []
     for city in cities:
-        temp = forecast_indicator(city, FEB_TEMP, until).value_at(until)
-        snow = forecast_indicator(city, FEB_SNOW, until).value_at(until)
+        temp = forecast_value(climate_series(city, FEB_TEMP), until)
+        snow = forecast_value(climate_series(city, FEB_SNOW), until)
         passed = temp < requirement.max_feb_temp and snow >= requirement.min_feb_snow
         lo, hi = requirement.ideal_temp_range
         ideal = passed and lo <= temp <= hi
         out.append(
             ClimateAssessment(
-                city=city, feb_temp=float(temp), feb_snow=float(snow),
+                city=city, feb_temp=temp, feb_snow=snow,
                 passed=passed, ideal=ideal,
             )
         )

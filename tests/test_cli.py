@@ -359,6 +359,15 @@ class TestErrorContract:
         assert err == "validation error: candidate pool is empty\n"
         assert not outdir.exists()
 
+    def test_empty_plans_file_is_a_validation_error(self, tmp_path, config_path, outdir, capsys):
+        plans = tmp_path / "plans.json"
+        plans.write_text('{"plans": []}')
+        code = main(["compare-schemes", "--config", str(config_path), "--plans", str(plans)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "validation error: plans file lists no plans\n"
+        assert not outdir.exists()
+
     def test_bad_pool_path_is_a_config_error(self, config_path, outdir):
         assert main([
             "screen", "winter", "--pool", "/nope.json", "--config", str(config_path),
@@ -543,6 +552,7 @@ class TestErrorContract:
             (["rsm", "--factors", "1,1"], None, "rsm factors must be distinct"),
             (["rsm", "--factors", "xi2,2"], None, "rsm factors must be distinct"),
             (["rsm", "--factors", "A5, A5"], None, "rsm factors must be distinct"),
+            (["rsm", "--factors", "0,1"], None, "factor position 0 is below 1"),
             # The indicator count bounds the feature count, so these read the hierarchy.
             (["evaluate", "--features", "0"], None, "--features must be in 1..30, got 0"),
             (["evaluate", "--features", "31"], None, "--features must be in 1..30, got 31"),
@@ -726,6 +736,9 @@ class TestTracedRun:
         # load_judgments and load_requirement, which the config parse calls
         assert counts["dataio.load_other_calls"] == 2
         assert counts["selection.gate_passed"] == 3
+        # perfbench pins one fit per gated series and counts the class-ratio failures.
+        assert counts["grey.fit_gm11_calls"] == 2 * counts["selection.gate_gated"] == 18
+        assert counts["grey.class_ratio_warnings"] == 2
 
     def test_compare_schemes_runs_under_the_tracer(self, fixtures_dir, tmp_path):
         counts = self.traced_counts(fixtures_dir, tmp_path, ["compare-schemes"])

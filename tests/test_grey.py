@@ -12,12 +12,14 @@ from hostrank.errors import NumericError, ValidationError
 from hostrank.grey import (
     TimeSeries,
     class_ratio_bounds,
+    climate_series,
     fit_gm11,
     forecast_indicator,
     forecast_series,
+    forecast_value,
     predict,
 )
-from hostrank.selection import CityProfile
+from hostrank.selection import CityProfile, ClimateRequirement, winter_climate_filter
 
 
 def geometric(q: float, n: int, c: float = 1.0) -> TimeSeries:
@@ -143,14 +145,21 @@ class TestForecastIndicator:
         assert np.array_equal(out.values[:4], city.climate["feb_snow_cm"].values)
 
     def test_three_point_history_rejected(self):
+        """The city-level checks hold on the forecast path and on the gate's path."""
         city = self._city(np.array([40.0, 41.0, 40.5]))
-        with pytest.raises(ValidationError, match="need >= 4"):
+        message = "city 'Testville' has only 3 observations of 'feb_snow_cm'; need >= 4"
+        with pytest.raises(ValidationError, match=message):
             forecast_indicator(city, "feb_snow_cm", 2024)
+        with pytest.raises(ValidationError, match=message):
+            forecast_value(climate_series(city, "feb_snow_cm"), 2024)
 
     def test_missing_series_rejected(self):
         city = self._city(np.array([40.0, 41.0, 40.5, 41.0]))
-        with pytest.raises(ValidationError, match="no series"):
+        message = "city 'Testville' has no series for 'feb_temp_c'"
+        with pytest.raises(ValidationError, match=message):
             forecast_indicator(city, "feb_temp_c", 2024)
+        with pytest.raises(ValidationError, match=message):
+            winter_climate_filter([city], ClimateRequirement(), 2024)
 
 
 class TestGreyProperties:
@@ -356,3 +365,131 @@ class TestLazyDiagnosticsEqualEagerFit:
             return  # unstable coefficient; the reference asserts on the same
         assert_matches_reference(series)
         assert_forecast_matches_reference(series, series.last_period + horizon)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the numpy fit that fit_gm11 replaced (array cumsum, ratios and
+# design rows). The Python-float fit must agree with it bit for bit, and the
+# one-value forecast with the whole forecast path, errors and warnings included.
+
+
+def _numpy_fit_gm11(series):
+    x0 = series.values
+    n = x0.size
+    if n < 4:
+        raise ValidationError(f"series {series.label!r} has {n} observations; need >= 4")
+    lowest = x0.min()
+    if lowest <= 0:
+        raise ValidationError(
+            f"series {series.label!r} has nonpositive values; shift before fitting"
+        )
+    lo, hi = class_ratio_bounds(n)
+    ratios = x0[:-1] / x0[1:]
+    ratio_ok = bool(ratios.min() > lo and ratios.max() < hi)
+    if not ratio_ok:
+        warnings.warn(
+            f"series {series.label!r} fails the class-ratio test "
+            f"(ratios outside ({lo:.4f}, {hi:.4f})); fit may extrapolate poorly"
+        )
+    if x0.max() == lowest:
+        c = float(x0[0])
+        return dict(alpha=0.0, mu=c, midpoint_coefficients=(0.0, c), class_ratio_ok=ratio_ok)
+    x1 = np.cumsum(x0)
+    design = np.empty((n - 1, 2))
+    z = design[:, 0]
+    np.add(x1[1:], x1[:-1], out=z)
+    z *= -0.5
+    design[:, 1] = 1.0
+    coef, _, rank, _ = np.linalg.lstsq(design, x0[1:], rcond=None)
+    if rank < 2:
+        raise NumericError(f"singular normal equations for series {series.label!r}")
+    a, b = float(coef[0]), float(coef[1])
+    if abs(a) >= 2.0:
+        raise NumericError(
+            f"development coefficient {a!r} outside the stable range "
+            f"(-2.0, 2.0) for series {series.label!r}"
+        )
+    if abs(a) < 1e-12:
+        alpha, mu = a, b
+    else:
+        alpha = math.log((2.0 + a) / (2.0 - a))
+        mu = b * alpha / a
+    return dict(alpha=alpha, mu=mu, midpoint_coefficients=(a, b), class_ratio_ok=ratio_ok)
+
+
+def _outcome(call):
+    """What ``call()`` returns or raises, with the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except (ValidationError, NumericError) as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+_sizes = st.integers(min_value=1, max_value=12)
+_series_values = st.one_of(
+    # positive
+    st.lists(st.floats(min_value=0.01, max_value=1e4), min_size=1, max_size=12),
+    # nonpositive somewhere: forecasts shift, direct fits reject
+    st.lists(st.floats(min_value=-40.0, max_value=40.0), min_size=1, max_size=12)
+    .map(lambda v: v + [-abs(v[0])]),
+    # constant
+    st.tuples(st.floats(min_value=-50.0, max_value=1e4), _sizes).map(lambda t: [t[0]] * t[1]),
+    # geometric, inside and far outside the class-ratio band
+    st.tuples(
+        st.floats(min_value=0.1, max_value=1e3),
+        st.one_of(st.floats(min_value=0.3, max_value=0.7), st.floats(min_value=0.7, max_value=1.3),
+                  st.floats(min_value=1.3, max_value=3.0)),
+        _sizes,
+    ).map(lambda t: (t[0] * t[1] ** np.arange(t[2])).tolist()),
+    # class-ratio failing: a flat run with one wild value
+    st.tuples(st.floats(min_value=0.5, max_value=100.0), st.floats(min_value=2.0, max_value=50.0),
+              st.integers(min_value=4, max_value=12))
+    .map(lambda t: [t[0]] * (t[2] - 1) + [t[0] * t[1]]),
+)
+
+
+class TestOneValueForecastEqualsFullPath:
+    @given(
+        values=_series_values,
+        # the long horizons overflow the exponential of the growing series
+        horizon=st.one_of(st.integers(min_value=-2, max_value=40), st.sampled_from([700, 2500])),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_fit_and_forecast_value_match_bit_for_bit(self, values, horizon):
+        series = TimeSeries("s", 2000, np.array(values))
+        fit, fit_warned = _outcome(lambda: fit_gm11(series))
+        ref, ref_warned = _outcome(lambda: _numpy_fit_gm11(series))
+        assert fit_warned == ref_warned
+        if isinstance(ref, tuple):
+            assert fit == ref
+        else:
+            for name, expected in ref.items():
+                got = getattr(fit, name)
+                assert got == expected and _bits(got) == _bits(expected), name
+
+        until = series.last_period + horizon
+        value = _outcome(lambda: forecast_value(series, until))
+        full = _outcome(lambda: forecast_series(series, until).value_at(until))
+        assert value == full
+        if isinstance(value[0], float):
+            assert _bits(value[0]) == _bits(full[0])
+
+    def test_until_at_the_last_period_reads_the_history(self):
+        series = TimeSeries("t", 2010, np.array([-3.0, -2.5, -4.0, -3.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # shifted series trips the ratio band
+            assert forecast_value(series, 2013) == -3.5
+
+    @pytest.mark.parametrize("until", [2010, 2100, 2300, 2400, 2403])
+    def test_overflow_raises_and_warns_like_the_full_path(self, until):
+        """Past ~2300 the exponential overflows: the same error, and the same
+        numpy overflow and invalid-subtract warnings, as the full path."""
+        series = TimeSeries("boom", 2000, np.array([1.0, 30.0, 900.0, 27000.0]))
+        value = _outcome(lambda: forecast_value(series, until))
+        assert value == _outcome(lambda: forecast_series(series, until).value_at(until))
+        if until >= 2400:
+            assert value[0] == (ValidationError, "series 'boom' contains non-finite values")
+            assert ["overflow" in m or "invalid" in m for _, m in value[1][1:]] == [True, True]
