@@ -55,6 +55,8 @@ from .indicators import (
 from .pipeline import WeightingOutputs, compute_weights, evaluate_alternatives
 from .reporting import Provenance, format_number, hash_bytes, render_table
 from .selection import (
+    FEB_SNOW,
+    FEB_TEMP,
     CityProfile,
     ClimateRequirement,
     Cutoff,
@@ -399,6 +401,7 @@ def _cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         cities = [c for c in cities if args.indicator in c.climate]
         if not cities:
             raise ValidationError(f"no city in the pool has series {args.indicator!r}")
+    _check_until(cities, [args.indicator], args.until, "--until")
     rows = []
     for city in cities:
         history_len = len(city.climate[args.indicator]) if args.indicator in city.climate else 0
@@ -408,6 +411,20 @@ def _cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     tables = {"forecast.csv": (["city", "period", "value", "forecast"], rows)}
     summary = [f"forecast {args.indicator} to {args.until} for {len(cities)} cities"]
     return f"forecast --indicator {args.indicator} --until {args.until}", tables, summary
+
+
+def _check_until(
+    cities: Sequence[CityProfile], names: Sequence[str], until: int, source: str
+) -> None:
+    """Reject an ``until``, set by ``source``, before the end of a series it forecasts."""
+    for city in cities:
+        for name in names:
+            series = city.climate.get(name)
+            if series is not None and until < series.last_period:
+                raise ValidationError(
+                    f"{source} = {until} precedes the last observation of "
+                    f"{series.label!r} ({series.last_period})"
+                )
 
 
 def _winter_candidates(
@@ -422,6 +439,9 @@ def _winter_candidates(
     if not candidates:
         raise ValidationError("every pool city is excluded")
 
+    _check_until(
+        candidates, (FEB_TEMP, FEB_SNOW), cfg.winter_until, "config key 'screen.winter.until'"
+    )
     assessments = winter_climate_filter(candidates, cfg.winter_requirement, cfg.winter_until)
     climate_rows = [
         (a.city.name, a.feb_temp, a.feb_snow, a.passed, a.ideal) for a in assessments

@@ -73,6 +73,18 @@ class TimeSeries:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1:
             raise ValidationError("time series values must be 1-D")
+        self._freeze(vals)
+
+    @classmethod
+    def _taking(cls, label: str, start_period: int, values: np.ndarray) -> "TimeSeries":
+        """The series over ``values``, a fresh 1-D float array it takes without a copy."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "label", label)
+        object.__setattr__(series, "start_period", start_period)
+        series._freeze(values)
+        return series
+
+    def _freeze(self, vals: np.ndarray) -> None:
         if not np.isfinite(vals).all():
             raise ValidationError(f"series {self.label!r} contains non-finite values")
         vals.flags.writeable = False
@@ -269,12 +281,13 @@ def _fit_shifted(series: TimeSeries, until: int) -> tuple[GreyModel, float]:
     """The fit behind a forecast through ``until`` and the shift it was fitted at."""
     if until < series.last_period:
         raise ValidationError(
-            f"until={until} precedes the last observation ({series.last_period})"
+            f"until={until} precedes the last observation of {series.label!r} "
+            f"({series.last_period})"
         )
     lowest = min(series.values.tolist())
     shift = 1.0 - lowest if lowest <= 0.0 else 0.0
     if shift:
-        series = TimeSeries(series.label, series.start_period, series.values + shift)
+        series = TimeSeries._taking(series.label, series.start_period, series.values + shift)
     return fit_gm11(series), shift
 
 
@@ -288,7 +301,9 @@ def forecast_series(series: TimeSeries, until: int) -> TimeSeries:
     model, shift = _fit_shifted(series, until)
     tail = predict(model, until - series.last_period)[len(series):]
     tail -= shift
-    return TimeSeries(series.label, series.start_period, np.concatenate([series.values, tail]))
+    return TimeSeries._taking(
+        series.label, series.start_period, np.concatenate([series.values, tail])
+    )
 
 
 def forecast_value(series: TimeSeries, until: int) -> float:

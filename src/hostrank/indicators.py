@@ -20,7 +20,6 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 from typing import IO, Any, Iterator, Mapping
 
@@ -106,19 +105,25 @@ class IndicatorId:
     def __str__(self) -> str:
         return f"{self.category.value}{self.index}"
 
-    @classmethod
-    def parse(cls, text: str) -> "IndicatorId":
-        return _parse_indicator_id(text)
+    @staticmethod
+    def parse(text: str) -> "IndicatorId":
+        try:
+            return _PARSED_IDS[text]
+        except KeyError:
+            pass
+        m = _ID_PATTERN.match(text.strip())
+        if m is None:
+            raise ValidationError(f"unknown indicator {text!r}")
+        parsed = IndicatorId(Category(m.group(1)), int(m.group(2)))
+        if m.group(0) == text:
+            _PARSED_IDS[text] = parsed
+        return parsed
 
 
-@lru_cache(maxsize=1024)
-def _parse_indicator_id(text: str) -> IndicatorId:
-    # Ids are frozen, so every parse of the same text may share one
-    # instance; a failed parse raises and is not cached.
-    m = _ID_PATTERN.match(text.strip())
-    if m is None:
-        raise ValidationError(f"unknown indicator {text!r}")
-    return IndicatorId(Category(m.group(1)), int(m.group(2)))
+# Ids are frozen, so every parse of the same text may share one instance.
+# Only texts that parse as they are, unpadded, are kept: a letter and an
+# index of one or two digits bound their number.
+_PARSED_IDS: dict[str, IndicatorId] = {}
 
 
 def all_indicator_ids() -> tuple[IndicatorId, ...]:
@@ -471,7 +476,7 @@ def load_decision_matrix(
         dup = next(lab for lab in labels if lab in seen or seen.add(lab))
         raise ValidationError(f"duplicate sample label {dup!r}")
 
-    arr = np.array(grid, dtype=float)  # may contain NaN placeholders here
+    arr = np.asarray(grid, dtype=float)  # fresh; may hold NaN placeholders
     if np.isnan(arr).any():
         if not impute_missing:
             i, j = np.argwhere(np.isnan(arr))[0]
@@ -499,6 +504,30 @@ def load_decision_matrix(
 
 def _parse_delimited_matrix(text: str):
     delim = _sniff_delimiter(text)
+    # Fast path: with no quoting and every line as wide as the header, numpy's
+    # C tokenizer reads the numbers, converting each cell as float() does. Any
+    # file it cannot take (a quote, a ragged line, a line longer than a csv
+    # field may be, a `\r` inside a line, an empty cell, `1_000`, non-ASCII
+    # digits) goes to the csv reader below: the reference, and the only
+    # source of error messages.
+    lines = [line for line in text.split("\n") if line.strip()]
+    if '"' not in text and len(lines) >= 2 and "\r" not in lines[0][:-1]:
+        width = lines[0].count(delim)
+        if (
+            all(line.count(delim) == width for line in lines)
+            and max(map(len, lines)) <= csv.field_size_limit()
+        ):
+            try:
+                ids = [IndicatorId.parse(tok.strip()) for tok in lines[0].split(delim)[1:]]
+                values = np.loadtxt(
+                    lines[1:], delimiter=delim, usecols=range(1, width + 1),
+                    comments=None, ndmin=2,
+                )
+            except ValueError:  # a ValidationError too: the csv reader reports it
+                pass
+            else:
+                labels = [line.partition(delim)[0].strip() for line in lines[1:]]
+                return labels, ids, values, None
     reader = csv.reader(io.StringIO(text), delimiter=delim)
     rows = [r for r in reader if "".join(r).strip()]
     if len(rows) < 2:

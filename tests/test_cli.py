@@ -368,6 +368,28 @@ class TestErrorContract:
         assert err == "validation error: plans file lists no plans\n"
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "argv, config_until, message",
+        [
+            (["screen", "winter"], 2010,
+             "config key 'screen.winter.until' = 2010 precedes the last observation "
+             "of 'Warsaw/feb_temp_c' (2020)"),
+            (["forecast", "--indicator", "feb_snow_cm", "--until", "2010"], 2050,
+             "--until = 2010 precedes the last observation of 'Calgary/feb_snow_cm' (2020)"),
+        ],
+    )
+    def test_until_before_a_series_ends_names_the_series_and_the_setting(
+        self, tmp_path, fixtures_dir, outdir, capsys, argv, config_until, message
+    ):
+        config = write_config(
+            tmp_path, fixtures_dir, lambda cfg: cfg["screen"]["winter"].update(until=config_until)
+        )
+        pool = fixtures_dir / "winter_pool.json"
+        code = main([*argv, "--pool", str(pool), "--config", str(config)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not outdir.exists()
+
     def test_bad_pool_path_is_a_config_error(self, config_path, outdir):
         assert main([
             "screen", "winter", "--pool", "/nope.json", "--config", str(config_path),

@@ -125,6 +125,26 @@ class TestForecastSeries:
         with pytest.raises(ValidationError, match="precedes"):
             forecast_series(history, 2002)
 
+    def test_until_before_history_end_names_the_series(self):
+        history = TimeSeries("Oslo/feb_temp_c", 2000, np.array([-1.0, 2.0, 3.0, 4.0]))
+        message = r"^until=2002 precedes the last observation of 'Oslo/feb_temp_c' \(2003\)$"
+        for forecast in (forecast_series, forecast_value):
+            with pytest.raises(ValidationError, match=message):
+                forecast(history, 2002)
+
+    def test_shift_that_overflows_is_rejected(self):
+        history = TimeSeries("x", 2000, np.array([-1e308, 1e308, 1e308, 1e308]))
+        for forecast in (forecast_series, forecast_value):
+            with pytest.warns(RuntimeWarning, match="overflow encountered in add"):
+                with pytest.raises(ValidationError, match="^series 'x' contains non-finite values$"):
+                    forecast(history, 2005)
+
+    def test_forecast_values_are_read_only(self):
+        out = forecast_series(TimeSeries("t", 2000, np.array([-3.0, -2.9, -2.8, -2.7])), 2003)
+        assert not out.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out.values[0] = 0.0
+
     def test_until_at_history_end_is_identity(self):
         history = geometric(0.95, 5)
         out = forecast_series(history, history.last_period)

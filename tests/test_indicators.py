@@ -7,6 +7,8 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -379,32 +381,122 @@ class TestWholeRowParseMatchesPerCellReference:
 
     @settings(max_examples=300)
     @given(
-        cells=st.lists(
-            st.lists(
-                st.tuples(
-                    st.text(alphabet=" \u00a0\u2003\x0b\x0c\x1c", max_size=2),
-                    st.one_of(
-                        st.floats().map(repr),
-                        st.sampled_from(
-                            ["", "nan", "-NaN", "inf", "-Infinity", "1_000", "+1e3",
-                             "1e400", "1__0", "0x10", "abc", "\u0661\u0662"]
-                        ),
-                        st.text(alphabet="0123456789.eE+-_na ", max_size=5),
-                    ),
-                    st.text(alphabet=" \u00a0\u2003\x0b\x0c\x1c", max_size=2),
-                ).map("".join),
-                min_size=3, max_size=3,
-            ),
-            min_size=1, max_size=4,
-        ),
+        plain=st.booleans(),
+        cells=st.data(),
         delim=st.sampled_from([",", ";", "\t"]),
         newline=st.sampled_from(["\n", "\r\n"]),
         blank=st.sampled_from([None, "", "   ", ";;;"]),
     )
-    def test_drawn_cells(self, cells, delim, newline, blank):
+    def test_drawn_cells(self, plain, cells, delim, newline, blank):
+        """Half the files hold only numbers, which must take the numpy fast path."""
+        rows = cells.draw(_cell_rows(_PLAIN_CELL if plain else _ANY_CELL))
         lines = [delim.join(["city", "A1", "A2", "B1"])]
-        for i, row in enumerate(cells):
+        for i, row in enumerate(rows):
             lines.append(delim.join([f"r{i}", *row]))
             if blank is not None:
                 lines.append(blank)
-        _assert_parses_like_reference(newline.join(lines) + newline)
+        with _loadtxt_spy() as results:
+            _assert_parses_like_reference(newline.join(lines) + newline)
+        # ";;;" is a row of empty cells (";" delimiter) or of one cell (the others).
+        if plain and blank != ";;;":
+            assert results == [True] * 3
+
+
+_PLAIN_CELL = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "+1e3", "1e400", "1E-5", ".5", "5."]),
+)
+_ANY_CELL = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(
+        ["", "nan", "-NaN", "inf", "-Infinity", "1_000", "+1e3",
+         "1e400", "1__0", "0x10", "abc", "\u0661\u0662"]
+    ),
+    st.text(alphabet="0123456789.eE+-_na ", max_size=5),
+)
+
+
+def _cell_rows(value):
+    """One to four rows of three cells: ``value`` between whitespace paddings."""
+    pad = st.text(alphabet=" \u00a0\u2003\x0b\x0c\x1c", max_size=2)
+    cell = st.tuples(pad, value, pad).map("".join)
+    return st.lists(st.lists(cell, min_size=3, max_size=3), min_size=1, max_size=4)
+
+
+@contextmanager
+def _loadtxt_spy():
+    """Record each np.loadtxt call made in the block: True if it returned, False if it raised.
+
+    A warning from np.loadtxt is an error.
+    """
+    results: list[bool] = []
+    real = np.loadtxt
+
+    def spy(*args, **kwargs):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = real(*args, **kwargs)
+        except Exception:
+            results.append(False)
+            raise
+        results.append(True)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", spy)
+        yield results
+
+
+@pytest.mark.filterwarnings("error")
+class TestNumpyFastPath:
+    """The three parses in ``_outcomes`` each show whether numpy read the numbers."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _H + "x,1.5,2,3\ny,4,5,6\n",
+            "city,A1,A2,B1\r\nx,1,2,3\r\ny,4,5,6\r\n",
+            "city;A1;A2;B1\nx;1;2;3\ny;4;5;6\n",
+            "city\tA1\tA2\tB1\nx\t1\t2\t3\ny\t4\t5\t6\n",
+            _H + "x,1,2,3\n",
+            "city,A1\nx,1\ny,2\n",
+            _H + " x , 1.5 ,\tnan ,-inf\n\n   \ny,4,1e400,6",
+        ],
+    )
+    def test_clean_files_take_the_fast_path(self, text):
+        with _loadtxt_spy() as results:
+            _assert_parses_like_reference(text)
+        assert results == [True] * 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _H + '"x",1,2,3\ny,4,5,6\n',
+            _H + '"x,y",1,2,3\nz,4,5,6\n',
+            _H + "x,1,2,3,9\ny,4,5,6\n",
+            _H + "x,1_000,2,3\ny,4,5,6\n",
+            _H + "x,\u0661\u0662,2,3\ny,4,5,6\n",
+            _H + "x,1,,3\ny,4,5,6\n",
+        ],
+    )
+    def test_other_files_defer_to_the_csv_reader(self, text):
+        with _loadtxt_spy() as results:
+            _assert_parses_like_reference(text)
+        assert True not in results
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ci\rty,A1,A2,B1\nx,1,2,3\n",
+            _H + "x" * (csv.field_size_limit() + 1) + ",1,2,3\ny,4,5,6\n",
+        ],
+    )
+    def test_lines_the_csv_reader_rejects_defer_to_it(self, text):
+        with pytest.raises(csv.Error) as expected:
+            _per_cell_parse(text)
+        with _loadtxt_spy() as results, pytest.raises(csv.Error) as got:
+            indicators._parse_delimited_matrix(text)
+        assert str(got.value) == str(expected.value)
+        assert True not in results
