@@ -13,11 +13,11 @@ and passes when CR < 0.1. RI is the standard tabulated random index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._record import Record, frozen_array
 from .errors import NumericError, ValidationError
 from .indicators import Category, IndicatorHierarchy, IndicatorId
 
@@ -48,35 +48,30 @@ _RECIPROCITY_TOL = 1e-9
 CR_THRESHOLD = 0.1
 
 
-@dataclass(frozen=True)
-class JudgmentMatrix:
+class JudgmentMatrix(Record):
     """A validated positive reciprocal pairwise-comparison matrix."""
 
-    values: np.ndarray
+    _fields = ("values",)
 
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values: np.ndarray) -> None:
+        self.__dict__["values"] = frozen_array(values)
 
     @property
     def order(self) -> int:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(Record):
     """Consistency check outcome for one judgment matrix.
 
     ``cr`` is defined as 0 for n <= 2, where the random index vanishes
     and a reciprocal matrix is always consistent.
     """
 
-    lambda_max: float
-    ci: float
-    ri: float
-    cr: float
-    passed: bool
+    _fields = ("lambda_max", "ci", "ri", "cr", "passed")
+
+    def __init__(self, lambda_max: float, ci: float, ri: float, cr: float, passed: bool) -> None:
+        self.__dict__.update(lambda_max=lambda_max, ci=ci, ri=ri, cr=cr, passed=passed)
 
 
 def validate_judgment(matrix: Sequence[Sequence[float]] | np.ndarray) -> JudgmentMatrix:
@@ -177,17 +172,24 @@ def consistency(matrix: JudgmentMatrix, lambda_max: float) -> ConsistencyReport:
     )
 
 
-@dataclass(frozen=True)
-class AhpWeights:
+class AhpWeights(Record):
     """Subjective weights from pairwise judgments.
 
     ``indicator_weights`` sum to 1 within each category;
     ``category_weights`` sum to 1 across categories.
     """
 
-    category_weights: dict[Category, float]
-    indicator_weights: dict[IndicatorId, float]
-    reports: dict[str, ConsistencyReport]
+    _fields = ("category_weights", "indicator_weights", "reports")
+
+    def __init__(
+        self,
+        category_weights: dict[Category, float],
+        indicator_weights: dict[IndicatorId, float],
+        reports: dict[str, ConsistencyReport],
+    ) -> None:
+        self.__dict__.update(
+            category_weights=category_weights, indicator_weights=indicator_weights, reports=reports
+        )
 
 
 def _level_weights(key: str, raw, size: int) -> tuple[np.ndarray, ConsistencyReport | None]:

@@ -25,13 +25,14 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
+from ._record import Record
 from .ahp import ahp_weights
 from .dataio import (
     load_climate_csv,
@@ -207,13 +208,13 @@ class RunConfig:
         return self.inputs[key]
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(Record):
     """Stage outputs held in memory until the stage has fully succeeded."""
 
-    provenance: Provenance
-    outputs: dict[str, str]
-    summary: list[str]
+    _fields = ("provenance", "outputs", "summary")
+
+    def __init__(self, provenance: Provenance, outputs: dict[str, str], summary: list[str]) -> None:
+        self.__dict__.update(provenance=provenance, outputs=outputs, summary=summary)
 
     def write(self, outdir: Path) -> list[Path]:
         """Write every output or none; return the final paths in output order."""
@@ -467,7 +468,10 @@ def _summer_candidates(
         (i + 1, c.name, c.country, c.sports_score) for i, c in enumerate(shortlist)
     ]
     table = (["rank", "city", "country", "sports_score"], screen_rows)
-    candidates = [replace(c, indicators=w.matrix.row(c.name)) for c in shortlist]
+    candidates = [
+        CityProfile(c.name, c.country, c.gdp, c.sports_score, c.climate, w.matrix.row(c.name))
+        for c in shortlist
+    ]
     summary = [f"stage-1 keeps {len(cities)} cities, sports screen keeps {len(shortlist)}"]
     return candidates, {"summer_screen.csv": table}, summary
 

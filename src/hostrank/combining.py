@@ -26,11 +26,11 @@ only the ordering of dispersions feeds the ratios.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._record import Record, frozen_array
 from .errors import ValidationError
 from .indicators import Category, IndicatorHierarchy, IndicatorId
 
@@ -55,26 +55,22 @@ _MAX_ORDERED = 64
 RATIO_CAP = 2.0
 
 
-@dataclass(frozen=True)
-class ImportanceRatios:
+class ImportanceRatios(Record):
     """Adjacent-indicator importance ratios along a descending-dispersion order.
 
     ``values[k-1]`` is the ratio between the indicators at positions
     k-1 and k of ``ordering`` (k = 1..m-1), each capped to [1, 2].
     """
 
-    values: np.ndarray
-    ordering: tuple[int, ...]
+    _fields = ("values", "ordering")
 
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "ordering", tuple(int(i) for i in self.ordering))
+    def __init__(self, values: np.ndarray, ordering: tuple[int, ...]) -> None:
+        self.__dict__.update(
+            values=frozen_array(values), ordering=tuple(int(i) for i in ordering)
+        )
 
 
-@dataclass(frozen=True)
-class CombinedWeights:
+class CombinedWeights(Record):
     """Ordered-ratio combined weights.
 
     ``weights`` is indexed like the source columns; ``ordering`` is the
@@ -82,18 +78,16 @@ class CombinedWeights:
     non-increasing.
     """
 
-    weights: np.ndarray
-    ordering: tuple[int, ...]
+    _fields = ("weights", "ordering")
 
-    def __post_init__(self) -> None:
-        vals = np.array(self.weights, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "weights", vals)
-        object.__setattr__(self, "ordering", tuple(int(i) for i in self.ordering))
+    def __init__(self, weights: np.ndarray, ordering: tuple[int, ...]) -> None:
+        vals = frozen_array(weights)
+        ordering = tuple(int(i) for i in ordering)
+        self.__dict__.update(weights=vals, ordering=ordering)
         total = vals.sum()
         if abs(total - 1.0) > _SUM_TOL:
             raise ValidationError(f"combined weights sum to {total!r}, expected 1")
-        ordered = vals[list(self.ordering)]
+        ordered = vals[list(ordering)]
         if np.any(np.diff(ordered) > _SUM_TOL):
             raise ValidationError("combined weights increase along the ordering")
 
@@ -102,45 +96,38 @@ class CombinedWeights:
         return self.weights[list(self.ordering)]
 
 
-@dataclass(frozen=True)
-class TotalWeights:
+class TotalWeights(Record):
     """Per-secondary-indicator weights: category weight times in-category weight."""
 
-    ids: tuple[IndicatorId, ...]
-    omega: np.ndarray
+    _fields = ("ids", "omega")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", tuple(self.ids))
-        vals = np.array(self.omega, dtype=float)
-        if vals.shape != (len(self.ids),):
+    def __init__(self, ids: tuple[IndicatorId, ...], omega: np.ndarray) -> None:
+        ids = tuple(ids)
+        vals = frozen_array(omega)
+        if vals.shape != (len(ids),):
             raise ValidationError("omega length does not match ids")
-        vals.flags.writeable = False
-        object.__setattr__(self, "omega", vals)
+        self.__dict__.update(ids=ids, omega=vals)
 
     def by_id(self) -> dict[IndicatorId, float]:
         return {i: float(w) for i, w in zip(self.ids, self.omega)}
 
 
-@dataclass(frozen=True)
-class FeatureSelection:
+class FeatureSelection(Record):
     """The top-weighted feature group and its renormalized weights.
 
     ``gamma`` sums to 1 and is non-increasing along ``ids``;
     ``coverage`` is the total-weight mass the group captures.
     """
 
-    ids: tuple[IndicatorId, ...]
-    gamma: np.ndarray
-    coverage: float
+    _fields = ("ids", "gamma", "coverage")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", tuple(self.ids))
-        g = np.array(self.gamma, dtype=float)
-        g.flags.writeable = False
-        object.__setattr__(self, "gamma", g)
-        if len(set(self.ids)) != len(self.ids):
+    def __init__(self, ids: tuple[IndicatorId, ...], gamma: np.ndarray, coverage: float) -> None:
+        ids = tuple(ids)
+        g = frozen_array(gamma)
+        self.__dict__.update(ids=ids, gamma=g, coverage=coverage)
+        if len(set(ids)) != len(ids):
             raise ValidationError("feature ids must be distinct")
-        if g.shape != (len(self.ids),):
+        if g.shape != (len(ids),):
             raise ValidationError("gamma length does not match feature ids")
         if abs(g.sum() - 1.0) > _SUM_TOL:
             raise ValidationError(f"feature weights sum to {g.sum()!r}, expected 1")

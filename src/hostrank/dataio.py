@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import replace
 from pathlib import Path
 from typing import IO, Any, Mapping, Sequence
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .grey import TimeSeries
-from .indicators import IndicatorId, _json_document, _malformed, _read_text
+from .indicators import IndicatorId, _csv_errors, _json_document, _malformed, _read_text
 from .selection import CityProfile, ClimateRequirement, SchemePlan, SwotRecord, _check_unique
 
 __all__ = [
@@ -62,22 +61,22 @@ def _pool_from_json(text: str) -> list[CityProfile]:
     if not isinstance(entries, list):
         raise ValidationError('pool file must hold a "cities" list')
     cities = []
+    ids_by_keys: dict[tuple, tuple[IndicatorId, ...]] = {}
     for pos, entry in enumerate(entries, start=1):
         with _malformed(f"pool city #{pos}"):
-            cities.append(_city_from_obj(entry))
+            cities.append(_city_from_obj(entry, ids_by_keys))
     _check_unique(cities)
     return cities
 
 
-def _city_from_obj(entry: Mapping) -> CityProfile:
+def _city_from_obj(
+    entry: Mapping, ids_by_keys: dict[tuple, tuple[IndicatorId, ...]]
+) -> CityProfile:
     climate = {
         str(var): _series_from_obj(f"{entry['name']}/{var}", series)
         for var, series in entry.get("climate", {}).items()
     }
-    indicators = {
-        IndicatorId.parse(k): float(v)
-        for k, v in entry.get("indicators", {}).items()
-    }
+    indicators = _indicators_from_obj(entry.get("indicators", {}), ids_by_keys)
     return CityProfile(
         name=str(entry["name"]),
         country=str(entry.get("country", "")),
@@ -88,6 +87,25 @@ def _city_from_obj(entry: Mapping) -> CityProfile:
     )
 
 
+def _indicators_from_obj(
+    raw: Mapping, ids_by_keys: dict[tuple, tuple[IndicatorId, ...]]
+) -> dict[IndicatorId, float]:
+    """A city's indicator values; ``ids_by_keys`` keeps the parsed ids of each key tuple seen.
+
+    The cities of a pool mostly list the same keys, so each tuple is parsed once per pool.
+    """
+    items = raw.items()
+    keys = tuple(raw)
+    if keys not in ids_by_keys:
+        try:
+            ids_by_keys[keys] = tuple(map(IndicatorId.parse, keys))
+        except ValidationError:
+            # Entry by entry, so that a bad value before the bad key is reported first.
+            return {IndicatorId.parse(k): float(v) for k, v in items}
+    return dict(zip(ids_by_keys[keys], map(float, raw.values())))
+
+
+@_csv_errors("pool file")
 def _pool_from_csv(text: str) -> list[CityProfile]:
     reader = csv.DictReader(io.StringIO(text))
     required = {"name", "country", "gdp", "sports_score"}
@@ -115,6 +133,7 @@ def _pool_from_csv(text: str) -> list[CityProfile]:
     return cities
 
 
+@_csv_errors("climate file")
 def load_climate_csv(source: str | Path | IO[str]) -> dict[str, dict[str, TimeSeries]]:
     """Observations as rows (city, variable, period, value), assembled into series.
 
@@ -160,7 +179,9 @@ def merge_climate(
     for c in cities:
         extra = climate.get(c.name)
         if extra:
-            c = replace(c, climate={**c.climate, **extra})
+            c = CityProfile(
+                c.name, c.country, c.gdp, c.sports_score, {**c.climate, **extra}, c.indicators
+            )
         out.append(c)
     return out
 

@@ -17,10 +17,9 @@ dispersion carries maximum entropy e_j = 1 and weight 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record, frozen_array
 from .errors import NumericError, ValidationError
 from .indicators import DecisionMatrix, IndicatorHierarchy, Polarity
 
@@ -33,19 +32,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EntropyResult:
+class EntropyResult(Record):
     """Per-column probabilities, information entropies, and entropy weights."""
 
-    probabilities: np.ndarray
-    entropies: np.ndarray
-    weights: np.ndarray
+    _fields = ("probabilities", "entropies", "weights")
 
-    def __post_init__(self) -> None:
-        for name in ("probabilities", "entropies", "weights"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+    def __init__(
+        self, probabilities: np.ndarray, entropies: np.ndarray, weights: np.ndarray
+    ) -> None:
+        self.__dict__.update(
+            probabilities=frozen_array(probabilities),
+            entropies=frozen_array(entropies),
+            weights=frozen_array(weights),
+        )
 
 
 def interval_normalize(x, a: float, b: float) -> np.ndarray:

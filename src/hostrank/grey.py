@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._record import Record
 from .errors import NumericError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,8 +55,7 @@ _ALPHA_EPS = 1e-12
 _COEF_LIMIT = 2.0
 
 
-@dataclass(frozen=True)
-class TimeSeries:
+class TimeSeries(Record):
     """A labelled, evenly spaced series starting at ``start_period``.
 
     Fitting requires at least four strictly positive observations;
@@ -65,30 +64,26 @@ class TimeSeries:
     :func:`forecast_series`).
     """
 
-    label: str
-    start_period: int
-    values: np.ndarray
+    _fields = ("label", "start_period", "values")
 
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
+    def __init__(self, label: str, start_period: int, values: np.ndarray) -> None:
+        vals = np.array(values, dtype=float)
         if vals.ndim != 1:
             raise ValidationError("time series values must be 1-D")
-        self._freeze(vals)
+        self._freeze(label, start_period, vals)
 
     @classmethod
     def _taking(cls, label: str, start_period: int, values: np.ndarray) -> "TimeSeries":
         """The series over ``values``, a fresh 1-D float array it takes without a copy."""
         series = object.__new__(cls)
-        object.__setattr__(series, "label", label)
-        object.__setattr__(series, "start_period", start_period)
-        series._freeze(values)
+        series._freeze(label, start_period, values)
         return series
 
-    def _freeze(self, vals: np.ndarray) -> None:
+    def _freeze(self, label: str, start_period: int, vals: np.ndarray) -> None:
         if not np.isfinite(vals).all():
-            raise ValidationError(f"series {self.label!r} contains non-finite values")
+            raise ValidationError(f"series {label!r} contains non-finite values")
         vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        self.__dict__.update(label=label, start_period=start_period, values=vals)
 
     def __len__(self) -> int:
         return self.values.size
@@ -111,8 +106,7 @@ class TimeSeries:
         return float(self.values[idx])
 
 
-@dataclass(frozen=True)
-class GreyModel:
+class GreyModel(Record):
     """Fitted grey model: developing coefficient, control coefficient, diagnostics.
 
     ``midpoint_coefficients`` are the raw least-squares pair before the
@@ -124,11 +118,20 @@ class GreyModel:
     data spread (smaller is better).
     """
 
-    alpha: float
-    mu: float
-    source: TimeSeries
-    midpoint_coefficients: tuple[float, float]
-    class_ratio_ok: bool
+    _fields = ("alpha", "mu", "source", "midpoint_coefficients", "class_ratio_ok")
+
+    def __init__(
+        self,
+        alpha: float,
+        mu: float,
+        source: TimeSeries,
+        midpoint_coefficients: tuple[float, float],
+        class_ratio_ok: bool,
+    ) -> None:
+        self.__dict__.update(
+            alpha=alpha, mu=mu, source=source,
+            midpoint_coefficients=midpoint_coefficients, class_ratio_ok=class_ratio_ok,
+        )
 
     @property
     def _dispersion_free(self) -> bool:

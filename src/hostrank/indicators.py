@@ -18,13 +18,15 @@ import io
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import total_ordering
 from pathlib import Path
 from typing import IO, Any, Iterator, Mapping
 
 import numpy as np
 
+from ._record import Record, frozen_array
 from .errors import ConfigError, ValidationError
 
 __all__ = [
@@ -76,8 +78,8 @@ class Polarity(str, Enum):
 _ID_PATTERN = re.compile(r"^([A-E])(\d{1,2})$")
 
 
-@dataclass(frozen=True, order=True)
-class IndicatorId:
+@total_ordering
+class IndicatorId(Record):
     """Identifier of one secondary indicator, e.g. A5.
 
     Ordering is lexicographic by (category letter, index), which is the
@@ -85,22 +87,27 @@ class IndicatorId:
     feature selection.
     """
 
-    category: Category
-    index: int
-    _hash: int = field(init=False, repr=False, compare=False)
+    _fields = ("category", "index")
 
-    def __post_init__(self) -> None:
-        limit = CATEGORY_SIZES[self.category]
-        if not 1 <= self.index <= limit:
+    def __init__(self, category: Category, index: int) -> None:
+        limit = CATEGORY_SIZES[category]
+        if not 1 <= index <= limit:
             raise ValidationError(
-                f"indicator index {self.index} out of range 1..{limit} "
-                f"for category {self.category.value}"
+                f"indicator index {index} out of range 1..{limit} "
+                f"for category {category.value}"
             )
         # From ints only: unlike a (salted) str hash it is the same in every process.
-        object.__setattr__(self, "_hash", hash((ord(self.category.value), self.index)))
+        self.__dict__.update(
+            category=category, index=index, _hash=hash((ord(category.value), index))
+        )
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.category, self.index) < (other.category, other.index)
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"{self.category.value}{self.index}"
@@ -159,17 +166,16 @@ class IndicatorSpec:
             object.__setattr__(self, "ideal_interval", (float(a), float(b)))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One validation finding; data, not an exception."""
 
-    field: str
-    rule: str
-    message: str
+    _fields = ("field", "rule", "message")
+
+    def __init__(self, field: str, rule: str, message: str) -> None:
+        self.__dict__.update(field=field, rule=rule, message=message)
 
 
-@dataclass(frozen=True)
-class IndicatorHierarchy:
+class IndicatorHierarchy(Record):
     """The two-level indicator tree plus primary-category weights.
 
     ``reduced=True`` marks deliberately small hierarchies (subsets of
@@ -177,19 +183,21 @@ class IndicatorHierarchy:
     not demanded by :func:`validate_hierarchy`.
     """
 
-    specs: tuple[IndicatorSpec, ...]
-    primary_weights: Mapping[Category, float]
-    reduced: bool = False
-    _by_id: dict = field(init=False, repr=False, compare=False, hash=False)
+    _fields = ("specs", "primary_weights", "reduced")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "specs", tuple(self.specs))
-        object.__setattr__(
-            self,
-            "primary_weights",
-            {Category(k): float(v) for k, v in dict(self.primary_weights).items()},
+    def __init__(
+        self,
+        specs: tuple[IndicatorSpec, ...],
+        primary_weights: Mapping[Category, float],
+        reduced: bool = False,
+    ) -> None:
+        specs = tuple(specs)
+        self.__dict__.update(
+            specs=specs,
+            primary_weights={Category(k): float(v) for k, v in dict(primary_weights).items()},
+            reduced=reduced,
+            _by_id={s.id: s for s in specs},
         )
-        object.__setattr__(self, "_by_id", {s.id: s for s in self.specs})
 
     @property
     def ids(self) -> tuple[IndicatorId, ...]:
@@ -339,8 +347,7 @@ def validate_hierarchy(h: IndicatorHierarchy) -> list[Violation]:
     return out
 
 
-@dataclass(frozen=True)
-class DecisionMatrix:
+class DecisionMatrix(Record):
     """Samples (cities or years) x indicators matrix of raw values.
 
     Values are dense float64 with no missing cells; ingestion either
@@ -348,36 +355,37 @@ class DecisionMatrix:
     NaN.
     """
 
-    rows: tuple[str, ...]
-    cols: tuple[IndicatorId, ...]
-    values: np.ndarray
-    units: tuple[str, ...] | None = None
-    _row_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _fields = ("rows", "cols", "values", "units")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "cols", tuple(self.cols))
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (len(self.rows), len(self.cols)):
+    def __init__(
+        self,
+        rows: tuple[str, ...],
+        cols: tuple[IndicatorId, ...],
+        values: np.ndarray,
+        units: tuple[str, ...] | None = None,
+    ) -> None:
+        rows = tuple(rows)
+        cols = tuple(cols)
+        vals = frozen_array(values)
+        if vals.shape != (len(rows), len(cols)):
             raise ValidationError(
                 f"value shape {vals.shape} does not match "
-                f"{len(self.rows)} rows x {len(self.cols)} columns"
+                f"{len(rows)} rows x {len(cols)} columns"
             )
         if not np.all(np.isfinite(vals)):
             raise ValidationError("matrix contains missing or non-finite cells")
-        row_index = {label: i for i, label in enumerate(self.rows)}
-        if len(row_index) != len(self.rows):
+        row_index = {label: i for i, label in enumerate(rows)}
+        if len(row_index) != len(rows):
             raise ValidationError("duplicate sample label")
-        object.__setattr__(self, "_row_index", row_index)
-        if len(set(self.cols)) != len(self.cols):
+        if len(set(cols)) != len(cols):
             raise ValidationError("duplicate indicator column")
-        if self.units is not None:
-            units = tuple(str(u) for u in self.units)
-            if len(units) != len(self.cols):
+        if units is not None:
+            units = tuple(str(u) for u in units)
+            if len(units) != len(cols):
                 raise ValidationError("units do not match the column count")
-            object.__setattr__(self, "units", units)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        self.__dict__.update(
+            rows=rows, cols=cols, values=vals, units=units, _row_index=row_index
+        )
 
     @property
     def n(self) -> int:
@@ -424,6 +432,19 @@ def _malformed(what: str) -> Iterator[None]:
 
 
 @contextmanager
+def _csv_errors(what: str) -> Iterator[None]:
+    """Report a line the csv reader rejects as a one-line ValidationError naming ``what``.
+
+    It rejects a field longer than ``csv.field_size_limit()`` and, in text
+    read from a stream, a lone carriage return inside a line.
+    """
+    try:
+        yield
+    except csv.Error as exc:
+        raise ValidationError(f"{what} is not valid CSV: {exc}") from None
+
+
+@contextmanager
 def _json_document(text: str, what: str) -> Iterator[Any]:
     """Parse ``text`` as JSON for the block that builds a value from it."""
     with _malformed(what):
@@ -457,7 +478,8 @@ def load_decision_matrix(
     if text.lstrip()[:1] in ("{", "["):
         labels, ids, grid, units = _parse_json_matrix(text)
     else:
-        labels, ids, grid, units = _parse_delimited_matrix(text)
+        with _csv_errors("decision matrix file"):
+            labels, ids, grid, units = _parse_delimited_matrix(text)
 
     known = set(hierarchy.ids)
     for ind in ids:
@@ -483,14 +505,18 @@ def load_decision_matrix(
             raise ValidationError(
                 f"missing cell at row {labels[i]!r}, column {ids[j]}"
             )
-        for j in range(arr.shape[1]):
-            col = arr[:, j]
-            mask = np.isnan(col)
-            if mask.all():
-                raise ValidationError(
-                    f"column {ids[j]} has no values to impute from"
-                )
-            col[mask] = col[~mask].mean()
+        missing = np.isnan(arr)
+        empty = missing.all(axis=0)
+        if empty.any():
+            raise ValidationError(f"column {ids[empty.argmax()]} has no values to impute from")
+        # DecisionMatrix rejects these anyway; a mean across inf and -inf would also warn.
+        if np.isinf(arr).any():
+            raise ValidationError("matrix contains missing or non-finite cells")
+        # A mean past the float range imputes inf, which DecisionMatrix rejects.
+        with np.errstate(over="ignore"):
+            for j in range(arr.shape[1]):
+                col, mask = arr[:, j], missing[:, j]
+                col[mask] = col[~mask].mean()
 
     # Reorder columns to hierarchy order regardless of input order.
     order = [ids.index(i) for i in hierarchy.ids]

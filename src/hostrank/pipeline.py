@@ -11,11 +11,11 @@ weights through the category level first) instead of per category.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .ahp import AhpWeights, ahp_weights
 from .combining import (
     CombinedWeights,
@@ -39,18 +39,28 @@ from .selection import FeatureScaler, _feature_grid
 __all__ = ["WeightingOutputs", "compute_weights", "evaluate_alternatives"]
 
 
-@dataclass(frozen=True)
-class WeightingOutputs:
+class WeightingOutputs(Record):
     """Everything the weighting chain produces, stage by stage."""
 
-    hierarchy: IndicatorHierarchy
-    matrix: DecisionMatrix
-    ahp: AhpWeights
-    normalized: np.ndarray
-    entropy: EntropyResult
-    per_category: dict[Category, CombinedWeights]
-    total: TotalWeights
-    selection: FeatureSelection
+    _fields = (
+        "hierarchy", "matrix", "ahp", "normalized", "entropy", "per_category", "total", "selection"
+    )
+
+    def __init__(
+        self,
+        hierarchy: IndicatorHierarchy,
+        matrix: DecisionMatrix,
+        ahp: AhpWeights,
+        normalized: np.ndarray,
+        entropy: EntropyResult,
+        per_category: dict[Category, CombinedWeights],
+        total: TotalWeights,
+        selection: FeatureSelection,
+    ) -> None:
+        self.__dict__.update(
+            hierarchy=hierarchy, matrix=matrix, ahp=ahp, normalized=normalized,
+            entropy=entropy, per_category=per_category, total=total, selection=selection,
+        )
 
 
 def compute_weights(

@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from ._record import Record
 
 __all__ = ["Provenance", "format_number", "render_table", "hash_bytes"]
 
@@ -21,14 +22,15 @@ def hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(Record):
     """Identifies the run that produced an output file."""
 
-    config_hash: str
-    seed: int
-    version: str
-    invocation: str
+    _fields = ("config_hash", "seed", "version", "invocation")
+
+    def __init__(self, config_hash: str, seed: int, version: str, invocation: str) -> None:
+        self.__dict__.update(
+            config_hash=config_hash, seed=seed, version=version, invocation=invocation
+        )
 
     def header_lines(self) -> list[str]:
         return [

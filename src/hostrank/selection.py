@@ -16,12 +16,12 @@ impact grade per feature with the same feature weights.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._record import Record, frozen_array
 from .combining import FeatureSelection, score_rows
 from .errors import ConfigError, ValidationError
 from .grey import TimeSeries, climate_series, forecast_value
@@ -54,71 +54,79 @@ FEB_TEMP = "feb_temp_c"
 FEB_SNOW = "feb_snow_cm"
 
 
-@dataclass(frozen=True)
-class CityProfile:
+class CityProfile(Record):
     """Everything known about one candidate city."""
 
-    name: str
-    country: str
-    gdp: float
-    sports_score: float
-    climate: Mapping[str, TimeSeries] = field(default_factory=dict)
-    indicators: Mapping[IndicatorId, float] = field(default_factory=dict)
+    _fields = ("name", "country", "gdp", "sports_score", "climate", "indicators")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "climate", dict(self.climate))
-        object.__setattr__(self, "indicators", dict(self.indicators))
+    def __init__(
+        self,
+        name: str,
+        country: str,
+        gdp: float,
+        sports_score: float,
+        climate: Mapping[str, TimeSeries] = {},  # copied, so the default is never changed
+        indicators: Mapping[IndicatorId, float] = {},
+    ) -> None:
+        self.__dict__.update(
+            name=name, country=country, gdp=gdp, sports_score=sports_score,
+            climate=dict(climate), indicators=dict(indicators),
+        )
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.name, self.country)
 
 
-@dataclass(frozen=True)
-class ClimateRequirement:
+class ClimateRequirement(Record):
     """Hard winter thresholds; the ideal band must sit below the temperature cap."""
 
-    max_feb_temp: float = 0.0
-    ideal_temp_range: tuple[float, float] = (-17.0, -10.0)
-    min_feb_snow: float = 30.0
+    _fields = ("max_feb_temp", "ideal_temp_range", "min_feb_snow")
 
-    def __post_init__(self) -> None:
-        lo, hi = map(float, self.ideal_temp_range)
-        object.__setattr__(self, "ideal_temp_range", (lo, hi))
+    def __init__(
+        self,
+        max_feb_temp: float = 0.0,
+        ideal_temp_range: tuple[float, float] = (-17.0, -10.0),
+        min_feb_snow: float = 30.0,
+    ) -> None:
+        lo, hi = map(float, ideal_temp_range)
+        self.__dict__.update(
+            max_feb_temp=max_feb_temp, ideal_temp_range=(lo, hi), min_feb_snow=min_feb_snow
+        )
         if not lo <= hi:
             raise ValidationError(f"ideal temperature range reversed: ({lo}, {hi})")
-        if hi >= self.max_feb_temp:
+        if hi >= max_feb_temp:
             raise ValidationError(
                 "ideal temperature range must lie below the maximum temperature"
             )
 
 
-@dataclass(frozen=True)
-class ClimateAssessment:
+class ClimateAssessment(Record):
     """Winter-gate outcome for one city at the forecast horizon."""
 
-    city: CityProfile
-    feb_temp: float
-    feb_snow: float
-    passed: bool
-    ideal: bool
+    _fields = ("city", "feb_temp", "feb_snow", "passed", "ideal")
+
+    def __init__(
+        self, city: CityProfile, feb_temp: float, feb_snow: float, passed: bool, ideal: bool
+    ) -> None:
+        self.__dict__.update(
+            city=city, feb_temp=feb_temp, feb_snow=feb_snow, passed=passed, ideal=ideal
+        )
 
 
-@dataclass(frozen=True)
-class SuitabilityScore:
+class SuitabilityScore(Record):
     """Score decomposition; the total is the exact sum of its parts.
 
     ``scaled`` holds the scaled feature values that ``s_evaluate`` weighs,
     in feature-group order, when the score was computed from them.
     """
 
-    s_base: float
-    s_evaluate: float
-    scaled: tuple[float, ...] = ()
-    total: float = field(init=False)
+    _fields = ("s_base", "s_evaluate", "scaled", "total")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "total", self.s_base + self.s_evaluate)
+    def __init__(self, s_base: float, s_evaluate: float, scaled: tuple[float, ...] = ()) -> None:
+        self.__dict__.update(
+            s_base=s_base, s_evaluate=s_evaluate, scaled=scaled, total=s_base + s_evaluate
+        )
 
 
 class ImpactScale(IntEnum):
@@ -131,58 +139,65 @@ class ImpactScale(IntEnum):
     ABSOLUTELY_FAVORABLE = 9
 
 
-@dataclass(frozen=True)
-class SchemePlan:
+class SchemePlan(Record):
     """A hosting scheme, named by a free-form id, and its per-feature impact grades."""
 
-    id: str
-    description: str
-    impacts: Mapping[IndicatorId, ImpactScale]
+    _fields = ("id", "description", "impacts")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "impacts",
-            {k: ImpactScale(v) for k, v in dict(self.impacts).items()},
+    def __init__(
+        self, id: str, description: str, impacts: Mapping[IndicatorId, ImpactScale]
+    ) -> None:
+        self.__dict__.update(
+            id=id,
+            description=description,
+            impacts={k: ImpactScale(v) for k, v in dict(impacts).items()},
         )
 
 
-@dataclass(frozen=True)
-class SchemeComparison:
+class SchemeComparison(Record):
     """Aggregate impact of one plan plus its per-feature contributions."""
 
-    plan: SchemePlan
-    aggregate: float
-    contributions: dict[IndicatorId, float]
+    _fields = ("plan", "aggregate", "contributions")
+
+    def __init__(
+        self, plan: SchemePlan, aggregate: float, contributions: dict[IndicatorId, float]
+    ) -> None:
+        self.__dict__.update(plan=plan, aggregate=aggregate, contributions=contributions)
 
 
-@dataclass(frozen=True)
-class SwotRecord:
+class SwotRecord(Record):
     """Structured qualitative entries for one city; never derived, only stored."""
 
-    city: str
-    strengths: tuple[str, ...] = ()
-    weaknesses: tuple[str, ...] = ()
-    opportunities: tuple[str, ...] = ()
-    threats: tuple[str, ...] = ()
+    _fields = ("city", "strengths", "weaknesses", "opportunities", "threats")
 
-    def __post_init__(self) -> None:
-        for name in ("strengths", "weaknesses", "opportunities", "threats"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+    def __init__(
+        self,
+        city: str,
+        strengths: tuple[str, ...] = (),
+        weaknesses: tuple[str, ...] = (),
+        opportunities: tuple[str, ...] = (),
+        threats: tuple[str, ...] = (),
+    ) -> None:
+        self.__dict__.update(
+            city=city,
+            strengths=tuple(strengths),
+            weaknesses=tuple(weaknesses),
+            opportunities=tuple(opportunities),
+            threats=tuple(threats),
+        )
 
 
-@dataclass(frozen=True)
-class Cutoff:
+class Cutoff(Record):
     """A screening cutoff: keep the best N (rank) or everything >= v (value)."""
 
-    kind: str
-    amount: float
+    _fields = ("kind", "amount")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("rank", "value"):
-            raise ConfigError(f"unknown cutoff kind {self.kind!r}")
-        if self.kind == "rank" and self.amount < 1:
+    def __init__(self, kind: str, amount: float) -> None:
+        if kind not in ("rank", "value"):
+            raise ConfigError(f"unknown cutoff kind {kind!r}")
+        if kind == "rank" and amount < 1:
             raise ConfigError("rank cutoff must be at least 1")
+        self.__dict__.update(kind=kind, amount=amount)
 
     @classmethod
     def rank(cls, n: int) -> "Cutoff":
@@ -271,8 +286,7 @@ def winter_climate_filter(
     return out
 
 
-@dataclass(frozen=True)
-class FeatureScaler:
+class FeatureScaler(Record):
     """Min-max scaling of feature values across the set of compared cities.
 
     Positive-polarity features map their observed range onto [0, 1];
@@ -281,16 +295,17 @@ class FeatureScaler:
     a neutral 0.5.
     """
 
-    ids: tuple[IndicatorId, ...]
-    mins: np.ndarray
-    maxs: np.ndarray
-    flip: np.ndarray
+    _fields = ("ids", "mins", "maxs", "flip")
 
-    def __post_init__(self) -> None:
-        for name in ("mins", "maxs", "flip"):
-            arr = np.array(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+    def __init__(
+        self, ids: tuple[IndicatorId, ...], mins: np.ndarray, maxs: np.ndarray, flip: np.ndarray
+    ) -> None:
+        self.__dict__.update(
+            ids=ids,
+            mins=frozen_array(mins, dtype=None),
+            maxs=frozen_array(maxs, dtype=None),
+            flip=frozen_array(flip, dtype=None),
+        )
 
     @classmethod
     def fit(

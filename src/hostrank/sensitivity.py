@@ -15,11 +15,11 @@ extrema exactly via stationary-point plus boundary enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._record import Record, frozen_array
 from .combining import FeatureSelection, TotalWeights, score_rows
 from .errors import ConfigError, NumericError, ValidationError
 from .indicators import DecisionMatrix, IndicatorHierarchy, IndicatorId
@@ -37,29 +37,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PerturbationConfig:
+class PerturbationConfig(Record):
     """Substitution-trial parameters. ``n_swap=0`` runs identity trials."""
 
-    seed: int
-    n_swap: int = 5
-    trials: int = 1
+    _fields = ("seed", "n_swap", "trials")
 
-    def __post_init__(self) -> None:
-        if self.seed < 0:
+    def __init__(self, seed: int, n_swap: int = 5, trials: int = 1) -> None:
+        if seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if self.n_swap < 0:
+        if n_swap < 0:
             raise ConfigError("n_swap must be nonnegative")
-        if self.trials < 1:
+        if trials < 1:
             raise ConfigError("need at least one trial")
+        self.__dict__.update(seed=seed, n_swap=n_swap, trials=trials)
 
 
 # One trial's swap: the features it removed and the ones it added in their place.
 Swap = tuple[tuple[IndicatorId, ...], tuple[IndicatorId, ...]]
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
+class SensitivityReport(Record):
     """Baseline scores, per-trial scores and deviations, and deviation summaries.
 
     ``baseline`` holds one score per alternative. ``chi``, ``abs_dev``
@@ -68,14 +65,25 @@ class SensitivityReport:
     baseline is 0.
     """
 
-    config: PerturbationConfig
-    alternatives: tuple[str, ...]
-    baseline: np.ndarray
-    trials: tuple[Swap, ...]
-    chi: np.ndarray
-    abs_dev: np.ndarray
-    rel_dev: np.ndarray
-    summary: dict[str, dict[str, float]]
+    _fields = (
+        "config", "alternatives", "baseline", "trials", "chi", "abs_dev", "rel_dev", "summary"
+    )
+
+    def __init__(
+        self,
+        config: PerturbationConfig,
+        alternatives: tuple[str, ...],
+        baseline: np.ndarray,
+        trials: tuple[Swap, ...],
+        chi: np.ndarray,
+        abs_dev: np.ndarray,
+        rel_dev: np.ndarray,
+        summary: dict[str, dict[str, float]],
+    ) -> None:
+        self.__dict__.update(
+            config=config, alternatives=alternatives, baseline=baseline, trials=trials,
+            chi=chi, abs_dev=abs_dev, rel_dev=rel_dev, summary=summary,
+        )
 
     def to_csv_text(self) -> str:
         """Deterministic serialization; byte-identical for identical configs."""
@@ -254,27 +262,33 @@ def bbd_design(k: int, center_replicates: int = 3) -> np.ndarray:
     return points
 
 
-@dataclass(frozen=True)
-class QuadraticSurface:
+class QuadraticSurface(Record):
     """Full second-order polynomial in k factors with fit diagnostics.
 
     Coefficient layout: intercept, k linear terms, k(k-1)/2 pairwise
     interaction terms in lexicographic pair order, k square terms.
     """
 
-    factor_count: int
-    intercept: float
-    linear: np.ndarray
-    interactions: np.ndarray
-    squares: np.ndarray
-    r_squared: float
-    residual_norm: float
+    _fields = (
+        "factor_count", "intercept", "linear", "interactions", "squares",
+        "r_squared", "residual_norm",
+    )
 
-    def __post_init__(self) -> None:
-        for name in ("linear", "interactions", "squares"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+    def __init__(
+        self,
+        factor_count: int,
+        intercept: float,
+        linear: np.ndarray,
+        interactions: np.ndarray,
+        squares: np.ndarray,
+        r_squared: float,
+        residual_norm: float,
+    ) -> None:
+        self.__dict__.update(
+            factor_count=factor_count, intercept=intercept,
+            linear=frozen_array(linear), interactions=frozen_array(interactions),
+            squares=frozen_array(squares), r_squared=r_squared, residual_norm=residual_norm,
+        )
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -344,8 +358,7 @@ def fit_response_surface(
     )
 
 
-@dataclass(frozen=True)
-class SurfaceExtrema:
+class SurfaceExtrema(Record):
     """Box-constrained extrema of a quadratic surface and response ranges.
 
     ``span`` is the absolute response range max - min; relative ranges
@@ -354,21 +367,29 @@ class SurfaceExtrema:
     factor with the others held at center.
     """
 
-    min_point: np.ndarray
-    min_value: float
-    max_point: np.ndarray
-    max_value: float
-    baseline: float
-    span: float
-    per_factor_span: np.ndarray
-    per_factor_range: np.ndarray
-    joint_range: float
+    _fields = (
+        "min_point", "min_value", "max_point", "max_value", "baseline", "span",
+        "per_factor_span", "per_factor_range", "joint_range",
+    )
 
-    def __post_init__(self) -> None:
-        for name in ("min_point", "max_point", "per_factor_span", "per_factor_range"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+    def __init__(
+        self,
+        min_point: np.ndarray,
+        min_value: float,
+        max_point: np.ndarray,
+        max_value: float,
+        baseline: float,
+        span: float,
+        per_factor_span: np.ndarray,
+        per_factor_range: np.ndarray,
+        joint_range: float,
+    ) -> None:
+        self.__dict__.update(
+            min_point=frozen_array(min_point), min_value=min_value,
+            max_point=frozen_array(max_point), max_value=max_value, baseline=baseline, span=span,
+            per_factor_span=frozen_array(per_factor_span),
+            per_factor_range=frozen_array(per_factor_range), joint_range=joint_range,
+        )
 
 
 _BOUND_TOL = 1e-12

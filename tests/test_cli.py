@@ -506,6 +506,36 @@ class TestErrorContract:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "key, fixture, column, argv, what",
+        [
+            ("decision_matrix", "decision_matrix.csv", 0, ["evaluate"], "decision matrix file"),
+            ("pool", "world_pool.csv", 0, ["screen", "summer"], "pool file"),
+            ("climate", "climate_sample.csv", -1,
+             ["screen", "winter", "--pool", "{fixtures}/winter_pool.json"], "climate file"),
+        ],
+    )
+    def test_field_past_the_csv_size_limit_is_a_validation_error(
+        self, tmp_path, fixtures_dir, outdir, capsys, key, fixture, column, argv, what
+    ):
+        lines = (fixtures_dir / fixture).read_text().split("\n")
+        cells = lines[1].split(",")
+        cells[column] += "0" * csv.field_size_limit()  # a label, a city name, a value
+        lines[1] = ",".join(cells)
+        damaged = tmp_path / fixture
+        damaged.write_text("\n".join(lines))
+
+        config = write_config(tmp_path, fixtures_dir, lambda cfg: cfg.update({key: str(damaged)}))
+        argv = [a.format(fixtures=fixtures_dir) for a in argv]
+        words = 2 if argv[0] == "screen" else 1
+        assert main([*argv[:words], "--config", str(config), *argv[words:]]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        limit = csv.field_size_limit()
+        assert err == (
+            f"validation error: {what} is not valid CSV: field larger than field limit ({limit})\n"
+        )
+        assert not outdir.exists()
+
     def test_output_dir_that_is_a_file_is_a_config_error(
         self, tmp_path, config_path, monkeypatch, capsys
     ):

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from hostrank import dataio
 from hostrank.dataio import (
     load_climate_csv,
     load_judgments,
@@ -17,6 +18,7 @@ from hostrank.dataio import (
     merge_climate,
 )
 from hostrank.errors import ConfigError, ValidationError
+from hostrank.indicators import IndicatorId
 
 
 class TestLoadPool:
@@ -44,6 +46,19 @@ class TestLoadPool:
         with pytest.raises(ValidationError, match="'X'"):
             load_pool(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "load, text, what",
+        [
+            (load_pool, "name,country,gdp,sports_score\nOs\rlo,NO,1,2\n", "pool file"),
+            (load_climate_csv, "city,variable,period,value\nOs\rlo,feb_temp_c,2015,-1\n",
+             "climate file"),
+        ],
+        ids=["pool", "climate"],
+    )
+    def test_lone_carriage_return_in_a_stream_is_a_validation_error(self, load, text, what):
+        with pytest.raises(ValidationError, match=f"^{what} is not valid CSV: new-line"):
+            load(io.StringIO(text))
+
     def test_duplicate_city_rejected(self):
         text = (
             "name,country,gdp,sports_score\n"
@@ -52,6 +67,55 @@ class TestLoadPool:
         )
         with pytest.raises(ValidationError, match="duplicate city"):
             load_pool(io.StringIO(text))
+
+
+def _per_entry_indicators(raw, ids_by_keys):
+    """The parse every pool city had before ids were kept per key tuple."""
+    return {IndicatorId.parse(k): float(v) for k, v in raw.items()}
+
+
+def _pool_outcome(text):
+    try:
+        return [(c.name, list(c.indicators.items())) for c in load_pool(io.StringIO(text))]
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _cities(*indicator_maps):
+    return [{"name": f"c{i}", "indicators": m} for i, m in enumerate(indicator_maps)]
+
+
+class TestPoolIndicatorKeys:
+    @pytest.mark.parametrize(
+        "cities",
+        [
+            _cities({"A1": 1, "A2": 2}, {"A2": 3, "A1": 4}, {"A1": 5, "A2": 6}, {}, {"A2": 7}),
+            _cities({" A1 ": 1, "B7": 2.5}, {"A1": 1, " A1": 2}, {" A1 ": 3, "B7": "4"}),
+            _cities({"A1": 1}, {"A1": "x", "Z9": 1}),
+            _cities({"A1": 1}, {"Z9": 1, "A1": "x"}),
+            _cities({"A1": 1, "A2": 2}, {"A1": 3, "A2": None}),
+            _cities({"A1": 1}, {"A9": 1}),
+            _cities({"A1": 1}, ["A1"]),
+            _cities({"A1": 1}, "A1"),
+        ],
+        ids=[
+            "orders and subsets", "padded keys", "bad value before unknown id",
+            "unknown id before bad value", "bad value in a known tuple", "index out of range",
+            "list of keys", "string",
+        ],
+    )
+    def test_cities_match_the_per_entry_parse(self, cities, monkeypatch):
+        text = json.dumps({"cities": cities})
+        got = _pool_outcome(text)
+        monkeypatch.setattr(dataio, "_indicators_from_obj", _per_entry_indicators)
+        assert got == _pool_outcome(text)
+
+    def test_fixture_pool_matches_the_per_entry_parse(self, fixtures_dir, monkeypatch):
+        text = (fixtures_dir / "winter_pool.json").read_text()
+        got = _pool_outcome(text)
+        assert len(got) == 12 and all(len(indicators) == 30 for _, indicators in got)
+        monkeypatch.setattr(dataio, "_indicators_from_obj", _per_entry_indicators)
+        assert got == _pool_outcome(text)
 
 
 class TestClimateCsv:

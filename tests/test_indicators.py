@@ -193,6 +193,23 @@ class TestLoadDecisionMatrix:
         m = load_decision_matrix(io.StringIO(_csv_for(h, rows)), h, impute_missing=True)
         assert m.values[0, 0] == pytest.approx(15.0)
 
+    @pytest.mark.parametrize(
+        "cells",
+        [["", "inf", "-inf"], ["", "1.7e308", "1.7e308"]],
+        ids=["inf and -inf", "a mean past the float range"],
+    )
+    def test_imputing_beside_non_finite_cells_is_one_error_and_no_warning(self, cells):
+        text = _H + "".join(f"{label},{cell},1,2\n" for label, cell in zip("xyz", cells))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^matrix contains missing or non-finite"):
+                load_decision_matrix(io.StringIO(text), _SMALL, impute_missing=True)
+
+    def test_lone_carriage_return_in_a_stream_is_a_validation_error(self):
+        text = _H + "x\ry,1,2,3\n"
+        with pytest.raises(ValidationError, match="^decision matrix file is not valid CSV: new-line"):
+            load_decision_matrix(io.StringIO(text), _SMALL)
+
     def test_columns_reordered_to_hierarchy_order(self):
         h = default_hierarchy()
         ids = [str(i) for i in h.ids]
