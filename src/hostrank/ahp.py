@@ -197,6 +197,10 @@ def _level_weights(key: str, raw, size: int) -> tuple[np.ndarray, ConsistencyRep
         return np.array([1.0]), None
     if raw is None:
         raise ValidationError(f"missing judgment matrix {key!r}")
+    try:
+        raw = np.array(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"judgment matrix {key!r} is not a numeric square array") from None
     jm = validate_judgment(raw)
     if jm.order != size:
         raise ValidationError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import IO, Any, Mapping, Sequence
+from typing import IO, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -105,6 +105,19 @@ def _indicators_from_obj(
     return dict(zip(ids_by_keys[keys], map(float, raw.values())))
 
 
+def _full_rows(reader: csv.DictReader) -> Iterator[dict[str, str]]:
+    """The reader's rows; a row shorter than the header (padded with None) is an error."""
+    width = len(reader.fieldnames)
+    for row in reader:
+        if None in row.values():
+            cells = list(row.values())
+            raise ValidationError(
+                f"column count mismatch at row {cells[0]!r}: "
+                f"expected {width}, got {width - cells.count(None)}"
+            )
+        yield row
+
+
 @_csv_errors("pool file")
 def _pool_from_csv(text: str) -> list[CityProfile]:
     reader = csv.DictReader(io.StringIO(text))
@@ -115,7 +128,7 @@ def _pool_from_csv(text: str) -> list[CityProfile]:
             f"got {reader.fieldnames}"
         )
     cities = []
-    for row in reader:
+    for row in _full_rows(reader):
         try:
             cities.append(
                 CityProfile(
@@ -146,7 +159,7 @@ def load_climate_csv(source: str | Path | IO[str]) -> dict[str, dict[str, TimeSe
             f"climate file must have columns {sorted(required)}, got {reader.fieldnames}"
         )
     buckets: dict[tuple[str, str], list[tuple[int, float]]] = {}
-    for row in reader:
+    for row in _full_rows(reader):
         key = (row["city"].strip(), row["variable"].strip())
         try:
             buckets.setdefault(key, []).append(

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
@@ -107,15 +106,10 @@ class TimeSeries(Record):
 
 
 class GreyModel(Record):
-    """Fitted grey model: developing coefficient, control coefficient, diagnostics.
+    """Fitted grey model: developing and control coefficients of a source series.
 
     ``midpoint_coefficients`` are the raw least-squares pair before the
-    continuous mapping. The diagnostics are read-only and computed from
-    the fit on first access: ``fitted_cumulative`` starts at the first
-    observation exactly; ``smoothness`` records the ratios
-    x0(k) / x1(k-1) for k >= 2 (a falling trend marks a series the model
-    suits); ``variance_ratio`` is the posterior ratio of residual to
-    data spread (smaller is better).
+    continuous mapping; ``class_ratio_ok`` records the class-ratio test.
     """
 
     _fields = ("alpha", "mu", "source", "midpoint_coefficients", "class_ratio_ok")
@@ -132,46 +126,6 @@ class GreyModel(Record):
             alpha=alpha, mu=mu, source=source,
             midpoint_coefficients=midpoint_coefficients, class_ratio_ok=class_ratio_ok,
         )
-
-    @property
-    def _dispersion_free(self) -> bool:
-        x0 = self.source.values
-        return bool(x0.max() == x0.min())
-
-    @cached_property
-    def fitted_cumulative(self) -> np.ndarray:
-        x0 = self.source.values
-        if self._dispersion_free:
-            return _read_only(float(x0[0]) * np.arange(1, x0.size + 1, dtype=float))
-        return _read_only(_cumulative_curve(self, np.arange(x0.size)))
-
-    @cached_property
-    def residuals(self) -> np.ndarray:
-        x0 = self.source.values
-        if self._dispersion_free:
-            return _read_only(np.zeros(x0.size))
-        return _read_only(x0 - _differences(self.fitted_cumulative))
-
-    @cached_property
-    def smoothness(self) -> np.ndarray:
-        x0 = self.source.values
-        return _read_only(x0[1:] / np.cumsum(x0)[:-1])
-
-    @cached_property
-    def variance_ratio(self) -> float:
-        if self._dispersion_free:
-            return 0.0
-        spread = float(np.std(self.source.values))
-        return float(np.std(self.residuals[1:]) / spread) if spread > 0 else 0.0
-
-    @property
-    def relative_residuals(self) -> np.ndarray:
-        return self.residuals / self.source.values
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _differences(cumulative: np.ndarray) -> np.ndarray:

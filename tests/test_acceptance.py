@@ -38,6 +38,7 @@ from hostrank.sensitivity import (
     fit_response_surface,
     surface_extrema,
 )
+from test_grey import _reference_curve
 
 # Reference feature table: ids in rank order with rounded renormalized
 # weights (they sum to 1.002 due to rounding) and the captured mass.
@@ -206,9 +207,8 @@ def test_c6_grey_exactness():
         expected = q ** np.arange(n + 4)
         assert np.max(np.abs(out - expected) / expected) < 1e-9
         # inverse accumulation consistency at double precision
-        assert np.allclose(
-            np.cumsum(out[:n]), model.fitted_cumulative, rtol=1e-12, atol=0
-        )
+        ref = _reference_curve(model.alpha, model.mu, float(series.values[0]), n)
+        assert np.allclose(np.cumsum(out)[:n], ref, rtol=1e-12, atol=0)
 
     model = fit_gm11(TimeSeries("const", 0, np.full(6, 4.25)))
     assert predict(model, 5) == pytest.approx([4.25] * 11, abs=1e-12)

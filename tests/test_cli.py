@@ -151,8 +151,15 @@ class TestScreenPaths:
             cfg["screen"]["winter"]["exclude"] = ["Bangkok", "Atlantis"]
 
         config = write_config(tmp_path, fixtures_dir, edit)
-        with pytest.warns(UserWarning, match=r"absent from the pool: \['Atlantis'\]"):
+        with pytest.warns(UserWarning) as caught:
             assert screen_winter(config, fixtures_dir) == EXIT_OK
+        messages = [str(w.message) for w in caught]
+        assert "absent from the pool: ['Atlantis']" in messages[0]
+        assert messages[1:] == [
+            f"series '{city}/feb_temp_c' fails the class-ratio test "
+            "(ratios outside (0.7515, 1.3307)); fit may extrapolate poorly"
+            for city in ("Warsaw", "Stockholm")
+        ]
         _, climate = read_table(outdir / "winter_climate.csv")
         assert "Bangkok" not in {r["city"] for r in climate}
         assert len(climate) == len(winter_city_names(fixtures_dir)) - 1
@@ -315,6 +322,13 @@ class TestOtherCommands:
         ]) == EXIT_OK
 
 
+BAD_PRIMARY_MATRICES = {
+    "primary a string": "x",
+    "primary ragged": [[1, 2], [0.5]],
+    "primary string cells": [[1, "a"], ["b", 1]],
+}
+
+
 class TestErrorContract:
     def test_missing_config_is_a_config_error(self, outdir, capsys):
         assert main(["weights", "--config", "/nonexistent/run.json"]) == EXIT_CONFIG
@@ -438,6 +452,11 @@ class TestErrorContract:
             ("plans", "empty id", ["compare-schemes"], "plan id must be a non-empty string"),
             ("swot", "truncate", ["screen", "summer"], "swot file is not valid JSON"),
             ("judgments", "list root", ["weights"], "judgments file must map level names"),
+            *[
+                ("judgments", damage, ["weights", "--method", "ahp"],
+                 "judgment matrix 'primary' is not a numeric square array")
+                for damage in BAD_PRIMARY_MATRICES
+            ],
         ],
     )
     def test_malformed_json_input_is_a_validation_error(
@@ -452,6 +471,10 @@ class TestErrorContract:
             elif damage == "drop primary_weights":
                 obj = json.loads(text)
                 del obj["primary_weights"]
+                text = json.dumps(obj)
+            elif damage in BAD_PRIMARY_MATRICES:
+                obj = json.loads(text)
+                obj["primary"] = BAD_PRIMARY_MATRICES[damage]
                 text = json.dumps(obj)
             elif damage == "impact x":
                 obj = json.loads(text)
@@ -533,6 +556,33 @@ class TestErrorContract:
         limit = csv.field_size_limit()
         assert err == (
             f"validation error: {what} is not valid CSV: field larger than field limit ({limit})\n"
+        )
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "key, fixture, row, got, argv",
+        [
+            ("pool", "world_pool.csv", "Oslo,Norway,1.0", 3, ["screen", "summer"]),
+            ("pool", "world_pool.csv", "Oslo", 1, ["screen", "summer"]),
+            ("climate", "climate_sample.csv", "Calgary,feb_temp_c", 2,
+             ["screen", "winter", "--pool", "{fixtures}/winter_pool.json"]),
+        ],
+    )
+    def test_row_shorter_than_its_header_is_a_validation_error(
+        self, tmp_path, fixtures_dir, outdir, capsys, key, fixture, row, got, argv
+    ):
+        lines = (fixtures_dir / fixture).read_text().split("\n")
+        lines.insert(2, row)
+        damaged = tmp_path / fixture
+        damaged.write_text("\n".join(lines))
+
+        config = write_config(tmp_path, fixtures_dir, lambda cfg: cfg.update({key: str(damaged)}))
+        argv = [a.format(fixtures=fixtures_dir) for a in argv]
+        words = 2 if argv[0] == "screen" else 1
+        assert main([*argv[:words], "--config", str(config), *argv[words:]]) == EXIT_VALIDATION
+        label = row.split(",")[0]
+        assert capsys.readouterr().err == (
+            f"validation error: column count mismatch at row {label!r}: expected 4, got {got}\n"
         )
         assert not outdir.exists()
 

@@ -31,9 +31,10 @@ class TestFit:
         # the model class is exactly the geometric sequences, so the fitted
         # decay rate must match the generator's -ln q
         q = math.exp(-0.1)
-        model = fit_gm11(geometric(q, 4))
+        series = geometric(q, 4)
+        model = fit_gm11(series)
         assert model.alpha == pytest.approx(0.1, abs=1e-12)
-        assert np.max(np.abs(model.residuals)) < 1e-12
+        assert np.max(np.abs(predict(model, 0) - series.values)) < 1e-12
 
     def test_constant_series(self):
         model = fit_gm11(TimeSeries("c", 0, np.full(4, 3.5)))
@@ -55,21 +56,6 @@ class TestFit:
         with pytest.warns(UserWarning, match="class-ratio"):
             model = fit_gm11(TimeSeries("wild", 0, values))
         assert not model.class_ratio_ok
-
-    def test_diagnostics_reported(self):
-        rng = np.random.default_rng(0)
-        values = np.exp(-0.05 * np.arange(8)) * (1 + rng.uniform(-0.01, 0.01, 8))
-        model = fit_gm11(TimeSeries("noisy", 0, values))
-        assert model.variance_ratio < 0.5
-        assert model.fitted_cumulative[0] == values[0]
-        # smoothness ratios x0(k) / x1(k-1), trending down for a smooth series
-        assert model.smoothness == pytest.approx(
-            values[1:] / np.cumsum(values)[:-1], abs=1e-15
-        )
-        assert np.all(np.diff(model.smoothness) < 0)
-        assert model.relative_residuals == pytest.approx(
-            model.residuals / values, abs=1e-15
-        )
 
 
 class TestPredict:
@@ -210,13 +196,13 @@ class TestGreyProperties:
         cumulative predictions to double precision."""
         import warnings
 
+        series = geometric(q, n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # long series can trip the ratio band
-            model = fit_gm11(geometric(q, n))
-        out = predict(model, 4)
-        x1 = np.cumsum(out)
-        ref = model.fitted_cumulative
-        assert np.allclose(x1[:n], ref, rtol=1e-12, atol=0)
+            model = fit_gm11(series)
+        x1 = np.cumsum(predict(model, 4))[:n]
+        ref = _reference_curve(model.alpha, model.mu, float(series.values[0]), n)
+        assert np.allclose(x1, ref, rtol=1e-12, atol=0)
 
     @given(offset=st.integers(min_value=-3000, max_value=3000))
     @settings(max_examples=30)
@@ -229,8 +215,8 @@ class TestGreyProperties:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the eager fit that computed every diagnostic inside fit_gm11.
-# The lazy model must reproduce it bit for bit.
+# Reference: the eager numpy fit and its closed-form cumulative curve.
+# fit_gm11 and forecast_series must reproduce them bit for bit.
 
 
 def _reference_curve(alpha, mu, first, count):
@@ -249,16 +235,10 @@ def _reference_fit(series):
     lo, hi = class_ratio_bounds(n)
     ratios = x0[:-1] / x0[1:]
     ratio_ok = bool(np.all((ratios > lo) & (ratios < hi)))
-    cumulative = np.cumsum(x0)
-    smoothness = x0[1:] / cumulative[:-1]
     if x0.max() == x0.min():
         c = float(x0[0])
-        return dict(
-            alpha=0.0, mu=c, midpoint_coefficients=(0.0, c), class_ratio_ok=ratio_ok,
-            fitted_cumulative=c * np.arange(1, n + 1, dtype=float),
-            residuals=np.zeros(n), smoothness=smoothness, variance_ratio=0.0,
-        )
-    x1 = cumulative
+        return dict(alpha=0.0, mu=c, midpoint_coefficients=(0.0, c), class_ratio_ok=ratio_ok)
+    x1 = np.cumsum(x0)
     z = 0.5 * (x1[1:] + x1[:-1])
     design = np.column_stack([-z, np.ones(n - 1)])
     coef, _, rank, _ = np.linalg.lstsq(design, x0[1:], rcond=None)
@@ -270,16 +250,7 @@ def _reference_fit(series):
     else:
         alpha = math.log((2.0 + a) / (2.0 - a))
         mu = b * alpha / a
-    fitted1 = _reference_curve(alpha, mu, float(x0[0]), n)
-    fitted0 = np.concatenate([[fitted1[0]], np.diff(fitted1)])
-    residuals = x0 - fitted0
-    spread = float(np.std(x0))
-    variance_ratio = float(np.std(residuals[1:]) / spread) if spread > 0 else 0.0
-    return dict(
-        alpha=alpha, mu=mu, midpoint_coefficients=(a, b), class_ratio_ok=ratio_ok,
-        fitted_cumulative=fitted1, residuals=residuals, smoothness=smoothness,
-        variance_ratio=variance_ratio,
-    )
+    return dict(alpha=alpha, mu=mu, midpoint_coefficients=(a, b), class_ratio_ok=ratio_ok)
 
 
 def _reference_forecast(series, until):
@@ -307,11 +278,6 @@ def assert_matches_reference(series):
     assert model.mu == ref["mu"] and _bits(model.mu) == _bits(ref["mu"])
     assert model.midpoint_coefficients == ref["midpoint_coefficients"]
     assert model.class_ratio_ok == ref["class_ratio_ok"]
-    for name in ("fitted_cumulative", "residuals", "smoothness"):
-        assert _bits(getattr(model, name)) == _bits(ref[name]), name
-        assert not getattr(model, name).flags.writeable, name
-    assert model.variance_ratio == ref["variance_ratio"]
-    assert _bits(model.relative_residuals) == _bits(ref["residuals"] / series.values)
 
 
 def assert_forecast_matches_reference(series, until):
@@ -326,7 +292,7 @@ def assert_forecast_matches_reference(series, until):
     assert _bits(out.values) == _bits(expected)
 
 
-class TestLazyDiagnosticsEqualEagerFit:
+class TestFitEqualsEagerReference:
     def test_geometric_series(self):
         series = geometric(math.exp(-0.1), 6, c=2.5)
         assert_matches_reference(series)
@@ -357,15 +323,6 @@ class TestLazyDiagnosticsEqualEagerFit:
         with warnings.catch_warnings(), pytest.raises(ValidationError, match="non-finite"):
             warnings.simplefilter("ignore")  # exp overflow, ratio band
             forecast_series(series, 2400)
-
-    def test_diagnostics_are_read_only(self):
-        from dataclasses import FrozenInstanceError
-
-        model = fit_gm11(geometric(0.9, 5))
-        with pytest.raises(FrozenInstanceError):
-            model.residuals = np.zeros(5)
-        with pytest.raises(ValueError):
-            model.smoothness[0] = 1.0
 
     @given(
         values=st.lists(
