@@ -106,14 +106,19 @@ def _indicators_from_obj(
 
 
 def _full_rows(reader: csv.DictReader) -> Iterator[dict[str, str]]:
-    """The reader's rows; a row shorter than the header (padded with None) is an error."""
+    """The reader's rows; a row shorter or longer than the header is an error.
+
+    The reader pads a short row with None values and files a long row's
+    extra fields as a list under the key None.
+    """
     width = len(reader.fieldnames)
     for row in reader:
-        if None in row.values():
+        if None in row or None in row.values():
+            extra = row.pop(None, [])
             cells = list(row.values())
             raise ValidationError(
                 f"column count mismatch at row {cells[0]!r}: "
-                f"expected {width}, got {width - cells.count(None)}"
+                f"expected {width}, got {width - cells.count(None) + len(extra)}"
             )
         yield row
 

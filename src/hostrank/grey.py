@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import AbstractContextManager, nullcontext
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
@@ -52,6 +53,8 @@ __all__ = [
 _MIN_LENGTH = 4
 _ALPHA_EPS = 1e-12
 _COEF_LIMIT = 2.0
+# Curve magnitudes below this keep its differences and the shift back finite.
+_SAFE_MAGNITUDE = 1e300
 
 
 class TimeSeries(Record):
@@ -241,11 +244,35 @@ def _fit_shifted(series: TimeSeries, until: int) -> tuple[GreyModel, float]:
             f"until={until} precedes the last observation of {series.label!r} "
             f"({series.last_period})"
         )
-    lowest = min(series.values.tolist())
+    values = series.values.tolist()
+    lowest = min(values)
     shift = 1.0 - lowest if lowest <= 0.0 else 0.0
     if shift:
+        if math.isinf(max(values) + shift):
+            raise ValidationError(f"series {series.label!r} contains non-finite values")
         series = TimeSeries._taking(series.label, series.start_period, series.values + shift)
     return fit_gm11(series), shift
+
+
+def _overflow_guard(model: GreyModel, k: int, shift: float) -> AbstractContextManager:
+    """The context to compute the forecast curve through index ``k`` in.
+
+    Where the curve may leave the float range by then (a conservative
+    bound in Python floats), numpy's overflow and invalid-value warnings
+    are off, and the caller's finite check raises the one error;
+    elsewhere the context does nothing.
+    """
+    alpha, mu, first = model.alpha, model.mu, float(model.source.values[0])
+    if abs(alpha) < _ALPHA_EPS:
+        bound = abs(first) + abs(mu) * k
+    elif -alpha * k > 700.0:
+        bound = math.inf  # exp(-alpha k) alone passes _SAFE_MAGNITUDE
+    else:
+        c = mu / alpha
+        bound = abs(first - c) * math.exp(max(-alpha * k, 0.0)) + abs(c)
+    if bound + shift < _SAFE_MAGNITUDE:
+        return nullcontext()
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def forecast_series(series: TimeSeries, until: int) -> TimeSeries:
@@ -256,8 +283,9 @@ def forecast_series(series: TimeSeries, until: int) -> TimeSeries:
     returned history is always the input verbatim.
     """
     model, shift = _fit_shifted(series, until)
-    tail = predict(model, until - series.last_period)[len(series):]
-    tail -= shift
+    with _overflow_guard(model, until - series.start_period, shift):
+        tail = predict(model, until - series.last_period)[len(series):]
+        tail -= shift
     return TimeSeries._taking(
         series.label, series.start_period, np.concatenate([series.values, tail])
     )
@@ -270,10 +298,9 @@ def forecast_value(series: TimeSeries, until: int) -> float:
     k = until - series.start_period
     if k < len(series):
         return float(series.values[k])
-    # exp overflows past 709.78; if it can by k - 1, only the whole curve warns as predict does.
-    points = (k - 1, k) if model.alpha * (k - 1) > -700.0 else np.arange(k + 1)
-    x1 = _cumulative_curve(model, points)
-    value = float((x1[1:] - x1[:-1])[-1]) - shift
+    with _overflow_guard(model, k, shift):
+        x1 = _cumulative_curve(model, (k - 1, k))
+    value = float(x1[1]) - float(x1[0]) - shift
     if not math.isfinite(value):
         raise ValidationError(f"series {series.label!r} contains non-finite values")
     return value

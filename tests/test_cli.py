@@ -1,6 +1,8 @@
 """End-to-end tests of the batch front end against the shipped fixtures."""
 
 import csv
+import gc
+import importlib
 import io
 import json
 import os
@@ -17,6 +19,7 @@ from hostrank.cli import (
     EXIT_VALIDATION,
     OUTPUT_DIR_ENV,
     main,
+    run,
 )
 
 
@@ -566,9 +569,12 @@ class TestErrorContract:
             ("pool", "world_pool.csv", "Oslo", 1, ["screen", "summer"]),
             ("climate", "climate_sample.csv", "Calgary,feb_temp_c", 2,
              ["screen", "winter", "--pool", "{fixtures}/winter_pool.json"]),
+            ("pool", "world_pool.csv", "Oslo,Norway,1.0,2.0,extra", 5, ["screen", "summer"]),
+            ("climate", "climate_sample.csv", "Calgary,feb_temp_c,2030,-9.5,x,y", 6,
+             ["screen", "winter", "--pool", "{fixtures}/winter_pool.json"]),
         ],
     )
-    def test_row_shorter_than_its_header_is_a_validation_error(
+    def test_row_shorter_or_longer_than_its_header_is_a_validation_error(
         self, tmp_path, fixtures_dir, outdir, capsys, key, fixture, row, got, argv
     ):
         lines = (fixtures_dir / fixture).read_text().split("\n")
@@ -777,6 +783,36 @@ class TestErrorContract:
         assert "numeric error" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "argv, city",
+        [
+            (["forecast", "--indicator", "feb_temp_c", "--until", "100000", "--city", "Calgary"],
+             "Calgary"),
+            (["screen", "winter"], "Warsaw"),
+        ],
+        ids=["forecast", "screen-winter"],
+    )
+    def test_forecast_past_the_float_range_is_one_line_without_numpy_warnings(
+        self, tmp_path, fixtures_dir, outdir, capsys, argv, city
+    ):
+        """GM(1,1) curves overflow long before period 100000; the error is
+        the only output, and numpy's overflow warnings never reach stderr."""
+        config = write_config(
+            tmp_path, fixtures_dir, lambda cfg: cfg["screen"]["winter"].update(until=100000)
+        )
+        words = 2 if argv[0] == "screen" else 1
+        pool = fixtures_dir / "winter_pool.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv[:words], "--pool", str(pool), "--config", str(config),
+                         *argv[words:]])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"validation error: series '{city}/feb_temp_c' contains non-finite values\n"
+        )
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not outdir.exists()
+
 
 class TestDeterminism:
     def test_rerunning_reproduces_byte_identical_outputs(
@@ -878,3 +914,76 @@ class TestTracedRun:
         self.run_child(
             fixtures_dir, tmp_path, "setup_child.py", [str(fixtures_dir / "run.json"), *loaders]
         )
+
+
+def run_python(args: list[str], outdir: Path, cwd: Path) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a child process with ``src`` on the path, writing into ``outdir``."""
+    env = {**os.environ, OUTPUT_DIR_ENV: str(outdir)}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(cwd / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+# The forecast run whose GM(1,1) curve leaves the float range (exit 3).
+OVERFLOW_ARGV = [
+    "forecast", "--config", "fixtures/run.json", "--pool", "fixtures/winter_pool.json",
+    "--indicator", "feb_temp_c", "--until", "100000", "--city", "Calgary",
+]
+
+# A child that runs the CLI module as ``python -m`` does, then reports the
+# exit code and whether the collector was frozen.
+RUN_AS_MAIN = """
+import gc, json, runpy, sys
+sys.argv = ["hostrank", *sys.argv[1:]]
+try:
+    runpy.run_module("hostrank.cli", run_name="__main__")
+except SystemExit as exc:
+    print(json.dumps({"code": exc.code, "frozen": gc.get_freeze_count()}))
+"""
+
+
+class TestEntryPoint:
+    """``hostrank`` and ``python -m hostrank.cli`` exit through ``run()``,
+    which freezes the collector after ``main()``; the real ``run()`` is only
+    ever called in child processes."""
+
+    def test_error_run_exits_3_with_one_stderr_line(self, fixtures_dir, tmp_path):
+        proc = run_python(["-m", "hostrank.cli", *OVERFLOW_ARGV], tmp_path, fixtures_dir.parent)
+        assert proc.returncode == EXIT_VALIDATION
+        assert proc.stderr == (
+            "validation error: series 'Calgary/feb_temp_c' contains non-finite values\n"
+        )
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["weights", "--config", "fixtures/run.json"], OVERFLOW_ARGV],
+        ids=["weights", "forecast-overflow"],
+    )
+    def test_module_run_as_main_freezes_and_exits_with_mains_code(
+        self, fixtures_dir, tmp_path, monkeypatch, capsys, argv
+    ):
+        proc = run_python(["-c", RUN_AS_MAIN, *argv], tmp_path / "child", fixtures_dir.parent)
+        child = json.loads(proc.stdout.splitlines()[-1])
+        assert child["frozen"] > 0
+
+        monkeypatch.chdir(fixtures_dir.parent)
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "here"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # class-ratio warnings of the forecast run
+            assert child["code"] == main(argv)
+
+    def test_main_leaves_the_collector_unfrozen(self, config_path, outdir):
+        frozen = gc.get_freeze_count()
+        assert main(["weights", "--config", str(config_path)]) == EXIT_OK
+        assert gc.get_freeze_count() == frozen
+
+    def test_console_script_is_run(self, fixtures_dir):
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        with open(fixtures_dir.parent / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"hostrank": "hostrank.cli:run"}
+        module, _, name = scripts["hostrank"].partition(":")
+        assert getattr(importlib.import_module(module), name) is run

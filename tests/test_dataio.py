@@ -59,6 +59,21 @@ class TestLoadPool:
         with pytest.raises(ValidationError, match=f"^{what} is not valid CSV: new-line"):
             load(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "load, text, got",
+        [
+            (load_pool, "name,country,gdp,sports_score\nOslo,Norway,1.0\n", 3),
+            (load_pool, "name,country,gdp,sports_score\nOslo,Norway,1.0,2.0,extra\n", 5),
+            (load_climate_csv, "city,variable,period,value\nOslo,feb_temp_c\n", 2),
+            (load_climate_csv, "city,variable,period,value\nOslo,feb_temp_c,2015,-1,x,y\n", 6),
+        ],
+        ids=["pool-short", "pool-long", "climate-short", "climate-long"],
+    )
+    def test_row_not_as_wide_as_the_header_is_a_validation_error(self, load, text, got):
+        message = f"^column count mismatch at row 'Oslo': expected 4, got {got}$"
+        with pytest.raises(ValidationError, match=message):
+            load(io.StringIO(text))
+
     def test_duplicate_city_rejected(self):
         text = (
             "name,country,gdp,sports_score\n"

@@ -13,8 +13,11 @@ stripping the leading ``# `` lines, and record why.
 
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from hostrank import __version__
 from hostrank.cli import EXIT_OK, EXIT_VALIDATION, OUTPUT_DIR_ENV, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parent.parent / "src"
 
 WEIGHTS_FILES = [
     "ahp_categories.csv", "ahp_indicators.csv", "ahp_consistency.csv",
@@ -95,10 +99,13 @@ def run_cli(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([*argv[:words], "--config", str(config), *argv[words:]]) == EXIT_OK
-    stdout = capsys.readouterr().out
+    return [str(w.message) for w in caught], mask_stdout(capsys.readouterr().out)
+
+
+def mask_stdout(stdout: str) -> str:
+    """``stdout`` as ``stdout.txt`` holds it: config hash masked, paths cut to file names."""
     stdout = re.sub(r"(\] config )[0-9a-f]{12}( seed )", r"\1<hash>\2", stdout)
-    stdout = re.sub(r"(  wrote ).*[/\\]", r"\1", stdout)
-    return [str(w.message) for w in caught], stdout
+    return re.sub(r"(  wrote ).*[/\\]", r"\1", stdout)
 
 
 def assert_matches_golden(
@@ -127,6 +134,25 @@ def test_outputs_match_golden_files(
     config = fixtures_dir / "run.json"
     _, stdout = run_cli(argv, config, tmp_path, monkeypatch, capsys)
     assert_matches_golden(tmp_path, GOLDEN / case, names, config, stdout)
+
+
+@pytest.mark.parametrize("case", ["weights", "screen-winter"])
+def test_module_entry_point_matches_golden_files(case, fixtures_dir, tmp_path):
+    """``python -m hostrank.cli`` exits through ``run()``: exit 0, and the
+    same output bytes and stdout as ``main()`` in-process."""
+    argv, names = next((argv, names) for c, argv, names in INVOCATIONS if c == case)
+    argv = [a.replace("{fixtures}", str(fixtures_dir)) for a in argv]
+    config = fixtures_dir / "run.json"
+    words = 2 if argv[0] == "screen" else 1
+    env = {**os.environ, OUTPUT_DIR_ENV: str(tmp_path)}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hostrank.cli", *argv[:words], "--config", str(config),
+         *argv[words:]],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert_matches_golden(tmp_path, GOLDEN / case, names, config, mask_stdout(proc.stdout))
 
 
 def config_with_a_damaged_input(fixtures: Path, tmp_path: Path, key: str) -> Path:
