@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
 from typing import IO, Any, Iterator, Mapping, Sequence
 
@@ -61,22 +62,19 @@ def _pool_from_json(text: str) -> list[CityProfile]:
     if not isinstance(entries, list):
         raise ValidationError('pool file must hold a "cities" list')
     cities = []
-    ids_by_keys: dict[tuple, tuple[IndicatorId, ...]] = {}
     for pos, entry in enumerate(entries, start=1):
         with _malformed(f"pool city #{pos}"):
-            cities.append(_city_from_obj(entry, ids_by_keys))
+            cities.append(_finite(_city_from_obj(entry)))
     _check_unique(cities)
     return cities
 
 
-def _city_from_obj(
-    entry: Mapping, ids_by_keys: dict[tuple, tuple[IndicatorId, ...]]
-) -> CityProfile:
+def _city_from_obj(entry: Mapping) -> CityProfile:
     climate = {
         str(var): _series_from_obj(f"{entry['name']}/{var}", series)
         for var, series in entry.get("climate", {}).items()
     }
-    indicators = _indicators_from_obj(entry.get("indicators", {}), ids_by_keys)
+    indicators = {IndicatorId.parse(k): float(v) for k, v in entry.get("indicators", {}).items()}
     return CityProfile(
         name=str(entry["name"]),
         country=str(entry.get("country", "")),
@@ -87,22 +85,15 @@ def _city_from_obj(
     )
 
 
-def _indicators_from_obj(
-    raw: Mapping, ids_by_keys: dict[tuple, tuple[IndicatorId, ...]]
-) -> dict[IndicatorId, float]:
-    """A city's indicator values; ``ids_by_keys`` keeps the parsed ids of each key tuple seen.
-
-    The cities of a pool mostly list the same keys, so each tuple is parsed once per pool.
-    """
-    items = raw.items()
-    keys = tuple(raw)
-    if keys not in ids_by_keys:
-        try:
-            ids_by_keys[keys] = tuple(map(IndicatorId.parse, keys))
-        except ValidationError:
-            # Entry by entry, so that a bad value before the bad key is reported first.
-            return {IndicatorId.parse(k): float(v) for k, v in items}
-    return dict(zip(ids_by_keys[keys], map(float, raw.values())))
+def _finite(city: CityProfile) -> CityProfile:
+    """``city``, unless its gdp, sports score or an indicator value is NaN or infinite."""
+    # A NaN or an infinity makes the sum non-finite; so, rarely, do large finite values.
+    if not math.isfinite(city.gdp + city.sports_score + sum(city.indicators.values())):
+        numbers = {"gdp": city.gdp, "sports_score": city.sports_score, **city.indicators}
+        for key, value in numbers.items():
+            if not math.isfinite(value):
+                raise ValidationError(f"pool city {city.name!r} has a non-finite {key}: {value!r}")
+    return city
 
 
 def _full_rows(reader: csv.DictReader) -> Iterator[dict[str, str]]:
@@ -135,18 +126,17 @@ def _pool_from_csv(text: str) -> list[CityProfile]:
     cities = []
     for row in _full_rows(reader):
         try:
-            cities.append(
-                CityProfile(
-                    name=row["name"].strip(),
-                    country=row["country"].strip(),
-                    gdp=float(row["gdp"]),
-                    sports_score=float(row["sports_score"]),
-                )
+            city = CityProfile(
+                name=row["name"].strip(),
+                country=row["country"].strip(),
+                gdp=float(row["gdp"]),
+                sports_score=float(row["sports_score"]),
             )
         except ValueError as exc:
             raise ValidationError(
                 f"bad numeric value in pool row {row['name']!r}: {exc}"
             ) from None
+        cities.append(_finite(city))
     _check_unique(cities)
     return cities
 
@@ -215,7 +205,7 @@ def load_plans(source: str | Path | IO[str]) -> list[SchemePlan]:
             if any(p.id == plan_id for p in plans):
                 raise ValidationError(f"duplicate plan id {plan_id!r} in plans file")
             impacts = {
-                IndicatorId.parse(k): int(v) for k, v in entry["impacts"].items()
+                IndicatorId.parse(k): _grade(plan_id, k, v) for k, v in entry["impacts"].items()
             }
             try:
                 plans.append(
@@ -232,18 +222,28 @@ def load_plans(source: str | Path | IO[str]) -> list[SchemePlan]:
         return plans
 
 
+def _grade(plan_id: str, key: str, grade: Any) -> int:
+    if type(grade) is not int:  # bool is an int subclass, but no grade
+        raise ValueError(f"plan {plan_id!r} grades {key} with {grade!r}, not an integer")
+    return grade
+
+
 def load_swot(source: str | Path | IO[str]) -> list[SwotRecord]:
+    """SWOT records; each entry the file omits is empty."""
     with _json_document(_read_text(source), "swot file") as obj:
         return [
-            SwotRecord(
-                city=str(e["city"]),
-                strengths=tuple(e.get("strengths", ())),
-                weaknesses=tuple(e.get("weaknesses", ())),
-                opportunities=tuple(e.get("opportunities", ())),
-                threats=tuple(e.get("threats", ())),
-            )
+            SwotRecord(str(e["city"]), *(_swot_entries(e, key) for key in SwotRecord._fields[1:]))
             for e in obj["records"]
         ]
+
+
+def _swot_entries(record: Mapping, key: str) -> tuple[str, ...]:
+    entries = record.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
+        raise ValueError(
+            f"{key} of {record['city']!r} must be a list of strings, got {entries!r}"
+        )
+    return tuple(entries)
 
 
 def load_requirement(block: Mapping[str, Any]) -> ClimateRequirement:

@@ -82,27 +82,28 @@ _ID_PATTERN = re.compile(r"^([A-E])(\d{1,2})$")
 class IndicatorId(Record):
     """Identifier of one secondary indicator, e.g. A5.
 
-    Ordering is lexicographic by (category letter, index), which is the
-    canonical hierarchy order and the deterministic tie-break used by
-    feature selection.
+    The 30 ids are built once, at import, and every construction, parse,
+    copy or unpickling returns one of them; so ids compare and hash by
+    identity. Ordering is lexicographic by (category letter, index),
+    which is the canonical hierarchy order and the deterministic
+    tie-break used by feature selection.
     """
 
     _fields = ("category", "index")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, category: Category, index: int) -> None:
+    def __new__(cls, category: Category, index: int) -> IndicatorId:
         limit = CATEGORY_SIZES[category]
         if not 1 <= index <= limit:
             raise ValidationError(
                 f"indicator index {index} out of range 1..{limit} "
                 f"for category {category.value}"
             )
-        # From ints only: unlike a (salted) str hash it is the same in every process.
-        self.__dict__.update(
-            category=category, index=index, _hash=hash((ord(category.value), index))
-        )
+        return _IDS_BY_TEXT[f"{category.value}{index:d}"]
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self) -> tuple:
+        return IndicatorId, (self.category, self.index)
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -113,33 +114,32 @@ class IndicatorId(Record):
         return f"{self.category.value}{self.index}"
 
     @staticmethod
-    def parse(text: str) -> "IndicatorId":
+    def parse(text: str) -> IndicatorId:
         try:
-            return _PARSED_IDS[text]
+            return _IDS_BY_TEXT[text]
         except KeyError:
             pass
         m = _ID_PATTERN.match(text.strip())
         if m is None:
             raise ValidationError(f"unknown indicator {text!r}")
-        parsed = IndicatorId(Category(m.group(1)), int(m.group(2)))
-        if m.group(0) == text:
-            _PARSED_IDS[text] = parsed
-        return parsed
+        return IndicatorId(Category(m.group(1)), int(m.group(2)))
 
 
-# Ids are frozen, so every parse of the same text may share one instance.
-# Only texts that parse as they are, unpadded, are kept: a letter and an
-# index of one or two digits bound their number.
-_PARSED_IDS: dict[str, IndicatorId] = {}
+def _built_id(category: Category, index: int) -> IndicatorId:
+    made = object.__new__(IndicatorId)
+    made.__dict__.update(category=category, index=index)
+    return made
+
+
+_IDS_BY_TEXT: dict[str, IndicatorId] = {
+    f"{c.value}{i}": _built_id(c, i) for c in Category for i in range(1, CATEGORY_SIZES[c] + 1)
+}
+_ALL_IDS = tuple(_IDS_BY_TEXT.values())
 
 
 def all_indicator_ids() -> tuple[IndicatorId, ...]:
     """All 30 indicator ids in hierarchy order."""
-    return tuple(
-        IndicatorId(cat, i)
-        for cat in Category
-        for i in range(1, CATEGORY_SIZES[cat] + 1)
-    )
+    return _ALL_IDS
 
 
 @dataclass(frozen=True)
@@ -569,12 +569,7 @@ def _parse_delimited_matrix(text: str):
                 f"expected {len(header)}, got {len(raw)}"
             )
         labels.append(raw[0].strip())
-        # float() strips padding itself; only a row with a gap or a bad cell
-        # needs the cell-by-cell pass.
-        try:
-            grid.append(list(map(float, raw[1:])))
-        except ValueError:
-            grid.append([_cell_value(c, labels[-1], ind) for ind, c in zip(ids, raw[1:])])
+        grid.append([_cell_value(c, labels[-1], ind) for ind, c in zip(ids, raw[1:])])
     return labels, ids, grid, None
 
 

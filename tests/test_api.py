@@ -414,7 +414,7 @@ class TestRecordContract:
         if hashable:
             assert cls(*args) == sample
             assert hash(cls(*args)) == hash(sample) != hash(other)
-            if cls is not IndicatorId:  # which hashes its category letter and index
+            if cls is not IndicatorId:  # which is interned and hashes by identity
                 assert hash(sample) == hash(tuple(getattr(sample, f) for f in fields))
         else:
             with pytest.raises(TypeError, match="unhashable"):

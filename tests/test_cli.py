@@ -592,6 +592,56 @@ class TestErrorContract:
         )
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "key, fixture, damage, argv, message",
+        [
+            ("pool", "winter_pool.json",
+             lambda obj: obj["cities"][0]["indicators"].update(A2=float("nan")),
+             ["screen", "winter"], "pool city 'Calgary' has a non-finite A2: nan"),
+            ("pool", "winter_pool.json", lambda obj: obj["cities"][1].update(gdp=float("inf")),
+             ["screen", "winter"], "pool city 'Moscow' has a non-finite gdp: inf"),
+            ("pool", "world_pool.csv", ("3.733,816.6", "3.733,inf"), ["screen", "summer"],
+             "pool city 'New York' has a non-finite sports_score: inf"),
+            ("pool", "world_pool.csv", ("3.733,816.6", "nan,816.6"), ["screen", "summer"],
+             "pool city 'New York' has a non-finite gdp: nan"),
+            *[
+                ("plans", "plans.json",
+                 lambda obj, grade=grade: obj["plans"][1]["impacts"].update(A2=grade),
+                 ["compare-schemes"],
+                 f"bad value in plans file: plan 'A' grades A2 with {grade!r}, not an integer")
+                for grade in (3.9, True, "3")
+            ],
+            ("swot", "swot.json", lambda obj: obj["records"][0].update(strengths="good transport"),
+             ["screen", "summer"], "bad value in swot file: strengths of 'Beijing' must be a list "
+             "of strings, got 'good transport'"),
+        ],
+        ids=[
+            "pool-json-indicator-nan", "pool-json-gdp-inf", "pool-csv-sports-inf",
+            "pool-csv-gdp-nan", "grade-float", "grade-bool", "grade-text", "swot-string",
+        ],
+    )
+    def test_input_value_of_the_wrong_kind_is_a_validation_error(
+        self, tmp_path, fixtures_dir, outdir, capsys, key, fixture, damage, argv, message
+    ):
+        """A NaN or infinite pool number, a plan grade that is not a JSON integer and a
+        SWOT entry that is not a list of strings each stop the run before any output."""
+        text = (fixtures_dir / fixture).read_text()
+        if isinstance(damage, tuple):
+            assert damage[0] in text
+            text = text.replace(*damage, 1)
+        else:
+            obj = json.loads(text)
+            damage(obj)
+            text = json.dumps(obj)
+        damaged = tmp_path / fixture
+        damaged.write_text(text)
+
+        config = write_config(tmp_path, fixtures_dir, lambda cfg: cfg.update({key: str(damaged)}))
+        words = 2 if argv[0] == "screen" else 1
+        assert main([*argv[:words], "--config", str(config), *argv[words:]]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not outdir.exists()
+
     def test_output_dir_that_is_a_file_is_a_config_error(
         self, tmp_path, config_path, monkeypatch, capsys
     ):

@@ -7,7 +7,6 @@ import re
 import numpy as np
 import pytest
 
-from hostrank import dataio
 from hostrank.dataio import (
     load_climate_csv,
     load_judgments,
@@ -18,7 +17,8 @@ from hostrank.dataio import (
     merge_climate,
 )
 from hostrank.errors import ConfigError, ValidationError
-from hostrank.indicators import IndicatorId
+from hostrank.indicators import IndicatorId, all_indicator_ids
+from hostrank.selection import SwotRecord
 
 
 class TestLoadPool:
@@ -74,6 +74,19 @@ class TestLoadPool:
         with pytest.raises(ValidationError, match=message):
             load(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ("nan,1.0", "non-finite gdp: nan"),
+            ("1.0,inf", "non-finite sports_score: inf"),
+            ("-Infinity,NaN", "non-finite gdp: -inf"),
+        ],
+    )
+    def test_non_finite_number_names_the_city_and_the_key(self, cells, message):
+        text = f"name,country,gdp,sports_score\nX,Y,1,2\nOslo,Norway,{cells}\n"
+        with pytest.raises(ValidationError, match=f"^pool city 'Oslo' has a {message}$"):
+            load_pool(io.StringIO(text))
+
     def test_duplicate_city_rejected(self):
         text = (
             "name,country,gdp,sports_score\n"
@@ -84,16 +97,14 @@ class TestLoadPool:
             load_pool(io.StringIO(text))
 
 
-def _per_entry_indicators(raw, ids_by_keys):
-    """The parse every pool city had before ids were kept per key tuple."""
-    return {IndicatorId.parse(k): float(v) for k, v in raw.items()}
-
-
 def _pool_outcome(text):
+    """Each city's name and indicator items in order, ids as text; or the error message."""
     try:
-        return [(c.name, list(c.indicators.items())) for c in load_pool(io.StringIO(text))]
+        pool = load_pool(io.StringIO(text))
     except ValidationError as exc:
         return str(exc)
+    assert all(i is IndicatorId.parse(str(i)) for c in pool for i in c.indicators)
+    return [(c.name, [(str(i), v) for i, v in c.indicators.items()]) for c in pool]
 
 
 def _cities(*indicator_maps):
@@ -102,16 +113,41 @@ def _cities(*indicator_maps):
 
 class TestPoolIndicatorKeys:
     @pytest.mark.parametrize(
-        "cities",
+        "cities, outcome",
         [
-            _cities({"A1": 1, "A2": 2}, {"A2": 3, "A1": 4}, {"A1": 5, "A2": 6}, {}, {"A2": 7}),
-            _cities({" A1 ": 1, "B7": 2.5}, {"A1": 1, " A1": 2}, {" A1 ": 3, "B7": "4"}),
-            _cities({"A1": 1}, {"A1": "x", "Z9": 1}),
-            _cities({"A1": 1}, {"Z9": 1, "A1": "x"}),
-            _cities({"A1": 1, "A2": 2}, {"A1": 3, "A2": None}),
-            _cities({"A1": 1}, {"A9": 1}),
-            _cities({"A1": 1}, ["A1"]),
-            _cities({"A1": 1}, "A1"),
+            (
+                _cities({"A1": 1, "A2": 2}, {"A2": 3, "A1": 4}, {"A1": 5, "A2": 6}, {}, {"A2": 7}),
+                [
+                    ("c0", [("A1", 1.0), ("A2", 2.0)]), ("c1", [("A2", 3.0), ("A1", 4.0)]),
+                    ("c2", [("A1", 5.0), ("A2", 6.0)]), ("c3", []), ("c4", [("A2", 7.0)]),
+                ],
+            ),
+            (
+                _cities({" A1 ": 1, "B7": 2.5}, {"A1": 1, " A1": 2}, {" A1 ": 3, "B7": "4"}),
+                [
+                    ("c0", [("A1", 1.0), ("B7", 2.5)]), ("c1", [("A1", 2.0)]),
+                    ("c2", [("A1", 3.0), ("B7", 4.0)]),
+                ],
+            ),
+            (
+                _cities({"A1": 1}, {"A1": "x", "Z9": 1}),
+                "bad value in pool city #2: could not convert string to float: 'x'",
+            ),
+            (_cities({"A1": 1}, {"Z9": 1, "A1": "x"}), "unknown indicator 'Z9'"),
+            (
+                _cities({"A1": 1, "A2": 2}, {"A1": 3, "A2": None}),
+                "bad value in pool city #2: float() argument must be a string or a real "
+                "number, not 'NoneType'",
+            ),
+            (_cities({"A1": 1}, {"A9": 1}), "indicator index 9 out of range 1..6 for category A"),
+            (
+                _cities({"A1": 1}, ["A1"]),
+                "bad value in pool city #2: 'list' object has no attribute 'items'",
+            ),
+            (
+                _cities({"A1": 1}, "A1"),
+                "bad value in pool city #2: 'str' object has no attribute 'items'",
+            ),
         ],
         ids=[
             "orders and subsets", "padded keys", "bad value before unknown id",
@@ -119,18 +155,48 @@ class TestPoolIndicatorKeys:
             "list of keys", "string",
         ],
     )
-    def test_cities_match_the_per_entry_parse(self, cities, monkeypatch):
-        text = json.dumps({"cities": cities})
-        got = _pool_outcome(text)
-        monkeypatch.setattr(dataio, "_indicators_from_obj", _per_entry_indicators)
-        assert got == _pool_outcome(text)
+    def test_city_indicators_in_order(self, cities, outcome):
+        assert _pool_outcome(json.dumps({"cities": cities})) == outcome
 
-    def test_fixture_pool_matches_the_per_entry_parse(self, fixtures_dir, monkeypatch):
-        text = (fixtures_dir / "winter_pool.json").read_text()
-        got = _pool_outcome(text)
-        assert len(got) == 12 and all(len(indicators) == 30 for _, indicators in got)
-        monkeypatch.setattr(dataio, "_indicators_from_obj", _per_entry_indicators)
-        assert got == _pool_outcome(text)
+    def test_fixture_pool_indicators_in_order(self, fixtures_dir):
+        got = _pool_outcome((fixtures_dir / "winter_pool.json").read_text())
+        assert [name for name, _ in got] == [
+            "Calgary", "Moscow", "Pyeongchang", "Oslo", "Stockholm", "Bern", "Warsaw",
+            "Copenhagen", "Vienna", "Bangkok", "Riyadh", "Jakarta",
+        ]
+        ids = [str(i) for i in all_indicator_ids()]
+        assert all([key for key, _ in items] == ids for _, items in got)
+        assert [v for _, v in got[0][1]] == [
+            6.856, 83.57, 3.058, 70.659, 9.622, 77.252, 87.609, 91.479, 85.624, 97.955,
+            14.143, 68.586, 95.508, 65.209, 90.268, 70.324, 7.771, 83.493, 74.79, 79.217,
+            55.02, 58.474, 13.152, 13.732, 76.154, 71.426, 94.893, 10.517, 12.783, 81.63,
+        ]
+        assert [v for _, v in got[-1][1]] == [
+            5.023, 61.984, 2.212, 48.844, 47.707, 48.328, 65.361, 58.04, 47.507, 58.069,
+            52.227, 62.959, 63.078, 55.258, 54.008, 34.654, 38.26, 52.678, 46.191, 67.713,
+            55.255, 27.472, 37.148, 34.519, 26.916, 34.707, 50.134, 36.67, 43.292, 31.89,
+        ]
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"indicators": {"A1": 1, "A2": float("nan")}}, "non-finite A2: nan"),
+            ({"indicators": {"B3": float("-inf")}}, "non-finite B3: -inf"),
+            ({"gdp": float("inf"), "indicators": {"A1": float("nan")}}, "non-finite gdp: inf"),
+            ({"sports_score": "NaN"}, "non-finite sports_score: nan"),
+        ],
+        ids=["indicator nan", "indicator -inf", "gdp first", "sports score text"],
+    )
+    def test_non_finite_number_names_the_city_and_the_key(self, entry, message):
+        text = json.dumps({"cities": [{"name": "c0"}, {"name": "Oslo", **entry}]})
+        assert "NaN" in text or "Infinity" in text
+        assert _pool_outcome(text) == f"pool city 'Oslo' has a {message}"
+
+    def test_finite_numbers_whose_sum_overflows_load(self):
+        entry = {"name": "Oslo", "gdp": -1e308, "indicators": {"A1": 1e308, "A2": 1e308}}
+        assert sum([1e308, 1e308]) == float("inf")
+        outcome = _pool_outcome(json.dumps({"cities": [entry]}))
+        assert outcome == [("Oslo", [("A1", 1e308), ("A2", 1e308)])]
 
 
 class TestClimateCsv:
@@ -196,10 +262,31 @@ class TestPlansAndSwot:
         with pytest.raises(ValidationError, match=re.escape(message)):
             load_plans(io.StringIO(text))
 
+    @pytest.mark.parametrize("grade", [3.9, 3.0, True, "3", None])
+    def test_grade_that_is_not_a_json_integer_rejected(self, grade):
+        text = json.dumps({"plans": [{"id": "A", "impacts": {"A1": 3, "B2": grade}}]})
+        message = f"bad value in plans file: plan 'A' grades B2 with {grade!r}, not an integer"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_plans(io.StringIO(text))
+
     def test_fixture_swot(self, fixtures_dir):
         records = load_swot(fixtures_dir / "swot.json")
         assert {r.city for r in records} == {"Beijing", "Los Angeles", "Paris", "London"}
         assert all(r.strengths and r.threats for r in records)
+
+    @pytest.mark.parametrize("entries", ["good transport", ["ok", 3], {"a": "b"}, None])
+    def test_entry_that_is_not_a_list_of_strings_rejected(self, entries):
+        text = json.dumps({"records": [{"city": "Paris", "threats": entries}]})
+        message = (
+            f"bad value in swot file: threats of 'Paris' must be a list of strings, "
+            f"got {entries!r}"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_swot(io.StringIO(text))
+
+    def test_absent_swot_entry_is_empty(self):
+        (record,) = load_swot(io.StringIO('{"records": [{"city": "Paris", "strengths": ["x"]}]}'))
+        assert record == SwotRecord("Paris", ("x",))
 
 
 class TestJudgmentsAndRequirement:

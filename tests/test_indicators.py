@@ -63,8 +63,31 @@ class TestIndicatorId:
         assert {parsed: "x"}[made] == "x"
         assert len({hash(i) for i in all_indicator_ids()}) == 30
 
+    @pytest.mark.parametrize("made", all_indicator_ids(), ids=str)
+    def test_one_instance_per_id(self, made):
+        text = str(made)
+        zero_padded = f" {text[0]}0{text[1:]} "  # " A05 " for A5
+        assert IndicatorId(made.category, made.index) is made
+        assert IndicatorId.parse(text) is made
+        assert IndicatorId.parse(zero_padded) is made
+        assert copy.copy(made) is made and copy.deepcopy(made) is made
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(made, protocol)) is made
+
+    def test_ids_compare_and_hash_by_identity(self):
+        assert IndicatorId.__eq__ is object.__eq__
+        assert IndicatorId.__hash__ is object.__hash__
+        assert all(vars(i).keys() == {"category", "index"} for i in all_indicator_ids())
+        assert all_indicator_ids() is all_indicator_ids()
+
+    def test_out_of_range_index_is_rejected_by_the_constructor(self):
+        message = "^indicator index 8 out of range 1..7 for category B$"
+        with pytest.raises(ValidationError, match=message):
+            IndicatorId(Category.HUMAN, 8)
+
     def test_pickled_ids_find_dict_entries_under_another_hash_seed(self):
-        """The hash is cached in each id, so it must not use the per-process str salt."""
+        """Ids unpickle to the one instance of each id, so a dict pickled in
+        another process, under another str hash salt, finds its entries."""
         dump = (
             "import pickle, sys; from hostrank.indicators import all_indicator_ids as a; "
             "sys.stdout.buffer.write(pickle.dumps((a(), {i: str(i) for i in a()})))"
