@@ -69,7 +69,6 @@ from .pipeline import WeightingOutputs, compute_weights, evaluate_alternatives
 from .selection import (
     CityProfile,
     ClimateRequirement,
-    Cutoff,
     ImpactScale,
     SchemePlan,
     SuitabilityScore,
@@ -142,7 +141,6 @@ __all__ = [
     "SchemePlan",
     "ImpactScale",
     "SwotRecord",
-    "Cutoff",
     "screen_candidates",
     "winter_climate_filter",
     "rank_cities",

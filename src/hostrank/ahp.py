@@ -45,6 +45,8 @@ _MAX_ORDER = 15
 _SCALE_MIN = 1.0 / 9.0
 _SCALE_MAX = 9.0
 _RECIPROCITY_TOL = 1e-9
+_EIGEN_TOL = 1e-12
+_EIGEN_MAX_ITER = 10_000
 CR_THRESHOLD = 0.1
 
 
@@ -119,39 +121,27 @@ def validate_judgment(matrix: Sequence[Sequence[float]] | np.ndarray) -> Judgmen
     return JudgmentMatrix(vals)
 
 
-def principal_eigen(
-    matrix: JudgmentMatrix,
-    *,
-    start: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> tuple[float, np.ndarray]:
+def principal_eigen(matrix: JudgmentMatrix) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue and L1-normalized eigenvector by power iteration.
 
-    Each iterate is renormalized to sum 1; convergence is declared when
-    successive iterates differ by less than ``tol`` in max-norm. The
-    eigenvalue estimate is the mean of (M w)_i / w_i at convergence.
-    Any positive start vector converges to the same weights.
+    Starting from uniform weights, each iterate is renormalized to sum 1;
+    convergence is declared when successive iterates differ by less than
+    ``_EIGEN_TOL`` in max-norm. The eigenvalue estimate is the mean of
+    (M w)_i / w_i at convergence.
     """
     m = matrix.values
     n = matrix.order
-    if start is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.array(start, dtype=float)
-        if w.shape != (n,) or np.any(w <= 0):
-            raise ValidationError("start vector must be positive with matching length")
-        w = w / w.sum()
-    for _ in range(max_iter):
+    w = np.full(n, 1.0 / n)
+    for _ in range(_EIGEN_MAX_ITER):
         v = m @ w
         v /= v.sum()
-        if np.max(np.abs(v - w)) < tol:
+        if np.max(np.abs(v - w)) < _EIGEN_TOL:
             w = v
             break
         w = v
     else:
         raise NumericError(
-            f"power iteration did not converge within {max_iter} iterations"
+            f"power iteration did not converge within {_EIGEN_MAX_ITER} iterations"
         )
     lam = float(np.mean((m @ w) / w))
     return lam, w

@@ -61,7 +61,6 @@ from .selection import (
     FEB_TEMP,
     CityProfile,
     ClimateRequirement,
-    Cutoff,
     FeatureScaler,
     compare_schemes,
     rank_cities,
@@ -430,11 +429,15 @@ def _check_until(
 
 
 def _winter_candidates(
-    cfg: RunConfig, cities: list[CityProfile]
+    cfg: RunConfig, pool: list[CityProfile], cities: list[CityProfile]
 ) -> tuple[list[CityProfile], dict[str, Table], list[str]]:
-    """Drop excluded cities, then keep those passing the climate gate."""
+    """Drop excluded cities, then keep those passing the climate gate.
+
+    ``cities`` are the stage-1 survivors of ``pool``; the exclusion list
+    is checked against the whole pool.
+    """
     excluded = set(cfg.winter_exclude)
-    unknown = excluded - {c.name for c in cities}
+    unknown = excluded - {c.name for c in pool}
     if unknown:
         warnings.warn(f"exclusion list names absent from the pool: {sorted(unknown)}")
     candidates = [c for c in cities if c.name not in excluded]
@@ -460,11 +463,7 @@ def _summer_candidates(
     cfg: RunConfig, cities: list[CityProfile], w: WeightingOutputs
 ) -> tuple[list[CityProfile], dict[str, Table], list[str]]:
     """Shortlist by sports score; indicators come from the decision matrix."""
-    shortlist = screen_candidates(
-        cities,
-        gdp_cutoff=Cutoff.rank(len(cities)),
-        sports_cutoff=Cutoff.rank(cfg.summer_sports_rank),
-    )
+    shortlist = screen_candidates(cities, len(cities), cfg.summer_sports_rank)
     screen_rows = [
         (i + 1, c.name, c.country, c.sports_score) for i, c in enumerate(shortlist)
     ]
@@ -480,17 +479,19 @@ def _summer_candidates(
 def _cmd_screen(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     season = args.season
     w = _weighting(cfg)
-    cities = _load_cities(cfg, args.pool)
-    gdp_rank, sports_rank = cfg.stage1_gdp_rank, cfg.stage1_sports_rank
-    if gdp_rank is not None or sports_rank is not None:
+    pool = cities = _load_cities(cfg, args.pool)
+    if cfg.stage1_gdp_rank is not None or cfg.stage1_sports_rank is not None:
         # Stage 1, the coarse GDP/sports cut; an unset rank keeps the whole pool.
-        cities = screen_candidates(
-            cities,
-            gdp_cutoff=Cutoff.rank(gdp_rank or len(cities)),
-            sports_cutoff=Cutoff.rank(sports_rank or len(cities)),
-        )
+        gdp_rank = cfg.stage1_gdp_rank or len(pool)
+        sports_rank = cfg.stage1_sports_rank or len(pool)
+        cities = screen_candidates(pool, gdp_rank, sports_rank)
+        if not cities:
+            raise ValidationError(
+                f"stage 1 keeps no city: none is in the top {gdp_rank} by gdp "
+                f"and the top {sports_rank} by sports_score"
+            )
     if season == "winter":
-        candidates, tables, summary = _winter_candidates(cfg, cities)
+        candidates, tables, summary = _winter_candidates(cfg, pool, cities)
         s_base, default_base = cfg.winter_s_base, cfg.winter_default_s_base
     else:
         candidates, tables, summary = _summer_candidates(cfg, cities, w)

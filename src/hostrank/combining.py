@@ -91,10 +91,6 @@ class CombinedWeights(Record):
         if np.any(np.diff(ordered) > _SUM_TOL):
             raise ValidationError("combined weights increase along the ordering")
 
-    @property
-    def sorted_weights(self) -> np.ndarray:
-        return self.weights[list(self.ordering)]
-
 
 class TotalWeights(Record):
     """Per-secondary-indicator weights: category weight times in-category weight."""
@@ -161,35 +157,24 @@ def dispersion(
     return np.sqrt(((vals - center) ** 2).mean(axis=0))
 
 
-def importance_ratios(
-    s: Sequence[float] | np.ndarray,
-    ordering: Sequence[int] | None = None,
-) -> ImportanceRatios:
-    """Adjacent-importance ratios along a descending-dispersion ordering.
+def importance_ratios(s: Sequence[float] | np.ndarray) -> ImportanceRatios:
+    """Adjacent-importance ratios along the descending-dispersion ordering.
 
-    With the default ordering (stable argsort by descending s) the
-    first branch always applies and every ratio lies in [1, 2]. A zero
-    dispersion following a positive one makes the ratio unbounded; it
-    is clamped to the cap with a warning.
+    The ordering is a stable argsort by descending s, so every ratio
+    lies in [1, 2]. A zero dispersion following a positive one makes
+    the ratio unbounded; it is clamped to the cap with a warning.
     """
     svals = np.asarray(s, dtype=float)
     if svals.ndim != 1 or svals.size < 1:
         raise ValidationError("dispersion vector must be 1-D and non-empty")
     if np.any(svals < 0) or not np.all(np.isfinite(svals)):
         raise ValidationError("dispersions must be finite and nonnegative")
-    if ordering is None:
-        order = tuple(int(i) for i in np.argsort(-svals, kind="stable"))
-    else:
-        order = tuple(int(i) for i in ordering)
-        if sorted(order) != list(range(svals.size)):
-            raise ValidationError("ordering is not a permutation of the columns")
+    order = tuple(int(i) for i in np.argsort(-svals, kind="stable"))
     ss = svals[list(order)]
     ratios = np.empty(max(svals.size - 1, 0))
     for k in range(1, svals.size):
         prev, cur = ss[k - 1], ss[k]
-        if prev < cur:
-            ratios[k - 1] = 1.0
-        elif cur == 0.0:
+        if cur == 0.0:
             if prev == 0.0:
                 ratios[k - 1] = 1.0
             else:

@@ -18,7 +18,10 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .grey import TimeSeries
-from .indicators import IndicatorId, _csv_errors, _json_document, _malformed, _read_text
+from .indicators import (
+    IndicatorId, _csv_errors, _json_document, _json_number, _json_numbers, _malformed,
+    _read_text,
+)
 from .selection import CityProfile, ClimateRequirement, SchemePlan, SwotRecord, _check_unique
 
 __all__ = [
@@ -41,11 +44,11 @@ def load_judgments(source: str | Path | IO[str]) -> dict[str, list[list[float]]]
 
 
 def _series_from_obj(label: str, entry: Mapping) -> TimeSeries:
-    return TimeSeries(
-        label=label,
-        start_period=int(entry["start_period"]),
-        values=entry["values"],
-    )
+    start = entry["start_period"]
+    if type(start) is not int:
+        raise ValueError(f"start_period of {label!r} must be an integer, got {start!r}")
+    values = _json_numbers(entry["values"], f"value of {label!r}")
+    return TimeSeries(label=label, start_period=start, values=values)
 
 
 def load_pool(source: str | Path | IO[str]) -> list[CityProfile]:
@@ -74,12 +77,16 @@ def _city_from_obj(entry: Mapping) -> CityProfile:
         str(var): _series_from_obj(f"{entry['name']}/{var}", series)
         for var, series in entry.get("climate", {}).items()
     }
-    indicators = {IndicatorId.parse(k): float(v) for k, v in entry.get("indicators", {}).items()}
+    # A float, as nearly every value is, needs no call to the check.
+    indicators = {
+        IndicatorId.parse(k): v if type(v) is float else _json_number(v, k)
+        for k, v in entry.get("indicators", {}).items()
+    }
     return CityProfile(
         name=str(entry["name"]),
         country=str(entry.get("country", "")),
-        gdp=float(entry.get("gdp", 0.0)),
-        sports_score=float(entry.get("sports_score", 0.0)),
+        gdp=_json_number(entry.get("gdp", 0.0), "gdp"),
+        sports_score=_json_number(entry.get("sports_score", 0.0), "sports_score"),
         climate=climate,
         indicators=indicators,
     )

@@ -33,18 +33,12 @@ __all__ = [
 
 
 class EntropyResult(Record):
-    """Per-column probabilities, information entropies, and entropy weights."""
+    """Per-column information entropies and entropy weights."""
 
-    _fields = ("probabilities", "entropies", "weights")
+    _fields = ("entropies", "weights")
 
-    def __init__(
-        self, probabilities: np.ndarray, entropies: np.ndarray, weights: np.ndarray
-    ) -> None:
-        self.__dict__.update(
-            probabilities=frozen_array(probabilities),
-            entropies=frozen_array(entropies),
-            weights=frozen_array(weights),
-        )
+    def __init__(self, entropies: np.ndarray, weights: np.ndarray) -> None:
+        self.__dict__.update(entropies=frozen_array(entropies), weights=frozen_array(weights))
 
 
 def interval_normalize(x, a: float, b: float) -> np.ndarray:
@@ -145,4 +139,4 @@ def entropy_weights(z: np.ndarray) -> EntropyResult:
             "all columns are dispersion-free; entropy weights undefined"
         )
     h = (1.0 - e) / denom
-    return EntropyResult(probabilities=p, entropies=e, weights=h)
+    return EntropyResult(entropies=e, weights=h)

@@ -431,6 +431,25 @@ def _malformed(what: str) -> Iterator[None]:
         raise ValidationError(f"bad value in {what}: {exc}") from None
 
 
+# The types a JSON number loads as; true and false load as bool, which is neither.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _json_number(value: Any, what: str) -> float:
+    """``value`` as a float, if JSON gave it as a number; true, false and strings are not."""
+    if type(value) not in _NUMBER_TYPES:
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(values: list, what: str) -> list:
+    """``values``, if JSON gave each as a number; else ``_json_number``'s error for the first."""
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        for value in values:
+            _json_number(value, what)
+    return values
+
+
 @contextmanager
 def _csv_errors(what: str) -> Iterator[None]:
     """Report a line the csv reader rejects as a one-line ValidationError naming ``what``.
@@ -599,17 +618,8 @@ def _parse_json_matrix(text: str):
                     f"column count mismatch at row {label!r}: "
                     f"expected {len(ids)}, got {len(row)}"
                 )
-            parsed = []
-            for ind, cell in zip(ids, row):
-                if cell is None:
-                    parsed.append(float("nan"))
-                elif isinstance(cell, (int, float)):
-                    parsed.append(float(cell))
-                else:
-                    raise ValidationError(
-                        f"non-numeric cell {cell!r} at row {label!r}, column {ind}"
-                    )
-            grid.append(parsed)
+            _json_numbers([c for c in row if c is not None], f"cell at row {label!r}")
+            grid.append([float("nan") if c is None else float(c) for c in row])
         return labels, ids, grid, units
 
 

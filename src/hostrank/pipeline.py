@@ -42,24 +42,21 @@ __all__ = ["WeightingOutputs", "compute_weights", "evaluate_alternatives"]
 class WeightingOutputs(Record):
     """Everything the weighting chain produces, stage by stage."""
 
-    _fields = (
-        "hierarchy", "matrix", "ahp", "normalized", "entropy", "per_category", "total", "selection"
-    )
+    _fields = ("hierarchy", "matrix", "ahp", "entropy", "per_category", "total", "selection")
 
     def __init__(
         self,
         hierarchy: IndicatorHierarchy,
         matrix: DecisionMatrix,
         ahp: AhpWeights,
-        normalized: np.ndarray,
         entropy: EntropyResult,
         per_category: dict[Category, CombinedWeights],
         total: TotalWeights,
         selection: FeatureSelection,
     ) -> None:
         self.__dict__.update(
-            hierarchy=hierarchy, matrix=matrix, ahp=ahp, normalized=normalized,
-            entropy=entropy, per_category=per_category, total=total, selection=selection,
+            hierarchy=hierarchy, matrix=matrix, ahp=ahp, entropy=entropy,
+            per_category=per_category, total=total, selection=selection,
         )
 
 
@@ -137,7 +134,6 @@ def compute_weights(
         hierarchy=hierarchy,
         matrix=matrix,
         ahp=subjective,
-        normalized=normalized,
         entropy=objective,
         per_category=per_category,
         total=omega,

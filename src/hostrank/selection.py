@@ -15,7 +15,6 @@ impact grade per feature with the same feature weights.
 
 from __future__ import annotations
 
-import warnings
 from enum import IntEnum
 from typing import Iterable, Mapping, Sequence
 
@@ -38,7 +37,6 @@ __all__ = [
     "SchemePlan",
     "SchemeComparison",
     "SwotRecord",
-    "Cutoff",
     "FeatureScaler",
     "screen_candidates",
     "winter_climate_filter",
@@ -187,27 +185,6 @@ class SwotRecord(Record):
         )
 
 
-class Cutoff(Record):
-    """A screening cutoff: keep the best N (rank) or everything >= v (value)."""
-
-    _fields = ("kind", "amount")
-
-    def __init__(self, kind: str, amount: float) -> None:
-        if kind not in ("rank", "value"):
-            raise ConfigError(f"unknown cutoff kind {kind!r}")
-        if kind == "rank" and amount < 1:
-            raise ConfigError("rank cutoff must be at least 1")
-        self.__dict__.update(kind=kind, amount=amount)
-
-    @classmethod
-    def rank(cls, n: int) -> "Cutoff":
-        return cls("rank", float(n))
-
-    @classmethod
-    def value(cls, v: float) -> "Cutoff":
-        return cls("value", float(v))
-
-
 def _check_unique(cities: Sequence[CityProfile]) -> None:
     """Reject a pool that names one city (name and country) twice."""
     keys = [c.key for c in cities]
@@ -224,38 +201,28 @@ def _ranks(pool: Sequence[CityProfile], metric) -> dict[tuple[str, str], int]:
 
 def screen_candidates(
     pool: Sequence[CityProfile],
-    gdp_cutoff: Cutoff,
-    sports_cutoff: Cutoff,
+    gdp_rank: int,
+    sports_rank: int,
 ) -> list[CityProfile]:
-    """First-stage screen on GDP and sports standing.
+    """First-stage screen: keep the cities ranked in the top ``gdp_rank`` by
+    GDP and in the top ``sports_rank`` by sports score.
 
-    Cities passing both cutoffs are returned stable-sorted by combined
-    rank (GDP rank plus sports rank, names breaking ties). An
-    over-tight cutoff yields an empty list with a warning rather than
-    an error.
+    Survivors are returned stable-sorted by combined rank (GDP rank plus
+    sports rank, names breaking ties). Over-tight cutoffs yield an empty
+    list rather than an error.
     """
+    if gdp_rank < 1 or sports_rank < 1:
+        raise ConfigError("rank cutoff must be at least 1")
     if not pool:
         raise ValidationError("candidate pool is empty")
     _check_unique(pool)
 
-    gdp_rank = _ranks(pool, lambda c: c.gdp)
-    sports_rank = _ranks(pool, lambda c: c.sports_score)
-
-    def passes(city: CityProfile, cutoff: Cutoff, rank: int, value: float) -> bool:
-        if cutoff.kind == "rank":
-            return rank <= cutoff.amount
-        return value >= cutoff.amount
-
+    gdp_ranks = _ranks(pool, lambda c: c.gdp)
+    sports_ranks = _ranks(pool, lambda c: c.sports_score)
     survivors = [
-        c
-        for c in pool
-        if passes(c, gdp_cutoff, gdp_rank[c.key], c.gdp)
-        and passes(c, sports_cutoff, sports_rank[c.key], c.sports_score)
+        c for c in pool if gdp_ranks[c.key] <= gdp_rank and sports_ranks[c.key] <= sports_rank
     ]
-    if not survivors:
-        warnings.warn("screening cutoffs exclude every city", stacklevel=2)
-        return []
-    survivors.sort(key=lambda c: (gdp_rank[c.key] + sports_rank[c.key], c.name, c.country))
+    survivors.sort(key=lambda c: (gdp_ranks[c.key] + sports_ranks[c.key], c.name, c.country))
     return survivors
 
 

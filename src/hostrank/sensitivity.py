@@ -269,10 +269,7 @@ class QuadraticSurface(Record):
     interaction terms in lexicographic pair order, k square terms.
     """
 
-    _fields = (
-        "factor_count", "intercept", "linear", "interactions", "squares",
-        "r_squared", "residual_norm",
-    )
+    _fields = ("factor_count", "intercept", "linear", "interactions", "squares", "r_squared")
 
     def __init__(
         self,
@@ -282,12 +279,11 @@ class QuadraticSurface(Record):
         interactions: np.ndarray,
         squares: np.ndarray,
         r_squared: float,
-        residual_norm: float,
     ) -> None:
         self.__dict__.update(
             factor_count=factor_count, intercept=intercept,
             linear=frozen_array(linear), interactions=frozen_array(interactions),
-            squares=frozen_array(squares), r_squared=r_squared, residual_norm=residual_norm,
+            squares=frozen_array(squares), r_squared=r_squared,
         )
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -354,40 +350,30 @@ def fit_response_surface(
         interactions=coef[1 + k : 1 + k + n_pairs],
         squares=coef[1 + k + n_pairs :],
         r_squared=r_squared,
-        residual_norm=ss_res**0.5,
     )
 
 
 class SurfaceExtrema(Record):
-    """Box-constrained extrema of a quadratic surface and response ranges.
+    """Box-constrained extrema of a quadratic surface and relative response ranges.
 
-    ``span`` is the absolute response range max - min; relative ranges
-    divide a span by the absolute response at the box center (infinite
-    when the center response is zero). Per-factor entries vary one
-    factor with the others held at center.
+    A relative range divides a response span (max - min) by the absolute
+    response at the box center, ``baseline`` (infinite when it is zero).
+    ``per_factor_range`` varies one factor with the others held at center;
+    ``joint_range`` varies all of them.
     """
 
-    _fields = (
-        "min_point", "min_value", "max_point", "max_value", "baseline", "span",
-        "per_factor_span", "per_factor_range", "joint_range",
-    )
+    _fields = ("min_value", "max_value", "baseline", "per_factor_range", "joint_range")
 
     def __init__(
         self,
-        min_point: np.ndarray,
         min_value: float,
-        max_point: np.ndarray,
         max_value: float,
         baseline: float,
-        span: float,
-        per_factor_span: np.ndarray,
         per_factor_range: np.ndarray,
         joint_range: float,
     ) -> None:
         self.__dict__.update(
-            min_point=frozen_array(min_point), min_value=min_value,
-            max_point=frozen_array(max_point), max_value=max_value, baseline=baseline, span=span,
-            per_factor_span=frozen_array(per_factor_span),
+            min_value=min_value, max_value=max_value, baseline=baseline,
             per_factor_range=frozen_array(per_factor_range), joint_range=joint_range,
         )
 
@@ -465,9 +451,7 @@ def surface_extrema(
         )
 
     values = np.array([surface.evaluate_one(p) for p in candidates])
-    i_min = int(np.argmin(values))
-    i_max = int(np.argmax(values))
-    span = float(values[i_max] - values[i_min])
+    min_value, max_value = float(values.min()), float(values.max())
 
     center = (lows + highs) / 2.0
     baseline = surface.evaluate_one(center)
@@ -490,13 +474,9 @@ def surface_extrema(
         per_factor_span[i] = vals.max() - vals.min()
 
     return SurfaceExtrema(
-        min_point=candidates[i_min],
-        min_value=float(values[i_min]),
-        max_point=candidates[i_max],
-        max_value=float(values[i_max]),
+        min_value=min_value,
+        max_value=max_value,
         baseline=baseline,
-        span=span,
-        per_factor_span=per_factor_span,
         per_factor_range=np.array([relative(s) for s in per_factor_span]),
-        joint_range=relative(span),
+        joint_range=relative(max_value - min_value),
     )

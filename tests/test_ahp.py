@@ -97,14 +97,6 @@ class TestPrincipalEigen:
             assert lam == pytest.approx(lam_ref, abs=1e-8)
             assert np.max(np.abs(w - w_ref)) < 1e-8
 
-    def test_start_vector_scaling_leaves_weights_unchanged(self):
-        jm = validate_judgment(random_reciprocal(np.random.default_rng(7), 5))
-        base = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        lam1, w1 = principal_eigen(jm, start=base)
-        lam2, w2 = principal_eigen(jm, start=base * 137.0)
-        assert np.array_equal(w1, w2)
-        assert lam1 == lam2
-
     def test_weights_sum_to_one_and_are_positive(self):
         rng = np.random.default_rng(5)
         for n in range(2, 10):

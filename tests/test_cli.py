@@ -125,6 +125,16 @@ class TestScreenCommands:
         assert swot.count("== ") == 4
 
 
+def matrix_json_form(text: str) -> dict:
+    """The CSV decision matrix ``text`` in the loader's JSON form."""
+    header, *rows = csv.reader(io.StringIO(text))
+    return {
+        "rows": [r[0] for r in rows],
+        "columns": header[1:],
+        "values": [[float(c) for c in r[1:]] for r in rows],
+    }
+
+
 def write_config(tmp_path: Path, fixtures_dir: Path, edit) -> Path:
     """The shipped run config with absolute input paths, changed by ``edit(cfg)``."""
     cfg = json.loads((fixtures_dir / "run.json").read_text())
@@ -166,6 +176,43 @@ class TestScreenPaths:
         _, climate = read_table(outdir / "winter_climate.csv")
         assert "Bangkok" not in {r["city"] for r in climate}
         assert len(climate) == len(winter_city_names(fixtures_dir)) - 1
+
+    def test_exclusion_list_is_checked_against_the_pool_not_the_stage_1_survivors(
+        self, tmp_path, fixtures_dir, outdir
+    ):
+        def edit(cfg):
+            cfg["screen"]["stage1"] = {"gdp_rank": 6, "sports_rank": 12}
+
+        config = write_config(tmp_path, fixtures_dir, edit)
+        with pytest.warns(UserWarning) as caught:
+            assert screen_winter(config, fixtures_dir) == EXIT_OK
+        # Bangkok and Riyadh are excluded, and in the pool, but not in its GDP top 6.
+        assert [str(w.message) for w in caught] == [
+            "series 'Warsaw/feb_temp_c' fails the class-ratio test "
+            "(ratios outside (0.7515, 1.3307)); fit may extrapolate poorly"
+        ]
+        _, climate = read_table(outdir / "winter_climate.csv")
+        assert sorted(r["city"] for r in climate) == [
+            "Calgary", "Copenhagen", "Moscow", "Pyeongchang", "Warsaw"
+        ]
+
+    @pytest.mark.parametrize(
+        "season, pool", [("winter", "winter_pool.json"), ("summer", "world_pool.csv")]
+    )
+    def test_stage_1_that_keeps_no_city_is_a_validation_error(
+        self, tmp_path, fixtures_dir, outdir, capsys, season, pool
+    ):
+        def edit(cfg):
+            cfg["screen"]["stage1"] = {"gdp_rank": 1, "sports_rank": 1}
+
+        config = write_config(tmp_path, fixtures_dir, edit)
+        code = main(["screen", season, "--pool", str(fixtures_dir / pool), "--config", str(config)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: stage 1 keeps no city: none is in the top 1 by gdp "
+            "and the top 1 by sports_score\n"
+        )
+        assert not outdir.exists()
 
     def test_every_city_excluded_is_a_validation_error(
         self, tmp_path, fixtures_dir, outdir, capsys
@@ -417,7 +464,7 @@ class TestErrorContract:
         [
             ("missing_values", "lacks the key 'values'"),
             ("truncated", "not valid JSON"),
-            ("text_gdp", "could not convert string to float: 'lots'"),
+            ("text_gdp", "bad value in pool city #3: gdp must be a number, got 'lots'"),
         ],
     )
     def test_malformed_pool_is_a_validation_error(
@@ -614,23 +661,56 @@ class TestErrorContract:
             ("swot", "swot.json", lambda obj: obj["records"][0].update(strengths="good transport"),
              ["screen", "summer"], "bad value in swot file: strengths of 'Beijing' must be a list "
              "of strings, got 'good transport'"),
+            ("pool", "winter_pool.json", lambda obj: obj["cities"][1].update(gdp=True),
+             ["screen", "winter"], "bad value in pool city #2: gdp must be a number, got True"),
+            ("pool", "winter_pool.json", lambda obj: obj["cities"][1].update(sports_score="12"),
+             ["screen", "winter"],
+             "bad value in pool city #2: sports_score must be a number, got '12'"),
+            *[
+                ("pool", "winter_pool.json",
+                 lambda obj, value=value: obj["cities"][0]["indicators"].update(A2=value),
+                 ["screen", "winter"],
+                 f"bad value in pool city #1: A2 must be a number, got {value!r}")
+                for value in (True, "12")
+            ],
+            ("pool", "winter_pool.json",
+             lambda obj: obj["cities"][0]["climate"]["feb_temp_c"].update(start_period=2015.7),
+             ["screen", "winter"], "bad value in pool city #1: start_period of "
+             "'Calgary/feb_temp_c' must be an integer, got 2015.7"),
+            *[
+                ("pool", "winter_pool.json",
+                 lambda obj, value=value: obj["cities"][0]["climate"]["feb_snow_cm"][
+                     "values"].__setitem__(2, value),
+                 ["screen", "winter"], "bad value in pool city #1: value of "
+                 f"'Calgary/feb_snow_cm' must be a number, got {value!r}")
+                for value in ("1.5", True)
+            ],
+            ("decision_matrix", "decision_matrix.csv",
+             lambda obj: obj["values"][0].__setitem__(0, True), ["evaluate"],
+             "bad value in decision matrix file: cell at row 'New York' must be a number, "
+             "got True"),
         ],
         ids=[
             "pool-json-indicator-nan", "pool-json-gdp-inf", "pool-csv-sports-inf",
             "pool-csv-gdp-nan", "grade-float", "grade-bool", "grade-text", "swot-string",
+            "pool-json-gdp-bool", "pool-json-sports-text", "pool-json-indicator-bool",
+            "pool-json-indicator-text", "series-start-float", "series-value-text",
+            "series-value-bool", "matrix-json-cell-bool",
         ],
     )
     def test_input_value_of_the_wrong_kind_is_a_validation_error(
         self, tmp_path, fixtures_dir, outdir, capsys, key, fixture, damage, argv, message
     ):
-        """A NaN or infinite pool number, a plan grade that is not a JSON integer and a
-        SWOT entry that is not a list of strings each stop the run before any output."""
+        """A NaN or infinite pool number, a JSON number given as true, false or a string, a
+        series start or plan grade that is not a JSON integer and a SWOT entry that is not a
+        list of strings each stop the run before any output. A damaged decision matrix is
+        written in its JSON form."""
         text = (fixtures_dir / fixture).read_text()
         if isinstance(damage, tuple):
             assert damage[0] in text
             text = text.replace(*damage, 1)
         else:
-            obj = json.loads(text)
+            obj = json.loads(text) if fixture.endswith(".json") else matrix_json_form(text)
             damage(obj)
             text = json.dumps(obj)
         damaged = tmp_path / fixture

@@ -7,7 +7,7 @@ import pytest
 
 from hostrank.combining import evaluate_chi
 from hostrank.dataio import load_pool
-from hostrank.errors import ValidationError
+from hostrank.errors import ConfigError, ValidationError
 from hostrank.grey import TimeSeries
 from hostrank.indicators import DecisionMatrix, IndicatorHierarchy, IndicatorId, Polarity
 from hostrank.pipeline import evaluate_alternatives
@@ -16,7 +16,6 @@ from hostrank.selection import (
     FEB_TEMP,
     CityProfile,
     ClimateRequirement,
-    Cutoff,
     FeatureScaler,
     ImpactScale,
     SchemePlan,
@@ -45,31 +44,38 @@ def climate_city(name, temp, snow, points=4):
 class TestScreenCandidates:
     def test_fixture_pool_top_45(self, fixtures_dir):
         pool = load_pool(fixtures_dir / "world_pool.csv")
-        kept = screen_candidates(pool, Cutoff.rank(45), Cutoff.rank(45))
+        kept = screen_candidates(pool, 45, 45)
         assert len(kept) == 45
         names = {c.name for c in kept}
         for expected in ("New York", "Beijing", "Calgary", "Oslo"):
             assert expected in names
 
-    def test_zero_value_cutoffs_keep_everything(self, fixtures_dir):
+    def test_pool_sized_ranks_keep_everything(self, fixtures_dir):
         pool = load_pool(fixtures_dir / "world_pool.csv")
-        kept = screen_candidates(pool, Cutoff.value(0.0), Cutoff.value(0.0))
+        kept = screen_candidates(pool, len(pool), len(pool))
         assert len(kept) == len(pool)
 
-    def test_single_city_above_cutoffs(self):
+    def test_single_city_passes_rank_one(self):
         city = CityProfile(name="Solo", country="X", gdp=5.0, sports_score=10.0)
-        assert screen_candidates([city], Cutoff.value(1.0), Cutoff.value(1.0)) == [city]
+        assert screen_candidates([city], 1, 1) == [city]
 
-    def test_overtight_cutoff_warns_and_returns_empty(self):
+    def test_overtight_cutoff_returns_empty(self):
+        cities = [
+            CityProfile(name="Rich", country="X", gdp=5.0, sports_score=1.0),
+            CityProfile(name="Sporty", country="X", gdp=1.0, sports_score=10.0),
+        ]
+        assert screen_candidates(cities, 1, 1) == []
+
+    @pytest.mark.parametrize("gdp_rank, sports_rank", [(0, 1), (1, 0), (-3, 5)])
+    def test_rank_below_one_is_a_config_error(self, gdp_rank, sports_rank):
         city = CityProfile(name="Solo", country="X", gdp=5.0, sports_score=10.0)
-        with pytest.warns(UserWarning, match="exclude every city"):
-            out = screen_candidates([city], Cutoff.value(99.0), Cutoff.value(1.0))
-        assert out == []
+        with pytest.raises(ConfigError, match="^rank cutoff must be at least 1$"):
+            screen_candidates([city], gdp_rank, sports_rank)
 
     def test_duplicate_city_rejected(self):
         c = CityProfile(name="Twin", country="X", gdp=1.0, sports_score=1.0)
         with pytest.raises(ValidationError, match="duplicate city"):
-            screen_candidates([c, c], Cutoff.value(0.0), Cutoff.value(0.0))
+            screen_candidates([c, c], 2, 2)
 
     def test_sorted_by_combined_rank(self):
         cities = [
@@ -77,7 +83,7 @@ class TestScreenCandidates:
             CityProfile(name="B", country="X", gdp=2.0, sports_score=3.0),
             CityProfile(name="C", country="X", gdp=1.0, sports_score=2.0),
         ]
-        kept = screen_candidates(cities, Cutoff.value(0.0), Cutoff.value(0.0))
+        kept = screen_candidates(cities, 3, 3)
         # combined ranks: A = 1+3, B = 2+1, C = 3+2
         assert [c.name for c in kept] == ["B", "A", "C"]
 
@@ -91,32 +97,12 @@ class TestScreenCandidates:
             )
             for i in range(20)
         ]
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # tight cutoffs may empty the pool
-            for _ in range(30):
-                g1, g2 = sorted(rng.uniform(0, 10, size=2), reverse=True)
-                s1, s2 = sorted(rng.uniform(0, 100, size=2), reverse=True)
-                tight = {
-                    c.name
-                    for c in screen_candidates(pool, Cutoff.value(g1), Cutoff.value(s1))
-                }
-                loose = {
-                    c.name
-                    for c in screen_candidates(pool, Cutoff.value(g2), Cutoff.value(s2))
-                }
-                assert tight <= loose
-                r1, r2 = sorted(rng.integers(1, 21, size=2))
-                tight_rank = {
-                    c.name
-                    for c in screen_candidates(pool, Cutoff.rank(r1), Cutoff.rank(r1))
-                }
-                loose_rank = {
-                    c.name
-                    for c in screen_candidates(pool, Cutoff.rank(r2), Cutoff.rank(r2))
-                }
-                assert tight_rank <= loose_rank
+        for _ in range(30):
+            g1, g2 = sorted(rng.integers(1, 21, size=2))
+            s1, s2 = sorted(rng.integers(1, 21, size=2))
+            tight = {c.name for c in screen_candidates(pool, g1, s1)}
+            loose = {c.name for c in screen_candidates(pool, g2, s2)}
+            assert tight <= loose
 
 
 class TestWinterClimateFilter:

@@ -394,29 +394,29 @@ class TestFitResponseSurface:
 
 class TestSurfaceExtrema:
     def test_parabola_on_unit_interval(self):
-        # z = x^2: minimum at the center, maximum at both ends, span 1
+        # z = x^2: minimum at the center, maximum at both ends
         surface = fit_response_surface(
             np.array([[-1.0], [-0.5], [0.0], [0.5], [1.0]]),
             np.array([1.0, 0.25, 0.0, 0.25, 1.0]),
         )
         ext = surface_extrema(surface, [(-1.0, 1.0)])
         assert ext.min_value == pytest.approx(0.0, abs=1e-12)
-        assert ext.min_point[0] == pytest.approx(0.0, abs=1e-12)
         assert ext.max_value == pytest.approx(1.0, abs=1e-12)
-        assert abs(ext.max_point[0]) == pytest.approx(1.0, abs=1e-12)
-        assert ext.span == pytest.approx(1.0, abs=1e-12)
-        # near-zero center response makes the relative range meaningless
+        assert ext.baseline == pytest.approx(0.0, abs=1e-12)
+        # near-zero center response makes the relative ranges meaningless
         assert ext.joint_range > 1e12 or ext.joint_range == float("inf")
+        assert ext.per_factor_range[0] == ext.joint_range
 
     def test_additive_surface_peaks_at_corners(self):
         pts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=2)))
         responses = 2.0 * pts[:, 0] + 3.0 * pts[:, 1] + 1.0
         surface = fit_response_surface(pts, responses)
         ext = surface_extrema(surface, [(-1.0, 1.0), (-1.0, 1.0)])
-        assert ext.max_point == pytest.approx([1.0, 1.0])
-        assert ext.min_point == pytest.approx([-1.0, -1.0])
         assert ext.max_value == pytest.approx(6.0, abs=1e-12)
+        assert ext.min_value == pytest.approx(-4.0, abs=1e-12)
         assert ext.baseline == pytest.approx(1.0, abs=1e-12)
+        # one factor moved at a time spans 2 * 2 and 2 * 3 around the center response 1
+        assert ext.per_factor_range == pytest.approx([4.0, 6.0], abs=1e-10)
         assert ext.joint_range == pytest.approx(10.0, abs=1e-10)
 
     @given(seed=st.integers(min_value=0, max_value=5_000))
