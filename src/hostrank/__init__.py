@@ -63,7 +63,6 @@ from .indicators import (
     Polarity,
     default_hierarchy,
     load_decision_matrix,
-    validate_hierarchy,
 )
 from .pipeline import WeightingOutputs, compute_weights, evaluate_alternatives
 from .selection import (
@@ -103,7 +102,6 @@ __all__ = [
     "IndicatorHierarchy",
     "DecisionMatrix",
     "default_hierarchy",
-    "validate_hierarchy",
     "load_decision_matrix",
     # ahp
     "JudgmentMatrix",

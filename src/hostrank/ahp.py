@@ -19,7 +19,7 @@ import numpy as np
 
 from ._record import Record, frozen_array
 from .errors import NumericError, ValidationError
-from .indicators import Category, IndicatorHierarchy, IndicatorId
+from .indicators import Category, IndicatorHierarchy, IndicatorId, _json_numbers
 
 __all__ = [
     "SAATY_RANDOM_INDEX",
@@ -188,6 +188,10 @@ def _level_weights(key: str, raw, size: int) -> tuple[np.ndarray, ConsistencyRep
     if raw is None:
         raise ValidationError(f"missing judgment matrix {key!r}")
     try:
+        # Nested lists, as JSON gives them: true and "2" are no numbers.
+        if not isinstance(raw, np.ndarray):
+            for row in raw:
+                _json_numbers(row, "entry")
         raw = np.array(raw, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"judgment matrix {key!r} is not a numeric square array") from None

@@ -442,7 +442,8 @@ def _winter_candidates(
         warnings.warn(f"exclusion list names absent from the pool: {sorted(unknown)}")
     candidates = [c for c in cities if c.name not in excluded]
     if not candidates:
-        raise ValidationError("every pool city is excluded")
+        who = "stage-1 survivor" if len(cities) < len(pool) else "pool city"
+        raise ValidationError(f"every {who} is excluded")
 
     _check_until(
         candidates, (FEB_TEMP, FEB_SNOW), cfg.winter_until, "config key 'screen.winter.until'"

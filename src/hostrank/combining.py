@@ -229,16 +229,14 @@ def total_weights(
     hierarchy: IndicatorHierarchy,
     per_category: Mapping[Category, CombinedWeights | Sequence[float]],
     *,
-    category_weights: Mapping[Category, float] | None = None,
+    category_weights: Mapping[Category, float],
 ) -> TotalWeights:
     """Total weight of each secondary indicator: U_i * u_j.
 
-    ``category_weights`` defaults to the hierarchy's primary weights;
-    pass the AHP category weights to use judgment-derived ones. Both
+    ``category_weights`` are the U_i, e.g. the AHP category weights. Both
     levels must each sum to 1, which makes the products sum to 1.
     """
-    u_cat = dict(category_weights) if category_weights is not None else dict(hierarchy.primary_weights)
-    total_u = sum(u_cat.values())
+    total_u = sum(category_weights.values())
     if abs(total_u - 1.0) > _SUM_TOL:
         raise ValidationError(f"category weights sum to {total_u!r}, expected 1")
 
@@ -261,7 +259,7 @@ def total_weights(
             )
         for spec, uj in zip(specs, u):
             ids.append(spec.id)
-            omega.append(u_cat[cat] * float(uj))
+            omega.append(category_weights[cat] * float(uj))
     return TotalWeights(ids=tuple(ids), omega=np.array(omega))
 
 

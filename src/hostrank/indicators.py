@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
 from pathlib import Path
-from typing import IO, Any, Iterator, Mapping
+from typing import IO, Any, Iterator
 
 import numpy as np
 
@@ -36,12 +36,10 @@ __all__ = [
     "IndicatorId",
     "IndicatorSpec",
     "IndicatorHierarchy",
-    "Violation",
     "DecisionMatrix",
     "all_indicator_ids",
     "default_hierarchy",
     "load_hierarchy",
-    "validate_hierarchy",
     "load_decision_matrix",
     "serialize_decision_matrix",
 ]
@@ -166,38 +164,31 @@ class IndicatorSpec:
             object.__setattr__(self, "ideal_interval", (float(a), float(b)))
 
 
-class Violation(Record):
-    """One validation finding; data, not an exception."""
-
-    _fields = ("field", "rule", "message")
-
-    def __init__(self, field: str, rule: str, message: str) -> None:
-        self.__dict__.update(field=field, rule=rule, message=message)
-
-
 class IndicatorHierarchy(Record):
-    """The two-level indicator tree plus primary-category weights.
+    """The two-level indicator tree, checked when built.
 
-    ``reduced=True`` marks deliberately small hierarchies (subsets of
-    the 30) used by screening stages and tests; full coverage is then
-    not demanded by :func:`validate_hierarchy`.
+    Each indicator appears at most once, and all 30 appear unless
+    ``reduced=True``, which marks deliberately small hierarchies (subsets
+    of the 30) used by screening stages and tests. A hierarchy that breaks
+    either rule raises one ValidationError listing every problem.
     """
 
-    _fields = ("specs", "primary_weights", "reduced")
+    _fields = ("specs", "reduced")
 
-    def __init__(
-        self,
-        specs: tuple[IndicatorSpec, ...],
-        primary_weights: Mapping[Category, float],
-        reduced: bool = False,
-    ) -> None:
+    def __init__(self, specs: tuple[IndicatorSpec, ...], reduced: bool = False) -> None:
         specs = tuple(specs)
-        self.__dict__.update(
-            specs=specs,
-            primary_weights={Category(k): float(v) for k, v in dict(primary_weights).items()},
-            reduced=reduced,
-            _by_id={s.id: s for s in specs},
-        )
+        by_id: dict[IndicatorId, IndicatorSpec] = {}
+        problems = []
+        for s in specs:
+            if s.id in by_id:
+                problems.append(f"specs/duplicate: indicator {s.id} appears twice")
+            by_id[s.id] = s
+        missing = [str(i) for i in _ALL_IDS if i not in by_id]
+        if missing and not reduced:
+            problems.append("specs/coverage: missing indicators: " + ", ".join(missing))
+        if problems:
+            raise ValidationError("hierarchy invalid: " + "; ".join(problems))
+        self.__dict__.update(specs=specs, reduced=reduced, _by_id=by_id)
 
     @property
     def ids(self) -> tuple[IndicatorId, ...]:
@@ -255,17 +246,13 @@ _DEFAULT_NAMES: dict[str, tuple[str, Polarity]] = {
 }
 
 
-def default_hierarchy(
-    primary_weights: Mapping[Category, float] | None = None,
-) -> IndicatorHierarchy:
-    """Full 30-indicator hierarchy with uniform primary weights by default."""
-    if primary_weights is None:
-        primary_weights = {c: 1.0 / len(Category) for c in Category}
+def default_hierarchy() -> IndicatorHierarchy:
+    """The full 30-indicator hierarchy with its default names and polarities."""
     specs = tuple(
         IndicatorSpec(IndicatorId.parse(key), name, polarity)
         for key, (name, polarity) in _DEFAULT_NAMES.items()
     )
-    return IndicatorHierarchy(specs=specs, primary_weights=primary_weights)
+    return IndicatorHierarchy(specs=specs)
 
 
 def load_hierarchy(source: str | Path | IO[str]) -> IndicatorHierarchy:
@@ -274,77 +261,24 @@ def load_hierarchy(source: str | Path | IO[str]) -> IndicatorHierarchy:
         specs = []
         for entry in obj["indicators"]:
             interval = entry.get("ideal_interval")
+            if interval is not None:
+                if type(interval) is not list or len(interval) != 2:
+                    raise ValueError(
+                        f"ideal_interval of {entry['id']} must be [a, b], got {interval!r}"
+                    )
+                interval = tuple(_json_numbers(interval, f"ideal_interval bound of {entry['id']}"))
             specs.append(
                 IndicatorSpec(
                     id=IndicatorId.parse(entry["id"]),
                     name=entry.get("name", entry["id"]),
                     polarity=Polarity(entry.get("polarity", "+")),
-                    ideal_interval=tuple(interval) if interval else None,
+                    ideal_interval=interval,
                 )
             )
-        weights = {Category(k): float(v) for k, v in obj["primary_weights"].items()}
-        return IndicatorHierarchy(
-            specs=tuple(specs),
-            primary_weights=weights,
-            reduced=bool(obj.get("reduced", False)),
-        )
-
-
-_WEIGHT_SUM_TOL = 1e-9
-
-
-def validate_hierarchy(h: IndicatorHierarchy) -> list[Violation]:
-    """Check hierarchy invariants; an empty list means the hierarchy is usable.
-
-    Violations are returned as data rather than raised so callers can
-    report all problems at once.
-    """
-    out: list[Violation] = []
-
-    seen: set[IndicatorId] = set()
-    for s in h.specs:
-        if s.id in seen:
-            out.append(
-                Violation("specs", "duplicate", f"indicator {s.id} appears twice")
-            )
-        seen.add(s.id)
-
-    if not h.reduced:
-        missing = [str(i) for i in all_indicator_ids() if i not in seen]
-        if missing:
-            out.append(
-                Violation(
-                    "specs",
-                    "coverage",
-                    "missing indicators: " + ", ".join(missing),
-                )
-            )
-
-    cats = set(h.categories)
-    wkeys = set(h.primary_weights)
-    if cats != wkeys:
-        out.append(
-            Violation(
-                "primary_weights",
-                "weight-coverage",
-                f"weight keys {sorted(c.value for c in wkeys)} do not match "
-                f"categories present {sorted(c.value for c in cats)}",
-            )
-        )
-    if any(w < 0 for w in h.primary_weights.values()):
-        out.append(
-            Violation("primary_weights", "weight-range", "negative category weight")
-        )
-    total = sum(h.primary_weights.values())
-    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-        out.append(
-            Violation(
-                "primary_weights",
-                "weight-sum",
-                f"category weights sum to {total!r}, expected 1",
-            )
-        )
-    return out
+        reduced = obj.get("reduced", False)
+        if type(reduced) is not bool:
+            raise ValueError(f"reduced must be true or false, got {reduced!r}")
+        return IndicatorHierarchy(specs=tuple(specs), reduced=reduced)
 
 
 class DecisionMatrix(Record):

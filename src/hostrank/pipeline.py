@@ -1,12 +1,12 @@
 """End-to-end weighting chain shared by the CLI subcommands and the tests.
 
-Order of operations: validate the hierarchy, derive subjective weights
-from the judgment matrices, positivize and column-normalize the
-decision matrix, compute entropy weights, combine both per category
-through the ordered-ratio method, multiply into total weights, and
-select the feature group. A global mode applies the ordered-ratio
-combination across all indicators at once (composing the subjective
-weights through the category level first) instead of per category.
+Order of operations: derive subjective weights from the judgment
+matrices, positivize and column-normalize the decision matrix, compute
+entropy weights, combine both per category through the ordered-ratio
+method, multiply into total weights, and select the feature group. A
+global mode applies the ordered-ratio combination across all indicators
+at once (composing the subjective weights through the category level
+first) instead of per category.
 """
 
 from __future__ import annotations
@@ -28,12 +28,7 @@ from .combining import (
 )
 from .entropy import EntropyResult, entropy_weights, positivize_matrix, vector_normalize
 from .errors import ValidationError
-from .indicators import (
-    Category,
-    DecisionMatrix,
-    IndicatorHierarchy,
-    validate_hierarchy,
-)
+from .indicators import Category, DecisionMatrix, IndicatorHierarchy
 from .selection import FeatureScaler, _feature_grid
 
 __all__ = ["WeightingOutputs", "compute_weights", "evaluate_alternatives"]
@@ -72,10 +67,6 @@ def compute_weights(
     """Run the full weighting chain on a decision matrix."""
     if mode not in ("per_category", "global"):
         raise ValidationError(f"unknown weighting mode {mode!r}")
-    violations = validate_hierarchy(hierarchy)
-    if violations:
-        details = "; ".join(f"{v.field}/{v.rule}: {v.message}" for v in violations)
-        raise ValidationError(f"hierarchy invalid: {details}")
     if matrix.cols != hierarchy.ids:
         raise ValidationError("matrix columns do not follow hierarchy order")
     if matrix.n < 2 or matrix.m < 2:

@@ -139,12 +139,7 @@ def _reduced_hierarchy(sizes: dict[str, int]) -> IndicatorHierarchy:
         cat = Category(letter)
         for i in range(1, count + 1):
             specs.append(IndicatorSpec(IndicatorId(cat, i), f"{letter}{i}"))
-    cats = [Category(letter) for letter in sizes]
-    return IndicatorHierarchy(
-        specs=tuple(specs),
-        primary_weights={c: 1.0 / len(cats) for c in cats},
-        reduced=True,
-    )
+    return IndicatorHierarchy(specs=tuple(specs), reduced=True)
 
 
 class TestAhpWeights:
@@ -192,6 +187,12 @@ class TestAhpWeights:
         bad = [[1, 3, 1 / 5], [1 / 3, 1, 5], [5, 1 / 5, 1]]
         with pytest.raises(ValidationError, match="'A'"):
             ahp_weights(h, {"A": bad})
+
+    def test_numpy_arrays_give_the_same_weights_as_lists(self):
+        h = _reduced_hierarchy({"A": 3, "B": 2})
+        lists = {"primary": [[1, 3], [1 / 3, 1]], "A": CONSISTENT_3, "B": [[1, 2], [0.5, 1]]}
+        arrays = {key: np.array(m) for key, m in lists.items()}
+        assert ahp_weights(h, arrays) == ahp_weights(h, lists)
 
     def test_missing_matrix_is_reported(self):
         h = _reduced_hierarchy({"A": 2, "B": 2})

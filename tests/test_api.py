@@ -26,7 +26,6 @@ from hostrank.indicators import (
     IndicatorHierarchy,
     IndicatorId,
     IndicatorSpec,
-    Violation,
 )
 from hostrank.pipeline import WeightingOutputs
 from hostrank.reporting import Provenance
@@ -90,11 +89,7 @@ SAMPLES = {
         (0.2, 2.0, TimeSeries("s", 2000, [1.0]), (0.2, 2.0), True),
     ),
     IndicatorId: ((Category.ECONOMY, 5), (Category.HUMAN, 5)),
-    Violation: (("specs", "duplicate", "A1 twice"), ("primary_weights", "weight-sum", "sum 2")),
-    IndicatorHierarchy: (
-        ((IndicatorSpec(A1, "gdp"),), {Category.ECONOMY: 1.0}, True),
-        ((IndicatorSpec(A2, "gdp"),), {Category.ECONOMY: 1.0}, True),
-    ),
+    IndicatorHierarchy: (((IndicatorSpec(A1, "gdp"),), True), ((IndicatorSpec(A2, "gdp"),), True)),
     DecisionMatrix: ((("Oslo",), (A1,), [[1.0]]), (("Bergen",), (A1,), [[1.0]])),
     WeightingOutputs: (
         ("hierarchy", "matrix", "ahp", "entropy", {}, "total", "selection"),
@@ -216,20 +211,13 @@ PINS = {
         True,
         False,
     ),
-    Violation: (
-        "(field, rule, message)",
-        ("field", "rule", "message"),
-        "Violation(field='specs', rule='duplicate', message='A1 twice')",
-        True,
-        False,
-    ),
     IndicatorHierarchy: (
-        "(specs, primary_weights, reduced=False)",
-        ("specs", "primary_weights", "reduced"),
+        "(specs, reduced=False)",
+        ("specs", "reduced"),
         "IndicatorHierarchy(specs=(IndicatorSpec(id=IndicatorId(category=<Category.ECONOMY: 'A'>, "
         "index=1), name='gdp', polarity=<Polarity.POSITIVE: '+'>, ideal_interval=None),), "
-        "primary_weights={<Category.ECONOMY: 'A'>: 1.0}, reduced=True)",
-        False,
+        "reduced=True)",
+        True,
         False,
     ),
     DecisionMatrix: (

@@ -225,6 +225,20 @@ class TestScreenPaths:
         assert "every pool city is excluded" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_every_stage_1_survivor_excluded_names_stage_1(
+        self, tmp_path, fixtures_dir, outdir, capsys
+    ):
+        def edit(cfg):
+            cfg["screen"]["stage1"] = {"gdp_rank": 1, "sports_rank": 12}  # keeps Moscow only
+            cfg["screen"]["winter"]["exclude"] = ["Moscow"]
+
+        config = write_config(tmp_path, fixtures_dir, edit)
+        assert screen_winter(config, fixtures_dir) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: every stage-1 survivor is excluded\n"
+        )
+        assert not outdir.exists()
+
     def test_no_city_passing_the_gate_is_a_validation_error(
         self, tmp_path, fixtures_dir, outdir, capsys
     ):
@@ -379,6 +393,14 @@ BAD_PRIMARY_MATRICES = {
 }
 
 
+# Entries JSON gives as true or as a numeric string, in otherwise valid matrices.
+BAD_JUDGMENT_CELLS = {
+    "primary true diagonal": ("primary", 0, 0, True),
+    "primary numeric string": ("primary", 0, 1, "2"),
+    "A true diagonal": ("A", 2, 2, True),
+}
+
+
 class TestErrorContract:
     def test_missing_config_is_a_config_error(self, outdir, capsys):
         assert main(["weights", "--config", "/nonexistent/run.json"]) == EXIT_CONFIG
@@ -389,7 +411,7 @@ class TestErrorContract:
     ):
         cfg = json.loads((fixtures_dir / "run.json").read_text())
         bad_hierarchy = json.loads((fixtures_dir / "hierarchy.json").read_text())
-        bad_hierarchy["primary_weights"]["A"] = 0.05  # sums to 0.85 now
+        bad_hierarchy["indicators"].append(bad_hierarchy["indicators"][0])  # A1 twice
         (tmp_path / "hierarchy.json").write_text(json.dumps(bad_hierarchy))
         for key in ("judgments", "decision_matrix", "pool", "plans", "swot"):
             cfg[key] = str(fixtures_dir / cfg[key])
@@ -398,8 +420,27 @@ class TestErrorContract:
         bad_cfg.write_text(json.dumps(cfg))
 
         assert main(["weights", "--config", str(bad_cfg)]) == EXIT_VALIDATION
-        assert "weight-sum" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "validation error: hierarchy invalid: specs/duplicate: indicator A1 appears twice\n"
+        )
         assert not outdir.exists()  # nothing was written
+
+    @pytest.mark.parametrize("method", ["ahp", "entropy"])
+    def test_each_weights_method_checks_the_hierarchy(
+        self, tmp_path, fixtures_dir, outdir, capsys, method
+    ):
+        def edit(cfg):
+            obj = json.loads(Path(cfg["hierarchy"]).read_text())
+            obj["indicators"].append(obj["indicators"][0])
+            cfg["hierarchy"] = str(tmp_path / "hierarchy.json")
+            (tmp_path / "hierarchy.json").write_text(json.dumps(obj))
+
+        config = write_config(tmp_path, fixtures_dir, edit)
+        assert main(["weights", "--method", method, "--config", str(config)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: hierarchy invalid: specs/duplicate: indicator A1 appears twice\n"
+        )
+        assert not outdir.exists()
 
     def test_unknown_rsm_factor_is_a_config_error(self, config_path, outdir):
         assert main([
@@ -494,7 +535,13 @@ class TestErrorContract:
         "key, damage, argv, message",
         [
             ("hierarchy", "truncate", ["weights"], "hierarchy file is not valid JSON"),
-            ("hierarchy", "drop primary_weights", ["weights"], "lacks the key 'primary_weights'"),
+            ("hierarchy", "drop indicators", ["weights"], "lacks the key 'indicators'"),
+            ("hierarchy", "string interval", ["weights"],
+             "bad value in hierarchy file: ideal_interval bound of B5 must be a number, got '10'"),
+            ("hierarchy", "one-bound interval", ["weights"],
+             "bad value in hierarchy file: ideal_interval of B5 must be [a, b], got [10.0]"),
+            ("hierarchy", "string reduced", ["weights"],
+             "bad value in hierarchy file: reduced must be true or false, got 'false'"),
             ("judgments", "truncate", ["weights"], "judgments file is not valid JSON"),
             ("plans", "truncate", ["compare-schemes"], "plans file is not valid JSON"),
             ("plans", "impact x", ["compare-schemes"], "bad value in plans file"),
@@ -507,6 +554,12 @@ class TestErrorContract:
                  "judgment matrix 'primary' is not a numeric square array")
                 for damage in BAD_PRIMARY_MATRICES
             ],
+            *[
+                ("judgments", damage, argv,
+                 f"judgment matrix {level!r} is not a numeric square array")
+                for damage, (level, *_) in BAD_JUDGMENT_CELLS.items()
+                for argv in (["weights"], ["weights", "--method", "ahp"])
+            ],
         ],
     )
     def test_malformed_json_input_is_a_validation_error(
@@ -518,9 +571,23 @@ class TestErrorContract:
                 text = text[: len(text) // 2]
             elif damage == "list root":
                 text = "[1, 2, 3]"
-            elif damage == "drop primary_weights":
+            elif damage == "drop indicators":
                 obj = json.loads(text)
-                del obj["primary_weights"]
+                del obj["indicators"]
+                text = json.dumps(obj)
+            elif damage in ("string interval", "one-bound interval"):
+                obj = json.loads(text)
+                b5 = next(e for e in obj["indicators"] if e["id"] == "B5")
+                b5["ideal_interval"] = ["10", "9"] if damage == "string interval" else [10.0]
+                text = json.dumps(obj)
+            elif damage == "string reduced":
+                obj = json.loads(text)
+                obj["reduced"] = "false"
+                text = json.dumps(obj)
+            elif damage in BAD_JUDGMENT_CELLS:
+                obj = json.loads(text)
+                level, i, j, cell = BAD_JUDGMENT_CELLS[damage]
+                obj[level][i][j] = cell
                 text = json.dumps(obj)
             elif damage in BAD_PRIMARY_MATRICES:
                 obj = json.loads(text)

@@ -136,17 +136,16 @@ class TestOrderWeightIdentity:
         assert np.all(np.diff(w.weights[list(w.ordering)]) <= 1e-12)
 
 
+HALVES = {Category.ECONOMY: 0.5, Category.HUMAN: 0.5}
+
+
 def _two_category_hierarchy():
     specs = (
         IndicatorSpec(IndicatorId.parse("A1"), "a1"),
         IndicatorSpec(IndicatorId.parse("A2"), "a2"),
         IndicatorSpec(IndicatorId.parse("B1"), "b1"),
     )
-    return IndicatorHierarchy(
-        specs=specs,
-        primary_weights={Category.ECONOMY: 0.5, Category.HUMAN: 0.5},
-        reduced=True,
-    )
+    return IndicatorHierarchy(specs=specs, reduced=True)
 
 
 class TestTotalWeights:
@@ -156,10 +155,11 @@ class TestTotalWeights:
                 IndicatorSpec(IndicatorId.parse("A1"), "x"),
                 IndicatorSpec(IndicatorId.parse("A2"), "y"),
             ),
-            primary_weights={Category.ECONOMY: 1.0},
             reduced=True,
         )
-        tw = total_weights(h, {Category.ECONOMY: [0.6, 0.4]})
+        tw = total_weights(
+            h, {Category.ECONOMY: [0.6, 0.4]}, category_weights={Category.ECONOMY: 1.0}
+        )
         assert tw.omega == pytest.approx([0.6, 0.4], abs=1e-12)
 
     def test_two_singleton_categories(self):
@@ -167,18 +167,23 @@ class TestTotalWeights:
             IndicatorSpec(IndicatorId.parse("A1"), "x"),
             IndicatorSpec(IndicatorId.parse("B1"), "y"),
         )
-        h = IndicatorHierarchy(
-            specs=specs,
-            primary_weights={Category.ECONOMY: 0.5, Category.HUMAN: 0.5},
-            reduced=True,
+        h = IndicatorHierarchy(specs=specs, reduced=True)
+        tw = total_weights(
+            h, {Category.ECONOMY: [1.0], Category.HUMAN: [1.0]}, category_weights=HALVES
         )
-        tw = total_weights(h, {Category.ECONOMY: [1.0], Category.HUMAN: [1.0]})
         assert tw.omega == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_missing_category_rejected(self):
         h = _two_category_hierarchy()
         with pytest.raises(ValidationError, match="category B has no weights"):
-            total_weights(h, {Category.ECONOMY: [0.5, 0.5]})
+            total_weights(h, {Category.ECONOMY: [0.5, 0.5]}, category_weights=HALVES)
+
+    def test_category_weights_must_sum_to_one(self):
+        h = _two_category_hierarchy()
+        short = {Category.ECONOMY: 0.5, Category.HUMAN: 0.4}
+        with pytest.raises(ValidationError, match="category weights sum to 0.9, expected 1"):
+            total_weights(h, {Category.ECONOMY: [0.5, 0.5], Category.HUMAN: [1.0]},
+                          category_weights=short)
 
     def test_full_fixture_matches_elementwise_product(self, weighting):
         """Every total weight equals its category weight times the combined

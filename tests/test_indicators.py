@@ -29,7 +29,6 @@ from hostrank.indicators import (
     default_hierarchy,
     load_decision_matrix,
     serialize_decision_matrix,
-    validate_hierarchy,
 )
 
 
@@ -114,33 +113,30 @@ class TestIndicatorId:
         assert all(fresh[i] == table[j] == str(j) for i, j in zip(ids, all_indicator_ids()))
 
 
-class TestValidateHierarchy:
-    def test_full_uniform_hierarchy_is_clean(self):
-        h = default_hierarchy({c: 0.2 for c in Category})
-        assert validate_hierarchy(h) == []
+class TestHierarchyConstruction:
+    def test_full_default_hierarchy_is_valid(self):
+        h = default_hierarchy()
+        assert h.ids == all_indicator_ids()
+        assert h.reduced is False
 
-    def test_missing_indicator_is_a_coverage_violation(self):
+    def test_missing_indicator_is_a_coverage_error(self):
+        specs = tuple(s for s in default_hierarchy().specs if str(s.id) != "B7")
+        with pytest.raises(ValidationError) as caught:
+            IndicatorHierarchy(specs=specs)
+        assert str(caught.value) == "hierarchy invalid: specs/coverage: missing indicators: B7"
+
+    def test_duplicate_spec_is_an_error(self):
         full = default_hierarchy()
-        reduced = IndicatorHierarchy(
-            specs=tuple(s for s in full.specs if str(s.id) != "B7"),
-            primary_weights=full.primary_weights,
+        with pytest.raises(ValidationError) as caught:
+            IndicatorHierarchy(specs=full.specs + (full.specs[0],))
+        assert str(caught.value) == (
+            "hierarchy invalid: specs/duplicate: indicator A1 appears twice"
         )
-        violations = validate_hierarchy(reduced)
-        assert [v.rule for v in violations] == ["coverage"]
-        assert "B7" in violations[0].message
 
-    def test_weight_sum_violation(self):
-        h = default_hierarchy({c: 0.18 for c in Category})  # sums to 0.9
-        rules = {v.rule for v in validate_hierarchy(h)}
-        assert rules == {"weight-sum"}
-
-    def test_duplicate_spec_detected(self):
-        full = default_hierarchy()
-        dup = IndicatorHierarchy(
-            specs=full.specs + (full.specs[0],),
-            primary_weights=full.primary_weights,
-        )
-        assert "duplicate" in {v.rule for v in validate_hierarchy(dup)}
+    def test_duplicate_in_a_reduced_hierarchy_is_an_error(self):
+        a1 = IndicatorSpec(IndicatorId.parse("A1"), "x")
+        with pytest.raises(ValidationError, match="specs/duplicate: indicator A1 appears twice"):
+            IndicatorHierarchy(specs=(a1, a1), reduced=True)
 
     def test_reduced_hierarchy_skips_coverage(self):
         small = IndicatorHierarchy(
@@ -148,10 +144,22 @@ class TestValidateHierarchy:
                 IndicatorSpec(IndicatorId.parse("A1"), "x"),
                 IndicatorSpec(IndicatorId.parse("A2"), "y"),
             ),
-            primary_weights={Category.ECONOMY: 1.0},
             reduced=True,
         )
-        assert validate_hierarchy(small) == []
+        assert [str(i) for i in small.ids] == ["A1", "A2"]
+
+    def test_every_problem_is_listed_in_one_error(self):
+        full = default_hierarchy()
+        a1, a2 = full.specs[:2]
+        specs = tuple(s for s in full.specs if str(s.id) not in ("B7", "E5")) + (a1, a2, a1)
+        with pytest.raises(ValidationError) as caught:
+            IndicatorHierarchy(specs=specs)
+        assert str(caught.value) == (
+            "hierarchy invalid: specs/duplicate: indicator A1 appears twice; "
+            "specs/duplicate: indicator A2 appears twice; "
+            "specs/duplicate: indicator A1 appears twice; "
+            "specs/coverage: missing indicators: B7, E5"
+        )
 
     def test_interval_must_be_ordered(self):
         with pytest.raises(ValidationError, match="a > b"):
@@ -361,7 +369,6 @@ def _per_cell_parse(text: str):
 
 _SMALL = IndicatorHierarchy(
     specs=tuple(IndicatorSpec(IndicatorId.parse(t), t) for t in ("A1", "A2", "B1")),
-    primary_weights={Category.ECONOMY: 0.5, Category.HUMAN: 0.5},
     reduced=True,
 )
 

@@ -249,7 +249,7 @@ def _negative(hierarchy, ids):
         dataclasses.replace(s, polarity=Polarity.NEGATIVE) if s.id in ids else s
         for s in hierarchy.specs
     )
-    return IndicatorHierarchy(specs=specs, primary_weights=hierarchy.primary_weights)
+    return IndicatorHierarchy(specs=specs)
 
 
 def _batch_case(case, hierarchy, matrix, selection):
