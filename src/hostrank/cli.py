@@ -85,6 +85,10 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
+# The most grid points rsm evaluates and rows forecast writes; past them a run is refused.
+_MAX_GRID_POINTS = 1_000_000
+_MAX_FORECAST_ROWS = 1_000_000
+
 _PATH_KEYS = ("hierarchy", "judgments", "decision_matrix", "pool", "plans", "swot", "climate")
 
 
@@ -403,6 +407,16 @@ def _cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         if not cities:
             raise ValidationError(f"no city in the pool has series {args.indicator!r}")
     _check_until(cities, [args.indicator], args.until, "--until")
+    n_rows = sum(
+        args.until - c.climate[args.indicator].start_period + 1
+        for c in cities
+        if args.indicator in c.climate
+    )
+    if n_rows > _MAX_FORECAST_ROWS:
+        raise ValidationError(
+            f"--until = {args.until} gives a forecast table of {n_rows} rows; "
+            f"at most {_MAX_FORECAST_ROWS} are allowed"
+        )
     rows = []
     for city in cities:
         history_len = len(city.climate[args.indicator]) if args.indicator in city.climate else 0
@@ -616,6 +630,12 @@ def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         raise ConfigError("rsm factors must be distinct")
     if args.grid < 3:
         raise ConfigError("grid needs at least 3 levels per factor")
+    n_points = args.grid ** len(keys)
+    if n_points > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"--grid {args.grid} gives {n_points} points for {len(keys)} factors; "
+            f"at most {_MAX_GRID_POINTS} are allowed"
+        )
     w = _weighting(cfg)
     hierarchy, matrix = w.hierarchy, w.matrix
 

@@ -246,6 +246,8 @@ def total_weights(
         specs = hierarchy.by_category(cat)
         if cat not in per_category:
             raise ValidationError(f"category {cat.value} has no weights")
+        if cat not in category_weights:
+            raise ValidationError(f"category {cat.value} has no weight")
         entry = per_category[cat]
         u = entry.weights if isinstance(entry, CombinedWeights) else np.asarray(entry, dtype=float)
         if u.shape != (len(specs),):

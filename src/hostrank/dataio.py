@@ -19,8 +19,8 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .grey import TimeSeries
 from .indicators import (
-    IndicatorId, _csv_errors, _json_document, _json_number, _json_numbers, _malformed,
-    _read_text,
+    IndicatorId, _csv_errors, _json_document, _json_number, _json_numbers, _json_string,
+    _malformed, _read_text,
 )
 from .selection import CityProfile, ClimateRequirement, SchemePlan, SwotRecord, _check_unique
 
@@ -40,7 +40,7 @@ def load_judgments(source: str | Path | IO[str]) -> dict[str, list[list[float]]]
     with _json_document(_read_text(source), "judgments file") as obj:
         if not isinstance(obj, dict):
             raise ValidationError("judgments file must map level names to nested arrays")
-        return {str(k): v for k, v in obj.items()}
+        return obj
 
 
 def _series_from_obj(label: str, entry: Mapping) -> TimeSeries:
@@ -73,8 +73,9 @@ def _pool_from_json(text: str) -> list[CityProfile]:
 
 
 def _city_from_obj(entry: Mapping) -> CityProfile:
+    name = _json_string(entry["name"], "name")
     climate = {
-        str(var): _series_from_obj(f"{entry['name']}/{var}", series)
+        var: _series_from_obj(f"{name}/{var}", series)
         for var, series in entry.get("climate", {}).items()
     }
     # A float, as nearly every value is, needs no call to the check.
@@ -83,8 +84,8 @@ def _city_from_obj(entry: Mapping) -> CityProfile:
         for k, v in entry.get("indicators", {}).items()
     }
     return CityProfile(
-        name=str(entry["name"]),
-        country=str(entry.get("country", "")),
+        name=name,
+        country=_json_string(entry.get("country", ""), "country"),
         gdp=_json_number(entry.get("gdp", 0.0), "gdp"),
         sports_score=_json_number(entry.get("sports_score", 0.0), "sports_score"),
         climate=climate,
@@ -211,17 +212,12 @@ def load_plans(source: str | Path | IO[str]) -> list[SchemePlan]:
                 raise ValidationError(f"plan id must be a non-empty string, got {plan_id!r}")
             if any(p.id == plan_id for p in plans):
                 raise ValidationError(f"duplicate plan id {plan_id!r} in plans file")
+            description = _json_string(entry.get("description", ""), f"description of {plan_id!r}")
             impacts = {
                 IndicatorId.parse(k): _grade(plan_id, k, v) for k, v in entry["impacts"].items()
             }
             try:
-                plans.append(
-                    SchemePlan(
-                        id=plan_id,
-                        description=str(entry.get("description", "")),
-                        impacts=impacts,
-                    )
-                )
+                plans.append(SchemePlan(id=plan_id, description=description, impacts=impacts))
             except ValueError as exc:
                 raise ValidationError(f"bad plan entry {plan_id!r}: {exc}") from None
         if not plans:
@@ -239,8 +235,11 @@ def load_swot(source: str | Path | IO[str]) -> list[SwotRecord]:
     """SWOT records; each entry the file omits is empty."""
     with _json_document(_read_text(source), "swot file") as obj:
         return [
-            SwotRecord(str(e["city"]), *(_swot_entries(e, key) for key in SwotRecord._fields[1:]))
-            for e in obj["records"]
+            SwotRecord(
+                _json_string(e["city"], f"city of record #{pos}"),
+                *(_swot_entries(e, key) for key in SwotRecord._fields[1:]),
+            )
+            for pos, e in enumerate(obj["records"], start=1)
         ]
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from contextlib import AbstractContextManager, nullcontext
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
@@ -53,8 +52,6 @@ __all__ = [
 _MIN_LENGTH = 4
 _ALPHA_EPS = 1e-12
 _COEF_LIMIT = 2.0
-# Curve magnitudes below this keep its differences and the shift back finite.
-_SAFE_MAGNITUDE = 1e300
 
 
 class TimeSeries(Record):
@@ -72,16 +69,6 @@ class TimeSeries(Record):
         vals = np.array(values, dtype=float)
         if vals.ndim != 1:
             raise ValidationError("time series values must be 1-D")
-        self._freeze(label, start_period, vals)
-
-    @classmethod
-    def _taking(cls, label: str, start_period: int, values: np.ndarray) -> "TimeSeries":
-        """The series over ``values``, a fresh 1-D float array it takes without a copy."""
-        series = object.__new__(cls)
-        series._freeze(label, start_period, values)
-        return series
-
-    def _freeze(self, label: str, start_period: int, vals: np.ndarray) -> None:
         if not np.isfinite(vals).all():
             raise ValidationError(f"series {label!r} contains non-finite values")
         vals.flags.writeable = False
@@ -129,14 +116,6 @@ class GreyModel(Record):
             alpha=alpha, mu=mu, source=source,
             midpoint_coefficients=midpoint_coefficients, class_ratio_ok=class_ratio_ok,
         )
-
-
-def _differences(cumulative: np.ndarray) -> np.ndarray:
-    """First entry, then first differences: the original-scale values."""
-    out = np.empty_like(cumulative)
-    out[0] = cumulative[0]
-    np.subtract(cumulative[1:], cumulative[:-1], out=out[1:])
-    return out
 
 
 def class_ratio_bounds(n: int) -> tuple[float, float]:
@@ -234,7 +213,8 @@ def predict(model: GreyModel, horizon: int) -> np.ndarray:
     """
     if horizon < 0:
         raise ValidationError("horizon must be nonnegative")
-    return _differences(_cumulative_curve(model, np.arange(len(model.source) + horizon)))
+    curve = _cumulative_curve(model, np.arange(len(model.source) + horizon))
+    return np.diff(curve, prepend=0.0)
 
 
 def _fit_shifted(series: TimeSeries, until: int) -> tuple[GreyModel, float]:
@@ -250,29 +230,8 @@ def _fit_shifted(series: TimeSeries, until: int) -> tuple[GreyModel, float]:
     if shift:
         if math.isinf(max(values) + shift):
             raise ValidationError(f"series {series.label!r} contains non-finite values")
-        series = TimeSeries._taking(series.label, series.start_period, series.values + shift)
+        series = TimeSeries(series.label, series.start_period, series.values + shift)
     return fit_gm11(series), shift
-
-
-def _overflow_guard(model: GreyModel, k: int, shift: float) -> AbstractContextManager:
-    """The context to compute the forecast curve through index ``k`` in.
-
-    Where the curve may leave the float range by then (a conservative
-    bound in Python floats), numpy's overflow and invalid-value warnings
-    are off, and the caller's finite check raises the one error;
-    elsewhere the context does nothing.
-    """
-    alpha, mu, first = model.alpha, model.mu, float(model.source.values[0])
-    if abs(alpha) < _ALPHA_EPS:
-        bound = abs(first) + abs(mu) * k
-    elif -alpha * k > 700.0:
-        bound = math.inf  # exp(-alpha k) alone passes _SAFE_MAGNITUDE
-    else:
-        c = mu / alpha
-        bound = abs(first - c) * math.exp(max(-alpha * k, 0.0)) + abs(c)
-    if bound + shift < _SAFE_MAGNITUDE:
-        return nullcontext()
-    return np.errstate(over="ignore", invalid="ignore")
 
 
 def forecast_series(series: TimeSeries, until: int) -> TimeSeries:
@@ -283,12 +242,11 @@ def forecast_series(series: TimeSeries, until: int) -> TimeSeries:
     returned history is always the input verbatim.
     """
     model, shift = _fit_shifted(series, until)
-    with _overflow_guard(model, until - series.start_period, shift):
+    # A curve that leaves the float range fails the series' non-finite check.
+    with np.errstate(over="ignore", invalid="ignore"):
         tail = predict(model, until - series.last_period)[len(series):]
         tail -= shift
-    return TimeSeries._taking(
-        series.label, series.start_period, np.concatenate([series.values, tail])
-    )
+    return TimeSeries(series.label, series.start_period, np.concatenate([series.values, tail]))
 
 
 def forecast_value(series: TimeSeries, until: int) -> float:
@@ -298,7 +256,7 @@ def forecast_value(series: TimeSeries, until: int) -> float:
     k = until - series.start_period
     if k < len(series):
         return float(series.values[k])
-    with _overflow_guard(model, k, shift):
+    with np.errstate(over="ignore", invalid="ignore"):
         x1 = _cumulative_curve(model, (k - 1, k))
     value = float(x1[1]) - float(x1[0]) - shift
     if not math.isfinite(value):

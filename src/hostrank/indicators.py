@@ -270,7 +270,7 @@ def load_hierarchy(source: str | Path | IO[str]) -> IndicatorHierarchy:
             specs.append(
                 IndicatorSpec(
                     id=IndicatorId.parse(entry["id"]),
-                    name=entry.get("name", entry["id"]),
+                    name=_json_string(entry.get("name", entry["id"]), f"name of {entry['id']}"),
                     polarity=Polarity(entry.get("polarity", "+")),
                     ideal_interval=interval,
                 )
@@ -374,6 +374,13 @@ def _json_number(value: Any, what: str) -> float:
     if type(value) not in _NUMBER_TYPES:
         raise ValueError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def _json_string(value: Any, what: str) -> str:
+    """``value``, if JSON gave it as a string; null, numbers and lists are not."""
+    if type(value) is not str:
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def _json_numbers(values: list, what: str) -> list:
@@ -538,13 +545,13 @@ def _cell_value(cell: str, label: str, ind: IndicatorId) -> float:
 
 def _parse_json_matrix(text: str):
     with _json_document(text, "decision matrix file") as obj:
-        labels = [str(r) for r in obj["rows"]]
+        labels = [_json_string(r, "rows entry") for r in obj["rows"]]
         ids = [IndicatorId.parse(tok) for tok in obj["columns"]]
         units = obj.get("units")
         if units is not None:
             if len(units) != len(ids):
                 raise ValidationError("units list does not match the column count")
-            units = [str(u) for u in units]
+            units = [_json_string(u, "units entry") for u in units]
         grid: list[list[float]] = []
         for label, row in zip(labels, obj["values"]):
             if len(row) != len(ids):

@@ -159,22 +159,14 @@ def factor_substitution(
     swaps: list[Swap] = []
     for t in range(config.trials):
         rng = np.random.default_rng([config.seed, t])
-        if config.n_swap == 0:
-            group = list(selection.ids)
-            removed: tuple[IndicatorId, ...] = ()
-            added: tuple[IndicatorId, ...] = ()
-        else:
-            positions = sorted(
-                rng.choice(selection.k, size=config.n_swap, replace=False).tolist()
-            )
-            picks = sorted(
-                rng.choice(len(unselected), size=config.n_swap, replace=False).tolist()
-            )
-            group = list(selection.ids)
-            removed = tuple(group[p] for p in positions)
-            added = tuple(unselected[p] for p in picks)
-            for pos, sub in zip(positions, added):
-                group[pos] = sub
+        # With n_swap = 0 both draws are empty and the trial is the identity.
+        positions = sorted(rng.choice(selection.k, size=config.n_swap, replace=False).tolist())
+        picks = sorted(rng.choice(len(unselected), size=config.n_swap, replace=False).tolist())
+        group = list(selection.ids)
+        removed = tuple(group[p] for p in positions)
+        added = tuple(unselected[p] for p in picks)
+        for pos, sub in zip(positions, added):
+            group[pos] = sub
         gamma = np.array([omega_by_id[i] for i in group])
         total = gamma.sum()
         if total <= 0:
@@ -328,12 +320,12 @@ def fit_response_surface(
         )
     k = points.shape[1]
     x = _design_matrix(points, k)
-    n_coef = x.shape[1]
-    if np.linalg.matrix_rank(x) < n_coef:
+    # The rank counts singular values above eps * max(M, N) * s_max, as np.linalg.matrix_rank does.
+    coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+    if rank < x.shape[1]:
         raise NumericError(
             "design matrix is rank-deficient; the full quadratic is not identifiable"
         )
-    coef, _, _, _ = np.linalg.lstsq(x, y, rcond=None)
     fitted = x @ coef
     ss_res = float(((y - fitted) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())

@@ -506,6 +506,7 @@ class TestErrorContract:
             ("missing_values", "lacks the key 'values'"),
             ("truncated", "not valid JSON"),
             ("text_gdp", "bad value in pool city #3: gdp must be a number, got 'lots'"),
+            ("null_country", "bad value in pool city #1: country must be a string, got None"),
         ],
     )
     def test_malformed_pool_is_a_validation_error(
@@ -518,6 +519,9 @@ class TestErrorContract:
             text = json.dumps(pool)
         elif damage == "truncated":
             text = text[: len(text) // 2]
+        elif damage == "null_country":
+            pool["cities"][0]["country"] = None
+            text = json.dumps(pool)
         else:
             pool["cities"][2]["gdp"] = "lots"
             text = json.dumps(pool)
@@ -858,6 +862,10 @@ class TestErrorContract:
             (["rsm", "--factors", "xi2,2"], None, "rsm factors must be distinct"),
             (["rsm", "--factors", "A5, A5"], None, "rsm factors must be distinct"),
             (["rsm", "--factors", "0,1"], None, "factor position 0 is below 1"),
+            (["rsm", "--factors", "1,2", "--grid", "1001"], None,
+             "--grid 1001 gives 1002001 points for 2 factors; at most 1000000 are allowed"),
+            (["rsm", "--factors", "1,2,3", "--grid", "101"], None,
+             "--grid 101 gives 1030301 points for 3 factors; at most 1000000 are allowed"),
             # The indicator count bounds the feature count, so these read the hierarchy.
             (["evaluate", "--features", "0"], None, "--features must be in 1..30, got 0"),
             (["evaluate", "--features", "31"], None, "--features must be in 1..30, got 31"),
@@ -1008,6 +1016,30 @@ class TestErrorContract:
             f"validation error: series '{city}/feb_temp_c' contains non-finite values\n"
         )
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not outdir.exists()
+
+
+    @pytest.mark.parametrize(
+        "until, city, message",
+        [
+            (1_002_015, "Calgary", "gives a forecast table of 1000001 rows; at most 1000000"),
+            # 12 cities from 2015 on: 83,334 rows each
+            (85_348, None, "gives a forecast table of 1000008 rows; at most 1000000"),
+            (1_002_014, "Calgary", "series 'Calgary/feb_temp_c' contains non-finite values"),
+        ],
+    )
+    def test_forecast_table_past_a_million_rows_is_refused(
+        self, fixtures_dir, config_path, outdir, capsys, until, city, message
+    ):
+        """The row count is known before any series is forecast; at the cap
+        the run goes on and ends in the curve's overflow."""
+        argv = ["forecast", "--config", str(config_path), "--pool",
+                str(fixtures_dir / "winter_pool.json"), "--indicator", "feb_temp_c",
+                "--until", str(until)]
+        code = main([*argv, *(["--city", city] if city else [])])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and message in err and err.count("\n") == 1
         assert not outdir.exists()
 
 

@@ -178,6 +178,13 @@ class TestTotalWeights:
         with pytest.raises(ValidationError, match="category B has no weights"):
             total_weights(h, {Category.ECONOMY: [0.5, 0.5]}, category_weights=HALVES)
 
+    def test_missing_category_weight_rejected(self):
+        h = _two_category_hierarchy()
+        per_category = {Category.ECONOMY: [0.5, 0.5], Category.HUMAN: [1.0]}
+        others = {Category.ECONOMY: 0.5, Category.POLITICAL: 0.5}
+        with pytest.raises(ValidationError, match="^category B has no weight$"):
+            total_weights(h, per_category, category_weights=others)
+
     def test_category_weights_must_sum_to_one(self):
         h = _two_category_hierarchy()
         short = {Category.ECONOMY: 0.5, Category.HUMAN: 0.4}

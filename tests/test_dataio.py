@@ -288,6 +288,33 @@ class TestPlansAndSwot:
         assert record == SwotRecord("Paris", ("x",))
 
 
+class TestJsonTextFields:
+    """A text field must be a JSON string: null, numbers and lists are not turned into text."""
+
+    @pytest.mark.parametrize(
+        "load, obj, message",
+        [
+            (load_pool, {"cities": [{"name": "Oslo", "country": None}]},
+             "bad value in pool city #1: country must be a string, got None"),
+            (load_pool, {"cities": [{"name": "Oslo"}, {"name": ["x"]}]},
+             "bad value in pool city #2: name must be a string, got ['x']"),
+            (load_plans, {"plans": [{"id": "A", "description": None, "impacts": {"A1": 3}}]},
+             "bad value in plans file: description of 'A' must be a string, got None"),
+            (load_swot, {"records": [{"city": "Paris"}, {"city": None}]},
+             "bad value in swot file: city of record #2 must be a string, got None"),
+        ],
+    )
+    def test_non_string_is_a_validation_error(self, load, obj, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load(io.StringIO(json.dumps(obj)))
+
+    def test_strings_load_verbatim(self):
+        (city,) = load_pool(io.StringIO('{"cities": [{"name": "Oslo", "country": "Norway"}]}'))
+        assert (city.name, city.country) == ("Oslo", "Norway")
+        (plan,) = load_plans(io.StringIO('{"plans": [{"id": "A", "impacts": {}}]}'))
+        assert plan.description == ""
+
+
 class TestJudgmentsAndRequirement:
     def test_fixture_judgments_have_all_levels(self, fixtures_dir):
         judgments = load_judgments(fixtures_dir / "judgments.json")

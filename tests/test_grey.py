@@ -466,8 +466,8 @@ class TestOneValueForecastEqualsFullPath:
     def test_overflow_raises_like_the_full_path_without_numpy_warnings(self, until):
         """From 2209 on the curve overflows: the same error as the full
         path, and no numpy overflow or invalid-value warning on either. At
-        2204 the curve passes 1e300, where numpy's warnings are off, yet
-        the value is finite and the same as the full path's."""
+        2204 the curve is past 1e300, near the float range, yet the value
+        is finite and the same as the full path's."""
         series = TimeSeries("boom", 2000, np.array([1.0, 30.0, 900.0, 27000.0]))
         value = _outcome(lambda: forecast_value(series, until))
         assert value == _outcome(lambda: forecast_series(series, until).value_at(until))

@@ -3,8 +3,10 @@
 import copy
 import csv
 import io
+import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -28,6 +30,7 @@ from hostrank.indicators import (
     all_indicator_ids,
     default_hierarchy,
     load_decision_matrix,
+    load_hierarchy,
     serialize_decision_matrix,
 )
 
@@ -161,6 +164,17 @@ class TestHierarchyConstruction:
             "specs/coverage: missing indicators: B7, E5"
         )
 
+    @pytest.mark.parametrize("name", [5, None, ["x"]])
+    def test_name_that_is_not_a_json_string_is_rejected(self, name):
+        text = json.dumps({"reduced": True, "indicators": [{"id": "A1", "name": name}]})
+        message = f"bad value in hierarchy file: name of A1 must be a string, got {name!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_hierarchy(io.StringIO(text))
+
+    def test_absent_name_is_the_id(self):
+        h = load_hierarchy(io.StringIO('{"reduced": true, "indicators": [{"id": "A1"}]}'))
+        assert h.specs[0].name == "A1"
+
     def test_interval_must_be_ordered(self):
         with pytest.raises(ValidationError, match="a > b"):
             IndicatorSpec(IndicatorId.parse("A1"), "x", ideal_interval=(3.0, 1.0))
@@ -275,8 +289,6 @@ class TestLoadDecisionMatrix:
             "columns": [str(i) for i in h.ids],
             "values": [[float(v) for v in range(30)], [float(v + 1) for v in range(30)]],
         }
-        import json
-
         m = load_decision_matrix(io.StringIO(json.dumps(obj)), h)
         assert (m.n, m.m) == (2, 30)
         assert m.units is None
@@ -290,8 +302,6 @@ class TestLoadDecisionMatrix:
             "units": ids,  # marker per column: its own id
             "values": [[1.0] * 30, [float(v) for v in range(30)]],
         }
-        import json
-
         m = load_decision_matrix(io.StringIO(json.dumps(obj)), h)
         assert m.units == tuple(str(i) for i in h.ids)
 
@@ -307,6 +317,26 @@ class TestLoadDecisionMatrix:
     def test_malformed_json_form_is_a_validation_error(self, text, message):
         with pytest.raises(ValidationError, match=message):
             load_decision_matrix(io.StringIO(text), default_hierarchy())
+
+    @pytest.mark.parametrize(
+        "key, entries, message",
+        [
+            ("rows", ["a", 5], "rows entry must be a string, got 5"),
+            ("rows", [None, "b"], "rows entry must be a string, got None"),
+            ("units", ["kg"] * 29 + [["x"]], "units entry must be a string, got ['x']"),
+        ],
+    )
+    def test_json_text_that_is_not_a_string_is_rejected(self, key, entries, message):
+        h = default_hierarchy()
+        obj = {
+            "rows": ["a", "b"],
+            "columns": [str(i) for i in h.ids],
+            "values": [[1.0] * 30, [2.0] * 30],
+            key: entries,
+        }
+        message = f"bad value in decision matrix file: {message}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_decision_matrix(io.StringIO(json.dumps(obj)), h)
 
     def test_round_trip_is_bit_exact(self):
         h = default_hierarchy()
