@@ -93,30 +93,25 @@ def validate_judgment(matrix: Sequence[Sequence[float]] | np.ndarray) -> Judgmen
         )
     if not np.all(np.isfinite(vals)):
         raise ValidationError("judgment matrix contains non-finite entries")
-    for i in range(n):
-        for j in range(n):
-            if vals[i, j] <= 0.0:
-                raise ValidationError(
-                    f"nonpositive entry {vals[i, j]!r} at ({i + 1},{j + 1})"
-                )
-    for i in range(n):
-        if abs(vals[i, i] - 1.0) > _RECIPROCITY_TOL:
-            raise ValidationError(
-                f"diagonal entry at ({i + 1},{i + 1}) is {vals[i, i]!r}, expected 1"
-            )
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i, j] * vals[j, i] - 1.0) > _RECIPROCITY_TOL:
-                raise ValidationError(
-                    f"reciprocity violated at ({i + 1},{j + 1})/({j + 1},{i + 1}): "
-                    f"{vals[i, j]!r} * {vals[j, i]!r} != 1"
-                )
+    # Each check reports its first violating cell in row-major order.
+    for i, j in np.argwhere(vals <= 0.0)[:1]:
+        raise ValidationError(f"nonpositive entry {float(vals[i, j])!r} at ({i + 1},{j + 1})")
+    for i in np.flatnonzero(np.abs(np.diag(vals) - 1.0) > _RECIPROCITY_TOL)[:1]:
+        raise ValidationError(
+            f"diagonal entry at ({i + 1},{i + 1}) is {float(vals[i, i])!r}, expected 1"
+        )
+    # Cell (i, j) of vals * vals.T is vals[i, j] * vals[j, i]; only pairs above the diagonal count.
+    for i, j in np.argwhere(np.triu(np.abs(vals * vals.T - 1.0) > _RECIPROCITY_TOL, 1))[:1]:
+        raise ValidationError(
+            f"reciprocity violated at ({i + 1},{j + 1})/({j + 1},{i + 1}): "
+            f"{float(vals[i, j])!r} * {float(vals[j, i])!r} != 1"
+        )
     if vals.min() < _SCALE_MIN - _RECIPROCITY_TOL or vals.max() > _SCALE_MAX + _RECIPROCITY_TOL:
         i, j = np.unravel_index(
             np.argmax(np.maximum(_SCALE_MIN - vals, vals - _SCALE_MAX)), vals.shape
         )
         raise ValidationError(
-            f"entry {vals[i, j]!r} at ({i + 1},{j + 1}) outside the 1/9..9 scale"
+            f"entry {float(vals[i, j])!r} at ({i + 1},{j + 1}) outside the 1/9..9 scale"
         )
     return JudgmentMatrix(vals)
 

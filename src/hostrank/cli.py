@@ -26,7 +26,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -48,9 +47,14 @@ from .entropy import entropy_weights, positivize_matrix, vector_normalize
 from .errors import ConfigError, NumericError, ValidationError
 from .grey import forecast_indicator
 from .indicators import (
+    _FLAG,
+    _INTEGER,
+    _OBJECT,
+    _STRINGS,
     DecisionMatrix,
     IndicatorHierarchy,
     IndicatorId,
+    _expect,
     load_decision_matrix,
     load_hierarchy,
 )
@@ -96,82 +100,89 @@ def _is_number(value: Any) -> bool:
     return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
-# Rules for config values: (what a value must be, the test it must pass).
-# ``type(v) is int`` keeps out JSON true and false.
-_STRING = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
-_FLAG = ("true or false", lambda v: isinstance(v, bool))
-_INTEGER = ("an integer", lambda v: type(v) is int)
+# Rules for config values only, beside the JSON rules of ``indicators``: a
+# config number must be finite, and a config string non-empty.
+_NAME = ("a non-empty string", lambda v: type(v) is str and v != "")
 _COUNT = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
 _RANK = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
-_NUMBER = ("a number", _is_number)
+_FINITE = ("a number", _is_number)
 _SHARE = ("a number in (0, 1]", lambda v: _is_number(v) and 0 < v <= 1)
 _SPAN = ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1)
 _PAIR = ("a pair of numbers", lambda v: type(v) is list and len(v) == 2 and all(map(_is_number, v)))
 _MODE = ('"per_category" or "global"', lambda v: v in ("per_category", "global"))
-_NAMES = ("a list of strings", lambda v: type(v) is list and all(type(c) is str for c in v))
 _SCORES = ("an object of numbers", lambda v: type(v) is dict and all(map(_is_number, v.values())))
 
 # ClimateRequirement owns the defaults of these keys.
 _REQUIREMENT = "screen.winter.requirement"
-_REQUIREMENT_KEYS = {"max_feb_temp": _NUMBER, "ideal_temp_range": _PAIR, "min_feb_snow": _NUMBER}
+_REQUIREMENT_KEYS = {"max_feb_temp": _FINITE, "ideal_temp_range": _PAIR, "min_feb_snow": _FINITE}
+
+# RunConfig's settings: (field, config key, value when the key is absent or null, rule).
+# A stage-1 rank of None keeps the whole pool. An rsm span of 1 or more gives a
+# box with zero or negative feature weights; a span of 0 is kept: it collapses
+# the design, which the fit reports.
+_SETTINGS = (
+    ("seed", "seed", 0, _COUNT),
+    ("output_dir", "output_dir", Path("out"), _NAME),
+    ("weighting_mode", "weighting.mode", "per_category", _MODE),
+    ("feature_count", "weighting.feature_count", 10, _RANK),
+    ("coverage_target", "weighting.coverage_target", None, _SHARE),
+    ("impute_missing", "ingestion.impute_missing", False, _FLAG),
+    ("stage1_gdp_rank", "screen.stage1.gdp_rank", None, _RANK),
+    ("stage1_sports_rank", "screen.stage1.sports_rank", None, _RANK),
+    ("winter_until", "screen.winter.until", 2050, _INTEGER),
+    ("winter_exclude", "screen.winter.exclude", (), _STRINGS),
+    ("winter_s_base", "screen.winter.s_base", {}, _SCORES),
+    ("winter_default_s_base", "screen.winter.default_s_base", None, _FINITE),
+    ("summer_sports_rank", "screen.summer.sports_rank", 8, _RANK),
+    ("summer_s_base", "screen.summer.s_base", {}, _SCORES),
+    ("summer_default_s_base", "screen.summer.default_s_base", 0.5, _FINITE),
+    ("trials", "sensitivity.trials", 20, _RANK),
+    ("n_swap", "sensitivity.n_swap", 5, _COUNT),
+    ("rsm_baseline", "rsm.baseline_alternative", None, _NAME),
+    ("rsm_span", "rsm.span", 0.5, _SPAN),
+)
 
 
-def _key(dotted: str, default: Any, rule: tuple[str, Callable[[Any], bool]]) -> Any:
-    """A RunConfig field holding config key ``dotted``; absent or null gives ``default``."""
-    return field(metadata={"config": (dotted, default, *rule)})
-
-
-def _checked(doc: dict, key: str, default: Any, want: str, ok: Callable[[Any], bool]) -> Any:
+def _checked(doc: dict, key: str, default: Any, rule: tuple[str, Callable[[Any], bool]]) -> Any:
     """The value at dotted ``key``, or ``default`` when it or a block above it is absent or null."""
     value: Any = doc
-    for depth, part in enumerate(key.split(".")):
-        if not isinstance(value, dict):
-            block = key.split(".")[:depth]
-            raise ConfigError(f"config key {'.'.join(block)!r} must be an object, got {value!r}")
-        value = value.get(part)
-        if value is None:
-            return default
-    if not ok(value):
-        raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
-    return value
+    parts = key.split(".")
+    try:
+        for depth, part in enumerate(parts):
+            value = _expect(value, _OBJECT, f"config key {'.'.join(parts[:depth])!r}").get(part)
+            if value is None:
+                return default
+        return _expect(value, rule, f"config key {key!r}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """One run configuration, read and checked whole by ``load``.
 
-    Each field after ``inputs`` holds one config key, and its ``_key``
-    states the default. ``inputs`` maps the input keys the file sets to
-    their paths. A stage-1 rank of None keeps the whole pool.
+    ``inputs`` maps the input keys the file sets to their paths. Every
+    other setting, given by keyword, is a row of ``_SETTINGS``, which
+    names its config key and its default.
     """
 
-    config_hash: str
-    winter_requirement: ClimateRequirement
-    inputs: Mapping[str, Path]
-    seed: int = _key("seed", 0, _COUNT)
-    output_dir: Path = _key("output_dir", "out", _STRING)
-    weighting_mode: str = _key("weighting.mode", "per_category", _MODE)
-    feature_count: int = _key("weighting.feature_count", 10, _RANK)
-    coverage_target: float | None = _key("weighting.coverage_target", None, _SHARE)
-    impute_missing: bool = _key("ingestion.impute_missing", False, _FLAG)
-    stage1_gdp_rank: int | None = _key("screen.stage1.gdp_rank", None, _RANK)
-    stage1_sports_rank: int | None = _key("screen.stage1.sports_rank", None, _RANK)
-    winter_until: int = _key("screen.winter.until", 2050, _INTEGER)
-    winter_exclude: Sequence[str] = _key("screen.winter.exclude", (), _NAMES)
-    winter_s_base: Mapping[str, float] = _key("screen.winter.s_base", {}, _SCORES)
-    winter_default_s_base: float | None = _key("screen.winter.default_s_base", None, _NUMBER)
-    summer_sports_rank: int = _key("screen.summer.sports_rank", 8, _RANK)
-    summer_s_base: Mapping[str, float] = _key("screen.summer.s_base", {}, _SCORES)
-    summer_default_s_base: float | None = _key("screen.summer.default_s_base", 0.5, _NUMBER)
-    trials: int = _key("sensitivity.trials", 20, _RANK)
-    n_swap: int = _key("sensitivity.n_swap", 5, _COUNT)
-    rsm_baseline: str | None = _key("rsm.baseline_alternative", None, _STRING)
-    # A span of 1 or more gives a box with zero or negative feature weights.
-    # A span of 0 is kept: it collapses the design, which the fit reports.
-    rsm_span: float = _key("rsm.span", 0.5, _SPAN)
+    _fields = ("config_hash", "winter_requirement", "inputs", *(row[0] for row in _SETTINGS))
+
+    def __init__(
+        self,
+        config_hash: str,
+        winter_requirement: ClimateRequirement,
+        inputs: Mapping[str, Path],
+        **settings: Any,
+    ) -> None:
+        values = {name: settings.pop(name, default) for name, _, default, _ in _SETTINGS}
+        if settings:
+            raise TypeError(f"RunConfig got unknown settings: {', '.join(settings)}")
+        self.__dict__.update(
+            values, config_hash=config_hash, winter_requirement=winter_requirement, inputs=inputs
+        )
 
     @classmethod
-    def load(cls, path: str | Path) -> "RunConfig":
+    def load(cls, path: str | Path) -> RunConfig:
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
@@ -182,15 +193,15 @@ class RunConfig:
             raise ConfigError(f"config file {p} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        values = {f.name: _checked(raw, *f.metadata["config"]) for f in fields(cls) if f.metadata}
-        block = _checked(raw, _REQUIREMENT, {}, "an object", lambda v: type(v) is dict)
+        values = {name: _checked(raw, *row) for name, *row in _SETTINGS}
+        block = _checked(raw, _REQUIREMENT, {}, _OBJECT)
         for key, rule in _REQUIREMENT_KEYS.items():
-            _checked(raw, f"{_REQUIREMENT}.{key}", None, *rule)
+            _checked(raw, f"{_REQUIREMENT}.{key}", None, rule)
         # A key the requirement does not have reaches ClimateRequirement, which rejects it.
-        values["winter_requirement"] = load_requirement(block)
+        requirement = load_requirement(block)
         inputs = {}
         for key in _PATH_KEYS:
-            value = _checked(raw, key, None, *_STRING)
+            value = _checked(raw, key, None, _NAME)
             if value is not None:
                 inputs[key] = p.parent / value  # an absolute value replaces the parent
                 if not inputs[key].is_file():
@@ -198,7 +209,7 @@ class RunConfig:
         # Inputs resolve against the config file; the output directory is
         # working-directory relative so runs stay out of the fixture tree.
         values["output_dir"] = Path(os.environ.get(OUTPUT_DIR_ENV) or values["output_dir"])
-        return cls(config_hash=hash_bytes(data), inputs=inputs, **values)
+        return cls(hash_bytes(data), requirement, inputs, **values)
 
     def input_path(self, key: str, override: str | None = None) -> Path:
         """The input file named by a command-line ``override``, else by the config."""

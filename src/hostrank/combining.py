@@ -86,7 +86,7 @@ class CombinedWeights(Record):
         self.__dict__.update(weights=vals, ordering=ordering)
         total = vals.sum()
         if abs(total - 1.0) > _SUM_TOL:
-            raise ValidationError(f"combined weights sum to {total!r}, expected 1")
+            raise ValidationError(f"combined weights sum to {float(total)!r}, expected 1")
         ordered = vals[list(ordering)]
         if np.any(np.diff(ordered) > _SUM_TOL):
             raise ValidationError("combined weights increase along the ordering")
@@ -126,7 +126,7 @@ class FeatureSelection(Record):
         if g.shape != (len(ids),):
             raise ValidationError("gamma length does not match feature ids")
         if abs(g.sum() - 1.0) > _SUM_TOL:
-            raise ValidationError(f"feature weights sum to {g.sum()!r}, expected 1")
+            raise ValidationError(f"feature weights sum to {float(g.sum())!r}, expected 1")
         if np.any(np.diff(g) > _SUM_TOL):
             raise ValidationError("feature weights must be non-increasing")
 
@@ -238,7 +238,7 @@ def total_weights(
     """
     total_u = sum(category_weights.values())
     if abs(total_u - 1.0) > _SUM_TOL:
-        raise ValidationError(f"category weights sum to {total_u!r}, expected 1")
+        raise ValidationError(f"category weights sum to {float(total_u)!r}, expected 1")
 
     ids: list[IndicatorId] = []
     omega: list[float] = []
@@ -257,7 +257,7 @@ def total_weights(
             )
         if abs(u.sum() - 1.0) > _SUM_TOL:
             raise ValidationError(
-                f"category {cat.value} weights sum to {u.sum()!r}, expected 1"
+                f"category {cat.value} weights sum to {float(u.sum())!r}, expected 1"
             )
         for spec, uj in zip(specs, u):
             ids.append(spec.id)

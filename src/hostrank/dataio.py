@@ -19,8 +19,8 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .grey import TimeSeries
 from .indicators import (
-    IndicatorId, _csv_errors, _json_document, _json_number, _json_numbers, _json_string,
-    _malformed, _read_text,
+    _INTEGER, _LIST, _NUMBER, _OBJECT, _STRING, _STRINGS, IndicatorId, _csv_errors,
+    _expect, _json_document, _json_numbers, _malformed, _read_text,
 )
 from .selection import CityProfile, ClimateRequirement, SchemePlan, SwotRecord, _check_unique
 
@@ -43,12 +43,11 @@ def load_judgments(source: str | Path | IO[str]) -> dict[str, list[list[float]]]
         return obj
 
 
-def _series_from_obj(label: str, entry: Mapping) -> TimeSeries:
-    start = entry["start_period"]
-    if type(start) is not int:
-        raise ValueError(f"start_period of {label!r} must be an integer, got {start!r}")
-    values = _json_numbers(entry["values"], f"value of {label!r}")
-    return TimeSeries(label=label, start_period=start, values=values)
+def _series_from_obj(label: str, entry: Any) -> TimeSeries:
+    _expect(entry, _OBJECT, f"series {label!r}")
+    start = _expect(entry["start_period"], _INTEGER, f"start_period of {label!r}")
+    values = _expect(entry["values"], _LIST, f"values of {label!r}")
+    return TimeSeries(label, start, _json_numbers(values, f"value of {label!r}"))
 
 
 def load_pool(source: str | Path | IO[str]) -> list[CityProfile]:
@@ -72,22 +71,23 @@ def _pool_from_json(text: str) -> list[CityProfile]:
     return cities
 
 
-def _city_from_obj(entry: Mapping) -> CityProfile:
-    name = _json_string(entry["name"], "name")
+def _city_from_obj(entry: Any) -> CityProfile:
+    _expect(entry, _OBJECT, "city")
+    name = _expect(entry["name"], _STRING, "name")
     climate = {
         var: _series_from_obj(f"{name}/{var}", series)
-        for var, series in entry.get("climate", {}).items()
+        for var, series in _expect(entry.get("climate", {}), _OBJECT, "climate").items()
     }
     # A float, as nearly every value is, needs no call to the check.
     indicators = {
-        IndicatorId.parse(k): v if type(v) is float else _json_number(v, k)
-        for k, v in entry.get("indicators", {}).items()
+        IndicatorId.parse(k): v if type(v) is float else float(_expect(v, _NUMBER, k))
+        for k, v in _expect(entry.get("indicators", {}), _OBJECT, "indicators").items()
     }
     return CityProfile(
         name=name,
-        country=_json_string(entry.get("country", ""), "country"),
-        gdp=_json_number(entry.get("gdp", 0.0), "gdp"),
-        sports_score=_json_number(entry.get("sports_score", 0.0), "sports_score"),
+        country=_expect(entry.get("country", ""), _STRING, "country"),
+        gdp=float(_expect(entry.get("gdp", 0.0), _NUMBER, "gdp")),
+        sports_score=float(_expect(entry.get("sports_score", 0.0), _NUMBER, "sports_score")),
         climate=climate,
         indicators=indicators,
     )
@@ -104,35 +104,34 @@ def _finite(city: CityProfile) -> CityProfile:
     return city
 
 
-def _full_rows(reader: csv.DictReader) -> Iterator[dict[str, str]]:
-    """The reader's rows; a row shorter or longer than the header is an error.
+def _csv_rows(text: str, required: set[str], what: str) -> Iterator[dict[str, str]]:
+    """The rows of CSV ``text``, the file ``what``, whose header has the ``required`` columns.
 
-    The reader pads a short row with None values and files a long row's
-    extra fields as a list under the key None.
+    A row shorter or longer than the header is an error: the reader pads
+    a short row with None values and files a long row's extra fields as a
+    list under the key None.
     """
-    width = len(reader.fieldnames)
-    for row in reader:
-        if None in row or None in row.values():
-            extra = row.pop(None, [])
-            cells = list(row.values())
+    with _csv_errors(what):
+        reader = csv.DictReader(io.StringIO(text))
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValidationError(
-                f"column count mismatch at row {cells[0]!r}: "
-                f"expected {width}, got {width - cells.count(None) + len(extra)}"
+                f"{what} must have columns {sorted(required)}, got {reader.fieldnames}"
             )
-        yield row
+        width = len(reader.fieldnames)
+        for row in reader:
+            if None in row or None in row.values():
+                extra = row.pop(None, [])
+                cells = list(row.values())
+                raise ValidationError(
+                    f"column count mismatch at row {cells[0]!r}: "
+                    f"expected {width}, got {width - cells.count(None) + len(extra)}"
+                )
+            yield row
 
 
-@_csv_errors("pool file")
 def _pool_from_csv(text: str) -> list[CityProfile]:
-    reader = csv.DictReader(io.StringIO(text))
-    required = {"name", "country", "gdp", "sports_score"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise ValidationError(
-            f"pool file must have columns {sorted(required)}, "
-            f"got {reader.fieldnames}"
-        )
     cities = []
-    for row in _full_rows(reader):
+    for row in _csv_rows(text, {"name", "country", "gdp", "sports_score"}, "pool file"):
         try:
             city = CityProfile(
                 name=row["name"].strip(),
@@ -149,20 +148,14 @@ def _pool_from_csv(text: str) -> list[CityProfile]:
     return cities
 
 
-@_csv_errors("climate file")
 def load_climate_csv(source: str | Path | IO[str]) -> dict[str, dict[str, TimeSeries]]:
     """Observations as rows (city, variable, period, value), assembled into series.
 
     Periods for each (city, variable) must form a contiguous run.
     """
-    reader = csv.DictReader(io.StringIO(_read_text(source)))
-    required = {"city", "variable", "period", "value"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise ValidationError(
-            f"climate file must have columns {sorted(required)}, got {reader.fieldnames}"
-        )
     buckets: dict[tuple[str, str], list[tuple[int, float]]] = {}
-    for row in _full_rows(reader):
+    required = {"city", "variable", "period", "value"}
+    for row in _csv_rows(_read_text(source), required, "climate file"):
         key = (row["city"].strip(), row["variable"].strip())
         try:
             buckets.setdefault(key, []).append(
@@ -206,15 +199,18 @@ def load_plans(source: str | Path | IO[str]) -> list[SchemePlan]:
     """Hosting schemes with per-feature impact grades; ids are free-form, non-empty, unique."""
     with _json_document(_read_text(source), "plans file") as obj:
         plans = []
-        for entry in obj["plans"]:
-            plan_id = entry["id"]
+        for entry in _expect(obj["plans"], _LIST, "plans"):
+            plan_id = _expect(entry, _OBJECT, "plans entry")["id"]
             if not isinstance(plan_id, str) or not plan_id.strip():
                 raise ValidationError(f"plan id must be a non-empty string, got {plan_id!r}")
             if any(p.id == plan_id for p in plans):
                 raise ValidationError(f"duplicate plan id {plan_id!r} in plans file")
-            description = _json_string(entry.get("description", ""), f"description of {plan_id!r}")
+            description = _expect(
+                entry.get("description", ""), _STRING, f"description of {plan_id!r}"
+            )
             impacts = {
-                IndicatorId.parse(k): _grade(plan_id, k, v) for k, v in entry["impacts"].items()
+                IndicatorId.parse(k): _grade(plan_id, k, v)
+                for k, v in _expect(entry["impacts"], _OBJECT, f"impacts of {plan_id!r}").items()
             }
             try:
                 plans.append(SchemePlan(id=plan_id, description=description, impacts=impacts))
@@ -234,22 +230,16 @@ def _grade(plan_id: str, key: str, grade: Any) -> int:
 def load_swot(source: str | Path | IO[str]) -> list[SwotRecord]:
     """SWOT records; each entry the file omits is empty."""
     with _json_document(_read_text(source), "swot file") as obj:
-        return [
-            SwotRecord(
-                _json_string(e["city"], f"city of record #{pos}"),
-                *(_swot_entries(e, key) for key in SwotRecord._fields[1:]),
-            )
-            for pos, e in enumerate(obj["records"], start=1)
-        ]
-
-
-def _swot_entries(record: Mapping, key: str) -> tuple[str, ...]:
-    entries = record.get(key, [])
-    if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
-        raise ValueError(
-            f"{key} of {record['city']!r} must be a list of strings, got {entries!r}"
-        )
-    return tuple(entries)
+        records = []
+        for pos, entry in enumerate(_expect(obj["records"], _LIST, "records"), start=1):
+            _expect(entry, _OBJECT, f"record #{pos}")
+            city = _expect(entry["city"], _STRING, f"city of record #{pos}")
+            lists = [
+                _expect(entry.get(key, []), _STRINGS, f"{key} of {city!r}")
+                for key in SwotRecord._fields[1:]
+            ]
+            records.append(SwotRecord(city, *lists))
+        return records
 
 
 def load_requirement(block: Mapping[str, Any]) -> ClimateRequirement:

@@ -18,11 +18,10 @@ import io
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
 from pathlib import Path
-from typing import IO, Any, Iterator
+from typing import IO, Any, Callable, Iterator
 
 import numpy as np
 
@@ -140,8 +139,7 @@ def all_indicator_ids() -> tuple[IndicatorId, ...]:
     return _ALL_IDS
 
 
-@dataclass(frozen=True)
-class IndicatorSpec:
+class IndicatorSpec(Record):
     """One secondary indicator: id, display name, polarity, optional ideal band.
 
     ``ideal_interval`` is the (a, b) value band treated as fully
@@ -149,19 +147,21 @@ class IndicatorSpec:
     down linearly.
     """
 
-    id: IndicatorId
-    name: str
-    polarity: Polarity = Polarity.POSITIVE
-    ideal_interval: tuple[float, float] | None = None
+    _fields = ("id", "name", "polarity", "ideal_interval")
 
-    def __post_init__(self) -> None:
-        if self.ideal_interval is not None:
-            a, b = self.ideal_interval
+    def __init__(
+        self,
+        id: IndicatorId,
+        name: str,
+        polarity: Polarity = Polarity.POSITIVE,
+        ideal_interval: tuple[float, float] | None = None,
+    ) -> None:
+        if ideal_interval is not None:
+            a, b = ideal_interval
             if not a <= b:
-                raise ValidationError(
-                    f"ideal interval for {self.id} has a > b: ({a}, {b})"
-                )
-            object.__setattr__(self, "ideal_interval", (float(a), float(b)))
+                raise ValidationError(f"ideal interval for {id} has a > b: ({a}, {b})")
+            ideal_interval = (float(a), float(b))
+        self.__dict__.update(id=id, name=name, polarity=polarity, ideal_interval=ideal_interval)
 
 
 class IndicatorHierarchy(Record):
@@ -259,26 +259,18 @@ def load_hierarchy(source: str | Path | IO[str]) -> IndicatorHierarchy:
     """Load a hierarchy from its JSON file form (see docs/data-format.md)."""
     with _json_document(_read_text(source), "hierarchy file") as obj:
         specs = []
-        for entry in obj["indicators"]:
+        for entry in _expect(obj["indicators"], _LIST, "indicators"):
+            key = _expect(entry, _OBJECT, "indicators entry")["id"]
             interval = entry.get("ideal_interval")
             if interval is not None:
-                if type(interval) is not list or len(interval) != 2:
-                    raise ValueError(
-                        f"ideal_interval of {entry['id']} must be [a, b], got {interval!r}"
-                    )
-                interval = tuple(_json_numbers(interval, f"ideal_interval bound of {entry['id']}"))
-            specs.append(
-                IndicatorSpec(
-                    id=IndicatorId.parse(entry["id"]),
-                    name=_json_string(entry.get("name", entry["id"]), f"name of {entry['id']}"),
-                    polarity=Polarity(entry.get("polarity", "+")),
-                    ideal_interval=interval,
-                )
-            )
-        reduced = obj.get("reduced", False)
-        if type(reduced) is not bool:
-            raise ValueError(f"reduced must be true or false, got {reduced!r}")
-        return IndicatorHierarchy(specs=tuple(specs), reduced=reduced)
+                _expect(interval, _INTERVAL, f"ideal_interval of {key}")
+                interval = tuple(_json_numbers(interval, f"ideal_interval bound of {key}"))
+            ind = IndicatorId.parse(key)
+            name = _expect(entry.get("name", key), _STRING, f"name of {key}")
+            polarity = _expect(entry.get("polarity", "+"), _POLARITY, f"polarity of {key}")
+            specs.append(IndicatorSpec(ind, name, Polarity(polarity), interval))
+        reduced = _expect(obj.get("reduced", False), _FLAG, "reduced")
+        return IndicatorHierarchy(tuple(specs), reduced)
 
 
 class DecisionMatrix(Record):
@@ -365,32 +357,6 @@ def _malformed(what: str) -> Iterator[None]:
         raise ValidationError(f"bad value in {what}: {exc}") from None
 
 
-# The types a JSON number loads as; true and false load as bool, which is neither.
-_NUMBER_TYPES = frozenset((int, float))
-
-
-def _json_number(value: Any, what: str) -> float:
-    """``value`` as a float, if JSON gave it as a number; true, false and strings are not."""
-    if type(value) not in _NUMBER_TYPES:
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _json_string(value: Any, what: str) -> str:
-    """``value``, if JSON gave it as a string; null, numbers and lists are not."""
-    if type(value) is not str:
-        raise ValueError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _json_numbers(values: list, what: str) -> list:
-    """``values``, if JSON gave each as a number; else ``_json_number``'s error for the first."""
-    if not _NUMBER_TYPES.issuperset(map(type, values)):
-        for value in values:
-            _json_number(value, what)
-    return values
-
-
 @contextmanager
 def _csv_errors(what: str) -> Iterator[None]:
     """Report a line the csv reader rejects as a one-line ValidationError naming ``what``.
@@ -409,6 +375,37 @@ def _json_document(text: str, what: str) -> Iterator[Any]:
     """Parse ``text`` as JSON for the block that builds a value from it."""
     with _malformed(what):
         yield json.loads(text)
+
+
+# Rules for JSON values, in config and input files alike: (what a value must
+# be, the test it must pass). JSON true and false load as bool, which
+# ``type(v) is int`` keeps out; a number may be NaN or infinite.
+_NUMBER_TYPES = frozenset((int, float))
+_NUMBER = ("a number", lambda v: type(v) in _NUMBER_TYPES)
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_STRING = ("a string", lambda v: type(v) is str)
+_FLAG = ("true or false", lambda v: type(v) is bool)
+_LIST = ("a list", lambda v: type(v) is list)
+_OBJECT = ("an object", lambda v: type(v) is dict)
+_STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v))
+_INTERVAL = ("[a, b]", lambda v: type(v) is list and len(v) == 2)
+_POLARITY = ('"+" or "-"', lambda v: v in ("+", "-"))
+
+
+def _expect(value: Any, rule: tuple[str, Callable[[Any], bool]], what: str) -> Any:
+    """``value``, if it passes ``rule``; else a ValueError naming ``what``."""
+    want, ok = rule
+    if not ok(value):
+        raise ValueError(f"{what} must be {want}, got {value!r}")
+    return value
+
+
+def _json_numbers(values: list, what: str) -> list:
+    """``values``, if JSON gave each as a number; else the ``_NUMBER`` error for the first."""
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        for value in values:
+            _expect(value, _NUMBER, what)
+    return values
 
 
 def _sniff_delimiter(text: str) -> str:
@@ -444,7 +441,7 @@ def load_decision_matrix(
     known = set(hierarchy.ids)
     for ind in ids:
         if ind not in known:
-            raise ValidationError(f"unknown indicator {ind!r}")
+            raise ValidationError(f"unknown indicator {ind}")
     present = set(ids)
     if len(present) != len(ids):
         raise ValidationError("duplicate indicator column in header")
@@ -545,16 +542,16 @@ def _cell_value(cell: str, label: str, ind: IndicatorId) -> float:
 
 def _parse_json_matrix(text: str):
     with _json_document(text, "decision matrix file") as obj:
-        labels = [_json_string(r, "rows entry") for r in obj["rows"]]
-        ids = [IndicatorId.parse(tok) for tok in obj["columns"]]
+        labels = [_expect(r, _STRING, "rows entry") for r in _expect(obj["rows"], _LIST, "rows")]
+        ids = [IndicatorId.parse(tok) for tok in _expect(obj["columns"], _LIST, "columns")]
         units = obj.get("units")
         if units is not None:
-            if len(units) != len(ids):
+            if len(_expect(units, _LIST, "units")) != len(ids):
                 raise ValidationError("units list does not match the column count")
-            units = [_json_string(u, "units entry") for u in units]
+            units = [_expect(u, _STRING, "units entry") for u in units]
         grid: list[list[float]] = []
-        for label, row in zip(labels, obj["values"]):
-            if len(row) != len(ids):
+        for label, row in zip(labels, _expect(obj["values"], _LIST, "values")):
+            if len(_expect(row, _LIST, f"values row {label!r}")) != len(ids):
                 raise ValidationError(
                     f"column count mismatch at row {label!r}: "
                     f"expected {len(ids)}, got {len(row)}"

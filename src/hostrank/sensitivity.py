@@ -318,6 +318,8 @@ def fit_response_surface(
         raise ValidationError(
             f"got {y.shape[0] if y.ndim else 0} responses for {points.shape[0]} design points"
         )
+    if not (np.isfinite(points).all() and np.isfinite(y).all()):
+        raise ValidationError("design points and responses must be finite")
     k = points.shape[1]
     x = _design_matrix(points, k)
     # The rank counts singular values above eps * max(M, N) * s_max, as np.linalg.matrix_rank does.

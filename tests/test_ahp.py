@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hostrank.ahp import (
+    _RECIPROCITY_TOL,
     SAATY_RANDOM_INDEX,
     ahp_weights,
     consistency,
@@ -44,6 +45,29 @@ def random_reciprocal(rng, n):
     return m
 
 
+def first_violation_by_loops(rows):
+    """The message of the first failed sign, diagonal or reciprocity check, cell by cell.
+
+    The reference for ``validate_judgment``'s array masks; None when all hold.
+    """
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            if rows[i][j] <= 0.0:
+                return f"nonpositive entry {rows[i][j]!r} at ({i + 1},{j + 1})"
+    for i in range(n):
+        if abs(rows[i][i] - 1.0) > _RECIPROCITY_TOL:
+            return f"diagonal entry at ({i + 1},{i + 1}) is {rows[i][i]!r}, expected 1"
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(rows[i][j] * rows[j][i] - 1.0) > _RECIPROCITY_TOL:
+                return (
+                    f"reciprocity violated at ({i + 1},{j + 1})/({j + 1},{i + 1}): "
+                    f"{rows[i][j]!r} * {rows[j][i]!r} != 1"
+                )
+    return None
+
+
 class TestValidateJudgment:
     def test_trivial_two_by_two(self):
         assert validate_judgment([[1, 1], [1, 1]]).order == 2
@@ -75,6 +99,48 @@ class TestValidateJudgment:
     def test_order_bounds(self):
         with pytest.raises(ValidationError, match="order"):
             validate_judgment([[1]])
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[1, -1, 0.0], [1, 1, 1], [1, -2, 1]], "nonpositive entry -1.0 at (1,2)"),
+            ([[1, 1, 1], [1, 1.5, 1], [1, 1, 0.5]], "diagonal entry at (2,2) is 1.5, expected 1"),
+            (
+                [[1, 1, 2], [1, 1, 3], [1, 0.25, 1]],
+                "reciprocity violated at (1,3)/(3,1): 2.0 * 1.0 != 1",
+            ),
+            (
+                [[1, 1, 1 / 12], [1, 1, 1], [12, 1, 1]],
+                "entry 12.0 at (3,1) outside the 1/9..9 scale",
+            ),
+        ],
+        ids=["nonpositive", "diagonal", "reciprocity", "scale"],
+    )
+    def test_first_violation_in_row_major_order_is_named_with_plain_numbers(
+        self, matrix, message
+    ):
+        with pytest.raises(ValidationError) as err:
+            validate_judgment(matrix)
+        assert str(err.value) == message
+
+    @given(
+        st.integers(min_value=2, max_value=5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 4.0]),
+                         min_size=n, max_size=n),
+                min_size=n, max_size=n,
+            )
+        )
+    )
+    @settings(max_examples=300)
+    def test_masks_report_what_the_cell_loops_report(self, rows):
+        expected = first_violation_by_loops(rows)
+        if expected is None:
+            validate_judgment(rows)
+        else:
+            with pytest.raises(ValidationError) as err:
+                validate_judgment(rows)
+            assert str(err.value) == expected
 
 
 class TestPrincipalEigen:

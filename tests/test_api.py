@@ -16,7 +16,7 @@ import pytest
 
 import hostrank
 from hostrank.ahp import AhpWeights, ConsistencyReport, JudgmentMatrix
-from hostrank.cli import RunReport
+from hostrank.cli import RunConfig, RunReport
 from hostrank.combining import CombinedWeights, FeatureSelection, ImportanceRatios, TotalWeights
 from hostrank.entropy import EntropyResult
 from hostrank.grey import GreyModel, TimeSeries
@@ -74,6 +74,7 @@ SAMPLES = {
     AhpWeights: (
         ({Category.ECONOMY: 1.0}, {A1: 1.0}, {}), ({Category.ECONOMY: 0.5}, {A1: 1.0}, {})
     ),
+    RunConfig: (("abc", ClimateRequirement(), {}), ("abd", ClimateRequirement(), {})),
     RunReport: (
         (Provenance("abc", 0, "0.1.0", "weights"), {"total.csv": "x\n"}, ["done"]),
         (Provenance("abc", 1, "0.1.0", "weights"), {"total.csv": "x\n"}, ["done"]),
@@ -89,6 +90,7 @@ SAMPLES = {
         (0.2, 2.0, TimeSeries("s", 2000, [1.0]), (0.2, 2.0), True),
     ),
     IndicatorId: ((Category.ECONOMY, 5), (Category.HUMAN, 5)),
+    IndicatorSpec: ((A1, "gdp"), (A2, "gdp")),
     IndicatorHierarchy: (((IndicatorSpec(A1, "gdp"),), True), ((IndicatorSpec(A2, "gdp"),), True)),
     DecisionMatrix: ((("Oslo",), (A1,), [[1.0]]), (("Bergen",), (A1,), [[1.0]])),
     WeightingOutputs: (
@@ -141,6 +143,27 @@ PINS = {
         "AhpWeights(category_weights={<Category.ECONOMY: 'A'>: 1.0}, "
         "indicator_weights={IndicatorId(category=<Category.ECONOMY: 'A'>, index=1): 1.0}, "
         "reports={})",
+        False,
+        False,
+    ),
+    RunConfig: (
+        # The dataclass took all 22 fields by position; the settings are now
+        # keywords, and each one left out takes its config default.
+        "(config_hash, winter_requirement, inputs, **settings)",
+        (
+            "config_hash", "winter_requirement", "inputs", "seed", "output_dir", "weighting_mode",
+            "feature_count", "coverage_target", "impute_missing", "stage1_gdp_rank",
+            "stage1_sports_rank", "winter_until", "winter_exclude", "winter_s_base",
+            "winter_default_s_base", "summer_sports_rank", "summer_s_base",
+            "summer_default_s_base", "trials", "n_swap", "rsm_baseline", "rsm_span",
+        ),
+        "RunConfig(config_hash='abc', winter_requirement=ClimateRequirement(max_feb_temp=0.0, "
+        "ideal_temp_range=(-17.0, -10.0), min_feb_snow=30.0), inputs={}, seed=0, "
+        "output_dir=PosixPath('out'), weighting_mode='per_category', feature_count=10, "
+        "coverage_target=None, impute_missing=False, stage1_gdp_rank=None, "
+        "stage1_sports_rank=None, winter_until=2050, winter_exclude=(), winter_s_base={}, "
+        "winter_default_s_base=None, summer_sports_rank=8, summer_s_base={}, "
+        "summer_default_s_base=0.5, trials=20, n_swap=5, rsm_baseline=None, rsm_span=0.5)",
         False,
         False,
     ),
@@ -208,6 +231,14 @@ PINS = {
         "(category, index)",
         ("category", "index"),
         "IndicatorId(category=<Category.ECONOMY: 'A'>, index=5)",
+        True,
+        False,
+    ),
+    IndicatorSpec: (
+        "(id, name, polarity=<Polarity.POSITIVE: '+'>, ideal_interval=None)",
+        ("id", "name", "polarity", "ideal_interval"),
+        "IndicatorSpec(id=IndicatorId(category=<Category.ECONOMY: 'A'>, index=1), name='gdp', "
+        "polarity=<Polarity.POSITIVE: '+'>, ideal_interval=None)",
         True,
         False,
     ),
@@ -393,6 +424,15 @@ class TestRecordContract:
             sample.extra = None
 
 
+def test_run_config_defaults_are_those_of_an_empty_config_file(tmp_path, monkeypatch):
+    monkeypatch.delenv("HOSTRANK_OUTDIR", raising=False)
+    (tmp_path / "run.json").write_text("{}")
+    loaded = RunConfig.load(tmp_path / "run.json")
+    assert loaded == RunConfig(loaded.config_hash, ClimateRequirement(), {})
+    with pytest.raises(TypeError, match="^RunConfig got unknown settings: sede$"):
+        RunConfig("abc", ClimateRequirement(), {}, sede=1)
+
+
 def test_indicator_ids_order_by_category_then_index():
     a5, b1 = IndicatorId(Category.ECONOMY, 5), IndicatorId(Category.HUMAN, 1)
     assert a5 < b1 and a5 <= b1 and b1 > a5 and b1 >= a5
@@ -401,11 +441,11 @@ def test_indicator_ids_order_by_category_then_index():
         a5 < "B1"
 
 
-def test_importing_the_cli_makes_only_two_dataclasses():
-    """Every module loads with the CLI, and only RunConfig and IndicatorSpec are dataclasses.
+def test_importing_the_cli_makes_no_dataclass():
+    """Every module loads with the CLI, and no hostrank class is a dataclass.
 
-    ``@dataclass`` compiles each generated method at import; the other
-    records are plain classes so that short runs do not pay for it.
+    ``@dataclass`` compiles each generated method at import; the records
+    are plain classes so that short runs do not pay for it.
     """
     script = textwrap.dedent(
         """
@@ -431,4 +471,4 @@ def test_importing_the_cli_makes_only_two_dataclasses():
     )
     found = json.loads(result.stdout)
     assert found["not_imported"] == []
-    assert found["dataclasses"] == ["hostrank.cli.RunConfig", "hostrank.indicators.IndicatorSpec"]
+    assert found["dataclasses"] == []

@@ -425,6 +425,16 @@ class TestErrorContract:
         )
         assert not outdir.exists()  # nothing was written
 
+    def test_bad_judgment_entry_prints_a_plain_number(self, tmp_path, fixtures_dir, outdir, capsys):
+        judgments = json.loads((fixtures_dir / "judgments.json").read_text())
+        judgments["primary"][0][1] = -1
+        path = tmp_path / "judgments.json"
+        path.write_text(json.dumps(judgments))
+        config = write_config(tmp_path, fixtures_dir, lambda cfg: cfg.update(judgments=str(path)))
+        assert main(["weights", "--method", "ahp", "--config", str(config)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "validation error: nonpositive entry -1.0 at (1,2)\n"
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("method", ["ahp", "entropy"])
     def test_each_weights_method_checks_the_hierarchy(
         self, tmp_path, fixtures_dir, outdir, capsys, method

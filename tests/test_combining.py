@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hostrank.combining import (
+    CombinedWeights,
     FeatureSelection,
     TotalWeights,
     dispersion,
@@ -146,6 +147,32 @@ def _two_category_hierarchy():
         IndicatorSpec(IndicatorId.parse("B1"), "b1"),
     )
     return IndicatorHierarchy(specs=specs, reduced=True)
+
+
+A1, A2 = IndicatorId.parse("A1"), IndicatorId.parse("A2")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda h: CombinedWeights(np.array([0.6, 0.5]), (0, 1)),
+         "combined weights sum to 1.1, expected 1"),
+        (lambda h: FeatureSelection((A1, A2), np.array([0.6, 0.5]), 0.4),
+         "feature weights sum to 1.1, expected 1"),
+        (lambda h: total_weights(
+            h, {Category.ECONOMY: [0.5, 0.5], Category.HUMAN: [1.0]},
+            category_weights={Category.ECONOMY: np.float64(0.5), Category.HUMAN: np.float64(0.4)},
+         ), "category weights sum to 0.9, expected 1"),
+        (lambda h: total_weights(
+            h, {Category.ECONOMY: [0.5, 0.6], Category.HUMAN: [1.0]}, category_weights=HALVES
+         ), "category A weights sum to 1.1, expected 1"),
+    ],
+    ids=["combined", "feature", "category", "in-category"],
+)
+def test_a_bad_sum_prints_as_a_plain_float(build, message):
+    with pytest.raises(ValidationError) as err:
+        build(_two_category_hierarchy())
+    assert str(err.value) == message
 
 
 class TestTotalWeights:

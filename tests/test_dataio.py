@@ -141,11 +141,11 @@ class TestPoolIndicatorKeys:
             (_cities({"A1": 1}, {"A9": 1}), "indicator index 9 out of range 1..6 for category A"),
             (
                 _cities({"A1": 1}, ["A1"]),
-                "bad value in pool city #2: 'list' object has no attribute 'items'",
+                "bad value in pool city #2: indicators must be an object, got ['A1']",
             ),
             (
                 _cities({"A1": 1}, "A1"),
-                "bad value in pool city #2: 'str' object has no attribute 'items'",
+                "bad value in pool city #2: indicators must be an object, got 'A1'",
             ),
         ],
         ids=[
@@ -313,6 +313,36 @@ class TestJsonTextFields:
         assert (city.name, city.country) == ("Oslo", "Norway")
         (plan,) = load_plans(io.StringIO('{"plans": [{"id": "A", "impacts": {}}]}'))
         assert plan.description == ""
+
+
+class TestJsonContainers:
+    """A JSON list or object field must be one; the error names the key."""
+
+    @pytest.mark.parametrize(
+        "load, obj, message",
+        [
+            (load_pool, {"cities": [5]}, "pool city #1: city must be an object, got 5"),
+            (load_pool, {"cities": [{"name": "Oslo", "climate": []}]},
+             "pool city #1: climate must be an object, got []"),
+            (load_pool, {"cities": [{"name": "Oslo", "indicators": [1, 2]}]},
+             "pool city #1: indicators must be an object, got [1, 2]"),
+            (load_pool, {"cities": [{"name": "Oslo", "climate": {"feb_temp_c": [1]}}]},
+             "pool city #1: series 'Oslo/feb_temp_c' must be an object, got [1]"),
+            (load_pool,
+             {"cities": [{"name": "Oslo",
+                          "climate": {"t": {"start_period": 2000, "values": "12"}}}]},
+             "pool city #1: values of 'Oslo/t' must be a list, got '12'"),
+            (load_plans, {"plans": {"p": 1}}, "plans file: plans must be a list, got {'p': 1}"),
+            (load_plans, {"plans": [1]}, "plans file: plans entry must be an object, got 1"),
+            (load_plans, {"plans": [{"id": "A", "impacts": ["A1"]}]},
+             "plans file: impacts of 'A' must be an object, got ['A1']"),
+            (load_swot, {"records": "ab"}, "swot file: records must be a list, got 'ab'"),
+            (load_swot, {"records": ["ab"]}, "swot file: record #1 must be an object, got 'ab'"),
+        ],
+    )
+    def test_wrong_kind_is_a_validation_error_naming_the_key(self, load, obj, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape('bad value in ' + message)}$"):
+            load(io.StringIO(json.dumps(obj)))
 
 
 class TestJudgmentsAndRequirement:

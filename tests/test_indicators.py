@@ -171,6 +171,26 @@ class TestHierarchyConstruction:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_hierarchy(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"indicators": "A1"}, "indicators must be a list, got 'A1'"),
+            ({"indicators": ["A1"]}, "indicators entry must be an object, got 'A1'"),
+            (
+                {"reduced": True, "indicators": [{"id": "A1", "polarity": 5}]},
+                'polarity of A1 must be "+" or "-", got 5',
+            ),
+            (
+                {"reduced": True, "indicators": [{"id": "A1", "polarity": "POSITIVE"}]},
+                "polarity of A1 must be \"+\" or \"-\", got 'POSITIVE'",
+            ),
+        ],
+    )
+    def test_json_container_of_the_wrong_kind_is_rejected(self, obj, message):
+        message = f"bad value in hierarchy file: {message}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_hierarchy(io.StringIO(json.dumps(obj)))
+
     def test_absent_name_is_the_id(self):
         h = load_hierarchy(io.StringIO('{"reduced": true, "indicators": [{"id": "A1"}]}'))
         assert h.specs[0].name == "A1"
@@ -337,6 +357,34 @@ class TestLoadDecisionMatrix:
         message = f"bad value in decision matrix file: {message}"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_decision_matrix(io.StringIO(json.dumps(obj)), h)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("rows", "ab", "rows must be a list, got 'ab'"),
+            ("columns", "A1", "columns must be a list, got 'A1'"),
+            ("values", {"a": 1}, "values must be a list, got {'a': 1}"),
+            ("values", [[1.0] * 30, 5], "values row 'b' must be a list, got 5"),
+            ("units", "u" * 30, f"units must be a list, got {'u' * 30!r}"),
+        ],
+    )
+    def test_json_container_of_the_wrong_kind_is_rejected(self, key, value, message):
+        h = default_hierarchy()
+        obj = {
+            "rows": ["a", "b"],
+            "columns": [str(i) for i in h.ids],
+            "values": [[1.0] * 30, [2.0] * 30],
+            key: value,
+        }
+        message = f"bad value in decision matrix file: {message}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_decision_matrix(io.StringIO(json.dumps(obj)), h)
+
+    def test_column_outside_a_reduced_hierarchy_is_named_by_its_id(self):
+        h = IndicatorHierarchy(specs=(IndicatorSpec(IndicatorId.parse("A1"), "x"),), reduced=True)
+        with pytest.raises(ValidationError) as err:
+            load_decision_matrix(io.StringIO("city,A1,A2\noslo,1,2\n"), h)
+        assert str(err.value) == "unknown indicator A2"
 
     def test_round_trip_is_bit_exact(self):
         h = default_hierarchy()

@@ -1,7 +1,5 @@
 """Tests for screening, climate gating, scoring, ranking, schemes, and SWOT."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,9 @@ from hostrank.combining import evaluate_chi
 from hostrank.dataio import load_pool
 from hostrank.errors import ConfigError, ValidationError
 from hostrank.grey import TimeSeries
-from hostrank.indicators import DecisionMatrix, IndicatorHierarchy, IndicatorId, Polarity
+from hostrank.indicators import (
+    DecisionMatrix, IndicatorHierarchy, IndicatorId, IndicatorSpec, Polarity,
+)
 from hostrank.pipeline import evaluate_alternatives
 from hostrank.selection import (
     FEB_SNOW,
@@ -246,7 +246,7 @@ def _profiles(matrix):
 def _negative(hierarchy, ids):
     """The hierarchy with the given indicators turned to negative polarity."""
     specs = tuple(
-        dataclasses.replace(s, polarity=Polarity.NEGATIVE) if s.id in ids else s
+        IndicatorSpec(s.id, s.name, Polarity.NEGATIVE, s.ideal_interval) if s.id in ids else s
         for s in hierarchy.specs
     )
     return IndicatorHierarchy(specs=specs)

@@ -360,6 +360,19 @@ class TestFitResponseSurface:
         with pytest.raises(ValidationError, match="responses"):
             fit_response_surface(design, np.ones(len(design) - 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["point", "response"])
+    def test_non_finite_input_is_rejected_before_the_fit(self, capfd, where, bad):
+        design = bbd_design(3, center_replicates=1).copy()
+        responses = np.ones(len(design))
+        if where == "point":
+            design[2, 1] = bad
+        else:
+            responses[2] = bad
+        with pytest.raises(ValidationError, match="^design points and responses must be finite$"):
+            fit_response_surface(design, responses)
+        assert capfd.readouterr().err == ""
+
     def test_weighted_sum_surface_matches_probe_grid(self, weighting):
         """An evaluation-score response over two perturbed feature weights is
         affine, so the quadratic fit must agree with pointwise re-evaluation
