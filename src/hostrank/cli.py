@@ -195,9 +195,12 @@ class RunConfig(Record):
             raise ConfigError("config root must be a JSON object")
         values = {name: _checked(raw, *row) for name, *row in _SETTINGS}
         block = _checked(raw, _REQUIREMENT, {}, _OBJECT)
+        for key in block:
+            if key not in _REQUIREMENT_KEYS:
+                known = ", ".join(_REQUIREMENT_KEYS)
+                raise ConfigError(f"config key {_REQUIREMENT + '.' + key!r} is not one of {known}")
         for key, rule in _REQUIREMENT_KEYS.items():
             _checked(raw, f"{_REQUIREMENT}.{key}", None, rule)
-        # A key the requirement does not have reaches ClimateRequirement, which rejects it.
         requirement = load_requirement(block)
         inputs = {}
         for key in _PATH_KEYS:

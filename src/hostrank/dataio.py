@@ -22,7 +22,9 @@ from .indicators import (
     _INTEGER, _LIST, _NUMBER, _OBJECT, _STRING, _STRINGS, IndicatorId, _csv_errors,
     _expect, _json_document, _json_numbers, _malformed, _read_text,
 )
-from .selection import CityProfile, ClimateRequirement, SchemePlan, SwotRecord, _check_unique
+from .selection import (
+    CityProfile, ClimateRequirement, ImpactScale, SchemePlan, SwotRecord, _check_unique,
+)
 
 __all__ = [
     "load_judgments",
@@ -38,8 +40,6 @@ __all__ = [
 def load_judgments(source: str | Path | IO[str]) -> dict[str, list[list[float]]]:
     """Judgment matrices keyed by level name ('primary' or a category letter)."""
     with _json_document(_read_text(source), "judgments file") as obj:
-        if not isinstance(obj, dict):
-            raise ValidationError("judgments file must map level names to nested arrays")
         return obj
 
 
@@ -53,16 +53,14 @@ def _series_from_obj(label: str, entry: Any) -> TimeSeries:
 def load_pool(source: str | Path | IO[str]) -> list[CityProfile]:
     """Load a city pool from JSON (rich profiles) or CSV (flat metrics)."""
     text = _read_text(source)
-    if text.lstrip()[:1] == "{":
+    if text.lstrip()[:1] in ("{", "["):
         return _pool_from_json(text)
     return _pool_from_csv(text)
 
 
 def _pool_from_json(text: str) -> list[CityProfile]:
     with _json_document(text, "pool file") as obj:
-        entries = obj.get("cities")
-    if not isinstance(entries, list):
-        raise ValidationError('pool file must hold a "cities" list')
+        entries = _expect(obj["cities"], _LIST, "cities")
     cities = []
     for pos, entry in enumerate(entries, start=1):
         with _malformed(f"pool city #{pos}"):
@@ -195,36 +193,34 @@ def merge_climate(
     return out
 
 
+# A plan id is free-form but not blank; a grade is a JSON integer that is an ImpactScale value.
+_PLAN_ID = ("a non-empty string", lambda v: type(v) is str and v.strip() != "")
+_GRADES = frozenset(ImpactScale)
+_GRADE = (
+    "one of " + ", ".join(str(g.value) for g in ImpactScale),
+    lambda v: type(v) is int and v in _GRADES,
+)
+
+
 def load_plans(source: str | Path | IO[str]) -> list[SchemePlan]:
     """Hosting schemes with per-feature impact grades; ids are free-form, non-empty, unique."""
     with _json_document(_read_text(source), "plans file") as obj:
         plans = []
         for entry in _expect(obj["plans"], _LIST, "plans"):
-            plan_id = _expect(entry, _OBJECT, "plans entry")["id"]
-            if not isinstance(plan_id, str) or not plan_id.strip():
-                raise ValidationError(f"plan id must be a non-empty string, got {plan_id!r}")
+            plan_id = _expect(_expect(entry, _OBJECT, "plans entry")["id"], _PLAN_ID, "plan id")
             if any(p.id == plan_id for p in plans):
                 raise ValidationError(f"duplicate plan id {plan_id!r} in plans file")
             description = _expect(
                 entry.get("description", ""), _STRING, f"description of {plan_id!r}"
             )
             impacts = {
-                IndicatorId.parse(k): _grade(plan_id, k, v)
+                IndicatorId.parse(k): _expect(v, _GRADE, f"grade of {k} in plan {plan_id!r}")
                 for k, v in _expect(entry["impacts"], _OBJECT, f"impacts of {plan_id!r}").items()
             }
-            try:
-                plans.append(SchemePlan(id=plan_id, description=description, impacts=impacts))
-            except ValueError as exc:
-                raise ValidationError(f"bad plan entry {plan_id!r}: {exc}") from None
+            plans.append(SchemePlan(id=plan_id, description=description, impacts=impacts))
         if not plans:
             raise ValidationError("plans file lists no plans")
         return plans
-
-
-def _grade(plan_id: str, key: str, grade: Any) -> int:
-    if type(grade) is not int:  # bool is an int subclass, but no grade
-        raise ValueError(f"plan {plan_id!r} grades {key} with {grade!r}, not an integer")
-    return grade
 
 
 def load_swot(source: str | Path | IO[str]) -> list[SwotRecord]:
@@ -245,9 +241,9 @@ def load_swot(source: str | Path | IO[str]) -> list[SwotRecord]:
 def load_requirement(block: Mapping[str, Any]) -> ClimateRequirement:
     """Winter climate requirement from its config block; None keeps a key's default.
 
-    A key ClimateRequirement does not have, or an inconsistent range, is a config error.
+    An inconsistent range is a config error.
     """
     try:
         return ClimateRequirement(**{k: v for k, v in block.items() if v is not None})
-    except (TypeError, ValidationError) as exc:
+    except ValidationError as exc:
         raise ConfigError(f"config key 'screen.winter.requirement': {exc}") from None

@@ -98,24 +98,13 @@ class TimeSeries(Record):
 class GreyModel(Record):
     """Fitted grey model: developing and control coefficients of a source series.
 
-    ``midpoint_coefficients`` are the raw least-squares pair before the
-    continuous mapping; ``class_ratio_ok`` records the class-ratio test.
+    ``class_ratio_ok`` records the class-ratio test.
     """
 
-    _fields = ("alpha", "mu", "source", "midpoint_coefficients", "class_ratio_ok")
+    _fields = ("alpha", "mu", "source", "class_ratio_ok")
 
-    def __init__(
-        self,
-        alpha: float,
-        mu: float,
-        source: TimeSeries,
-        midpoint_coefficients: tuple[float, float],
-        class_ratio_ok: bool,
-    ) -> None:
-        self.__dict__.update(
-            alpha=alpha, mu=mu, source=source,
-            midpoint_coefficients=midpoint_coefficients, class_ratio_ok=class_ratio_ok,
-        )
+    def __init__(self, alpha: float, mu: float, source: TimeSeries, class_ratio_ok: bool) -> None:
+        self.__dict__.update(alpha=alpha, mu=mu, source=source, class_ratio_ok=class_ratio_ok)
 
 
 def class_ratio_bounds(n: int) -> tuple[float, float]:
@@ -176,10 +165,7 @@ def fit_gm11(series: TimeSeries) -> GreyModel:
     ratio_ok = _check_class_ratios(x0, series.label)
 
     if max(x0) == lowest:
-        return GreyModel(
-            alpha=0.0, mu=x0[0], source=series,
-            midpoint_coefficients=(0.0, x0[0]), class_ratio_ok=ratio_ok,
-        )
+        return GreyModel(alpha=0.0, mu=x0[0], source=series, class_ratio_ok=ratio_ok)
 
     # Design rows (-z(k), 1) with midpoint background z(k) = (x1(k) + x1(k-1)) / 2.
     x1 = list(accumulate(x0))
@@ -198,10 +184,7 @@ def fit_gm11(series: TimeSeries) -> GreyModel:
     else:
         alpha = math.log((_COEF_LIMIT + a) / (_COEF_LIMIT - a))
         mu = b * alpha / a
-    return GreyModel(
-        alpha=alpha, mu=mu, source=series,
-        midpoint_coefficients=(a, b), class_ratio_ok=ratio_ok,
-    )
+    return GreyModel(alpha=alpha, mu=mu, source=series, class_ratio_ok=ratio_ok)
 
 
 def predict(model: GreyModel, horizon: int) -> np.ndarray:

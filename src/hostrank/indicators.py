@@ -114,10 +114,10 @@ class IndicatorId(Record):
     def parse(text: str) -> IndicatorId:
         try:
             return _IDS_BY_TEXT[text]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: a JSON list or object is unhashable
             pass
-        m = _ID_PATTERN.match(text.strip())
-        if m is None:
+        m = type(text) is str and _ID_PATTERN.match(text.strip())
+        if not m:
             raise ValidationError(f"unknown indicator {text!r}")
         return IndicatorId(Category(m.group(1)), int(m.group(2)))
 
@@ -281,14 +281,10 @@ class DecisionMatrix(Record):
     NaN.
     """
 
-    _fields = ("rows", "cols", "values", "units")
+    _fields = ("rows", "cols", "values")
 
     def __init__(
-        self,
-        rows: tuple[str, ...],
-        cols: tuple[IndicatorId, ...],
-        values: np.ndarray,
-        units: tuple[str, ...] | None = None,
+        self, rows: tuple[str, ...], cols: tuple[IndicatorId, ...], values: np.ndarray
     ) -> None:
         rows = tuple(rows)
         cols = tuple(cols)
@@ -305,13 +301,7 @@ class DecisionMatrix(Record):
             raise ValidationError("duplicate sample label")
         if len(set(cols)) != len(cols):
             raise ValidationError("duplicate indicator column")
-        if units is not None:
-            units = tuple(str(u) for u in units)
-            if len(units) != len(cols):
-                raise ValidationError("units do not match the column count")
-        self.__dict__.update(
-            rows=rows, cols=cols, values=vals, units=units, _row_index=row_index
-        )
+        self.__dict__.update(rows=rows, cols=cols, values=vals, _row_index=row_index)
 
     @property
     def n(self) -> int:
@@ -371,10 +361,11 @@ def _csv_errors(what: str) -> Iterator[None]:
 
 
 @contextmanager
-def _json_document(text: str, what: str) -> Iterator[Any]:
-    """Parse ``text`` as JSON for the block that builds a value from it."""
+def _json_document(text: str, what: str) -> Iterator[dict]:
+    """Parse ``text`` as a JSON object for the block that builds a value from it."""
     with _malformed(what):
-        yield json.loads(text)
+        doc = json.loads(text)
+        yield _expect(doc, _DOCUMENT, "the document", shown=lambda v: _KINDS[type(v)])
 
 
 # Rules for JSON values, in config and input files alike: (what a value must
@@ -390,13 +381,21 @@ _OBJECT = ("an object", lambda v: type(v) is dict)
 _STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v))
 _INTERVAL = ("[a, b]", lambda v: type(v) is list and len(v) == 2)
 _POLARITY = ('"+" or "-"', lambda v: v in ("+", "-"))
+_DOCUMENT = ("a JSON object", _OBJECT[1])
+# The kind of a document that is no object, named in place of its text, which may be long.
+_KINDS = {
+    list: "a list", str: "a string", int: "a number", float: "a number", bool: "a boolean",
+    type(None): "null",
+}
 
 
-def _expect(value: Any, rule: tuple[str, Callable[[Any], bool]], what: str) -> Any:
-    """``value``, if it passes ``rule``; else a ValueError naming ``what``."""
+def _expect(
+    value: Any, rule: tuple[str, Callable[[Any], bool]], what: str, shown: Callable = repr
+) -> Any:
+    """``value``, if it passes ``rule``; else a ValueError naming ``what`` and ``shown(value)``."""
     want, ok = rule
     if not ok(value):
-        raise ValueError(f"{what} must be {want}, got {value!r}")
+        raise ValueError(f"{what} must be {want}, got {shown(value)}")
     return value
 
 
@@ -433,10 +432,10 @@ def load_decision_matrix(
     """
     text = _read_text(source)
     if text.lstrip()[:1] in ("{", "["):
-        labels, ids, grid, units = _parse_json_matrix(text)
+        labels, ids, grid = _parse_json_matrix(text)
     else:
         with _csv_errors("decision matrix file"):
-            labels, ids, grid, units = _parse_delimited_matrix(text)
+            labels, ids, grid = _parse_delimited_matrix(text)
 
     known = set(hierarchy.ids)
     for ind in ids:
@@ -477,12 +476,7 @@ def load_decision_matrix(
 
     # Reorder columns to hierarchy order regardless of input order.
     order = [ids.index(i) for i in hierarchy.ids]
-    if units is not None:
-        units = tuple(units[j] for j in order)
-    return DecisionMatrix(
-        rows=tuple(labels), cols=tuple(hierarchy.ids), values=arr[:, order],
-        units=units,
-    )
+    return DecisionMatrix(rows=tuple(labels), cols=tuple(hierarchy.ids), values=arr[:, order])
 
 
 def _parse_delimited_matrix(text: str):
@@ -510,11 +504,11 @@ def _parse_delimited_matrix(text: str):
                 pass
             else:
                 labels = [line.partition(delim)[0].strip() for line in lines[1:]]
-                return labels, ids, values, None
+                return labels, ids, values
     reader = csv.reader(io.StringIO(text), delimiter=delim)
     rows = [r for r in reader if "".join(r).strip()]
     if len(rows) < 2:
-        raise ValidationError("matrix file needs a header row and at least one sample")
+        raise ValidationError("decision matrix file needs a header row and at least one sample")
     header = [c.strip() for c in rows[0]]
     ids = [IndicatorId.parse(tok) for tok in header[1:]]
     labels: list[str] = []
@@ -527,7 +521,7 @@ def _parse_delimited_matrix(text: str):
             )
         labels.append(raw[0].strip())
         grid.append([_cell_value(c, labels[-1], ind) for ind, c in zip(ids, raw[1:])])
-    return labels, ids, grid, None
+    return labels, ids, grid
 
 
 def _cell_value(cell: str, label: str, ind: IndicatorId) -> float:
@@ -544,11 +538,6 @@ def _parse_json_matrix(text: str):
     with _json_document(text, "decision matrix file") as obj:
         labels = [_expect(r, _STRING, "rows entry") for r in _expect(obj["rows"], _LIST, "rows")]
         ids = [IndicatorId.parse(tok) for tok in _expect(obj["columns"], _LIST, "columns")]
-        units = obj.get("units")
-        if units is not None:
-            if len(_expect(units, _LIST, "units")) != len(ids):
-                raise ValidationError("units list does not match the column count")
-            units = [_expect(u, _STRING, "units entry") for u in units]
         grid: list[list[float]] = []
         for label, row in zip(labels, _expect(obj["values"], _LIST, "values")):
             if len(_expect(row, _LIST, f"values row {label!r}")) != len(ids):
@@ -558,7 +547,7 @@ def _parse_json_matrix(text: str):
                 )
             _json_numbers([c for c in row if c is not None], f"cell at row {label!r}")
             grid.append([float("nan") if c is None else float(c) for c in row])
-        return labels, ids, grid, units
+        return labels, ids, grid
 
 
 def serialize_decision_matrix(matrix: DecisionMatrix) -> str:

@@ -86,8 +86,8 @@ SAMPLES = {
     EntropyResult: (([0.25], [1.0]), ([0.5], [1.0])),
     TimeSeries: (("Oslo/feb_snow_cm", 2000, [1.0, 2.0]), ("Oslo/feb_temp_c", 2000, [1.0, 2.0])),
     GreyModel: (
-        (0.1, 2.0, TimeSeries("s", 2000, [1.0]), (0.1, 2.0), True),
-        (0.2, 2.0, TimeSeries("s", 2000, [1.0]), (0.2, 2.0), True),
+        (0.1, 2.0, TimeSeries("s", 2000, [1.0]), True),
+        (0.2, 2.0, TimeSeries("s", 2000, [1.0]), True),
     ),
     IndicatorId: ((Category.ECONOMY, 5), (Category.HUMAN, 5)),
     IndicatorSpec: ((A1, "gdp"), (A2, "gdp")),
@@ -220,10 +220,10 @@ PINS = {
         False,
     ),
     GreyModel: (
-        "(alpha, mu, source, midpoint_coefficients, class_ratio_ok)",
-        ("alpha", "mu", "source", "midpoint_coefficients", "class_ratio_ok"),
+        "(alpha, mu, source, class_ratio_ok)",
+        ("alpha", "mu", "source", "class_ratio_ok"),
         "GreyModel(alpha=0.1, mu=2.0, source=TimeSeries(label='s', start_period=2000, "
-        "values=array([1.])), midpoint_coefficients=(0.1, 2.0), class_ratio_ok=True)",
+        "values=array([1.])), class_ratio_ok=True)",
         False,
         False,
     ),
@@ -252,10 +252,10 @@ PINS = {
         False,
     ),
     DecisionMatrix: (
-        "(rows, cols, values, units=None)",
-        ("rows", "cols", "values", "units"),
+        "(rows, cols, values)",
+        ("rows", "cols", "values"),
         "DecisionMatrix(rows=('Oslo',), cols=(IndicatorId(category=<Category.ECONOMY: 'A'>, "
-        "index=1),), values=array([[1.]]), units=None)",
+        "index=1),), values=array([[1.]]))",
         False,
         False,
     ),

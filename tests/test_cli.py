@@ -401,6 +401,44 @@ BAD_JUDGMENT_CELLS = {
 }
 
 
+def _wrong_shape_cases():
+    """JSON inputs whose root is no object, or whose indicator id is no string."""
+    inputs = [
+        ("hierarchy", ["weights"], "hierarchy file"),
+        ("judgments", ["weights"], "judgments file"),
+        ("decision_matrix", ["evaluate"], "decision matrix file"),
+        ("pool", ["screen", "summer"], "pool file"),
+        ("plans", ["compare-schemes"], "plans file"),
+        ("swot", ["screen", "summer"], "swot file"),
+    ]
+    roots = [
+        ("list", "[1, 2]", "a list"),
+        ("long list", json.dumps(list(range(10_000))), "a list"),
+        ("number", "5", "a number"),
+    ]
+    for key, argv, what in inputs:
+        for name, text, kind in roots:
+            message = f"bad value in {what}: the document must be a JSON object, got {kind}"
+            if name == "number" and key == "decision_matrix":  # read as CSV
+                message = "decision matrix file needs a header row and at least one sample"
+            elif name == "number" and key == "pool":
+                message = (
+                    "pool file must have columns ['country', 'gdp', 'name', 'sports_score'], "
+                    "got ['5']"
+                )
+            yield pytest.param(key, argv, what, text, message, id=f"{key}-{name}")
+    for key, argv, text in [
+        ("decision_matrix", ["evaluate"], '{"rows": ["a"], "columns": [5], "values": [[1]]}'),
+        ("hierarchy", ["weights"], '{"reduced": true, "indicators": [{"id": 5}]}'),
+    ]:
+        yield pytest.param(
+            key, argv, "indicator", text, "unknown indicator 5", id=f"{key}-numeric-id"
+        )
+
+
+_WRONG_SHAPE_CASES = list(_wrong_shape_cases())
+
+
 class TestErrorContract:
     def test_missing_config_is_a_config_error(self, outdir, capsys):
         assert main(["weights", "--config", "/nonexistent/run.json"]) == EXIT_CONFIG
@@ -562,7 +600,6 @@ class TestErrorContract:
             ("plans", "duplicate id", ["compare-schemes"], "duplicate plan id 'A'"),
             ("plans", "empty id", ["compare-schemes"], "plan id must be a non-empty string"),
             ("swot", "truncate", ["screen", "summer"], "swot file is not valid JSON"),
-            ("judgments", "list root", ["weights"], "judgments file must map level names"),
             *[
                 ("judgments", damage, ["weights", "--method", "ahp"],
                  "judgment matrix 'primary' is not a numeric square array")
@@ -583,8 +620,6 @@ class TestErrorContract:
             text = (fixtures_dir / cfg[key]).read_text()
             if damage == "truncate":
                 text = text[: len(text) // 2]
-            elif damage == "list root":
-                text = "[1, 2, 3]"
             elif damage == "drop indicators":
                 obj = json.loads(text)
                 del obj["indicators"]
@@ -624,6 +659,24 @@ class TestErrorContract:
         assert err.startswith("validation error:") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("key, argv, what, text, message", _WRONG_SHAPE_CASES)
+    def test_json_input_of_the_wrong_shape_fails_in_one_line(
+        self, tmp_path, fixtures_dir, outdir, capsys, key, argv, what, text, message
+    ):
+        path = tmp_path / f"{key}.json"
+        path.write_text(text)
+        config = write_config(tmp_path, fixtures_dir, lambda cfg: cfg.update({key: str(path)}))
+        outdir.mkdir()
+        (outdir / "total_weights.csv").write_text("from an earlier run\n")
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+
+        words = 2 if argv[0] == "screen" else 1
+        assert main([*argv[:words], "--config", str(config), *argv[words:]]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"validation error: {message}\n"
+        assert what in err and len(err) < 200 and "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
 
     @pytest.mark.parametrize(
         "key, fixture, argv",
@@ -736,7 +789,8 @@ class TestErrorContract:
                 ("plans", "plans.json",
                  lambda obj, grade=grade: obj["plans"][1]["impacts"].update(A2=grade),
                  ["compare-schemes"],
-                 f"bad value in plans file: plan 'A' grades A2 with {grade!r}, not an integer")
+                 "bad value in plans file: grade of A2 in plan 'A' must be one of 1, 3, 5, 7, 9, "
+                 f"got {grade!r}")
                 for grade in (3.9, True, "3")
             ],
             ("swot", "swot.json", lambda obj: obj["records"][0].update(strengths="good transport"),
@@ -966,17 +1020,19 @@ class TestErrorContract:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("key, value", [("max_feb_snow", 40.0), ("foo", 1), ("foo", None)])
     def test_key_the_climate_requirement_lacks_is_a_config_error(
-        self, tmp_path, fixtures_dir, outdir, capsys
+        self, tmp_path, fixtures_dir, outdir, capsys, key, value
     ):
         def edit(cfg):
-            cfg["screen"]["winter"]["requirement"]["max_feb_snow"] = 40.0
+            cfg["screen"]["winter"]["requirement"][key] = value
 
         config = write_config(tmp_path, fixtures_dir, edit)
         assert main(["weights", "--config", str(config)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: config key 'screen.winter.requirement'")
-        assert "'max_feb_snow'" in err and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            f"config error: config key 'screen.winter.requirement.{key}' is not one of "
+            "max_feb_temp, ideal_temp_range, min_feb_snow\n"
+        )
         assert not outdir.exists()
 
     def test_degenerate_design_is_a_numeric_error(

@@ -239,7 +239,7 @@ def _reference_fit(series):
     ratio_ok = bool(np.all((ratios > lo) & (ratios < hi)))
     if x0.max() == x0.min():
         c = float(x0[0])
-        return dict(alpha=0.0, mu=c, midpoint_coefficients=(0.0, c), class_ratio_ok=ratio_ok)
+        return dict(alpha=0.0, mu=c, class_ratio_ok=ratio_ok)
     x1 = np.cumsum(x0)
     z = 0.5 * (x1[1:] + x1[:-1])
     design = np.column_stack([-z, np.ones(n - 1)])
@@ -252,7 +252,7 @@ def _reference_fit(series):
     else:
         alpha = math.log((2.0 + a) / (2.0 - a))
         mu = b * alpha / a
-    return dict(alpha=alpha, mu=mu, midpoint_coefficients=(a, b), class_ratio_ok=ratio_ok)
+    return dict(alpha=alpha, mu=mu, class_ratio_ok=ratio_ok)
 
 
 def _reference_forecast(series, until):
@@ -278,7 +278,6 @@ def assert_matches_reference(series):
     ref = _reference_fit(series)
     assert model.alpha == ref["alpha"] and _bits(model.alpha) == _bits(ref["alpha"])
     assert model.mu == ref["mu"] and _bits(model.mu) == _bits(ref["mu"])
-    assert model.midpoint_coefficients == ref["midpoint_coefficients"]
     assert model.class_ratio_ok == ref["class_ratio_ok"]
 
 
@@ -372,7 +371,7 @@ def _numpy_fit_gm11(series):
         )
     if x0.max() == lowest:
         c = float(x0[0])
-        return dict(alpha=0.0, mu=c, midpoint_coefficients=(0.0, c), class_ratio_ok=ratio_ok)
+        return dict(alpha=0.0, mu=c, class_ratio_ok=ratio_ok)
     x1 = np.cumsum(x0)
     design = np.empty((n - 1, 2))
     z = design[:, 0]
@@ -393,7 +392,7 @@ def _numpy_fit_gm11(series):
     else:
         alpha = math.log((2.0 + a) / (2.0 - a))
         mu = b * alpha / a
-    return dict(alpha=alpha, mu=mu, midpoint_coefficients=(a, b), class_ratio_ok=ratio_ok)
+    return dict(alpha=alpha, mu=mu, class_ratio_ok=ratio_ok)
 
 
 def _outcome(call):

@@ -51,6 +51,12 @@ class TestIndicatorId:
             with pytest.raises(ValidationError, match="unknown indicator"):
                 IndicatorId.parse(bad)
 
+    @pytest.mark.parametrize("bad", [5, 1.0, None, True, ["A1"], {"id": "A1"}])
+    def test_non_string_rejected(self, bad):
+        with pytest.raises(ValidationError) as err:
+            IndicatorId.parse(bad)
+        assert str(err.value) == f"unknown indicator {bad!r}"
+
     def test_ordering_is_lexicographic(self):
         ids = all_indicator_ids()
         assert len(ids) == 30
@@ -311,19 +317,19 @@ class TestLoadDecisionMatrix:
         }
         m = load_decision_matrix(io.StringIO(json.dumps(obj)), h)
         assert (m.n, m.m) == (2, 30)
-        assert m.units is None
 
-    def test_json_units_follow_column_reordering(self):
+    @pytest.mark.parametrize("units", [[str(i) for i in all_indicator_ids()], "kg", [5]])
+    def test_json_units_key_is_ignored(self, units):
         h = default_hierarchy()
-        ids = [str(i) for i in reversed(h.ids)]
         obj = {
             "rows": ["a", "b"],
-            "columns": ids,
-            "units": ids,  # marker per column: its own id
+            "columns": [str(i) for i in reversed(h.ids)],
             "values": [[1.0] * 30, [float(v) for v in range(30)]],
         }
-        m = load_decision_matrix(io.StringIO(json.dumps(obj)), h)
-        assert m.units == tuple(str(i) for i in h.ids)
+        plain = load_decision_matrix(io.StringIO(json.dumps(obj)), h)
+        m = load_decision_matrix(io.StringIO(json.dumps({**obj, "units": units})), h)
+        assert (m.rows, m.cols, m.values.tobytes()) == (plain.rows, plain.cols, plain.values.tobytes())
+        assert m.values[1].tolist() == [float(v) for v in reversed(range(30))]
 
     @pytest.mark.parametrize(
         "text, message",
@@ -343,7 +349,6 @@ class TestLoadDecisionMatrix:
         [
             ("rows", ["a", 5], "rows entry must be a string, got 5"),
             ("rows", [None, "b"], "rows entry must be a string, got None"),
-            ("units", ["kg"] * 29 + [["x"]], "units entry must be a string, got ['x']"),
         ],
     )
     def test_json_text_that_is_not_a_string_is_rejected(self, key, entries, message):
@@ -365,7 +370,6 @@ class TestLoadDecisionMatrix:
             ("columns", "A1", "columns must be a list, got 'A1'"),
             ("values", {"a": 1}, "values must be a list, got {'a': 1}"),
             ("values", [[1.0] * 30, 5], "values row 'b' must be a list, got 5"),
-            ("units", "u" * 30, f"units must be a list, got {'u' * 30!r}"),
         ],
     )
     def test_json_container_of_the_wrong_kind_is_rejected(self, key, value, message):
@@ -416,7 +420,7 @@ def _per_cell_parse(text: str):
     reader = csv.reader(io.StringIO(text), delimiter=delim)
     rows = [r for r in reader if r and any(cell.strip() for cell in r)]
     if len(rows) < 2:
-        raise ValidationError("matrix file needs a header row and at least one sample")
+        raise ValidationError("decision matrix file needs a header row and at least one sample")
     header = [c.strip() for c in rows[0]]
     ids = [IndicatorId.parse(tok) for tok in header[1:]]
     labels: list[str] = []
@@ -442,7 +446,7 @@ def _per_cell_parse(text: str):
                     f"column {ind}"
                 ) from None
         grid.append(parsed)
-    return labels, ids, grid, None
+    return labels, ids, grid
 
 
 _SMALL = IndicatorHierarchy(
@@ -455,7 +459,7 @@ def _outcomes(parse, text):
     """Raw parse, then loads without and with imputation: arrays as bytes, or error text."""
     out = []
     try:
-        labels, ids, grid, _ = parse(text)
+        labels, ids, grid = parse(text)
         out.append((labels, ids, np.array(grid, dtype=float).tobytes()))
     except ValidationError as exc:
         out.append(str(exc))
