@@ -375,36 +375,38 @@ class SurfaceExtrema(Record):
 _BOUND_TOL = 1e-12
 
 
-def _box_candidates(
-    surface: QuadraticSurface,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    free_mask: np.ndarray,
-    fixed_point: np.ndarray,
-) -> list[np.ndarray]:
-    """Candidate extremum points on one face given which coordinates float."""
-    k = surface.factor_count
-    free = np.flatnonzero(free_mask)
-    if free.size == 0:
-        return [fixed_point.copy()]
-    h = surface.hessian()
-    g0 = surface.linear
-    fixed = np.flatnonzero(~free_mask)
-    # Stationary point of the quadratic restricted to the free coordinates.
-    rhs = -(g0[free] + h[np.ix_(free, fixed)] @ fixed_point[fixed])
-    try:
-        sol = np.linalg.solve(h[np.ix_(free, free)], rhs)
-    except np.linalg.LinAlgError:
-        return []
-    point = fixed_point.copy()
-    point[free] = sol
-    inside = np.all(point[free] >= lows[free] - _BOUND_TOL) and np.all(
-        point[free] <= highs[free] + _BOUND_TOL
-    )
-    if not inside:
-        return []
-    point[free] = np.clip(point[free], lows[free], highs[free])
-    return [point]
+def _box_range(
+    surface: QuadraticSurface, lows: np.ndarray, highs: np.ndarray
+) -> tuple[float, float]:
+    """(min, max) of the surface over the box from ``lows`` to ``highs``.
+
+    Each coordinate is pinned to its low bound, pinned to its high bound,
+    or left free; a coordinate whose bounds are equal is only pinned. On
+    each such face the quadratic restricted to the free coordinates is
+    solved for its stationary point, kept when it falls inside the box.
+    A singular sub-Hessian gives no candidate on its face, and the
+    extremum then lies on a lower face.
+    """
+    h, g = surface.hessian(), surface.linear
+    states = [(lo, hi, None) if lo < hi else (lo,) for lo, hi in zip(lows, highs)]
+    values = []
+    for combo in itertools.product(*states):
+        free_mask = np.array([s is None for s in combo])
+        point = np.array([0.0 if s is None else s for s in combo])
+        if free_mask.any():
+            free, fixed = np.flatnonzero(free_mask), np.flatnonzero(~free_mask)
+            rhs = -(g[free] + h[np.ix_(free, fixed)] @ point[fixed])
+            try:
+                sol = np.linalg.solve(h[np.ix_(free, free)], rhs)
+            except np.linalg.LinAlgError:
+                continue
+            if not (
+                np.all(sol >= lows[free] - _BOUND_TOL) and np.all(sol <= highs[free] + _BOUND_TOL)
+            ):
+                continue
+            point[free] = np.clip(sol, lows[free], highs[free])
+        values.append(surface.evaluate_one(point))
+    return min(values), max(values)
 
 
 def surface_extrema(
@@ -419,7 +421,9 @@ def surface_extrema(
     the box. This is exact for quadratics and needs no iterative
     optimizer. Surfaces with singular (sub-)Hessians, e.g. purely
     additive ones, simply contribute no interior candidates and resolve
-    on the box corners.
+    on the box corners. A factor's range is the same search on the box
+    collapsed to the center in every other factor, with the center
+    itself as one more candidate.
     """
     k = surface.factor_count
     bounds = np.asarray(box, dtype=float)
@@ -429,48 +433,24 @@ def surface_extrema(
     if np.any(lows > highs):
         raise ValidationError("box has low > high")
 
-    candidates: list[np.ndarray] = []
-    for combo in itertools.product((0, 1, 2), repeat=k):
-        fixed_point = np.zeros(k)
-        free_mask = np.zeros(k, dtype=bool)
-        for i, state in enumerate(combo):
-            if state == 0:
-                fixed_point[i] = lows[i]
-            elif state == 1:
-                fixed_point[i] = highs[i]
-            else:
-                free_mask[i] = True
-        candidates.extend(
-            _box_candidates(surface, lows, highs, free_mask, fixed_point)
-        )
-
-    values = np.array([surface.evaluate_one(p) for p in candidates])
-    min_value, max_value = float(values.min()), float(values.max())
-
+    min_value, max_value = _box_range(surface, lows, highs)
     center = (lows + highs) / 2.0
     baseline = surface.evaluate_one(center)
 
     def relative(value: float) -> float:
         return value / abs(baseline) if baseline != 0.0 else float("inf")
 
-    per_factor_span = np.empty(k)
+    per_factor_range = np.empty(k)
     for i in range(k):
-        sub_candidates = [center.copy()]
-        for bound in (lows[i], highs[i]):
-            p = center.copy()
-            p[i] = bound
-            sub_candidates.append(p)
-        # Interior 1-D stationary point along axis i.
-        mask = np.zeros(k, dtype=bool)
-        mask[i] = True
-        sub_candidates.extend(_box_candidates(surface, lows, highs, mask, center.copy()))
-        vals = np.array([surface.evaluate_one(p) for p in sub_candidates])
-        per_factor_span[i] = vals.max() - vals.min()
+        axis_lows, axis_highs = center.copy(), center.copy()
+        axis_lows[i], axis_highs[i] = lows[i], highs[i]
+        lo, hi = _box_range(surface, axis_lows, axis_highs)
+        per_factor_range[i] = relative(max(baseline, hi) - min(baseline, lo))
 
     return SurfaceExtrema(
         min_value=min_value,
         max_value=max_value,
         baseline=baseline,
-        per_factor_range=np.array([relative(s) for s in per_factor_span]),
+        per_factor_range=per_factor_range,
         joint_range=relative(max_value - min_value),
     )

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hostrank import sensitivity
@@ -16,7 +16,9 @@ from hostrank.indicators import DecisionMatrix, Polarity
 from hostrank.selection import CityProfile, FeatureScaler
 from hostrank.sensitivity import (
     PerturbationConfig,
+    QuadraticSurface,
     SensitivityReport,
+    SurfaceExtrema,
     bbd_design,
     factor_substitution,
     fit_response_surface,
@@ -405,6 +407,116 @@ class TestFitResponseSurface:
         assert np.max(np.abs(fitted - direct)) < 1e-9
 
 
+_COEF = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+
+
+@st.composite
+def _surface_and_box(draw):
+    """A quadratic surface in 1..4 factors and a box with some bounds equal.
+
+    Its Hessian is full, zero (an additive surface) or rank one, so that
+    every sub-Hessian of two or more coordinates is singular.
+    """
+    k = draw(st.integers(min_value=1, max_value=4))
+    pairs = list(itertools.combinations(range(k), 2))
+    coefs = st.lists(_COEF, min_size=k, max_size=k).map(np.array)
+    shape = draw(st.sampled_from(["full", "additive", "rank one"]))
+    if shape == "full":
+        interactions = np.array(draw(st.lists(_COEF, min_size=len(pairs), max_size=len(pairs))))
+        squares = draw(coefs)
+    elif shape == "additive":
+        interactions, squares = np.zeros(len(pairs)), np.zeros(k)
+    else:
+        v = draw(coefs)
+        h = draw(_COEF) * np.outer(v, v)
+        interactions = np.array([h[i, j] for i, j in pairs])
+        squares = np.diag(h) / 2.0
+    surface = QuadraticSurface(
+        factor_count=k, intercept=draw(_COEF), linear=draw(coefs),
+        interactions=interactions, squares=squares, r_squared=1.0,
+    )
+    lows = draw(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=k, max_size=k))
+    widths = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0))
+    spans = draw(st.lists(widths, min_size=k, max_size=k))
+    return surface, [(lo, lo + w) for lo, w in zip(lows, spans)]
+
+
+def _reference_box_candidates(surface, lows, highs, free_mask, fixed_point):
+    """Candidate extremum points on one face given which coordinates float."""
+    free = np.flatnonzero(free_mask)
+    if free.size == 0:
+        return [fixed_point.copy()]
+    h = surface.hessian()
+    g0 = surface.linear
+    fixed = np.flatnonzero(~free_mask)
+    rhs = -(g0[free] + h[np.ix_(free, fixed)] @ fixed_point[fixed])
+    try:
+        sol = np.linalg.solve(h[np.ix_(free, free)], rhs)
+    except np.linalg.LinAlgError:
+        return []
+    point = fixed_point.copy()
+    point[free] = sol
+    inside = np.all(point[free] >= lows[free] - 1e-12) and np.all(
+        point[free] <= highs[free] + 1e-12
+    )
+    if not inside:
+        return []
+    point[free] = np.clip(point[free], lows[free], highs[free])
+    return [point]
+
+
+def reference_surface_extrema(surface, box):
+    """Box extrema as ``surface_extrema`` found them with two enumerations:
+    every face of the box for the joint range, and a per-factor loop over
+    each axis through the center."""
+    k = surface.factor_count
+    bounds = np.asarray(box, dtype=float)
+    lows, highs = bounds[:, 0], bounds[:, 1]
+    candidates = []
+    for combo in itertools.product((0, 1, 2), repeat=k):
+        fixed_point = np.zeros(k)
+        free_mask = np.zeros(k, dtype=bool)
+        for i, state in enumerate(combo):
+            if state == 0:
+                fixed_point[i] = lows[i]
+            elif state == 1:
+                fixed_point[i] = highs[i]
+            else:
+                free_mask[i] = True
+        candidates.extend(
+            _reference_box_candidates(surface, lows, highs, free_mask, fixed_point)
+        )
+    values = np.array([surface.evaluate_one(p) for p in candidates])
+    min_value, max_value = float(values.min()), float(values.max())
+    center = (lows + highs) / 2.0
+    baseline = surface.evaluate_one(center)
+
+    def relative(value):
+        return value / abs(baseline) if baseline != 0.0 else float("inf")
+
+    per_factor_span = np.empty(k)
+    for i in range(k):
+        sub_candidates = [center.copy()]
+        for bound in (lows[i], highs[i]):
+            p = center.copy()
+            p[i] = bound
+            sub_candidates.append(p)
+        mask = np.zeros(k, dtype=bool)
+        mask[i] = True
+        sub_candidates.extend(
+            _reference_box_candidates(surface, lows, highs, mask, center.copy())
+        )
+        vals = np.array([surface.evaluate_one(p) for p in sub_candidates])
+        per_factor_span[i] = vals.max() - vals.min()
+    return SurfaceExtrema(
+        min_value=min_value,
+        max_value=max_value,
+        baseline=baseline,
+        per_factor_range=np.array([relative(s) for s in per_factor_span]),
+        joint_range=relative(max_value - min_value),
+    )
+
+
 class TestSurfaceExtrema:
     def test_parabola_on_unit_interval(self):
         # z = x^2: minimum at the center, maximum at both ends
@@ -451,9 +563,21 @@ class TestSurfaceExtrema:
         assert ext.min_value == pytest.approx(vals.min(), abs=2e-4)
         assert ext.max_value == pytest.approx(vals.max(), abs=2e-4)
 
+    @given(case=_surface_and_box())
+    # x^2 is stationary at 0, within the bound tolerance below the box: clipped to its low end.
+    @example(case=(QuadraticSurface(1, 0.0, [0.0], [], [1.0], 1.0), [(1e-13, 1.0)]))
+    @settings(max_examples=300, derandomize=True)
+    def test_equals_the_face_enumeration_reference_bit_for_bit(self, case):
+        surface, box = case
+        got, want = surface_extrema(surface, box), reference_surface_extrema(surface, box)
+        for name in ("min_value", "max_value", "baseline", "joint_range"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.per_factor_range.tobytes() == want.per_factor_range.tobytes()
+
     def test_bad_box_rejected(self):
         surface = fit_response_surface(
             np.array([[-1.0], [0.0], [1.0]]), np.array([1.0, 0.0, 1.0])
         )
         with pytest.raises(ValidationError, match="low > high"):
             surface_extrema(surface, [(1.0, -1.0)])
+
