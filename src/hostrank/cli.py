@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from ._record import Record
 from .ahp import ahp_weights
+from .combining import score_rows
 from .dataio import (
     load_climate_csv,
     load_judgments,
@@ -672,7 +673,8 @@ def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> tuple:
 
     gammas = np.tile(w.selection.gamma, (points.shape[0], 1))
     gammas[:, positions] = points
-    responses = gammas @ xi
+    # Scored as the substitution trials score: under weights renormalized to sum to 1.
+    responses = score_rows(gammas / gammas.sum(axis=1, keepdims=True), xi)
     factor_names = [str(w.selection.ids[p]) for p in positions]
     grid_rows = [
         (*[float(v) for v in point], float(r)) for point, r in zip(points, responses)
