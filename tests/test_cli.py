@@ -377,6 +377,15 @@ class TestOtherCommands:
         assert cfg.rsm_baseline == "Beijing"
         assert grid_rows[len(grid_rows) // 2][-1] == pytest.approx(chi["Beijing"], abs=1e-12)
 
+    def test_identity_trials_print_zero_deviations(self, config_path, outdir):
+        assert main([
+            "sensitivity", "--config", str(config_path), "--n-swap", "0", "--trials", "3",
+        ]) == EXIT_OK
+        _, rows = read_table(outdir / "sensitivity.csv")
+        trials = [r for r in rows if r["section"] == "trial"]
+        assert len(trials) == 3 * 45
+        assert {(r["abs_dev"], r["rel_dev"]) for r in trials} == {("0", "0")}
+
     def test_sensitivity_quotes_a_label_holding_a_comma_and_a_quote(
         self, tmp_path, fixtures_dir, outdir
     ):
