@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .grey import TimeSeries
 from .indicators import (
-    _INTEGER, _LIST, _NUMBER, _OBJECT, _STRING, _STRINGS, IndicatorId, _csv_errors,
+    _INTEGER, _LIST, _NUMBER, _OBJECT, _STRING, _STRINGS, IndicatorId, _brief, _csv_errors,
     _expect, _json_document, _json_numbers, _malformed, _read_text,
 )
 from .selection import (
@@ -113,7 +113,7 @@ def _csv_rows(text: str, required: set[str], what: str) -> Iterator[dict[str, st
         reader = csv.DictReader(io.StringIO(text))
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValidationError(
-                f"{what} must have columns {sorted(required)}, got {reader.fieldnames}"
+                f"{what} must have columns {sorted(required)}, got {_brief(reader.fieldnames)}"
             )
         width = len(reader.fieldnames)
         for row in reader:

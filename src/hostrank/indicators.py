@@ -118,7 +118,7 @@ class IndicatorId(Record):
             pass
         m = type(text) is str and _ID_PATTERN.match(text.strip())
         if not m:
-            raise ValidationError(f"unknown indicator {text!r}")
+            raise ValidationError(f"unknown indicator {_brief(text)}")
         return IndicatorId(Category(m.group(1)), int(m.group(2)))
 
 
@@ -389,8 +389,14 @@ _KINDS = {
 }
 
 
+def _brief(value: Any) -> str:
+    """``repr(value)``, cut to 60 characters and its length when longer: a short error line."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def _expect(
-    value: Any, rule: tuple[str, Callable[[Any], bool]], what: str, shown: Callable = repr
+    value: Any, rule: tuple[str, Callable[[Any], bool]], what: str, shown: Callable = _brief
 ) -> Any:
     """``value``, if it passes ``rule``; else a ValueError naming ``what`` and ``shown(value)``."""
     want, ok = rule

@@ -380,34 +380,29 @@ _BOUND_TOL = 1e-12
 def _box_range(
     surface: QuadraticSurface, lows: np.ndarray, highs: np.ndarray
 ) -> tuple[float, float]:
-    """(min, max) of the surface over the box from ``lows`` to ``highs``.
+    """Exact (min, max) of the surface over the box from ``lows`` to ``highs``.
 
-    Each coordinate is pinned to its low bound, pinned to its high bound,
-    or left free; a coordinate whose bounds are equal is only pinned. On
-    each such face the quadratic restricted to the free coordinates is
-    solved for its stationary point, kept when it falls inside the box.
-    A singular sub-Hessian gives no candidate on its face, and the
-    extremum then lies on a lower face.
+    Each coordinate is pinned to either bound or left free (only pinned
+    when its bounds are equal). On each such face the stationary point of
+    the quadratic in the free coordinates is a candidate if it lies in the
+    box. A singular sub-Hessian, as on an additive surface, gives no
+    candidate on its face; the extrema then lie on lower faces.
     """
     h, g = surface.hessian(), surface.linear
     states = [(lo, hi, None) if lo < hi else (lo,) for lo, hi in zip(lows, highs)]
     values = []
     for combo in itertools.product(*states):
         free_mask = np.array([s is None for s in combo])
+        free, fixed = np.flatnonzero(free_mask), np.flatnonzero(~free_mask)
         point = np.array([0.0 if s is None else s for s in combo])
-        if free_mask.any():
-            free, fixed = np.flatnonzero(free_mask), np.flatnonzero(~free_mask)
-            rhs = -(g[free] + h[np.ix_(free, fixed)] @ point[fixed])
-            try:
-                sol = np.linalg.solve(h[np.ix_(free, free)], rhs)
-            except np.linalg.LinAlgError:
-                continue
-            if not (
-                np.all(sol >= lows[free] - _BOUND_TOL) and np.all(sol <= highs[free] + _BOUND_TOL)
-            ):
-                continue
+        rhs = -(g[free] + h[np.ix_(free, fixed)] @ point[fixed])
+        try:  # with no free coordinate this solves an empty system: the point is a vertex
+            sol = np.linalg.solve(h[np.ix_(free, free)], rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(sol >= lows[free] - _BOUND_TOL) and np.all(sol <= highs[free] + _BOUND_TOL):
             point[free] = np.clip(sol, lows[free], highs[free])
-        values.append(surface.evaluate_one(point))
+            values.append(surface.evaluate_one(point))
     return min(values), max(values)
 
 
@@ -415,17 +410,12 @@ def surface_extrema(
     surface: QuadraticSurface,
     box: Sequence[tuple[float, float]],
 ) -> SurfaceExtrema:
-    """Exact box-constrained extrema by stationary-point and face enumeration.
+    """Box-constrained extrema and relative ranges of a quadratic surface.
 
-    Every way of pinning a subset of coordinates to a bound is
-    enumerated; the quadratic restricted to the remaining coordinates
-    is solved for its stationary point and kept when it falls inside
-    the box. This is exact for quadratics and needs no iterative
-    optimizer. Surfaces with singular (sub-)Hessians, e.g. purely
-    additive ones, simply contribute no interior candidates and resolve
-    on the box corners. A factor's range is the same search on the box
-    collapsed to the center in every other factor, with the center
-    itself as one more candidate.
+    The joint range is the face enumeration of ``_box_range`` over the
+    whole box. Factor i's range is the same search on the box collapsed
+    to the center in every other factor, with the center as one more
+    candidate.
     """
     k = surface.factor_count
     bounds = np.asarray(box, dtype=float)

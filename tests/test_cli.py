@@ -429,7 +429,8 @@ BAD_JUDGMENT_CELLS = {
 
 
 def _wrong_shape_cases():
-    """JSON inputs whose root is no object, or whose indicator id is no string."""
+    """JSON inputs whose root is no object, or whose indicator id is no string,
+    and inputs whose rejected value or CSV header is too long to quote whole."""
     inputs = [
         ("hierarchy", ["weights"], "hierarchy file"),
         ("judgments", ["weights"], "judgments file"),
@@ -461,6 +462,27 @@ def _wrong_shape_cases():
         yield pytest.param(
             key, argv, "indicator", text, "unknown indicator 5", id=f"{key}-numeric-id"
         )
+    # A quoted value longer than 60 characters is cut, with its length after it.
+    yield pytest.param(
+        "hierarchy", ["weights"], "hierarchy file",
+        json.dumps({"reduced": True, "indicators": "x" * 100_000}),
+        f"bad value in hierarchy file: indicators must be a list, got '{'x' * 59}... "
+        "(100002 characters)",
+        id="hierarchy-long-string",
+    )
+    yield pytest.param(
+        "decision_matrix", ["evaluate"], "indicator",
+        json.dumps({"rows": ["a"], "columns": [list(range(10_000))], "values": [[1]]}),
+        "unknown indicator [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 1... "
+        "(58890 characters)",
+        id="decision_matrix-long-id",
+    )
+    yield pytest.param(
+        "pool", ["screen", "summer"], "pool file", ",".join(map(str, range(10_000))) + "\n",
+        "pool file must have columns ['country', 'gdp', 'name', 'sports_score'], got "
+        "['0', '1', '2', '3', '4', '5', '6', '7', '8', '9', '10', '11... (78890 characters)",
+        id="pool-long-header",
+    )
 
 
 _WRONG_SHAPE_CASES = list(_wrong_shape_cases())

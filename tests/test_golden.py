@@ -14,6 +14,7 @@ stripping the leading ``# `` lines, and record why.
 import hashlib
 import json
 import os
+import platform
 import random
 import re
 import subprocess
@@ -21,6 +22,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hostrank import __version__
@@ -352,3 +354,31 @@ def test_evaluate_on_a_padded_semicolon_crlf_matrix_matches_golden(
     _, stdout = run_cli(["evaluate", "--features", "10"], config, outdir, monkeypatch, capsys)
     names = ["evaluation.csv", "features.csv"]
     assert_matches_golden(outdir, GOLDEN / "evaluate", names, config, stdout)
+
+
+def _dynamic_arch_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(
+    not _dynamic_arch_openblas() or platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="numpy is not linked to a DYNAMIC_ARCH OpenBLAS on x86-64, so the kernel is fixed",
+)
+def test_golden_bytes_hold_under_another_blas_kernel(tmp_path):
+    """A DYNAMIC_ARCH OpenBLAS picks its kernel from the CPU at run time,
+    and kernels may round differently in the last bit. Every golden and
+    acceptance check must pass under the oldest x86-64 kernel too."""
+    here = Path(__file__).resolve()
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    env.pop(OUTPUT_DIR_ENV, None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"--basetemp={tmp_path / 'child'}",
+         "-k", "not test_golden_bytes_hold_under_another_blas_kernel",
+         str(here), str(here.with_name("test_acceptance.py"))],
+        env=env, cwd=here.parent.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+    assert " passed" in proc.stdout and "deselected" in proc.stdout
