@@ -87,7 +87,7 @@ class SensitivityReport(Record):
         )
 
     def to_csv_text(self) -> str:
-        """Deterministic serialization; byte-identical for identical configs."""
+        """Deterministic serialization, numbers as ``format_number`` prints them."""
         num = format_number
         labels = [_csv_field(alt) for alt in self.alternatives]
         out = ["section,trial,alternative,swapped_out,swapped_in,chi,abs_dev,rel_dev\n"]

@@ -566,7 +566,7 @@ class TestSurfaceExtrema:
     @given(case=_surface_and_box())
     # x^2 is stationary at 0, within the bound tolerance below the box: clipped to its low end.
     @example(case=(QuadraticSurface(1, 0.0, [0.0], [], [1.0], 1.0), [(1e-13, 1.0)]))
-    @settings(max_examples=300, derandomize=True)
+    @settings(max_examples=200, derandomize=True)
     def test_equals_the_face_enumeration_reference_bit_for_bit(self, case):
         surface, box = case
         got, want = surface_extrema(surface, box), reference_surface_extrema(surface, box)
