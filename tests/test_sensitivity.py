@@ -414,7 +414,7 @@ _COEF = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 def _surface_and_box(draw):
     """A quadratic surface in 1..4 factors and a box with some bounds equal.
 
-    Its Hessian is full, zero (an additive surface) or rank one, so that
+    Its Hessian is full, zero (an additive surface) or rank one, where
     every sub-Hessian of two or more coordinates is singular.
     """
     k = draw(st.integers(min_value=1, max_value=4))
