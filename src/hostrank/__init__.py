@@ -82,7 +82,6 @@ from .sensitivity import (
     PerturbationConfig,
     QuadraticSurface,
     SensitivityReport,
-    bbd_design,
     factor_substitution,
     fit_response_surface,
     surface_extrema,
@@ -149,7 +148,6 @@ __all__ = [
     "SensitivityReport",
     "QuadraticSurface",
     "factor_substitution",
-    "bbd_design",
     "fit_response_surface",
     "surface_extrema",
     # pipeline

@@ -85,15 +85,6 @@ class TimeSeries(Record):
     def last_period(self) -> int:
         return self.start_period + self.values.size - 1
 
-    def value_at(self, period: int) -> float:
-        idx = period - self.start_period
-        if not 0 <= idx < self.values.size:
-            raise ValidationError(
-                f"period {period} outside series {self.label!r} "
-                f"({self.start_period}..{self.last_period})"
-            )
-        return float(self.values[idx])
-
 
 class GreyModel(Record):
     """Fitted grey model: developing and control coefficients of a source series.
@@ -233,7 +224,7 @@ def forecast_series(series: TimeSeries, until: int) -> TimeSeries:
 
 
 def forecast_value(series: TimeSeries, until: int) -> float:
-    """``forecast_series(series, until).value_at(until)``, evaluating the
+    """``forecast_series(series, until).values[-1]``, evaluating the
     cumulative curve only at ``until`` and the period before it."""
     model, shift = _fit_shifted(series, until)
     k = until - series.start_period

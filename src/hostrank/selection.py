@@ -40,7 +40,6 @@ __all__ = [
     "FeatureScaler",
     "screen_candidates",
     "winter_climate_filter",
-    "scale_cities",
     "score_cities",
     "rank_cities",
     "compare_schemes",
@@ -338,16 +337,6 @@ def _feature_grid(
     return np.array(grid, dtype=float).reshape(len(rows), len(ids))
 
 
-def scale_cities(
-    cities: Sequence[CityProfile],
-    ids: Sequence[IndicatorId],
-    hierarchy: IndicatorHierarchy,
-) -> np.ndarray:
-    """Every city's features min-max scaled across the set, one row per city."""
-    grid = _feature_grid([c.indicators for c in cities], [c.name for c in cities], ids)
-    return FeatureScaler.from_values(grid, ids, hierarchy).transform_values(grid)
-
-
 def score_cities(
     cities: Sequence[CityProfile],
     s_base: Mapping[str, float],
@@ -357,7 +346,9 @@ def score_cities(
     default_base: float | None = None,
 ) -> list[tuple[CityProfile, SuitabilityScore]]:
     """Score every city against the others, scaling features across the set."""
-    scaled = scale_cities(cities, selection.ids, hierarchy)
+    ids = selection.ids
+    grid = _feature_grid([c.indicators for c in cities], [c.name for c in cities], ids)
+    scaled = FeatureScaler.from_values(grid, ids, hierarchy).transform_values(grid)
     chi = score_rows(selection.gamma, scaled)
     out = []
     for city, xi, s_evaluate in zip(cities, scaled.tolist(), chi.tolist()):

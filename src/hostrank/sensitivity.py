@@ -7,9 +7,9 @@ alternative's evaluation score moves. Every trial derives its random
 stream from (seed, trial index), so runs are reproducible and
 schedule-independent.
 
-The response-surface side builds three-level second-order designs,
-fits a full quadratic by least squares, and locates box-constrained
-extrema exactly via stationary-point plus boundary enumeration.
+The response-surface side fits a full quadratic to design points by
+least squares and locates box-constrained extrema exactly via
+stationary-point plus boundary enumeration.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "QuadraticSurface",
     "SurfaceExtrema",
     "factor_substitution",
-    "bbd_design",
     "fit_response_surface",
     "surface_extrema",
 ]
@@ -66,13 +65,10 @@ class SensitivityReport(Record):
     baseline is 0.
     """
 
-    _fields = (
-        "config", "alternatives", "baseline", "trials", "chi", "abs_dev", "rel_dev", "summary"
-    )
+    _fields = ("alternatives", "baseline", "trials", "chi", "abs_dev", "rel_dev", "summary")
 
     def __init__(
         self,
-        config: PerturbationConfig,
         alternatives: tuple[str, ...],
         baseline: np.ndarray,
         trials: tuple[Swap, ...],
@@ -82,8 +78,8 @@ class SensitivityReport(Record):
         summary: dict[str, dict[str, float]],
     ) -> None:
         self.__dict__.update(
-            config=config, alternatives=alternatives, baseline=baseline, trials=trials,
-            chi=chi, abs_dev=abs_dev, rel_dev=rel_dev, summary=summary,
+            alternatives=alternatives, baseline=baseline, trials=trials, chi=chi,
+            abs_dev=abs_dev, rel_dev=rel_dev, summary=summary,
         )
 
     def to_csv_text(self) -> str:
@@ -194,8 +190,8 @@ def factor_substitution(
     }
     summary["(overall)"] = _deviation_stats(magnitudes.ravel())
     return SensitivityReport(
-        config=config, alternatives=data.rows, baseline=base, trials=tuple(swaps),
-        chi=chi[1:], abs_dev=abs_dev, rel_dev=rel_dev, summary=summary,
+        alternatives=data.rows, baseline=base, trials=tuple(swaps), chi=chi[1:],
+        abs_dev=abs_dev, rel_dev=rel_dev, summary=summary,
     )
 
 
@@ -224,36 +220,6 @@ def _weighted_scores(
         cells = scaled[:, group_columns[batch]].swapaxes(0, 1)
         out[batch] = score_rows(gammas[batch, None, :], cells)
     return out
-
-
-def bbd_design(k: int, center_replicates: int = 3) -> np.ndarray:
-    """The three-level second-order design for ``k`` factors, one point per row.
-
-    For k >= 3 every non-center point sets exactly two factors to +-1,
-    giving 4 * k(k-1)/2 points before the center replicates; k = 2 falls
-    back to the full two-level factorial with centers. The array is
-    read-only.
-    """
-    if k < 2:
-        raise ValidationError("response-surface designs need at least 2 factors")
-    if center_replicates < 0:
-        raise ValidationError("center replicate count must be nonnegative")
-    rows: list[np.ndarray] = []
-    signs = ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0))
-    if k == 2:
-        for s in signs:
-            rows.append(np.array(s))
-    else:
-        for i, j in itertools.combinations(range(k), 2):
-            for si, sj in signs:
-                point = np.zeros(k)
-                point[i] = si
-                point[j] = sj
-                rows.append(point)
-    rows.extend(np.zeros(k) for _ in range(center_replicates))
-    points = np.vstack(rows)
-    points.flags.writeable = False
-    return points
 
 
 class QuadraticSurface(Record):

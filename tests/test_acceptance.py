@@ -33,11 +33,11 @@ from hostrank.selection import (
 )
 from hostrank.sensitivity import (
     PerturbationConfig,
-    bbd_design,
     factor_substitution,
     fit_response_surface,
     surface_extrema,
 )
+from _designs import bbd_design
 from test_grey import _reference_curve
 
 # Reference feature table: ids in rank order with rounded renormalized

@@ -108,10 +108,8 @@ SAMPLES = {
     FeatureScaler: (((A1,), [0.0], [1.0], [False]), ((A2,), [0.0], [1.0], [False])),
     PerturbationConfig: ((7,), (8,)),
     SensitivityReport: (
-        (PerturbationConfig(1), ("Oslo",), [0.5], (((A1,), (A2,)),), [[0.4]], [[0.1]],
-         [[0.2]], {"Oslo": {"mean": 0.1}}),
-        (PerturbationConfig(2), ("Oslo",), [0.5], (((A1,), (A2,)),), [[0.4]], [[0.1]],
-         [[0.2]], {"Oslo": {"mean": 0.1}}),
+        (("Oslo",), [0.5], (((A1,), (A2,)),), [[0.4]], [[0.1]], [[0.2]], {"Oslo": {"mean": 0.1}}),
+        (("Bergen",), [0.5], (((A1,), (A2,)),), [[0.4]], [[0.1]], [[0.2]], {"Oslo": {"mean": 0.1}}),
     ),
     QuadraticSurface: ((1, 0.5, [1.0], [], [2.0], 1.0), (2, 0.5, [1.0], [], [2.0], 1.0)),
     SurfaceExtrema: ((1.0, 2.0, 1.5, [0.5], 0.5), (0.0, 2.0, 1.5, [0.5], 0.5)),
@@ -351,13 +349,9 @@ PINS = {
         False,
     ),
     SensitivityReport: (
-        "(config, alternatives, baseline, trials, chi, abs_dev, rel_dev, summary)",
-        (
-            "config", "alternatives", "baseline", "trials", "chi", "abs_dev", "rel_dev",
-            "summary",
-        ),
-        "SensitivityReport(config=PerturbationConfig(seed=1, n_swap=5, trials=1), "
-        "alternatives=('Oslo',), baseline=[0.5], "
+        "(alternatives, baseline, trials, chi, abs_dev, rel_dev, summary)",
+        ("alternatives", "baseline", "trials", "chi", "abs_dev", "rel_dev", "summary"),
+        "SensitivityReport(alternatives=('Oslo',), baseline=[0.5], "
         "trials=(((IndicatorId(category=<Category.ECONOMY: 'A'>, index=1),), "
         "(IndicatorId(category=<Category.ECONOMY: 'A'>, index=2),)),), chi=[[0.4]], "
         "abs_dev=[[0.1]], rel_dev=[[0.2]], summary={'Oslo': {'mean': 0.1}})",

@@ -450,7 +450,7 @@ class TestOneValueForecastEqualsFullPath:
 
         until = series.last_period + horizon
         value = _outcome(lambda: forecast_value(series, until))
-        full = _outcome(lambda: forecast_series(series, until).value_at(until))
+        full = _outcome(lambda: forecast_series(series, until).values[-1])
         assert value == full
         if isinstance(value[0], float):
             assert _bits(value[0]) == _bits(full[0])
@@ -469,7 +469,7 @@ class TestOneValueForecastEqualsFullPath:
         is finite and the same as the full path's."""
         series = TimeSeries("boom", 2000, np.array([1.0, 30.0, 900.0, 27000.0]))
         value = _outcome(lambda: forecast_value(series, until))
-        assert value == _outcome(lambda: forecast_series(series, until).value_at(until))
+        assert value == _outcome(lambda: forecast_series(series, until).values[-1])
         assert [category for category, _ in value[1]] == [UserWarning]  # the class-ratio test
         if until >= 2300:
             assert value[0] == (ValidationError, "series 'boom' contains non-finite values")

@@ -19,11 +19,11 @@ from hostrank.sensitivity import (
     QuadraticSurface,
     SensitivityReport,
     SurfaceExtrema,
-    bbd_design,
     factor_substitution,
     fit_response_surface,
     surface_extrema,
 )
+from _designs import bbd_design
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +186,7 @@ def reference_substitution(selection, omega, data, config, hierarchy):
     }
     summary["(overall)"] = stats(np.array([abs(d) for devs in abs_devs for d in devs]))
     return SensitivityReport(
-        config, data.rows, np.array([baseline[a] for a in data.rows]), tuple(swaps),
+        data.rows, np.array([baseline[a] for a in data.rows]), tuple(swaps),
         np.array(chis), np.array(abs_devs), np.array(rel_devs), summary,
     )
 
