@@ -8,8 +8,6 @@ plans, SWOT records), delimiter-separated text for flat tables
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from pathlib import Path
 from typing import IO, Any, Iterator, Mapping, Sequence
@@ -19,8 +17,9 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .grey import TimeSeries
 from .indicators import (
-    _INTEGER, _LIST, _NUMBER, _OBJECT, _STRING, _STRINGS, IndicatorId, _brief, _csv_errors,
-    _expect, _json_document, _json_numbers, _malformed, _read_text,
+    _INTEGER, _LIST, _NUMBER, _OBJECT, _STRING, _STRINGS, IndicatorId, _as_wide, _brief,
+    _cell_number, _csv_errors, _csv_lines, _expect, _json_document, _json_numbers, _malformed,
+    _read_text,
 )
 from .selection import (
     CityProfile, ClimateRequirement, ImpactScale, SchemePlan, SwotRecord, _check_unique,
@@ -103,45 +102,26 @@ def _finite(city: CityProfile) -> CityProfile:
 
 
 def _csv_rows(text: str, required: set[str], what: str) -> Iterator[dict[str, str]]:
-    """The rows of CSV ``text``, the file ``what``, whose header has the ``required`` columns.
+    """The non-blank rows of CSV ``text``, the file ``what``, keyed by its header's columns.
 
-    A row shorter or longer than the header is an error: the reader pads
-    a short row with None values and files a long row's extra fields as a
-    list under the key None.
+    The header must name the ``required`` columns, and every row must be
+    as wide as the header.
     """
     with _csv_errors(what):
-        reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValidationError(
-                f"{what} must have columns {sorted(required)}, got {_brief(reader.fieldnames)}"
-            )
-        width = len(reader.fieldnames)
-        for row in reader:
-            if None in row or None in row.values():
-                extra = row.pop(None, [])
-                cells = list(row.values())
-                raise ValidationError(
-                    f"column count mismatch at row {cells[0]!r}: "
-                    f"expected {width}, got {width - cells.count(None) + len(extra)}"
-                )
-            yield row
+        rows = _csv_lines(text, ",")
+    header = rows[0] if rows else None
+    if header is None or not required.issubset(header):
+        raise ValidationError(f"{what} must have columns {sorted(required)}, got {_brief(header)}")
+    for raw in rows[1:]:
+        yield dict(zip(header, _as_wide(raw, len(header))))
 
 
 def _pool_from_csv(text: str) -> list[CityProfile]:
     cities = []
     for row in _csv_rows(text, {"name", "country", "gdp", "sports_score"}, "pool file"):
-        try:
-            city = CityProfile(
-                name=row["name"].strip(),
-                country=row["country"].strip(),
-                gdp=float(row["gdp"]),
-                sports_score=float(row["sports_score"]),
-            )
-        except ValueError as exc:
-            raise ValidationError(
-                f"bad numeric value in pool row {row['name']!r}: {exc}"
-            ) from None
-        cities.append(_finite(city))
+        name = row["name"].strip()
+        gdp, sports_score = (_cell_number(row[key], name, key) for key in ("gdp", "sports_score"))
+        cities.append(_finite(CityProfile(name, row["country"].strip(), gdp, sports_score)))
     _check_unique(cities)
     return cities
 
@@ -154,13 +134,10 @@ def load_climate_csv(source: str | Path | IO[str]) -> dict[str, dict[str, TimeSe
     buckets: dict[tuple[str, str], list[tuple[int, float]]] = {}
     required = {"city", "variable", "period", "value"}
     for row in _csv_rows(_read_text(source), required, "climate file"):
-        key = (row["city"].strip(), row["variable"].strip())
-        try:
-            buckets.setdefault(key, []).append(
-                (int(row["period"]), float(row["value"]))
-            )
-        except ValueError as exc:
-            raise ValidationError(f"bad climate row for {key}: {exc}") from None
+        city = row["city"].strip()
+        period = _cell_number(row["period"], city, "period", int)
+        value = _cell_number(row["value"], city, "value")
+        buckets.setdefault((city, row["variable"].strip()), []).append((period, value))
     out: dict[str, dict[str, TimeSeries]] = {}
     for (city, var), points in buckets.items():
         points.sort()

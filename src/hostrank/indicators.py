@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from contextlib import contextmanager
 from enum import Enum
@@ -360,6 +361,32 @@ def _csv_errors(what: str) -> Iterator[None]:
         raise ValidationError(f"{what} is not valid CSV: {exc}") from None
 
 
+def _csv_lines(text: str, delimiter: str) -> list[list[str]]:
+    """The rows of CSV ``text`` that hold more than whitespace."""
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    return [row for row in reader if "".join(row).strip()]
+
+
+def _as_wide(raw: list[str], width: int) -> list[str]:
+    """``raw``, if it has ``width`` cells; else an error naming the row by its first cell."""
+    if len(raw) != width:
+        raise ValidationError(
+            f"column count mismatch at row {_brief(raw[0])}: expected {width}, got {len(raw)}"
+        )
+    return raw
+
+
+def _cell_number(cell: str, row: str, column: object, kind: Callable = float) -> Any:
+    """``kind(cell)`` after stripping, or an error naming the cell, its row and its column."""
+    cell = cell.strip()  # str.strip() also takes characters float() rejects, e.g. \x1c
+    try:
+        return kind(cell)
+    except ValueError:
+        raise ValidationError(
+            f"non-numeric cell {_brief(cell)} at row {_brief(row)}, column {column}"
+        ) from None
+
+
 @contextmanager
 def _json_document(text: str, what: str) -> Iterator[dict]:
     """Parse ``text`` as a JSON object for the block that builds a value from it."""
@@ -458,14 +485,14 @@ def load_decision_matrix(
     if len(set(labels)) != len(labels):
         seen: set = set()  # set.add returns None, so next() stops at the first repeat
         dup = next(lab for lab in labels if lab in seen or seen.add(lab))
-        raise ValidationError(f"duplicate sample label {dup!r}")
+        raise ValidationError(f"duplicate sample label {_brief(dup)}")
 
     arr = np.asarray(grid, dtype=float)  # fresh; may hold NaN placeholders
     if np.isnan(arr).any():
         if not impute_missing:
             i, j = np.argwhere(np.isnan(arr))[0]
             raise ValidationError(
-                f"missing cell at row {labels[i]!r}, column {ids[j]}"
+                f"missing cell at row {_brief(labels[i])}, column {ids[j]}"
             )
         missing = np.isnan(arr)
         empty = missing.all(axis=0)
@@ -511,47 +538,39 @@ def _parse_delimited_matrix(text: str):
             else:
                 labels = [line.partition(delim)[0].strip() for line in lines[1:]]
                 return labels, ids, values
-    reader = csv.reader(io.StringIO(text), delimiter=delim)
-    rows = [r for r in reader if "".join(r).strip()]
+    rows = _csv_lines(text, delim)
     if len(rows) < 2:
         raise ValidationError("decision matrix file needs a header row and at least one sample")
-    header = [c.strip() for c in rows[0]]
-    ids = [IndicatorId.parse(tok) for tok in header[1:]]
+    ids = [IndicatorId.parse(tok.strip()) for tok in rows[0][1:]]
     labels: list[str] = []
     grid: list[list[float]] = []
     for raw in rows[1:]:
-        if len(raw) != len(header):
-            raise ValidationError(
-                f"column count mismatch at row {raw[0]!r}: "
-                f"expected {len(header)}, got {len(raw)}"
-            )
-        labels.append(raw[0].strip())
-        grid.append([_cell_value(c, labels[-1], ind) for ind, c in zip(ids, raw[1:])])
+        label = _as_wide(raw, len(rows[0]))[0].strip()
+        labels.append(label)
+        grid.append([
+            _cell_number(c, label, ind) if c.strip() else math.nan for ind, c in zip(ids, raw[1:])
+        ])
     return labels, ids, grid
-
-
-def _cell_value(cell: str, label: str, ind: IndicatorId) -> float:
-    cell = cell.strip()
-    if cell == "":
-        return float("nan")
-    try:
-        return float(cell)
-    except ValueError:
-        raise ValidationError(f"non-numeric cell {cell!r} at row {label!r}, column {ind}") from None
 
 
 def _parse_json_matrix(text: str):
     with _json_document(text, "decision matrix file") as obj:
         labels = [_expect(r, _STRING, "rows entry") for r in _expect(obj["rows"], _LIST, "rows")]
         ids = [IndicatorId.parse(tok) for tok in _expect(obj["columns"], _LIST, "columns")]
+        values = _expect(obj["values"], _LIST, "values")
+        if len(values) != len(labels):
+            raise ValidationError(
+                f"decision matrix file has a different number of rows ({len(labels)}) "
+                f"and value rows ({len(values)})"
+            )
         grid: list[list[float]] = []
-        for label, row in zip(labels, _expect(obj["values"], _LIST, "values")):
-            if len(_expect(row, _LIST, f"values row {label!r}")) != len(ids):
+        for label, row in zip(labels, values):
+            if len(_expect(row, _LIST, f"values row {_brief(label)}")) != len(ids):
                 raise ValidationError(
-                    f"column count mismatch at row {label!r}: "
+                    f"column count mismatch at row {_brief(label)}: "
                     f"expected {len(ids)}, got {len(row)}"
                 )
-            _json_numbers([c for c in row if c is not None], f"cell at row {label!r}")
+            _json_numbers([c for c in row if c is not None], f"cell at row {_brief(label)}")
             grid.append([float("nan") if c is None else float(c) for c in row])
         return labels, ids, grid
 

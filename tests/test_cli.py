@@ -430,7 +430,8 @@ BAD_JUDGMENT_CELLS = {
 
 def _wrong_shape_cases():
     """JSON inputs whose root is no object, or whose indicator id is no string,
-    and inputs whose rejected value or CSV header is too long to quote whole."""
+    inputs whose rejected value, CSV header, cell or row label is too long to
+    quote whole, and a JSON decision matrix with more value rows than rows."""
     inputs = [
         ("hierarchy", ["weights"], "hierarchy file"),
         ("judgments", ["weights"], "judgments file"),
@@ -482,6 +483,33 @@ def _wrong_shape_cases():
         "pool file must have columns ['country', 'gdp', 'name', 'sports_score'], got "
         "['0', '1', '2', '3', '4', '5', '6', '7', '8', '9', '10', '11... (78890 characters)",
         id="pool-long-header",
+    )
+    # A long CSV cell or row label is cut the same way.
+    pool_header = "name,country,gdp,sports_score\n"
+    yield pytest.param(
+        "pool", ["screen", "summer"], "column gdp",
+        pool_header + "Oslo,Norway," + "9" * 49_999 + "x,1.0\n",
+        f"non-numeric cell '{'9' * 59}... (50002 characters) at row 'Oslo', column gdp",
+        id="pool-long-number",
+    )
+    yield pytest.param(
+        "pool", ["screen", "summer"], "column count mismatch",
+        pool_header + "n" * 50_000 + ",Norway,1.0\n",
+        f"column count mismatch at row '{'n' * 59}... (50002 characters): expected 4, got 3",
+        id="pool-short-row-long-name",
+    )
+    yield pytest.param(
+        "decision_matrix", ["evaluate"], "column A1", "city,A1\nOslo," + "y" * 50_000 + "\n",
+        f"non-numeric cell '{'y' * 59}... (50002 characters) at row 'Oslo', column A1",
+        id="decision_matrix-long-cell",
+    )
+    # Extra value rows were dropped without a word.
+    yield pytest.param(
+        "decision_matrix", ["evaluate"], "decision matrix file",
+        json.dumps({"rows": ["a", "b"], "columns": ["A1", "A2"],
+                    "values": [[1, 2], [3, 4], [5, 6], ["x", None]]}),
+        "decision matrix file has a different number of rows (2) and value rows (4)",
+        id="decision_matrix-extra-value-rows",
     )
 
 

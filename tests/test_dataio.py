@@ -75,6 +75,43 @@ class TestLoadPool:
             load(io.StringIO(text))
 
     @pytest.mark.parametrize(
+        "load, text, message",
+        [
+            (load_pool, "name,country,gdp,sports_score\nOslo,Norway,abc,1.0\n",
+             "non-numeric cell 'abc' at row 'Oslo', column gdp"),
+            (load_pool, "name,country,gdp,sports_score\n Oslo ,Norway,1.0, \n",
+             "non-numeric cell '' at row 'Oslo', column sports_score"),
+            (load_climate_csv, "city,variable,period,value\nOslo,feb_temp_c,2015.0,-1\n",
+             "non-numeric cell '2015.0' at row 'Oslo', column period"),
+            (load_climate_csv, "city,variable,period,value\nOslo,feb_temp_c,2015,cold\n",
+             "non-numeric cell 'cold' at row 'Oslo', column value"),
+        ],
+        ids=["pool-gdp", "pool-empty-sports-score", "climate-period", "climate-value"],
+    )
+    def test_non_numeric_cell_names_the_row_and_the_column(self, load, text, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load(io.StringIO(text))
+
+    @pytest.mark.parametrize("blank", ["", "  ", "\t", ",,,", " , ,\t, "])
+    def test_rows_that_hold_only_whitespace_are_skipped(self, blank):
+        """Before the header too, as in a decision matrix."""
+        pool = [blank, "name,country,gdp,sports_score", blank, "Oslo,Norway,1.5,2", blank]
+        cities = load_pool(io.StringIO("\n".join(pool)))
+        assert [(c.name, c.gdp, c.sports_score) for c in cities] == [("Oslo", 1.5, 2.0)]
+        climate = [blank, "city,variable,period,value", "Oslo,feb_temp_c,2015,-1", blank,
+                   "Oslo,feb_temp_c,2016,-2", blank]
+        series = load_climate_csv(io.StringIO("\n".join(climate)))["Oslo"]["feb_temp_c"]
+        assert (series.start_period, series.values.tolist()) == (2015, [-1.0, -2.0])
+
+    def test_number_cells_are_stripped_before_conversion(self):
+        """str.strip() takes characters that float() and int() reject, such as \\x1c."""
+        cities = load_pool(io.StringIO("name,country,gdp,sports_score\nOslo,NO,\x1c1.5,2\x1c\n"))
+        assert (cities[0].gdp, cities[0].sports_score) == (1.5, 2.0)
+        text = "city,variable,period,value\nOslo,feb_temp_c,\x1c2015\x1c,\x1c-1\n"
+        series = load_climate_csv(io.StringIO(text))["Oslo"]["feb_temp_c"]
+        assert (series.start_period, series.values.tolist()) == (2015, [-1.0])
+
+    @pytest.mark.parametrize(
         "cells, message",
         [
             ("nan,1.0", "non-finite gdp: nan"),

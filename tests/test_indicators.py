@@ -384,6 +384,21 @@ class TestLoadDecisionMatrix:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_decision_matrix(io.StringIO(json.dumps(obj)), h)
 
+    @pytest.mark.parametrize(
+        "values", [[[1, 2], [3, 4], [5, 6], ["x", None]], [[1, 2]]], ids=["more", "fewer"]
+    )
+    def test_value_rows_must_match_the_rows_in_number(self, values):
+        """Extra value rows were dropped without a word; too few failed on the array shape."""
+        specs = tuple(IndicatorSpec(i, str(i)) for i in all_indicator_ids()[:2])
+        h = IndicatorHierarchy(specs, reduced=True)
+        text = json.dumps({"rows": ["a", "b"], "columns": ["A1", "A2"], "values": values})
+        with pytest.raises(ValidationError) as err:
+            load_decision_matrix(io.StringIO(text), h)
+        assert str(err.value) == (
+            "decision matrix file has a different number of rows (2) "
+            f"and value rows ({len(values)})"
+        )
+
     def test_column_outside_a_reduced_hierarchy_is_named_by_its_id(self):
         h = IndicatorHierarchy(specs=(IndicatorSpec(IndicatorId.parse("A1"), "x"),), reduced=True)
         with pytest.raises(ValidationError) as err:
