@@ -503,7 +503,7 @@ def _wrong_shape_cases():
         f"non-numeric cell '{'y' * 59}... (50002 characters) at row 'Oslo', column A1",
         id="decision_matrix-long-cell",
     )
-    # Extra value rows were dropped without a word.
+    # A JSON matrix needs one value row per row label.
     yield pytest.param(
         "decision_matrix", ["evaluate"], "decision matrix file",
         json.dumps({"rows": ["a", "b"], "columns": ["A1", "A2"],

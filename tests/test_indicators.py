@@ -214,6 +214,11 @@ def _csv_for(hierarchy, rows):
     return "\n".join(lines) + "\n"
 
 
+# A 50,000-character row label and how a message quotes it.
+_LONG = "n" * 50_000
+_CUT = f"'{'n' * 59}... (50002 characters)"
+
+
 class TestLoadDecisionMatrix:
     def test_three_city_thirty_indicator_file(self):
         h = default_hierarchy()
@@ -388,7 +393,7 @@ class TestLoadDecisionMatrix:
         "values", [[[1, 2], [3, 4], [5, 6], ["x", None]], [[1, 2]]], ids=["more", "fewer"]
     )
     def test_value_rows_must_match_the_rows_in_number(self, values):
-        """Extra value rows were dropped without a word; too few failed on the array shape."""
+        """More or fewer value rows than row labels fail in one line naming both counts."""
         specs = tuple(IndicatorSpec(i, str(i)) for i in all_indicator_ids()[:2])
         h = IndicatorHierarchy(specs, reduced=True)
         text = json.dumps({"rows": ["a", "b"], "columns": ["A1", "A2"], "values": values})
@@ -398,6 +403,22 @@ class TestLoadDecisionMatrix:
             "decision matrix file has a different number of rows (2) "
             f"and value rows ({len(values)})"
         )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"city,A1\n{_LONG},1\n{_LONG},2\n", f"duplicate sample label {_CUT}"),
+            (f"city,A1\n{_LONG},\n", f"missing cell at row {_CUT}, column A1"),
+            (json.dumps({"rows": [_LONG], "columns": ["A1"], "values": [[1, 2]]}),
+             f"column count mismatch at row {_CUT}: expected 1, got 2"),
+        ],
+        ids=["duplicate", "missing-cell", "json-row-width"],
+    )
+    def test_long_row_label_is_quoted_cut(self, text, message):
+        h = IndicatorHierarchy((IndicatorSpec(IndicatorId.parse("A1"), "x"),), reduced=True)
+        with pytest.raises(ValidationError) as err:
+            load_decision_matrix(io.StringIO(text), h)
+        assert str(err.value) == message
 
     def test_column_outside_a_reduced_hierarchy_is_named_by_its_id(self):
         h = IndicatorHierarchy(specs=(IndicatorSpec(IndicatorId.parse("A1"), "x"),), reduced=True)
