@@ -23,7 +23,6 @@ from ._record import Record, frozen_array
 from .combining import FeatureSelection, TotalWeights, score_rows
 from .errors import ConfigError, NumericError, ValidationError
 from .indicators import DecisionMatrix, IndicatorHierarchy, IndicatorId
-from .reporting import format_number
 from .selection import FeatureScaler
 
 __all__ = [
@@ -84,20 +83,26 @@ class SensitivityReport(Record):
 
     def to_csv_text(self) -> str:
         """Deterministic serialization, numbers as ``format_number`` prints them."""
-        num = format_number
+        # One % operation a row; '%.9g' % x is format_number(x). Labels are
+        # arguments, never template text, so a '%' in a name stays literal.
         labels = [_csv_field(alt) for alt in self.alternatives]
         out = ["section,trial,alternative,swapped_out,swapped_in,chi,abs_dev,rel_dev\n"]
-        out += [f"baseline,,{alt},,,{num(v)},,\n" for alt, v in zip(labels, self.baseline.tolist())]
+        out += [
+            "baseline,,%s,,,%.9g,,\n" % (alt, v) for alt, v in zip(labels, self.baseline.tolist())
+        ]
         rows = zip(self.trials, self.chi.tolist(), self.abs_dev.tolist(), self.rel_dev.tolist())
         for t, ((removed, added), chi, dev, rel) in enumerate(rows):
-            swap = f"{'|'.join(map(str, removed))},{'|'.join(map(str, added))}"
+            prefix = f"trial,{t},"
+            swap = f",{'|'.join(map(str, removed))},{'|'.join(map(str, added))},"
             out += [
-                f"trial,{t},{alt},{swap},{num(c)},{num(a)},{num(r)}\n"
+                "%s%s%s%.9g,%.9g,%.9g\n" % (prefix, alt, swap, c, a, r)
                 for alt, c, a, r in zip(labels, chi, dev, rel)
             ]
         for alt, stats in self.summary.items():
             label = _csv_field(alt)
-            out += [f"summary,,{label},{key},,{num(value)},,\n" for key, value in stats.items()]
+            out += [
+                "summary,,%s,%s,,%.9g,,\n" % (label, key, value) for key, value in stats.items()
+            ]
         return "".join(out)
 
 
