@@ -55,6 +55,7 @@ from .indicators import (
     DecisionMatrix,
     IndicatorHierarchy,
     IndicatorId,
+    _brief,
     _expect,
     load_decision_matrix,
     load_hierarchy,
@@ -416,11 +417,11 @@ def _cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     if args.city is not None:
         cities = [c for c in cities if c.name == args.city]
         if not cities:
-            raise ValidationError(f"city {args.city!r} not in pool")
+            raise ValidationError(f"city {_brief(args.city)} not in pool")
     else:
         cities = [c for c in cities if args.indicator in c.climate]
         if not cities:
-            raise ValidationError(f"no city in the pool has series {args.indicator!r}")
+            raise ValidationError(f"no city in the pool has series {_brief(args.indicator)}")
     _check_until(cities, [args.indicator], args.until, "--until")
     n_rows = sum(
         args.until - c.climate[args.indicator].start_period + 1
@@ -453,7 +454,7 @@ def _check_until(
             if series is not None and until < series.last_period:
                 raise ValidationError(
                     f"{source} = {until} precedes the last observation of "
-                    f"{series.label!r} ({series.last_period})"
+                    f"{_brief(series.label)} ({series.last_period})"
                 )
 
 

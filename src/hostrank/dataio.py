@@ -97,7 +97,9 @@ def _finite(city: CityProfile) -> CityProfile:
         numbers = {"gdp": city.gdp, "sports_score": city.sports_score, **city.indicators}
         for key, value in numbers.items():
             if not math.isfinite(value):
-                raise ValidationError(f"pool city {city.name!r} has a non-finite {key}: {value!r}")
+                raise ValidationError(
+                    f"pool city {_brief(city.name)} has a non-finite {key}: {value!r}"
+                )
     return city
 
 
@@ -186,7 +188,7 @@ def load_plans(source: str | Path | IO[str]) -> list[SchemePlan]:
         for entry in _expect(obj["plans"], _LIST, "plans"):
             plan_id = _expect(_expect(entry, _OBJECT, "plans entry")["id"], _PLAN_ID, "plan id")
             if any(p.id == plan_id for p in plans):
-                raise ValidationError(f"duplicate plan id {plan_id!r} in plans file")
+                raise ValidationError(f"duplicate plan id {_brief(plan_id)} in plans file")
             description = _expect(
                 entry.get("description", ""), _STRING, f"description of {plan_id!r}"
             )

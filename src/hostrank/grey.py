@@ -9,8 +9,15 @@ solution
 recovering original-scale forecasts by first differences. The least
 squares runs on the standard midpoint background values
 z(k) = (x1(k) + x1(k-1)) / 2; its raw coefficients (a, b) describe the
-discrete relation x0(k) = b - a z(k) and are then mapped to the
-continuous pair
+discrete relation x0(k) = b - a z(k). With two unknowns the fit has a
+closed form, solved in Python floats on centred sums: with u = -z and
+y = x0(k) for k = 1..n-1, a = sum((u - mean u)(y - mean y)) /
+sum((u - mean u)^2) and b = mean y - a mean u. The sums run on the
+series scaled by a power of two, which is exact, so no square leaves
+the float range, and they are math.fsum's, so no BLAS kernel or Python
+version moves a bit. An SVD least squares (np.linalg.lstsq) gives the
+same fit up to rounding. The raw pair is then mapped to the continuous
+pair
 
     alpha = ln((2 + a) / (2 - a)),    mu = b * alpha / a,
 
@@ -33,6 +40,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import NumericError, ValidationError
+from .indicators import _brief
 
 if TYPE_CHECKING:  # pragma: no cover
     from .selection import CityProfile
@@ -69,8 +77,9 @@ class TimeSeries(Record):
         vals = np.array(values, dtype=float)
         if vals.ndim != 1:
             raise ValidationError("time series values must be 1-D")
-        if not np.isfinite(vals).all():
-            raise ValidationError(f"series {label!r} contains non-finite values")
+        # A NaN or an infinity makes the sum non-finite; so, rarely, do large finite values.
+        if not math.isfinite(sum(vals.tolist())) and not np.isfinite(vals).all():
+            raise ValidationError(f"series {_brief(label)} contains non-finite values")
         vals.flags.writeable = False
         self.__dict__.update(label=label, start_period=start_period, values=vals)
 
@@ -109,7 +118,7 @@ def _check_class_ratios(values: list[float], label: str) -> bool:
     ok = min(ratios) > lo and max(ratios) < hi
     if not ok:
         warnings.warn(
-            f"series {label!r} fails the class-ratio test "
+            f"series {_brief(label)} fails the class-ratio test "
             f"(ratios outside ({lo:.4f}, {hi:.4f})); fit may extrapolate poorly",
             stacklevel=3,
         )
@@ -140,35 +149,49 @@ def fit_gm11(series: TimeSeries) -> GreyModel:
 
     A failed class-ratio test only warns; the caller decides whether a
     poorly conditioned series is acceptable. A dispersion-free series
-    is handled exactly (alpha = 0, mu = the constant).
+    is handled exactly (alpha = 0, mu = the constant). Any other series
+    whose cumulative sum overflows is a NumericError, raised before the
+    class-ratio test.
     """
     x0 = series.values.tolist()
     n = len(x0)
+    label = series.label
     if n < _MIN_LENGTH:
         raise ValidationError(
-            f"series {series.label!r} has {n} observations; need >= {_MIN_LENGTH}"
+            f"series {_brief(label)} has {n} observations; need >= {_MIN_LENGTH}"
         )
     lowest = min(x0)
     if lowest <= 0:
         raise ValidationError(
-            f"series {series.label!r} has nonpositive values; shift before fitting"
+            f"series {_brief(label)} has nonpositive values; shift before fitting"
         )
-    ratio_ok = _check_class_ratios(x0, series.label)
-
-    if max(x0) == lowest:
+    constant = max(x0) == lowest
+    x1 = list(accumulate(x0))
+    if math.isinf(x1[-1]) and not constant:
+        raise NumericError(f"cumulative sum of series {_brief(label)} overflows")
+    ratio_ok = _check_class_ratios(x0, label)
+    if constant:
         return GreyModel(alpha=0.0, mu=x0[0], source=series, class_ratio_ok=ratio_ok)
 
-    # Design rows (-z(k), 1) with midpoint background z(k) = (x1(k) + x1(k-1)) / 2.
-    x1 = list(accumulate(x0))
-    design = np.array([((x1[k] + x1[k - 1]) * -0.5, 1.0) for k in range(1, n)])
-    coef, _, rank, _ = np.linalg.lstsq(design, series.values[1:], rcond=None)
-    if rank < 2:
-        raise NumericError(f"singular normal equations for series {series.label!r}")
-    a, b = float(coef[0]), float(coef[1])
+    # Least squares of y = x0(k) on u = -z(k), z(k) = (x1(k) + x1(k-1)) / 2,
+    # in centred sums over the series scaled by 2**-e: the scaling is exact,
+    # so the fit is the unscaled one while no square leaves the float range.
+    scale = math.ldexp(1.0, -max(math.frexp(x1[-1])[1], -1000))
+    h = -0.5 * scale
+    u = [p * h + q * h for p, q in zip(x1, x1[1:])]
+    y = [v * scale for v in x0[1:]]
+    u_mean = math.fsum(u) / len(u)
+    y_mean = math.fsum(y) / len(y)
+    du = [v - u_mean for v in u]
+    s_uu = math.fsum([d * d for d in du])
+    if not 0.0 < s_uu < math.inf:
+        raise NumericError(f"singular normal equations for series {_brief(label)}")
+    a = math.fsum([d * (v - y_mean) for d, v in zip(du, y)]) / s_uu
+    b = (y_mean - a * u_mean) / scale
     if abs(a) >= _COEF_LIMIT:
         raise NumericError(
             f"development coefficient {a!r} outside the stable range "
-            f"(-{_COEF_LIMIT}, {_COEF_LIMIT}) for series {series.label!r}"
+            f"(-{_COEF_LIMIT}, {_COEF_LIMIT}) for series {_brief(label)}"
         )
     if abs(a) < _ALPHA_EPS:
         alpha, mu = a, b
@@ -195,7 +218,7 @@ def _fit_shifted(series: TimeSeries, until: int) -> tuple[GreyModel, float]:
     """The fit behind a forecast through ``until`` and the shift it was fitted at."""
     if until < series.last_period:
         raise ValidationError(
-            f"until={until} precedes the last observation of {series.label!r} "
+            f"until={until} precedes the last observation of {_brief(series.label)} "
             f"({series.last_period})"
         )
     values = series.values.tolist()
@@ -203,7 +226,7 @@ def _fit_shifted(series: TimeSeries, until: int) -> tuple[GreyModel, float]:
     shift = 1.0 - lowest if lowest <= 0.0 else 0.0
     if shift:
         if math.isinf(max(values) + shift):
-            raise ValidationError(f"series {series.label!r} contains non-finite values")
+            raise ValidationError(f"series {_brief(series.label)} contains non-finite values")
         series = TimeSeries(series.label, series.start_period, series.values + shift)
     return fit_gm11(series), shift
 
@@ -234,19 +257,19 @@ def forecast_value(series: TimeSeries, until: int) -> float:
         x1 = _cumulative_curve(model, (k - 1, k))
     value = float(x1[1]) - float(x1[0]) - shift
     if not math.isfinite(value):
-        raise ValidationError(f"series {series.label!r} contains non-finite values")
+        raise ValidationError(f"series {_brief(series.label)} contains non-finite values")
     return value
 
 
 def climate_series(city: "CityProfile", indicator: str) -> TimeSeries:
     """One of a city's climate series, checked to be long enough to forecast."""
     if indicator not in city.climate:
-        raise ValidationError(f"city {city.name!r} has no series for {indicator!r}")
+        raise ValidationError(f"city {_brief(city.name)} has no series for {_brief(indicator)}")
     series = city.climate[indicator]
     if len(series) < _MIN_LENGTH:
         raise ValidationError(
-            f"city {city.name!r} has only {len(series)} observations of "
-            f"{indicator!r}; need >= {_MIN_LENGTH}"
+            f"city {_brief(city.name)} has only {len(series)} observations of "
+            f"{_brief(indicator)}; need >= {_MIN_LENGTH}"
         )
     return series
 

@@ -417,9 +417,12 @@ _KINDS = {
 
 
 def _brief(value: Any) -> str:
-    """``repr(value)``, cut to 60 characters and its length when longer: a short error line."""
+    """``repr(value)``, cut to 60 characters and its length when longer: a short error line.
+
+    A string of up to 60 characters and its two quotes are shown whole.
+    """
     text = repr(value)
-    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+    return text if len(text) <= 62 else f"{text[:60]}... ({len(text)} characters)"
 
 
 def _expect(

@@ -47,7 +47,7 @@ def format_number(value: float) -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):  # the common cell, so tested first
+    if isinstance(value, float):  # numpy floats; render_table formats exact floats itself
         return format_number(value)
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -64,5 +64,6 @@ def render_table(
     writer = csv.writer(body, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_cell(v) for v in row])
+        # An exact float, the common cell, skips the call; _cell formats it the same.
+        writer.writerow([format(v, ".9g") if type(v) is float else _cell(v) for v in row])
     return "\n".join(provenance.header_lines()) + "\n" + body.getvalue()

@@ -24,7 +24,7 @@ from ._record import Record, frozen_array
 from .combining import FeatureSelection, score_rows
 from .errors import ConfigError, ValidationError
 from .grey import TimeSeries, climate_series, forecast_value
-from .indicators import IndicatorHierarchy, IndicatorId, Polarity
+from .indicators import IndicatorHierarchy, IndicatorId, Polarity, _brief
 
 __all__ = [
     "FEB_TEMP",
@@ -190,7 +190,7 @@ def _check_unique(cities: Sequence[CityProfile]) -> None:
     if len(set(keys)) != len(keys):
         seen: set = set()  # set.add returns None, so next() stops at the first repeat
         dup = next(k for k in keys if k in seen or seen.add(k))
-        raise ValidationError(f"duplicate city {dup[0]!r} ({dup[1]}) in pool")
+        raise ValidationError(f"duplicate city {_brief(dup[0])} ({dup[1]}) in pool")
 
 
 def _ranks(pool: Sequence[CityProfile], metric) -> dict[tuple[str, str], int]:

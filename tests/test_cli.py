@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -1183,6 +1184,76 @@ class TestErrorContract:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and message in err and err.count("\n") == 1
+        assert not outdir.exists()
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["forecast", "--indicator", "feb_temp_c", "--until", "2030", "--city", "Calgary"],
+         ["screen", "winter"]],
+        ids=["forecast", "screen-winter"],
+    )
+    def test_series_whose_cumulative_sum_overflows_is_a_numeric_error(
+        self, tmp_path, fixtures_dir, config_path, outdir, capsys, argv
+    ):
+        """Finite values whose running sum leaves the float range: one line,
+        exit 4, and no class-ratio warning before it. Every city holds them,
+        so the gate stops at the first city it forecasts."""
+        from hostrank.cli import EXIT_NUMERIC
+
+        pool = json.loads((fixtures_dir / "winter_pool.json").read_text())
+        for city in pool["cities"]:
+            city["climate"]["feb_temp_c"]["values"] = [1e308, 1.7e308, 1e308, 1.2e308]
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps(pool))
+        words = 2 if argv[0] == "screen" else 1
+        code = main([*argv[:words], "--pool", str(path), "--config", str(config_path),
+                     *argv[words:]])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"numeric error: cumulative sum of series '\w+/feb_temp_c' overflows\n", err
+        )
+        if argv[0] == "forecast":
+            assert "'Calgary/" in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("case", ["pool city", "duplicate city", "plan id", "--city"])
+    def test_long_name_is_quoted_short(self, tmp_path, fixtures_dir, outdir, capsys, case):
+        """A 50,000-character city name or plan id is quoted by its first 60
+        characters and its length, in one line under 200 characters."""
+        name = "n" * 50_000
+        cut = f"'{'n' * 59}... (50002 characters)"
+        pool = json.loads((fixtures_dir / "winter_pool.json").read_text())
+        plans = json.loads((fixtures_dir / "plans.json").read_text())
+        argv = ["screen", "winter"]
+        if case == "pool city":
+            pool["cities"][0].update(name=name, gdp=float("inf"))
+            message = f"pool city {cut} has a non-finite gdp: inf"
+        elif case == "duplicate city":
+            pool["cities"][1].update(name=name, country=pool["cities"][0]["country"])
+            pool["cities"][0]["name"] = name
+            message = f"duplicate city {cut} ({pool['cities'][0]['country']}) in pool"
+        elif case == "plan id":
+            plans["plans"][1]["id"] = plans["plans"][2]["id"] = name
+            argv = ["compare-schemes"]
+            message = f"duplicate plan id {cut} in plans file"
+        else:
+            argv = ["forecast", "--indicator", "feb_temp_c", "--until", "2030", "--city", name]
+            message = f"city {cut} not in pool"
+        (tmp_path / "pool.json").write_text(json.dumps(pool))
+        (tmp_path / "plans.json").write_text(json.dumps(plans))
+        config = write_config(
+            tmp_path, fixtures_dir, lambda cfg: cfg.update(plans=str(tmp_path / "plans.json"))
+        )
+        words = {"screen": 2, "forecast": 1}.get(argv[0])
+        if words:
+            argv = [*argv[:words], "--pool", str(tmp_path / "pool.json"), *argv[words:]]
+        code = main([*argv, "--config", str(config)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"validation error: {message}\n"
+        assert len(err) < 200
         assert not outdir.exists()
 
 

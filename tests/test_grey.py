@@ -1,5 +1,6 @@
 """Tests for the grey forecasting model."""
 
+import json
 import math
 import warnings
 
@@ -56,6 +57,79 @@ class TestFit:
         with pytest.warns(UserWarning, match="class-ratio"):
             model = fit_gm11(TimeSeries("wild", 0, values))
         assert not model.class_ratio_ok
+
+
+class TestFloatRange:
+    def test_cumulative_sum_that_overflows_is_a_numeric_error(self):
+        """Finite values whose running sum is past the float range: one error,
+        raised before the class-ratio test, so no warning precedes it."""
+        series = TimeSeries("x", 2000, np.array([1e308, 1.7e308, 1e308, 1.2e308]))
+        message = "^cumulative sum of series 'x' overflows$"
+        for call in (fit_gm11, lambda s: forecast_series(s, 2010),
+                     lambda s: forecast_value(s, 2010)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError, match=message):
+                    call(series)
+
+    def test_constant_series_past_the_float_range_keeps_the_exact_branch(self):
+        model = fit_gm11(TimeSeries("c", 0, np.full(4, 1e308)))
+        assert (model.alpha, model.mu) == (0.0, 1e308)
+
+    def test_squares_past_the_float_range_still_fit(self):
+        """Decided: [1e200, 2e200, 3e200, 5e200] fits and forecasts. Its
+        squares overflow, but the sums run on the series scaled by a power
+        of two, so the fit is that of [1, 2, 3, 5] scaled back."""
+        values = np.array([1e200, 2e200, 3e200, 5e200])
+        series = TimeSeries("x", 2017, values)
+        small = TimeSeries("x", 2017, values / 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the ratio 1/2 fails the class-ratio test
+            big_fit, small_fit = fit_gm11(series), fit_gm11(small)
+            out = forecast_series(series, 2030).values
+            expected = forecast_series(small, 2030).values * 1e200
+        assert big_fit.alpha == pytest.approx(small_fit.alpha, rel=1e-14)
+        assert big_fit.mu == pytest.approx(small_fit.mu * 1e200, rel=1e-14)
+        assert out == pytest.approx(expected, rel=1e-12)
+
+    @given(
+        values=st.lists(st.floats(min_value=0.01, max_value=1e4), min_size=4, max_size=12),
+        power=st.integers(min_value=-900, max_value=900),
+    )
+    @settings(max_examples=100)
+    def test_power_of_two_scaling_is_exact(self, values, power):
+        """Scaling a series by 2**p scales mu by 2**p and leaves alpha, the
+        warnings and the errors as they are, bit for bit."""
+        series = TimeSeries("s", 0, np.array(values))
+        scaled = TimeSeries("s", 0, np.array(values) * 2.0**power)
+        fit, fit_warned = _outcome(lambda: fit_gm11(series))
+        big, big_warned = _outcome(lambda: fit_gm11(scaled))
+        assert big_warned == fit_warned
+        if isinstance(fit, tuple):
+            assert big == fit
+        else:
+            assert _bits([big.alpha, big.mu]) == _bits([fit.alpha, math.ldexp(fit.mu, power)])
+
+    def test_large_finite_values_whose_sum_overflows_are_accepted(self):
+        values = np.array([1e308, 1e308, -1e308, 1e308])
+        assert np.array_equal(TimeSeries("x", 0, values).values, values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_rejected(self, bad):
+        with pytest.raises(ValidationError, match="^series 'x' contains non-finite values$"):
+            TimeSeries("x", 0, np.array([1.0, bad, 2.0, 3.0]))
+
+    def test_long_label_is_quoted_short(self):
+        label = "n" * 50_000
+        with pytest.raises(ValidationError) as caught:
+            fit_gm11(TimeSeries(label, 0, np.array([1.0, 2.0, 3.0])))
+        cut = f"'{'n' * 59}... (50002 characters)"
+        assert str(caught.value) == f"series {cut} has 3 observations; need >= 4"
+
+    def test_label_of_60_characters_is_quoted_whole(self):
+        label = "n" * 60
+        with pytest.raises(ValidationError, match=f"^series '{label}' has 3 observations"):
+            fit_gm11(TimeSeries(label, 0, np.array([1.0, 2.0, 3.0])))
 
 
 class TestPredict:
@@ -217,8 +291,24 @@ class TestGreyProperties:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the eager numpy fit and its closed-form cumulative curve.
-# fit_gm11 and forecast_series must reproduce them bit for bit.
+# Reference: the eager numpy fit (an SVD least squares, np.linalg.lstsq) and
+# its closed-form cumulative curve. fit_gm11 solves the same least squares in
+# closed form, so its (alpha, mu) agree with the reference to the tolerances
+# below, not bit for bit. The forecast path is exact: forecast_series
+# reproduces the reference curve at fit_gm11's own (alpha, mu) bit for bit.
+#
+# Two least-squares solvers differ by rounding, and how far rounding moves
+# a fit depends on the data. So each tolerance is _ROUNDING_TOL times a
+# first-order rounding scale that _rounding_scales works out from the series
+# (see there). _ROUNDING_TOL is over 10x the worst ratio of difference to
+# scale measured between the two fits in two runs of 40,000 series each,
+# drawn from this file's hypothesis domains with horizons 0-40: 2.4 for
+# alpha, 1.1 for mu and 1.1 for a forecast value. (Plain tolerances failed:
+# near |a| = 2 the mapping stretches a's rounding 25-fold, and a nearly flat
+# background z loses digits in the centring.) Outcomes, warnings and
+# messages matched.
+_ROUNDING_TOL = 32.0
+_EPS = 2.0**-52
 
 
 def _reference_curve(alpha, mu, first, count):
@@ -229,6 +319,48 @@ def _reference_curve(alpha, mu, first, count):
         out = (first - mu / alpha) * np.exp(-alpha * k) + mu / alpha
     out[0] = first
     return out
+
+
+def _rounding_scales(values, alpha):
+    """First-order rounding errors of a fit to positive ``values`` with
+    decay ``alpha``: (alpha's absolute, mu's relative).
+
+    Centring u = -z(k) loses |mean u| / std u of the digits, and the raw
+    slope a = cov(u, y) / var(u) is read from the centred sums. Then
+    alpha = ln((2 + a) / (2 - a)) has slope cosh(alpha / 2)**2 in a, and
+    mu = b alpha / a with b = mean y - a mean u.
+    """
+    x1 = np.cumsum(values)
+    u, y = -0.5 * (x1[1:] + x1[:-1]), values[1:]
+    du, dy = u - u.mean(), y - y.mean()
+    a = float(du @ dy / (du @ du))
+    b = float(y.mean() - a * u.mean())
+    u_mean, y_mean, u_std = abs(float(u.mean())), abs(float(y.mean())), float(u.std())
+    err_a = _EPS * (1 + u_mean / u_std) * (abs(a) + float(y.std()) / u_std)
+    err_alpha = math.cosh(alpha / 2) ** 2 * err_a + _EPS
+    if not (alpha and a and b):
+        return err_alpha, math.inf
+    err_b = u_mean * err_a + _EPS * (y_mean + abs(a) * u_mean)
+    return err_alpha, err_alpha / abs(alpha) + err_a / abs(a) + err_b / abs(b)
+
+
+def _forecast_scale(values, alpha, mu, count):
+    """First-order rounding error of each original-scale value of the curve.
+
+    A value is the difference of two points of the cumulative curve
+    (x0(1) - c) exp(-alpha k) + c, c = mu / alpha. Its error is c's error in
+    both terms, plus k times alpha's error in the exponential one.
+    """
+    err_alpha, err_mu = _rounding_scales(values, alpha)
+    k = np.arange(count, dtype=float)
+    first = float(values[0])
+    if abs(alpha) < 1e-12:
+        return (abs(first) + abs(mu) * k) * (err_mu + _EPS)
+    c = mu / alpha
+    err_c = abs(c) * (err_mu + err_alpha / abs(alpha) + _EPS)
+    with np.errstate(over="ignore"):
+        growth = np.exp(-alpha * k)
+    return (abs(first - c) * (k * err_alpha + _EPS) + err_c) * growth + err_c
 
 
 def _reference_fit(series):
@@ -255,15 +387,25 @@ def _reference_fit(series):
     return dict(alpha=alpha, mu=mu, class_ratio_ok=ratio_ok)
 
 
-def _reference_forecast(series, until):
+def _model_fit(series):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = fit_gm11(series)
+    return dict(alpha=model.alpha, mu=model.mu, class_ratio_ok=model.class_ratio_ok)
+
+
+def _reference_forecast(series, until, fit=_reference_fit):
+    """History and forecasts through ``until``, from the curve at ``fit``'s parameters."""
     horizon = until - series.last_period
     lowest = float(series.values.min())
     shift = 1.0 - lowest if lowest <= 0.0 else 0.0
-    ref = _reference_fit(TimeSeries(series.label, series.start_period, series.values + shift))
-    x1 = _reference_curve(ref["alpha"], ref["mu"], float(series.values[0] + shift),
-                          len(series) + horizon)
+    values = series.values + shift
+    ref = fit(TimeSeries(series.label, series.start_period, values))
+    count = len(series) + horizon
+    x1 = _reference_curve(ref["alpha"], ref["mu"], float(values[0]), count)
     tail = np.concatenate([[x1[0]], np.diff(x1)])[len(series):] - shift
-    return np.concatenate([series.values, tail])
+    scale = _forecast_scale(values, ref["alpha"], ref["mu"], count)
+    return np.concatenate([series.values, tail]), scale
 
 
 def _bits(x):
@@ -271,26 +413,38 @@ def _bits(x):
     return arr.shape, arr.tobytes()
 
 
+def assert_fit_close(got, ref, values):
+    """A fit to positive ``values`` against the reference fit: the class-ratio
+    flag exactly, (alpha, mu) exactly for a constant series, else to the
+    stated tolerances."""
+    assert got["class_ratio_ok"] == ref["class_ratio_ok"]
+    alpha, mu = ref["alpha"], ref["mu"]
+    if values.max() == values.min():
+        assert _bits([got["alpha"], got["mu"]]) == _bits([alpha, mu])
+        return
+    err_alpha, err_mu = _rounding_scales(values, alpha)
+    assert abs(got["alpha"] - alpha) <= _ROUNDING_TOL * err_alpha, (got["alpha"], alpha)
+    assert abs(got["mu"] - mu) <= _ROUNDING_TOL * err_mu * abs(mu), (got["mu"], mu)
+
+
 def assert_matches_reference(series):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = fit_gm11(series)
-    ref = _reference_fit(series)
-    assert model.alpha == ref["alpha"] and _bits(model.alpha) == _bits(ref["alpha"])
-    assert model.mu == ref["mu"] and _bits(model.mu) == _bits(ref["mu"])
-    assert model.class_ratio_ok == ref["class_ratio_ok"]
+    assert_fit_close(_model_fit(series), _reference_fit(series), series.values)
 
 
 def assert_forecast_matches_reference(series, until):
-    expected = _reference_forecast(series, until)
+    expected, scale = _reference_forecast(series, until)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if not np.all(np.isfinite(expected)):
             with pytest.raises(ValidationError, match="non-finite"):
                 forecast_series(series, until)
             return
-        out = forecast_series(series, until)
-    assert _bits(out.values) == _bits(expected)
+        out = forecast_series(series, until).values
+    assert _bits(out) == _bits(_reference_forecast(series, until, _model_fit)[0])
+    n = len(series)
+    assert _bits(out[:n]) == _bits(series.values)
+    gap = np.abs(out[n:] - expected[n:])
+    assert np.all(gap <= _ROUNDING_TOL * scale[n:]), (out[n:], expected[n:])
 
 
 class TestFitEqualsEagerReference:
@@ -346,9 +500,10 @@ class TestFitEqualsEagerReference:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the numpy fit that fit_gm11 replaced (array cumsum, ratios and
-# design rows). The Python-float fit must agree with it bit for bit, and the
-# one-value forecast with the whole forecast path, errors and warnings included.
+# Reference: the numpy fit with array cumsum, ratios and an lstsq solve. The
+# closed-form fit must agree with it: warnings, errors and the class-ratio flag
+# exactly, (alpha, mu) to the tolerances above. The one-value forecast must
+# agree with the whole forecast path bit for bit, errors and warnings included.
 
 
 def _numpy_fit_gm11(series):
@@ -437,6 +592,9 @@ class TestOneValueForecastEqualsFullPath:
     )
     @settings(max_examples=400, deadline=None)
     def test_fit_and_forecast_value_match_bit_for_bit(self, values, horizon):
+        """The fit matches the numpy reference: warnings, errors and the
+        class-ratio flag exactly, (alpha, mu) to the stated tolerances.
+        The one-value forecast matches the full path bit for bit."""
         series = TimeSeries("s", 2000, np.array(values))
         fit, fit_warned = _outcome(lambda: fit_gm11(series))
         ref, ref_warned = _outcome(lambda: _numpy_fit_gm11(series))
@@ -444,9 +602,8 @@ class TestOneValueForecastEqualsFullPath:
         if isinstance(ref, tuple):
             assert fit == ref
         else:
-            for name, expected in ref.items():
-                got = getattr(fit, name)
-                assert got == expected and _bits(got) == _bits(expected), name
+            got = {name: getattr(fit, name) for name in ref}
+            assert_fit_close(got, ref, series.values)
 
         until = series.last_period + horizon
         value = _outcome(lambda: forecast_value(series, until))
@@ -475,3 +632,51 @@ class TestOneValueForecastEqualsFullPath:
             assert value[0] == (ValidationError, "series 'boom' contains non-finite values")
         else:
             assert math.isfinite(value[0])
+
+
+class TestGateEqualsReference:
+    def test_perturbed_winter_pools_gate_as_the_reference_does(self, fixtures_dir):
+        """200 seeded perturbations of the winter fixture pool, gated at the
+        shipped config: every passed and ideal flag is the lstsq reference's,
+        and every forecast prints as the reference's does (9 digits) unless
+        the two straddle a rounding boundary. Of these 4,800 forecasts, one
+        does: Stockholm's snow, 22.56951735 to within 6e-11."""
+        from hostrank.dataio import load_pool, load_requirement
+
+        winter = json.loads((fixtures_dir / "run.json").read_text())["screen"]["winter"]
+        requirement, until = load_requirement(winter["requirement"]), winter["until"]
+        lo, hi = requirement.ideal_temp_range
+        pool = load_pool(fixtures_dir / "winter_pool.json")
+        rng = np.random.default_rng(20261019)
+        for _ in range(200):
+            cities = [
+                CityProfile(c.name, c.country, c.gdp, c.sports_score, {
+                    name: TimeSeries(s.label, s.start_period,
+                                     s.values + rng.normal(0.0, 0.5 + 0.05 * abs(s.values)))
+                    for name, s in c.climate.items()
+                })
+                for c in pool
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # some perturbed series fail the ratio test
+                gated = winter_climate_filter(cities, requirement, until)
+                for a, city in zip(gated, cities):
+                    temp, snow = (_reference_forecast(city.climate[name], until)[0][-1]
+                                  for name in ("feb_temp_c", "feb_snow_cm"))
+                    passed = temp < requirement.max_feb_temp and snow >= requirement.min_feb_snow
+                    assert_prints_alike(a.feb_temp, temp)
+                    assert_prints_alike(a.feb_snow, snow)
+                    assert (a.passed, a.ideal) == (passed, passed and lo <= temp <= hi)
+
+
+def assert_prints_alike(got, ref):
+    """``got`` prints as ``ref`` at 9 digits, or the two are within 1e-10 and
+    a 9-digit rounding boundary (the midpoint of the printed values) lies
+    between them."""
+    from hostrank.reporting import format_number
+
+    printed = format_number(got), format_number(ref)
+    if printed[0] != printed[1]:
+        boundary = (float(printed[0]) + float(printed[1])) / 2
+        assert min(got, ref) <= boundary <= max(got, ref), (got, ref)
+        assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
