@@ -12,12 +12,13 @@ z(k) = (x1(k) + x1(k-1)) / 2; its raw coefficients (a, b) describe the
 discrete relation x0(k) = b - a z(k). With two unknowns the fit has a
 closed form, solved in Python floats on centred sums: with u = -z and
 y = x0(k) for k = 1..n-1, a = sum((u - mean u)(y - mean y)) /
-sum((u - mean u)^2) and b = mean y - a mean u. The sums run on the
-series scaled by a power of two, which is exact, so no square leaves
-the float range, and they are math.fsum's, so no BLAS kernel or Python
-version moves a bit. An SVD least squares (np.linalg.lstsq) gives the
-same fit up to rounding. The raw pair is then mapped to the continuous
-pair
+sum((u - mean u)^2) and b = mean y - a mean u. The sums are
+math.fsum's, so no BLAS kernel or Python version moves a bit, and an SVD
+least squares (np.linalg.lstsq) gives the same fit up to rounding. A
+series too large for the sums to stay in the float range, or so small
+that sum((u - mean u)^2) is not a normal float, counts as singular, as
+lstsq's relative rank test had such series. The raw pair is then mapped
+to the continuous pair
 
     alpha = ln((2 + a) / (2 - a)),    mu = b * alpha / a,
 
@@ -32,6 +33,7 @@ equal mu.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from itertools import accumulate
 from typing import TYPE_CHECKING
@@ -173,21 +175,22 @@ def fit_gm11(series: TimeSeries) -> GreyModel:
     if constant:
         return GreyModel(alpha=0.0, mu=x0[0], source=series, class_ratio_ok=ratio_ok)
 
-    # Least squares of y = x0(k) on u = -z(k), z(k) = (x1(k) + x1(k-1)) / 2,
-    # in centred sums over the series scaled by 2**-e: the scaling is exact,
-    # so the fit is the unscaled one while no square leaves the float range.
-    scale = math.ldexp(1.0, -max(math.frexp(x1[-1])[1], -1000))
-    h = -0.5 * scale
-    u = [p * h + q * h for p, q in zip(x1, x1[1:])]
-    y = [v * scale for v in x0[1:]]
-    u_mean = math.fsum(u) / len(u)
-    y_mean = math.fsum(y) / len(y)
-    du = [v - u_mean for v in u]
-    s_uu = math.fsum([d * d for d in du])
-    if not 0.0 < s_uu < math.inf:
+    # Least squares of y = x0(k) on u = -z(k), z(k) = (x1(k) + x1(k-1)) / 2, in
+    # centred sums. No sum leaves the float range while n * x1[-1]**2 stays in
+    # it; past that range, or with s_uu below the normal floats (its digits
+    # lost), the equations count as singular.
+    s_uu = 0.0
+    if x1[-1] * x1[-1] * n < math.inf:
+        u = [(p + q) * -0.5 for p, q in zip(x1, x1[1:])]
+        y = x0[1:]
+        u_mean = math.fsum(u) / len(u)
+        y_mean = math.fsum(y) / len(y)
+        du = [v - u_mean for v in u]
+        s_uu = math.fsum([d * d for d in du])
+    if not s_uu >= sys.float_info.min:
         raise NumericError(f"singular normal equations for series {_brief(label)}")
     a = math.fsum([d * (v - y_mean) for d, v in zip(du, y)]) / s_uu
-    b = (y_mean - a * u_mean) / scale
+    b = y_mean - a * u_mean
     if abs(a) >= _COEF_LIMIT:
         raise NumericError(
             f"development coefficient {a!r} outside the stable range "

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from ._record import Record
 
-__all__ = ["Provenance", "format_number", "render_table", "hash_bytes"]
+__all__ = ["NUMBER_FORMAT", "Provenance", "format_number", "render_table", "hash_bytes"]
 
 
 def hash_bytes(data: bytes) -> str:
@@ -41,14 +41,16 @@ class Provenance(Record):
         ]
 
 
+NUMBER_FORMAT = ".9g"
+"""The format spec of every number written: decimal, 9 significant digits."""
+
+
 def format_number(value: float) -> str:
-    """Decimal, 9 significant digits."""
-    return format(float(value), ".9g")
+    """``value`` printed with ``NUMBER_FORMAT``."""
+    return format(float(value), NUMBER_FORMAT)
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):  # numpy floats; render_table formats exact floats itself
-        return format_number(value)
     if isinstance(value, bool):
         return "1" if value else "0"
     return str(value)
@@ -64,6 +66,7 @@ def render_table(
     writer = csv.writer(body, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        # An exact float, the common cell, skips the call; _cell formats it the same.
-        writer.writerow([format(v, ".9g") if type(v) is float else _cell(v) for v in row])
+        # A float cell, numpy's float64 included, prints as format_number prints it.
+        cells = [format(v, NUMBER_FORMAT) if isinstance(v, float) else _cell(v) for v in row]
+        writer.writerow(cells)
     return "\n".join(provenance.header_lines()) + "\n" + body.getvalue()

@@ -23,6 +23,7 @@ from ._record import Record, frozen_array
 from .combining import FeatureSelection, TotalWeights, score_rows
 from .errors import ConfigError, NumericError, ValidationError
 from .indicators import DecisionMatrix, IndicatorHierarchy, IndicatorId
+from .reporting import NUMBER_FORMAT
 from .selection import FeatureScaler
 
 __all__ = [
@@ -83,26 +84,25 @@ class SensitivityReport(Record):
 
     def to_csv_text(self) -> str:
         """Deterministic serialization, numbers as ``format_number`` prints them."""
-        # One % operation a row; '%.9g' % x is format_number(x). Labels are
-        # arguments, never template text, so a '%' in a name stays literal.
+        # One % operation a row, with format_number's rule as the % conversion.
+        # Labels are arguments, never template text, so a '%' in a name stays literal.
+        g = "%" + NUMBER_FORMAT
+        baseline_row, summary_row = f"baseline,,%s,,,{g},,\n", f"summary,,%s,%s,,{g},,\n"
+        trial_row = f"%s%s%s{g},{g},{g}\n"
         labels = [_csv_field(alt) for alt in self.alternatives]
         out = ["section,trial,alternative,swapped_out,swapped_in,chi,abs_dev,rel_dev\n"]
-        out += [
-            "baseline,,%s,,,%.9g,,\n" % (alt, v) for alt, v in zip(labels, self.baseline.tolist())
-        ]
+        out += [baseline_row % (alt, v) for alt, v in zip(labels, self.baseline.tolist())]
         rows = zip(self.trials, self.chi.tolist(), self.abs_dev.tolist(), self.rel_dev.tolist())
         for t, ((removed, added), chi, dev, rel) in enumerate(rows):
             prefix = f"trial,{t},"
             swap = f",{'|'.join(map(str, removed))},{'|'.join(map(str, added))},"
             out += [
-                "%s%s%s%.9g,%.9g,%.9g\n" % (prefix, alt, swap, c, a, r)
+                trial_row % (prefix, alt, swap, c, a, r)
                 for alt, c, a, r in zip(labels, chi, dev, rel)
             ]
         for alt, stats in self.summary.items():
             label = _csv_field(alt)
-            out += [
-                "summary,,%s,%s,,%.9g,,\n" % (label, key, value) for key, value in stats.items()
-            ]
+            out += [summary_row % (label, key, value) for key, value in stats.items()]
         return "".join(out)
 
 
