@@ -99,14 +99,14 @@ _PATH_KEYS = ("hierarchy", "judgments", "decision_matrix", "pool", "plans", "swo
 
 
 def _is_number(value: Any) -> bool:
-    return type(value) is int or (type(value) is float and math.isfinite(value))
+    return (type(value) is float and math.isfinite(value)) or _INTEGER[1](value)
 
 
 # Rules for config values only, beside the JSON rules of ``indicators``: a
 # config number must be finite, and a config string non-empty.
 _NAME = ("a non-empty string", lambda v: type(v) is str and v != "")
-_COUNT = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
-_RANK = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_COUNT = ("an integer >= 0", lambda v: _INTEGER[1](v) and v >= 0)
+_RANK = ("an integer >= 1", lambda v: _INTEGER[1](v) and v >= 1)
 _FINITE = ("a number", _is_number)
 _SHARE = ("a number in (0, 1]", lambda v: _is_number(v) and 0 < v <= 1)
 _SPAN = ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1)
@@ -191,7 +191,7 @@ class RunConfig(Record):
         data = p.read_bytes()
         try:
             raw = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # bad UTF-8, bad JSON, an integer of over 4,300 digits
             raise ConfigError(f"config file {p} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
@@ -535,10 +535,12 @@ def _cmd_screen(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         (i + 1, c.name, c.country, s.s_base, s.s_evaluate, s.total)
         for i, (c, s) in enumerate(ranked)
     ]
-    feature_rows = []
-    for c, s in ranked:
-        for ind, g, value in zip(w.selection.ids, w.selection.gamma, s.scaled):
-            feature_rows.append((c.name, str(ind), value, float(g), float(g) * value))
+    features = [(str(ind), float(g)) for ind, g in zip(w.selection.ids, w.selection.gamma)]
+    feature_rows = [
+        (c.name, ind, value, g, g * value)
+        for c, s in ranked
+        for (ind, g), value in zip(features, s.scaled)
+    ]
     tables[f"{season}_ranking.csv"] = (
         ["rank", "city", "country", "s_base", "s_evaluate", "total"],
         ranking_rows,

@@ -22,7 +22,8 @@ to the continuous pair
 
     alpha = ln((2 + a) / (2 - a)),    mu = b * alpha / a,
 
-which is the exact discrete-to-continuous correspondence: data that
+with alpha computed as log1p(2a / (2 - a)), so a small a keeps its digits.
+This is the exact discrete-to-continuous correspondence: data that
 satisfy the discrete relation without residual (any geometric series)
 are reproduced and extrapolated by the exponential solution to machine
 precision. As a -> 0 the mapping tends to (a, b); below 1e-12 the
@@ -62,6 +63,8 @@ __all__ = [
 _MIN_LENGTH = 4
 _ALPHA_EPS = 1e-12
 _COEF_LIMIT = 2.0
+# The largest double whose exp is finite; exp of the next one up overflows.
+_EXP_MAX = 709.782712893384
 
 
 class TimeSeries(Record):
@@ -75,12 +78,18 @@ class TimeSeries(Record):
 
     _fields = ("label", "start_period", "values")
 
-    def __init__(self, label: str, start_period: int, values: np.ndarray) -> None:
+    def __init__(self, label: str, start_period: int, values: "np.ndarray | list") -> None:
         vals = np.array(values, dtype=float)
         if vals.ndim != 1:
             raise ValidationError("time series values must be 1-D")
         # A NaN or an infinity makes the sum non-finite; so, rarely, do large finite values.
-        if not math.isfinite(sum(vals.tolist())) and not np.isfinite(vals).all():
+        # A list of numbers is summed as given; one that also holds a value np.array
+        # converts (None, a numeric string) leaves the test to the array.
+        try:
+            total = sum(values if type(values) is list else vals.tolist(), 0.0)
+        except TypeError:
+            total = math.nan
+        if not math.isfinite(total) and not np.isfinite(vals).all():
             raise ValidationError(f"series {_brief(label)} contains non-finite values")
         vals.flags.writeable = False
         self.__dict__.update(label=label, start_period=start_period, values=vals)
@@ -199,7 +208,8 @@ def fit_gm11(series: TimeSeries) -> GreyModel:
     if abs(a) < _ALPHA_EPS:
         alpha, mu = a, b
     else:
-        alpha = math.log((_COEF_LIMIT + a) / (_COEF_LIMIT - a))
+        # ln((2 + a) / (2 - a)) as ln(1 + 2a / (2 - a)): the ratio would round a small a.
+        alpha = math.log1p(2 * a / (_COEF_LIMIT - a))
         mu = b * alpha / a
     return GreyModel(alpha=alpha, mu=mu, source=series, class_ratio_ok=ratio_ok)
 
@@ -230,7 +240,7 @@ def _fit_shifted(series: TimeSeries, until: int) -> tuple[GreyModel, float]:
     if shift:
         if math.isinf(max(values) + shift):
             raise ValidationError(f"series {_brief(series.label)} contains non-finite values")
-        series = TimeSeries(series.label, series.start_period, series.values + shift)
+        series = TimeSeries(series.label, series.start_period, [v + shift for v in values])
     return fit_gm11(series), shift
 
 
@@ -256,9 +266,16 @@ def forecast_value(series: TimeSeries, until: int) -> float:
     k = until - series.start_period
     if k < len(series):
         return float(series.values[k])
-    with np.errstate(over="ignore", invalid="ignore"):
-        x1 = _cumulative_curve(model, (k - 1, k))
-    value = float(x1[1]) - float(x1[0]) - shift
+    # x1_hat(k) - x1_hat(k - 1) by the IEEE operations of _cumulative_curve, on Python floats.
+    alpha, mu, first = model.alpha, model.mu, float(model.source.values[0])
+    if abs(alpha) < _ALPHA_EPS:
+        value = (k * mu + first) - ((k - 1) * mu + first) - shift
+    elif k * -alpha > _EXP_MAX:
+        value = math.inf  # exp overflows, and the curve with it
+    else:
+        c = mu / alpha
+        x1 = [float(np.exp(i * -alpha)) * (first - c) + c for i in (k - 1, k)]
+        value = x1[1] - x1[0] - shift
     if not math.isfinite(value):
         raise ValidationError(f"series {_brief(series.label)} contains non-finite values")
     return value

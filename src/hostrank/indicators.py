@@ -397,10 +397,13 @@ def _json_document(text: str, what: str) -> Iterator[dict]:
 
 # Rules for JSON values, in config and input files alike: (what a value must
 # be, the test it must pass). JSON true and false load as bool, which
-# ``type(v) is int`` keeps out; a number may be NaN or infinite.
-_NUMBER_TYPES = frozenset((int, float))
-_NUMBER = ("a number", lambda v: type(v) in _NUMBER_TYPES)
-_INTEGER = ("an integer", lambda v: type(v) is int)
+# ``type(v) is int`` keeps out; a number may be NaN or infinite. A JSON
+# integer is a number only if float() can represent it: 2**1024 - 2**970 is
+# the least one that rounds past the float range, so float() refuses it.
+_INT_LIMIT = 2**1024 - 2**970
+_INTEGER = ("an integer", lambda v: type(v) is int and -_INT_LIMIT < v < _INT_LIMIT)
+_NUMBER = ("a number", lambda v: type(v) is float or _INTEGER[1](v))
+_FLOATS = frozenset((float,))
 _STRING = ("a string", lambda v: type(v) is str)
 _FLAG = ("true or false", lambda v: type(v) is bool)
 _LIST = ("a list", lambda v: type(v) is list)
@@ -437,7 +440,7 @@ def _expect(
 
 def _json_numbers(values: list, what: str) -> list:
     """``values``, if JSON gave each as a number; else the ``_NUMBER`` error for the first."""
-    if not _NUMBER_TYPES.issuperset(map(type, values)):
+    if not _FLOATS.issuperset(map(type, values)):  # one type scan; an int needs its range test
         for value in values:
             _expect(value, _NUMBER, what)
     return values

@@ -190,7 +190,7 @@ def _check_unique(cities: Sequence[CityProfile]) -> None:
     if len(set(keys)) != len(keys):
         seen: set = set()  # set.add returns None, so next() stops at the first repeat
         dup = next(k for k in keys if k in seen or seen.add(k))
-        raise ValidationError(f"duplicate city {_brief(dup[0])} ({dup[1]}) in pool")
+        raise ValidationError(f"duplicate city {_brief(dup[0])} ({_brief(dup[1])}) in pool")
 
 
 def _ranks(pool: Sequence[CityProfile], metric) -> dict[tuple[str, str], int]:

@@ -137,6 +137,10 @@ def matrix_json_form(text: str) -> dict:
     }
 
 
+# The JSON integer 10**400, written out in full: past the float range.
+_PAST_FLOATS = 10**400
+
+
 def write_config(tmp_path: Path, fixtures_dir: Path, edit) -> Path:
     """The shipped run config with absolute input paths, changed by ``edit(cfg)``."""
     cfg = json.loads((fixtures_dir / "run.json").read_text())
@@ -902,22 +906,25 @@ class TestErrorContract:
              lambda obj: obj["values"][0].__setitem__(0, True), ["evaluate"],
              "bad value in decision matrix file: cell at row 'New York' must be a number, "
              "got True"),
+            ("pool", "winter_pool.json",
+             lambda obj: obj["cities"][1]["indicators"].update({" A1": 2.0}),
+             ["screen", "winter"], "bad value in pool city #2: indicators name A1 twice"),
         ],
         ids=[
             "pool-json-indicator-nan", "pool-json-gdp-inf", "pool-csv-sports-inf",
             "pool-csv-gdp-nan", "grade-float", "grade-bool", "grade-text", "swot-string",
             "pool-json-gdp-bool", "pool-json-sports-text", "pool-json-indicator-bool",
             "pool-json-indicator-text", "series-start-float", "series-value-text",
-            "series-value-bool", "matrix-json-cell-bool",
+            "series-value-bool", "matrix-json-cell-bool", "pool-json-indicator-twice",
         ],
     )
     def test_input_value_of_the_wrong_kind_is_a_validation_error(
         self, tmp_path, fixtures_dir, outdir, capsys, key, fixture, damage, argv, message
     ):
         """A NaN or infinite pool number, a JSON number given as true, false or a string, a
-        series start or plan grade that is not a JSON integer and a SWOT entry that is not a
-        list of strings each stop the run before any output. A damaged decision matrix is
-        written in its JSON form."""
+        series start or plan grade that is not a JSON integer, a SWOT entry that is not a
+        list of strings and a pool city naming one indicator twice each stop the run before
+        any output. A damaged decision matrix is written in its JSON form."""
         text = (fixtures_dir / fixture).read_text()
         if isinstance(damage, tuple):
             assert damage[0] in text
@@ -1218,10 +1225,111 @@ class TestErrorContract:
             assert "'Calgary/" in err
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("case", ["pool city", "duplicate city", "plan id", "--city"])
+    @pytest.mark.parametrize(
+        "key, damage, argv, code, message",
+        [
+            ("pool", lambda obj: obj["cities"][0]["climate"]["feb_temp_c"]["values"].__setitem__(
+                1, _PAST_FLOATS), ["screen", "winter"], EXIT_VALIDATION,
+             "bad value in pool city #1: value of 'Calgary/feb_temp_c' must be a number"),
+            ("pool", lambda obj: obj["cities"][0]["climate"]["feb_temp_c"].update(
+                start_period=_PAST_FLOATS), ["screen", "winter"], EXIT_VALIDATION,
+             "bad value in pool city #1: start_period of 'Calgary/feb_temp_c' must be an integer"),
+            ("pool", lambda obj: obj["cities"][1].update(gdp=_PAST_FLOATS), ["screen", "winter"],
+             EXIT_VALIDATION, "bad value in pool city #2: gdp must be a number"),
+            ("pool", lambda obj: obj["cities"][0]["indicators"].update(A2=_PAST_FLOATS),
+             ["screen", "winter"], EXIT_VALIDATION, "bad value in pool city #1: A2 must be a number"),
+            ("pool", lambda obj: obj["cities"][0]["climate"]["feb_temp_c"]["values"].__setitem__(
+                1, _PAST_FLOATS), ["forecast", "--indicator", "feb_temp_c", "--until", "2030"],
+             EXIT_VALIDATION,
+             "bad value in pool city #1: value of 'Calgary/feb_temp_c' must be a number"),
+            ("config", lambda cfg: cfg["screen"]["winter"]["s_base"].update(Calgary=_PAST_FLOATS),
+             ["screen", "winter"], EXIT_CONFIG,
+             "config key 'screen.winter.s_base' must be an object of numbers"),
+            ("config", lambda cfg: cfg["screen"]["winter"].update(until=_PAST_FLOATS),
+             ["screen", "winter"], EXIT_CONFIG, "config key 'screen.winter.until' must be an integer"),
+            ("config", lambda cfg: cfg["screen"]["summer"].update(default_s_base=_PAST_FLOATS),
+             ["screen", "summer"], EXIT_CONFIG,
+             "config key 'screen.summer.default_s_base' must be a number"),
+            ("config", lambda cfg: cfg.update(seed=_PAST_FLOATS), ["weights"], EXIT_CONFIG,
+             "config key 'seed' must be an integer >= 0"),
+            ("config", lambda cfg: cfg["weighting"].update(feature_count=_PAST_FLOATS),
+             ["weights"], EXIT_CONFIG,
+             "config key 'weighting.feature_count' must be an integer >= 1"),
+            ("judgments", lambda obj: obj["primary"][0].__setitem__(1, _PAST_FLOATS), ["weights"],
+             EXIT_VALIDATION, "judgment matrix 'primary' is not a numeric square array"),
+            ("decision_matrix", lambda obj: obj["values"][0].__setitem__(0, _PAST_FLOATS),
+             ["evaluate"], EXIT_VALIDATION,
+             "bad value in decision matrix file: cell at row 'New York' must be a number"),
+        ],
+        ids=[
+            "series-value", "series-start", "gdp", "indicator", "forecast-series", "s_base",
+            "until", "summer-default-s_base", "seed", "feature_count", "judgment",
+            "matrix-json-cell",
+        ],
+    )
+    def test_integer_past_the_float_range_fails_in_one_line(
+        self, tmp_path, fixtures_dir, outdir, capsys, key, damage, argv, code, message
+    ):
+        """A JSON integer that float() cannot represent is no number: bad
+        input exits 3 and a bad config 2, in one short line."""
+        pool = tmp_path / "winter_pool.json"
+        pool.write_text((fixtures_dir / "winter_pool.json").read_text())
+
+        def edit(cfg):
+            if key == "config":
+                damage(cfg)
+            elif key != "pool":
+                text = (fixtures_dir / cfg[key]).read_text()
+                obj = json.loads(text) if key == "judgments" else matrix_json_form(text)
+                damage(obj)
+                cfg[key] = str(tmp_path / f"{key}.json")
+                (tmp_path / f"{key}.json").write_text(json.dumps(obj))
+
+        if key == "pool":
+            obj = json.loads(pool.read_text())
+            damage(obj)
+            pool.write_text(json.dumps(obj))
+        config = write_config(tmp_path, fixtures_dir, edit)
+        outdir.mkdir()
+        (outdir / "total_weights.csv").write_text("from an earlier run\n")
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        words = 2 if argv[0] == "screen" else 1
+        pool_args = ["--pool", str(pool)] if argv[0] in ("screen", "forecast") else []
+        assert main([*argv[:words], *pool_args, "--config", str(config), *argv[words:]]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+    @pytest.mark.parametrize("key", ["config", "pool"])
+    def test_integer_past_the_digit_limit_fails_in_one_line(
+        self, tmp_path, fixtures_dir, outdir, capsys, key
+    ):
+        """Python's json refuses an integer of over 4,300 digits with a
+        ValueError: in the config that exits 2, in an input file 3."""
+        digits = "9" * 5_000
+        config = write_config(tmp_path, fixtures_dir, lambda cfg: None)
+        pool = fixtures_dir / "winter_pool.json"
+        if key == "config":
+            config.write_text(config.read_text().replace('"seed": 20260810', f'"seed": {digits}'))
+        else:
+            pool = tmp_path / "pool.json"
+            text = (fixtures_dir / "winter_pool.json").read_text()
+            pool.write_text(text.replace('"gdp": ', f'"gdp": {digits}, "was": ', 1))
+        code = main(["screen", "winter", "--pool", str(pool), "--config", str(config)])
+        assert code == (EXIT_CONFIG if key == "config" else EXIT_VALIDATION)
+        err = capsys.readouterr().err
+        assert "Exceeds the limit (4300 digits)" in err and "Traceback" not in err
+        assert err.count("\n") == 1 and len(err) < 200 + len(str(config))
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "case",
+        ["pool city", "duplicate city", "duplicate country", "series value", "plan id", "--city"],
+    )
     def test_long_name_is_quoted_short(self, tmp_path, fixtures_dir, outdir, capsys, case):
-        """A 50,000-character city name or plan id is quoted by its first 60
-        characters and its length, in one line under 200 characters."""
+        """A 50,000-character city name, country or plan id is quoted by its
+        first 60 characters and its length, in one line under 200 characters."""
         name = "n" * 50_000
         cut = f"'{'n' * 59}... (50002 characters)"
         pool = json.loads((fixtures_dir / "winter_pool.json").read_text())
@@ -1233,7 +1341,18 @@ class TestErrorContract:
         elif case == "duplicate city":
             pool["cities"][1].update(name=name, country=pool["cities"][0]["country"])
             pool["cities"][0]["name"] = name
-            message = f"duplicate city {cut} ({pool['cities'][0]['country']}) in pool"
+            message = f"duplicate city {cut} ({pool['cities'][0]['country']!r}) in pool"
+        elif case == "duplicate country":
+            pool["cities"][1]["name"] = pool["cities"][0]["name"]
+            pool["cities"][0]["country"] = pool["cities"][1]["country"] = name
+            message = f"duplicate city {pool['cities'][0]['name']!r} ({cut}) in pool"
+        elif case == "series value":
+            pool["cities"][0]["name"] = name
+            pool["cities"][0]["climate"]["feb_snow_cm"]["values"][2] = "x"
+            label = f"'{'n' * 59}... (50014 characters)"  # the label is name/feb_snow_cm
+            message = (
+                f"bad value in pool city #1: value of {label} must be a number, got 'x'"
+            )
         elif case == "plan id":
             plans["plans"][1]["id"] = plans["plans"][2]["id"] = name
             argv = ["compare-schemes"]

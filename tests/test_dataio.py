@@ -124,6 +124,17 @@ class TestLoadPool:
         with pytest.raises(ValidationError, match=f"^pool city 'Oslo' has a {message}$"):
             load_pool(io.StringIO(text))
 
+    @pytest.mark.parametrize("key", ["gdp", "sports_score"])
+    def test_integer_loads_while_float_can_represent_it(self, key):
+        """2**1024 - 2**970 is the least integer float() refuses: it rounds past
+        the float range. The one below it loads as the largest float."""
+        largest = {"name": "Oslo", key: 2**1024 - 2**970 - 1}
+        (city,) = load_pool(io.StringIO(json.dumps({"cities": [largest]})))
+        assert getattr(city, key) == 1.7976931348623157e308
+        largest[key] += 1
+        with pytest.raises(ValidationError, match=f"^bad value in pool city #1: {key} must be a"):
+            load_pool(io.StringIO(json.dumps({"cities": [largest]})))
+
     def test_duplicate_city_rejected(self):
         text = (
             "name,country,gdp,sports_score\n"
@@ -160,11 +171,19 @@ class TestPoolIndicatorKeys:
                 ],
             ),
             (
-                _cities({" A1 ": 1, "B7": 2.5}, {"A1": 1, " A1": 2}, {" A1 ": 3, "B7": 4}),
+                _cities({" A1 ": 1, "B7": 2.5}, {" A1": 2}, {" A1 ": 3, "B7": 4}),
                 [
                     ("c0", [("A1", 1.0), ("B7", 2.5)]), ("c1", [("A1", 2.0)]),
                     ("c2", [("A1", 3.0), ("B7", 4.0)]),
                 ],
+            ),
+            (
+                _cities({"A1": 1.0}, {"A1": 1.0, " A1": 2.0}),
+                "bad value in pool city #2: indicators name A1 twice",
+            ),
+            (
+                _cities({"A1": 1.0, "B7": 2.0}, {"A1": 1.0, "B7": 2.0}, {"A1": 1.0, " A1": 2.0}),
+                "bad value in pool city #3: indicators name A1 twice",
             ),
             (
                 _cities({"A1": 1}, {"A1": "x", "Z9": 1}),
@@ -186,7 +205,8 @@ class TestPoolIndicatorKeys:
             ),
         ],
         ids=[
-            "orders and subsets", "padded keys", "bad value before unknown id",
+            "orders and subsets", "padded keys", "one id twice", "one id twice after reuse",
+            "bad value before unknown id",
             "unknown id before bad value", "bad value in a known tuple", "index out of range",
             "list of keys", "string",
         ],

@@ -3,6 +3,9 @@
 import json
 import math
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -433,15 +436,41 @@ class TestFitEqualsEagerReference:
         """The closed form's (alpha, mu) bit for bit: its sums are math.fsum's,
         so no BLAS kernel or Python version moves them. The values are
         2.5 exp(-0.1 k), k = 0..5, written out so no power kernel moves them
-        either. (lstsq gives mu = 2.627082986193764, one bit off.)"""
+        either. Both are within 1.6e-16 of the exact fit to these floats.
+        (lstsq, mapped through log, gives (0.10000000000000007,
+        2.627082986193764).)"""
         series = TimeSeries("geo", 2000, np.array([
             2.5, 2.2620935450898987, 2.0468268826949543,
             1.8520455517042944, 1.6758001150890978, 1.516326649281583,
         ]))
         model = fit_gm11(series)
-        assert _bits([model.alpha, model.mu]) == _bits([0.10000000000000007, 2.6270829861937637])
+        assert _bits([model.alpha, model.mu]) == _bits([0.10000000000000005, 2.627082986193763])
         assert_matches_reference(series)
         assert_forecast_matches_reference(series, 2030)
+
+    def test_near_constant_series_keeps_alpha_and_mu_to_full_precision(self):
+        """Ratio 1 + 1.8e-8: a = -1.8e-8, where ln((2 + a) / (2 - a)) would lose
+        the digits the ratio rounds away (2.4e-9 relative). Against the exact
+        least squares of these floats, mapped at 60 digits, alpha and mu are
+        off by under 1e-16 relative (measured: 2.3e-17 and 4.8e-17)."""
+        values = [10.0 * (1 + 1.8e-8) ** k for k in range(6)]
+        x0 = [Fraction(v) for v in values]
+        x1 = list(accumulate(x0))
+        u = [-(p + q) / 2 for p, q in zip(x1, x1[1:])]
+        y = x0[1:]
+        u_mean, y_mean = sum(u) / len(u), sum(y) / len(y)
+        a = sum((p - u_mean) * (v - y_mean) for p, v in zip(u, y)) / sum(
+            (p - u_mean) ** 2 for p in u
+        )
+        b = y_mean - a * u_mean
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a_, b_ = (Decimal(f.numerator) / Decimal(f.denominator) for f in (a, b))
+            alpha = ((2 + a_) / (2 - a_)).ln()
+            mu = b_ * alpha / a_
+            model = fit_gm11(TimeSeries("near", 2000, np.array(values)))
+            assert abs((Decimal(model.alpha) - alpha) / alpha) < Decimal("1e-16")
+            assert abs((Decimal(model.mu) - mu) / mu) < Decimal("1e-16")
 
     def test_constant_series(self):
         series = TimeSeries("c", 2015, np.full(6, 45.5))
@@ -602,6 +631,28 @@ class TestOneValueForecastEqualsFullPath:
         if isinstance(value[0], float):
             assert _bits(value[0]) == _bits(full[0])
 
+    @pytest.mark.parametrize("past", [False, True], ids=["at the limit", "one double past"])
+    def test_exponent_at_the_limit_of_exp(self, monkeypatch, past):
+        """k * -alpha at _EXP_MAX, the largest double whose exp is finite: the
+        value is the full path's bit for bit. One double past it, both raise
+        the same error. With warnings as errors, neither warns."""
+        from hostrank import grey
+
+        exponent = math.nextafter(grey._EXP_MAX, math.inf) if past else grey._EXP_MAX
+        alpha = -exponent / 8  # exact, as k = 8 below is a power of two
+        monkeypatch.setattr(grey, "fit_gm11", lambda s: grey.GreyModel(alpha, 0.0, s, True))
+        series = TimeSeries("edge", 2000, np.array([1.0, 2.0, 3.0, 4.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if past:
+                for call in (forecast_value, forecast_series):
+                    with pytest.raises(ValidationError, match="^series 'edge' contains non-finite"):
+                        call(series, 2008)
+            else:
+                value = forecast_value(series, 2008)
+                assert math.isfinite(value)
+                assert _bits(value) == _bits(forecast_series(series, 2008).values[-1])
+
     def test_until_at_the_last_period_reads_the_history(self):
         series = TimeSeries("t", 2010, np.array([-3.0, -2.5, -4.0, -3.5]))
         with warnings.catch_warnings():
@@ -657,6 +708,21 @@ class TestGateEqualsReference:
                     assert_prints_alike(a.feb_temp, temp)
                     assert_prints_alike(a.feb_snow, snow)
                     assert (a.passed, a.ideal) == (passed, passed and lo <= temp <= hi)
+
+    def test_class_ratio_warnings_keep_their_text_and_order(self, fixtures_dir):
+        """The gate on the winter fixture pool warns once per failing series, in
+        pool order, and nothing else."""
+        from hostrank.dataio import load_pool
+
+        pool = load_pool(fixtures_dir / "winter_pool.json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            winter_climate_filter(pool, ClimateRequirement(), 2050)
+        band = "(ratios outside (0.7515, 1.3307)); fit may extrapolate poorly"
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, f"series '{city}/feb_temp_c' fails the class-ratio test {band}")
+            for city in ("Stockholm", "Warsaw")
+        ]
 
 
 def assert_prints_alike(got, ref):
