@@ -91,9 +91,11 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
-# The most grid points rsm evaluates and rows forecast writes; past them a run is refused.
+# The most grid points rsm evaluates, rows forecast writes and (trial, alternative) rows
+# sensitivity writes; past them a run is refused. 2,000,000 is 1e5 alternatives x 20 trials.
 _MAX_GRID_POINTS = 1_000_000
 _MAX_FORECAST_ROWS = 1_000_000
+_MAX_SENSITIVITY_ROWS = 2_000_000
 
 _PATH_KEYS = ("hierarchy", "judgments", "decision_matrix", "pool", "plans", "swot", "climate")
 
@@ -199,8 +201,8 @@ class RunConfig(Record):
         block = _checked(raw, _REQUIREMENT, {}, _OBJECT)
         for key in block:
             if key not in _REQUIREMENT_KEYS:
-                known = ", ".join(_REQUIREMENT_KEYS)
-                raise ConfigError(f"config key {_REQUIREMENT + '.' + key!r} is not one of {known}")
+                name, known = _brief(f"{_REQUIREMENT}.{key}"), ", ".join(_REQUIREMENT_KEYS)
+                raise ConfigError(f"config key {name} is not one of {known}")
         for key, rule in _REQUIREMENT_KEYS.items():
             _checked(raw, f"{_REQUIREMENT}.{key}", None, rule)
         requirement = load_requirement(block)
@@ -598,6 +600,12 @@ def _cmd_sensitivity(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         trials=cfg.trials if args.trials is None else args.trials,
     )
     w = _weighting(cfg)
+    if pconfig.trials * w.matrix.n > _MAX_SENSITIVITY_ROWS:
+        name = "config key 'sensitivity.trials'" if args.trials is None else "--trials"
+        raise ConfigError(
+            f"{name} must be at most {_MAX_SENSITIVITY_ROWS // w.matrix.n} for {w.matrix.n} "
+            f"alternatives ({_MAX_SENSITIVITY_ROWS} rows), got {_brief(pconfig.trials)}"
+        )
     report = factor_substitution(w.selection, w.total, w.matrix, pconfig, w.hierarchy)
     overall = report.summary["(overall)"]
     summary = [
@@ -663,7 +671,9 @@ def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> tuple:
 
     baseline_name = cfg.rsm_baseline or matrix.rows[0]
     if baseline_name not in matrix.rows:
-        raise ConfigError(f"baseline alternative {baseline_name!r} not in the decision matrix")
+        raise ConfigError(
+            f"baseline alternative {_brief(baseline_name)} not in the decision matrix"
+        )
     columns = [matrix.cols.index(i) for i in w.selection.ids]
     scaler = FeatureScaler.from_values(matrix.values[:, columns], w.selection.ids, hierarchy)
     xi = scaler.transform_values(matrix.values[matrix.rows.index(baseline_name), columns])

@@ -208,15 +208,14 @@ def load_plans(source: str | Path | IO[str]) -> list[SchemePlan]:
         plans = []
         for entry in _expect(obj["plans"], _LIST, "plans"):
             plan_id = _expect(_expect(entry, _OBJECT, "plans entry")["id"], _PLAN_ID, "plan id")
+            quoted = _brief(plan_id)
             if any(p.id == plan_id for p in plans):
-                raise ValidationError(f"duplicate plan id {_brief(plan_id)} in plans file")
-            description = _expect(
-                entry.get("description", ""), _STRING, f"description of {plan_id!r}"
-            )
-            impacts = {
-                IndicatorId.parse(k): _expect(v, _GRADE, f"grade of {k} in plan {plan_id!r}")
-                for k, v in _expect(entry["impacts"], _OBJECT, f"impacts of {plan_id!r}").items()
-            }
+                raise ValidationError(f"duplicate plan id {quoted} in plans file")
+            description = _expect(entry.get("description", ""), _STRING, f"description of {quoted}")
+            impacts = {}
+            for k, v in _expect(entry["impacts"], _OBJECT, f"impacts of {quoted}").items():
+                ind = IndicatorId.parse(k)
+                impacts[ind] = _expect(v, _GRADE, f"grade of {ind} in plan {quoted}")
             plans.append(SchemePlan(id=plan_id, description=description, impacts=impacts))
         if not plans:
             raise ValidationError("plans file lists no plans")
@@ -231,7 +230,7 @@ def load_swot(source: str | Path | IO[str]) -> list[SwotRecord]:
             _expect(entry, _OBJECT, f"record #{pos}")
             city = _expect(entry["city"], _STRING, f"city of record #{pos}")
             lists = [
-                _expect(entry.get(key, []), _STRINGS, f"{key} of {city!r}")
+                _expect(entry.get(key, []), _STRINGS, f"{key} of {_brief(city)}")
                 for key in SwotRecord._fields[1:]
             ]
             records.append(SwotRecord(city, *lists))

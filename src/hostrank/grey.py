@@ -136,21 +136,23 @@ def _check_class_ratios(values: list[float], label: str) -> bool:
     return ok
 
 
-def _cumulative_curve(model: GreyModel, k: "np.ndarray | tuple[int, int]") -> np.ndarray:
-    """x1_hat at the ascending indices ``k``; index 0 is the first observation exactly."""
+def _curve(model: GreyModel, ks: "range | tuple[int, int]") -> list[float]:
+    """x1_hat at the ascending indices ``ks``; index 0 is the first observation exactly.
+
+    Past exp's range the curve is the inf or nan numpy's exp would give, without a warning.
+    """
     alpha, mu, first = model.alpha, model.mu, float(model.source.values[0])
-    out = np.array(k, dtype=float)
     if abs(alpha) < _ALPHA_EPS:
         # Removable singularity: linear cumulative growth.
-        out *= mu
-        out += first
+        out = [k * mu + first for k in ks]
     else:
         c = mu / alpha
-        out *= -alpha
-        np.exp(out, out=out)
-        out *= first - c
-        out += c
-    if k[0] == 0:
+        scale = first - c
+        out = [
+            (math.inf if a > _EXP_MAX else float(np.exp(a))) * scale + c
+            for a in [k * -alpha for k in ks]
+        ]
+    if ks[0] == 0:
         out[0] = first  # anchored exactly; (first - c) + c need not round back
     return out
 
@@ -223,8 +225,8 @@ def predict(model: GreyModel, horizon: int) -> np.ndarray:
     """
     if horizon < 0:
         raise ValidationError("horizon must be nonnegative")
-    curve = _cumulative_curve(model, np.arange(len(model.source) + horizon))
-    return np.diff(curve, prepend=0.0)
+    curve = _curve(model, range(len(model.source) + horizon))
+    return np.array([b - a for a, b in zip([0.0, *curve], curve)])
 
 
 def _fit_shifted(series: TimeSeries, until: int) -> tuple[GreyModel, float]:
@@ -253,10 +255,9 @@ def forecast_series(series: TimeSeries, until: int) -> TimeSeries:
     """
     model, shift = _fit_shifted(series, until)
     # A curve that leaves the float range fails the series' non-finite check.
-    with np.errstate(over="ignore", invalid="ignore"):
-        tail = predict(model, until - series.last_period)[len(series):]
-        tail -= shift
-    return TimeSeries(series.label, series.start_period, np.concatenate([series.values, tail]))
+    curve = _curve(model, range(len(series) - 1, until - series.start_period + 1))
+    tail = [b - a - shift for a, b in zip(curve, curve[1:])]
+    return TimeSeries(series.label, series.start_period, series.values.tolist() + tail)
 
 
 def forecast_value(series: TimeSeries, until: int) -> float:
@@ -266,16 +267,8 @@ def forecast_value(series: TimeSeries, until: int) -> float:
     k = until - series.start_period
     if k < len(series):
         return float(series.values[k])
-    # x1_hat(k) - x1_hat(k - 1) by the IEEE operations of _cumulative_curve, on Python floats.
-    alpha, mu, first = model.alpha, model.mu, float(model.source.values[0])
-    if abs(alpha) < _ALPHA_EPS:
-        value = (k * mu + first) - ((k - 1) * mu + first) - shift
-    elif k * -alpha > _EXP_MAX:
-        value = math.inf  # exp overflows, and the curve with it
-    else:
-        c = mu / alpha
-        x1 = [float(np.exp(i * -alpha)) * (first - c) + c for i in (k - 1, k)]
-        value = x1[1] - x1[0] - shift
+    before, at = _curve(model, (k - 1, k))
+    value = at - before - shift
     if not math.isfinite(value):
         raise ValidationError(f"series {_brief(series.label)} contains non-finite values")
     return value

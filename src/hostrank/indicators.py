@@ -316,7 +316,7 @@ class DecisionMatrix(Record):
         try:
             i = self._row_index[label]
         except KeyError:
-            raise ValidationError(f"sample {label!r} not in matrix") from None
+            raise ValidationError(f"sample {_brief(label)} not in matrix") from None
         return dict(zip(self.cols, self.values[i].tolist()))
 
 

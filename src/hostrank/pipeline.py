@@ -76,27 +76,20 @@ def compute_weights(
     normalized = vector_normalize(positivize_matrix(matrix, hierarchy))
     objective = entropy_weights(normalized)
 
-    h_by_col = {ind: float(objective.weights[j]) for j, ind in enumerate(matrix.cols)}
-    col_index = {ind: j for j, ind in enumerate(matrix.cols)}
-
     per_category: dict[Category, CombinedWeights] = {}
     if mode == "per_category":
         for cat in hierarchy.categories:
-            specs = hierarchy.by_category(cat)
-            ids = [s.id for s in specs]
-            cols = [col_index[i] for i in ids]
-            h_cat = np.array([h_by_col[i] for i in ids])
+            cols = [j for j, i in enumerate(matrix.cols) if i.category is cat]
+            h_cat = objective.weights[cols]
             h_sum = h_cat.sum()
             if h_sum <= 0:
                 raise ValidationError(
                     f"category {cat.value} carries no entropy information"
                 )
             h_cat = h_cat / h_sum
-            v_cat = np.array([subjective.indicator_weights[i] for i in ids])
+            v_cat = np.array([subjective.indicator_weights[matrix.cols[j]] for j in cols])
             try:
-                per_category[cat] = combine_weights(
-                    normalized[:, cols], h_cat, v_cat
-                )
+                per_category[cat] = combine_weights(normalized[:, cols], h_cat, v_cat)
             except ValidationError as exc:
                 raise ValidationError(f"category {cat.value}: {exc}") from None
         omega = total_weights(
@@ -112,8 +105,7 @@ def compute_weights(
                 for i in matrix.cols
             ]
         )
-        h_global = np.array([h_by_col[i] for i in matrix.cols])
-        combined = combine_weights(normalized, h_global, v_global)
+        combined = combine_weights(normalized, objective.weights, v_global)
         omega = TotalWeights(ids=matrix.cols, omega=combined.weights)
 
     selection = select_features(

@@ -331,7 +331,7 @@ def _feature_grid(
     except KeyError as exc:
         name = next(n for n, row in zip(names, rows) if exc.args[0] not in row)
         raise ValidationError(
-            f"city {name!r} is missing a value for feature {exc.args[0]}"
+            f"city {_brief(name)} is missing a value for feature {exc.args[0]}"
         ) from None
     # The reshape keeps an empty city set 2-D, so the fit reports it as empty.
     return np.array(grid, dtype=float).reshape(len(rows), len(ids))
@@ -357,7 +357,7 @@ def score_cities(
         elif default_base is not None:
             base = float(default_base)
         else:
-            raise ConfigError(f"no base score configured for city {city.name!r}")
+            raise ConfigError(f"no base score configured for city {_brief(city.name)}")
         score = SuitabilityScore(s_base=base, s_evaluate=s_evaluate, scaled=tuple(xi))
         out.append((city, score))
     return out
@@ -400,7 +400,7 @@ def compare_schemes(
             if extra:
                 parts.append("extraneous " + ", ".join(str(i) for i in sorted(extra)))
             raise ValidationError(
-                f"plan {plan.id} impacts do not cover the feature group: "
+                f"plan {_brief(plan.id)} impacts do not cover the feature group: "
                 + "; ".join(parts)
             )
         contributions = {

@@ -1195,6 +1195,51 @@ class TestErrorContract:
 
 
     @pytest.mark.parametrize(
+        "trials, flag, message",
+        [
+            (10**300, False, "config error: config key 'sensitivity.trials' must be at most "
+             f"44444 for 45 alternatives (2000000 rows), got {'1' + '0' * 59}... "
+             "(301 characters)\n"),
+            (10**12, True, "config error: --trials must be at most 44444 for 45 alternatives "
+             "(2000000 rows), got 1000000000000\n"),
+        ],
+        ids=["config", "flag"],
+    )
+    def test_sensitivity_past_two_million_rows_is_refused(
+        self, tmp_path, fixtures_dir, outdir, capsys, trials, flag, message
+    ):
+        """Trials x alternatives is known once the matrix is read, before any
+        trial runs: past 2,000,000 rows the run exits 2 in one line."""
+        config = write_config(
+            tmp_path, fixtures_dir,
+            lambda cfg: None if flag else cfg["sensitivity"].update(trials=trials),
+        )
+        outdir.mkdir()
+        (outdir / "sensitivity.csv").write_text("from an earlier run\n")
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        argv = ["sensitivity", "--config", str(config)]
+        assert main([*argv, *(["--trials", str(trials)] if flag else [])]) == EXIT_CONFIG
+        assert capsys.readouterr().err == message
+        assert len(message) < 200
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+    def test_sensitivity_at_the_row_cap_runs(self, config_path, outdir, capsys, monkeypatch):
+        """The cap counts rows: with room for 3 trials of the 45 alternatives,
+        3 trials run and 4 are refused."""
+        from hostrank import cli
+
+        monkeypatch.setattr(cli, "_MAX_SENSITIVITY_ROWS", 45 * 3)
+        argv = ["sensitivity", "--config", str(config_path), "--trials"]
+        assert main([*argv, "4"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: --trials must be at most 3 for 45 alternatives (135 rows), got 4\n"
+        )
+        assert not outdir.exists()
+        assert main([*argv, "3"]) == EXIT_OK
+        _, rows = read_table(outdir / "sensitivity.csv")
+        assert len([r for r in rows if r["section"] == "trial"]) == 45 * 3
+
+    @pytest.mark.parametrize(
         "argv",
         [["forecast", "--indicator", "feb_temp_c", "--until", "2030", "--city", "Calgary"],
          ["screen", "winter"]],
@@ -1325,16 +1370,25 @@ class TestErrorContract:
 
     @pytest.mark.parametrize(
         "case",
-        ["pool city", "duplicate city", "duplicate country", "series value", "plan id", "--city"],
+        [
+            "pool city", "duplicate city", "duplicate country", "series value", "plan id",
+            "--city", "requirement key", "rsm baseline", "plan description", "plan grade",
+            "plan impacts", "plan coverage", "swot city", "summer city", "winter feature",
+            "winter base score",
+        ],
     )
     def test_long_name_is_quoted_short(self, tmp_path, fixtures_dir, outdir, capsys, case):
-        """A 50,000-character city name, country or plan id is quoted by its
-        first 60 characters and its length, in one line under 200 characters."""
+        """A 50,000-character city name, country, plan id, config key or
+        baseline is quoted by its first 60 characters and its length, in one
+        line under 200 characters: exit 2 for a config value, else 3."""
         name = "n" * 50_000
         cut = f"'{'n' * 59}... (50002 characters)"
         pool = json.loads((fixtures_dir / "winter_pool.json").read_text())
         plans = json.loads((fixtures_dir / "plans.json").read_text())
+        swot = json.loads((fixtures_dir / "swot.json").read_text())
+        edits = []
         argv = ["screen", "winter"]
+        code = EXIT_VALIDATION
         if case == "pool city":
             pool["cities"][0].update(name=name, gdp=float("inf"))
             message = f"pool city {cut} has a non-finite gdp: inf"
@@ -1357,21 +1411,79 @@ class TestErrorContract:
             plans["plans"][1]["id"] = plans["plans"][2]["id"] = name
             argv = ["compare-schemes"]
             message = f"duplicate plan id {cut} in plans file"
-        else:
+        elif case == "--city":
             argv = ["forecast", "--indicator", "feb_temp_c", "--until", "2030", "--city", name]
             message = f"city {cut} not in pool"
+        elif case == "requirement key":
+            edits.append(lambda cfg: cfg["screen"]["winter"]["requirement"].update({name: 1}))
+            argv, code = ["weights"], EXIT_CONFIG
+            key = f"'screen.winter.requirement.{'n' * 33}... (50028 characters)"
+            message = (
+                f"config key {key} is not one of max_feb_temp, ideal_temp_range, min_feb_snow"
+            )
+        elif case == "rsm baseline":
+            edits.append(lambda cfg: cfg["rsm"].update(baseline_alternative=name))
+            argv, code = ["rsm", "--factors", "1,2"], EXIT_CONFIG
+            message = f"baseline alternative {cut} not in the decision matrix"
+        elif case == "plan description":
+            plans["plans"][1].update(id=name, description=5)
+            argv = ["compare-schemes"]
+            message = f"bad value in plans file: description of {cut} must be a string, got 5"
+        elif case == "plan grade":
+            # The grade is named by its id, not by the key as written.
+            impacts = plans["plans"][1]["impacts"]
+            impacts["A2" + " " * 50_000] = 4
+            del impacts["A2"]
+            plans["plans"][1]["id"] = name
+            argv = ["compare-schemes"]
+            message = (
+                f"bad value in plans file: grade of A2 in plan {cut} must be one of "
+                "1, 3, 5, 7, 9, got 4"
+            )
+        elif case == "plan impacts":
+            plans["plans"][1].update(id=name, impacts=["A1"])
+            argv = ["compare-schemes"]
+            message = f"bad value in plans file: impacts of {cut} must be an object, got ['A1']"
+        elif case == "plan coverage":
+            del plans["plans"][1]["impacts"]["C7"]
+            plans["plans"][1]["id"] = name
+            argv = ["compare-schemes"]
+            message = f"plan {cut} impacts do not cover the feature group: missing C7"
+        elif case == "swot city":
+            swot["records"][0].update(city=name, strengths=5)
+            edits.append(lambda cfg: cfg.update(swot=str(tmp_path / "swot.json")))
+            argv = ["screen", "summer", "--pool", str(fixtures_dir / "world_pool.csv")]
+            message = (
+                f"bad value in swot file: strengths of {cut} must be a list of strings, got 5"
+            )
+        elif case == "summer city":
+            pool["cities"][0].update(name=name, sports_score=1e6)
+            argv = ["screen", "summer"]
+            message = f"sample {cut} not in matrix"
+        elif case == "winter feature":
+            del pool["cities"][0]["indicators"]["C7"]
+            pool["cities"][0]["name"] = name
+            message = f"city {cut} is missing a value for feature C7"
+        else:
+            pool["cities"][0]["name"] = name
+            edits.append(lambda cfg: cfg["screen"]["winter"].update(default_s_base=None))
+            code = EXIT_CONFIG
+            message = f"no base score configured for city {cut}"
         (tmp_path / "pool.json").write_text(json.dumps(pool))
         (tmp_path / "plans.json").write_text(json.dumps(plans))
-        config = write_config(
-            tmp_path, fixtures_dir, lambda cfg: cfg.update(plans=str(tmp_path / "plans.json"))
-        )
+        (tmp_path / "swot.json").write_text(json.dumps(swot))
+        edits.append(lambda cfg: cfg.update(plans=str(tmp_path / "plans.json")))
+        config = write_config(tmp_path, fixtures_dir, lambda cfg: [edit(cfg) for edit in edits])
         words = {"screen": 2, "forecast": 1}.get(argv[0])
-        if words:
+        if words and "--pool" not in argv:
             argv = [*argv[:words], "--pool", str(tmp_path / "pool.json"), *argv[words:]]
-        code = main([*argv, "--config", str(config)])
-        assert code == EXIT_VALIDATION
+        with warnings.catch_warnings():
+            # The two winter cases gate the pool, where two fixture series warn.
+            warnings.filterwarnings("ignore", "series .* fails the class-ratio test", UserWarning)
+            assert main([*argv, "--config", str(config)]) == code
         err = capsys.readouterr().err
-        assert err == f"validation error: {message}\n"
+        kind = "config" if code == EXIT_CONFIG else "validation"
+        assert err == f"{kind} error: {message}\n"
         assert len(err) < 200
         assert not outdir.exists()
 

@@ -296,11 +296,18 @@ _EPS = 2.0**-52
 
 
 def _reference_curve(alpha, mu, first, count):
-    k = np.arange(count, dtype=float)
+    """x1_hat at k = 0..count-1 on numpy arrays, by the IEEE operations grey's
+    curve performs on Python floats; index 0 is ``first`` exactly."""
+    out = np.arange(count, dtype=float)
     if abs(alpha) < 1e-12:
-        out = first + mu * k
+        out *= mu
+        out += first
     else:
-        out = (first - mu / alpha) * np.exp(-alpha * k) + mu / alpha
+        c = mu / alpha
+        out *= -alpha
+        np.exp(out, out=out)
+        out *= first - c
+        out += c
     out[0] = first
     return out
 
@@ -673,6 +680,57 @@ class TestOneValueForecastEqualsFullPath:
             assert value[0] == (ValidationError, "series 'boom' contains non-finite values")
         else:
             assert math.isfinite(value[0])
+
+
+class TestCurveEqualsNumpyReference:
+    """predict and forecast_series evaluate the curve in Python floats; the
+    numpy curve above is the reference, under its own error state."""
+
+    @staticmethod
+    def _check(series, horizon):
+        from hostrank.grey import _fit_shifted
+
+        until = series.last_period + horizon
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the class-ratio test
+                model, shift = _fit_shifted(series, until)
+        except (ValidationError, NumericError):
+            return
+        n = len(series)
+        with np.errstate(over="ignore", invalid="ignore"):
+            curve = _reference_curve(model.alpha, model.mu, float(model.source.values[0]),
+                                     n + horizon)
+            expected = np.diff(curve, prepend=0.0)
+            tail = expected[n:] - shift
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "series .* fails the class-ratio test", UserWarning)
+            got = predict(model, horizon)
+            assert _bits(got) == _bits(expected)
+            if np.isfinite(tail).all():
+                out = forecast_series(series, until).values
+                assert _bits(out) == _bits(np.concatenate([series.values, tail]))
+            else:
+                with pytest.raises(ValidationError, match="contains non-finite values$"):
+                    forecast_series(series, until)
+        return got
+
+    @given(
+        values=_series_values,
+        # the long horizons overflow the exponential of the growing series
+        horizon=st.one_of(st.integers(min_value=0, max_value=40), st.sampled_from([700, 2500])),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_predict_and_forecast_series_match_bit_for_bit(self, values, horizon):
+        self._check(TimeSeries("s", 2000, np.array(values)), horizon)
+
+    @pytest.mark.parametrize("horizon", [0, 10, 205, 206, 207, 400])
+    def test_curve_past_the_float_range_without_numpy_warnings(self, horizon):
+        """From horizon 206 on the forecasts leave the float range: predict
+        returns the reference's inf and nan bytes and warns nothing."""
+        got = self._check(TimeSeries("boom", 2000, np.array([1.0, 30.0, 900.0, 27000.0])), horizon)
+        assert np.isfinite(got).all() == (horizon < 206)
 
 
 class TestGateEqualsReference:
