@@ -471,7 +471,8 @@ def _winter_candidates(
     excluded = set(cfg.winter_exclude)
     unknown = excluded - {c.name for c in pool}
     if unknown:
-        warnings.warn(f"exclusion list names absent from the pool: {sorted(unknown)}")
+        names = ", ".join(map(_brief, sorted(unknown)))
+        warnings.warn(f"exclusion list names absent from the pool: [{names}]")
     candidates = [c for c in cities if c.name not in excluded]
     if not candidates:
         who = "stage-1 survivor" if len(cities) < len(pool) else "pool city"
@@ -814,14 +815,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     return EXIT_OK
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """``warnings.showwarning`` for the process: one ``warning: <message>`` line on stderr."""
+    stream = sys.stderr if file is None else file
+    if stream is not None:  # no stderr (pythonw): the warning is lost, as Python's own is
+        stream.write(f"warning: {message}\n")
+
+
 def run() -> int:
     """The process entry point: ``main()`` on ``sys.argv``, then its exit code.
 
-    It freezes every object the garbage collector tracks (``gc.freeze``)
-    before returning, so the collections of interpreter shutdown skip
-    them; the OS frees that memory at exit anyway. ``main`` leaves the
-    collector alone for library callers.
+    Each warning that reaches the display prints as one ``warning:``
+    line, with no source path or line; the warning filters (``-W``) are
+    left as they are. It freezes every object the garbage collector
+    tracks (``gc.freeze``) before returning, so the collections of
+    interpreter shutdown skip them; the OS frees that memory at exit
+    anyway. ``main`` leaves the display and the collector alone for
+    library callers.
     """
+    warnings.showwarning = _show_warning
     code = main()
     gc.freeze()
     return code

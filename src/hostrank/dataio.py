@@ -12,8 +12,6 @@ import math
 from pathlib import Path
 from typing import IO, Any, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .errors import ConfigError, ValidationError
 from .grey import TimeSeries
 from .indicators import (
@@ -172,7 +170,7 @@ def load_climate_csv(source: str | Path | IO[str]) -> dict[str, dict[str, TimeSe
         out.setdefault(city, {})[var] = TimeSeries(
             label=f"{city}/{var}",
             start_period=periods[0],
-            values=np.array([v for _, v in points]),
+            values=[v for _, v in points],
         )
     return out
 

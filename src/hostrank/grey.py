@@ -36,14 +36,15 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, frozen_array
 from .errors import NumericError, ValidationError
-from .indicators import _brief
+from .indicators import _FLOATS, _brief
 
 if TYPE_CHECKING:  # pragma: no cover
     from .selection import CityProfile
@@ -70,6 +71,9 @@ _EXP_MAX = 709.782712893384
 class TimeSeries(Record):
     """A labelled, evenly spaced series starting at ``start_period``.
 
+    The observations are kept as a tuple of Python floats, which the fit
+    and the forecasts read; ``values`` is the same series as an array.
+
     Fitting requires at least four strictly positive observations;
     series holding raw data (e.g. sub-zero temperatures) may violate
     that and must be shifted before fitting (see
@@ -79,31 +83,41 @@ class TimeSeries(Record):
     _fields = ("label", "start_period", "values")
 
     def __init__(self, label: str, start_period: int, values: "np.ndarray | list") -> None:
-        vals = np.array(values, dtype=float)
-        if vals.ndim != 1:
-            raise ValidationError("time series values must be 1-D")
+        # A list of floats is kept as given; anything else goes through np.array
+        # (ints, None, numeric strings, arrays), whose conversion is the rule.
+        if type(values) is list and _FLOATS.issuperset(map(type, values)):
+            x0 = tuple(values)
+        else:
+            vals = np.array(values, dtype=float)
+            if vals.ndim != 1:
+                raise ValidationError("time series values must be 1-D")
+            x0 = tuple(vals.tolist())
+            vals.flags.writeable = False
+            self.__dict__["values"] = vals
         # A NaN or an infinity makes the sum non-finite; so, rarely, do large finite values.
-        # A list of numbers is summed as given; one that also holds a value np.array
-        # converts (None, a numeric string) leaves the test to the array.
-        try:
-            total = sum(values if type(values) is list else vals.tolist(), 0.0)
-        except TypeError:
-            total = math.nan
-        if not math.isfinite(total) and not np.isfinite(vals).all():
+        if not math.isfinite(sum(x0, 0.0)) and not all(map(math.isfinite, x0)):
             raise ValidationError(f"series {_brief(label)} contains non-finite values")
-        vals.flags.writeable = False
-        self.__dict__.update(label=label, start_period=start_period, values=vals)
+        self.__dict__.update(label=label, start_period=start_period, _x0=x0)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The observations as a read-only float64 array, built on first use."""
+        return frozen_array(self._x0)
+
+    def __getstate__(self) -> dict:
+        # A copy shares the array, so it compares equal to its source.
+        return {**self.__dict__, "values": self.values}
 
     def __len__(self) -> int:
-        return self.values.size
+        return len(self._x0)
 
     @property
     def periods(self) -> np.ndarray:
-        return self.start_period + np.arange(self.values.size)
+        return self.start_period + np.arange(len(self._x0))
 
     @property
     def last_period(self) -> int:
-        return self.start_period + self.values.size - 1
+        return self.start_period + len(self._x0) - 1
 
 
 class GreyModel(Record):
@@ -123,7 +137,7 @@ def class_ratio_bounds(n: int) -> tuple[float, float]:
     return math.exp(-2.0 / (n + 1)), math.exp(2.0 / (n + 1))
 
 
-def _check_class_ratios(values: list[float], label: str) -> bool:
+def _check_class_ratios(values: tuple[float, ...], label: str) -> bool:
     lo, hi = class_ratio_bounds(len(values))
     ratios = [a / b for a, b in zip(values, values[1:])]
     ok = min(ratios) > lo and max(ratios) < hi
@@ -141,7 +155,7 @@ def _curve(model: GreyModel, ks: "range | tuple[int, int]") -> list[float]:
 
     Past exp's range the curve is the inf or nan numpy's exp would give, without a warning.
     """
-    alpha, mu, first = model.alpha, model.mu, float(model.source.values[0])
+    alpha, mu, first = model.alpha, model.mu, model.source._x0[0]
     if abs(alpha) < _ALPHA_EPS:
         # Removable singularity: linear cumulative growth.
         out = [k * mu + first for k in ks]
@@ -166,7 +180,7 @@ def fit_gm11(series: TimeSeries) -> GreyModel:
     whose cumulative sum overflows is a NumericError, raised before the
     class-ratio test.
     """
-    x0 = series.values.tolist()
+    x0 = series._x0
     n = len(x0)
     label = series.label
     if n < _MIN_LENGTH:
@@ -236,7 +250,7 @@ def _fit_shifted(series: TimeSeries, until: int) -> tuple[GreyModel, float]:
             f"until={until} precedes the last observation of {_brief(series.label)} "
             f"({series.last_period})"
         )
-    values = series.values.tolist()
+    values = series._x0
     lowest = min(values)
     shift = 1.0 - lowest if lowest <= 0.0 else 0.0
     if shift:
@@ -257,7 +271,7 @@ def forecast_series(series: TimeSeries, until: int) -> TimeSeries:
     # A curve that leaves the float range fails the series' non-finite check.
     curve = _curve(model, range(len(series) - 1, until - series.start_period + 1))
     tail = [b - a - shift for a, b in zip(curve, curve[1:])]
-    return TimeSeries(series.label, series.start_period, series.values.tolist() + tail)
+    return TimeSeries(series.label, series.start_period, [*series._x0, *tail])
 
 
 def forecast_value(series: TimeSeries, until: int) -> float:
@@ -266,7 +280,7 @@ def forecast_value(series: TimeSeries, until: int) -> float:
     model, shift = _fit_shifted(series, until)
     k = until - series.start_period
     if k < len(series):
-        return float(series.values[k])
+        return series._x0[k]
     before, at = _curve(model, (k - 1, k))
     value = at - before - shift
     if not math.isfinite(value):

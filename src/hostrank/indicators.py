@@ -449,6 +449,8 @@ def _json_numbers(values: list, what: str) -> list:
 def _sniff_delimiter(text: str) -> str:
     # Whole, non-blank lines only: a cut-off or empty line spoils the per-line counts.
     sample = "\n".join(line for line in text[:2048].split("\n")[:-1] if line.strip())
+    if ";" not in sample and "\t" not in sample:
+        return ","  # the Sniffer only picks a delimiter the sample holds
     try:
         return csv.Sniffer().sniff(sample, delimiters=",;\t").delimiter
     except csv.Error:

@@ -23,6 +23,7 @@ from hostrank.cli import (
     main,
     run,
 )
+from hostrank.indicators import _brief
 
 
 def read_table(path: Path):
@@ -182,6 +183,21 @@ class TestScreenPaths:
         _, climate = read_table(outdir / "winter_climate.csv")
         assert "Bangkok" not in {r["city"] for r in climate}
         assert len(climate) == len(winter_city_names(fixtures_dir)) - 1
+
+    def test_a_long_absent_exclusion_name_is_shown_cut(self, tmp_path, fixtures_dir, outdir):
+        long_name = "Z" * 50_000
+
+        def edit(cfg):
+            cfg["screen"]["winter"]["exclude"] = ["Bangkok", long_name, "Atlantis"]
+
+        config = write_config(tmp_path, fixtures_dir, edit)
+        with pytest.warns(UserWarning) as caught:
+            assert screen_winter(config, fixtures_dir) == EXIT_OK
+        assert str(caught[0].message) == (
+            "exclusion list names absent from the pool: "
+            f"['Atlantis', {_brief(long_name)}]"
+        )
+        assert len(str(caught[0].message)) < 200
 
     def test_exclusion_list_is_checked_against_the_pool_not_the_stage_1_survivors(
         self, tmp_path, fixtures_dir, outdir
@@ -1631,6 +1647,20 @@ class TestEntryPoint:
             "validation error: series 'Calgary/feb_temp_c' contains non-finite values\n"
         )
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("action, lines", [("ignore", 0), ("default", 2)])
+    def test_warning_filters_decide_what_prints(self, fixtures_dir, tmp_path, action, lines):
+        """``run()`` changes how a warning prints, not which ones print: ``-W``
+        still selects them."""
+        argv = ["screen", "winter", "--pool", "fixtures/winter_pool.json",
+                "--config", "fixtures/run.json"]
+        proc = run_python(
+            ["-W", action, "-m", "hostrank.cli", *argv], tmp_path, fixtures_dir.parent
+        )
+        assert proc.returncode == EXIT_OK
+        printed = proc.stderr.splitlines()
+        assert len(printed) == lines
+        assert all(line.startswith("warning: series '") for line in printed)
 
     @pytest.mark.parametrize(
         "argv", [["weights", "--config", "fixtures/run.json"], OVERFLOW_ARGV],

@@ -141,9 +141,13 @@ def test_outputs_match_golden_files(
 @pytest.mark.parametrize(
     "case", ["weights", "screen-winter", "evaluate", "screen-summer", "compare-schemes"]
 )
-def test_module_entry_point_matches_golden_files(case, fixtures_dir, tmp_path):
+def test_module_entry_point_matches_golden_files(
+    case, fixtures_dir, tmp_path, monkeypatch, capsys
+):
     """``python -m hostrank.cli`` exits through ``run()``: exit 0, and the
-    same output bytes and stdout as ``main()`` in-process.
+    same output bytes and stdout as ``main()`` in-process. Each warning
+    ``main()`` gives prints as one ``warning: <message>`` stderr line, with
+    no source path, category or source line; nothing else reaches stderr.
 
     Indicator ids hash by identity, so their hashes change with each
     process's memory layout; a fresh process per run shows an output
@@ -161,6 +165,15 @@ def test_module_entry_point_matches_golden_files(case, fixtures_dir, tmp_path):
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert_matches_golden(tmp_path, GOLDEN / case, names, config, mask_stdout(proc.stdout))
+
+    warned, _ = run_cli(argv, config, tmp_path / "in-process", monkeypatch, capsys)
+    if case == "screen-winter":
+        band = "(ratios outside (0.7515, 1.3307)); fit may extrapolate poorly"
+        assert warned == [
+            f"series '{city}/feb_temp_c' fails the class-ratio test {band}"
+            for city in ("Warsaw", "Stockholm")
+        ]
+    assert proc.stderr == "".join(f"warning: {message}\n" for message in warned)
 
 
 def config_with_a_damaged_input(fixtures: Path, tmp_path: Path, key: str) -> Path:

@@ -1,5 +1,6 @@
 """Tests for the grey forecasting model."""
 
+import copy
 import json
 import math
 import warnings
@@ -794,3 +795,94 @@ def assert_prints_alike(got, ref):
         boundary = (float(printed[0]) + float(printed[1])) / 2
         assert min(got, ref) <= boundary <= max(got, ref), (got, ref)
         assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
+
+
+def _array_path(label, values):
+    """The observations as np.array reads any input: the reference of the float-list path."""
+    vals = np.array(values, dtype=float)
+    if vals.ndim != 1:
+        raise ValidationError("time series values must be 1-D")
+    if not np.isfinite(vals).all():
+        raise ValidationError(f"series {label!r} contains non-finite values")
+    return vals
+
+
+def _built(build):
+    """What ``build()`` returns, or the type and text of what it raises."""
+    try:
+        return build()
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_huge = st.floats(min_value=1e307, max_value=1.7e308)
+_raw_values = st.one_of(
+    # floats, NaN and infinities among them
+    st.lists(st.floats(), max_size=12),
+    # finite floats whose running sum leaves the float range
+    st.lists(st.one_of(_huge, _huge.map(lambda v: -v)), min_size=2, max_size=8),
+    # anything np.array converts (or refuses): ints, bools, None, strings
+    st.lists(
+        st.one_of(
+            st.floats(), st.integers(min_value=-10**6, max_value=10**6), st.booleans(), st.none(),
+            st.sampled_from(["1.5", "-2", "nan", "x"]), st.just(10**400),
+        ),
+        max_size=8,
+    ),
+    st.lists(st.floats(), max_size=8).map(np.array),
+    # nested, rectangular or ragged
+    st.lists(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=3),
+             min_size=1, max_size=3),
+)
+
+
+class TestFloatListEqualsArrayPath:
+    """A list of Python floats is kept as given; any other input goes through
+    np.array. Both give one series: the same values, length and errors, and
+    the same fit and forecast bits."""
+
+    @given(values=_raw_values)
+    @settings(max_examples=400)
+    def test_values_length_and_errors_match(self, values):
+        got = _built(lambda: TimeSeries("x", 2000, values))
+        ref = _built(lambda: _array_path("x", values))
+        if isinstance(ref, tuple):
+            assert got == ref
+            return
+        assert got.values.dtype == ref.dtype and got.values.shape == ref.shape
+        assert got.values.tobytes() == ref.tobytes()
+        assert not got.values.flags.writeable
+        assert len(got) == ref.size
+        assert got.last_period == 2000 + ref.size - 1
+        assert np.array_equal(got.periods, 2000 + np.arange(ref.size))
+
+    @given(
+        values=_series_values,
+        horizon=st.one_of(st.integers(min_value=0, max_value=40), st.just(2500)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fit_and_forecast_bits_match(self, values, horizon):
+        kept, converted = TimeSeries("s", 2000, values), TimeSeries("s", 2000, np.array(values))
+        fit = _outcome(lambda: fit_gm11(kept))
+        ref = _outcome(lambda: fit_gm11(converted))
+        assert fit[1] == ref[1]
+        if isinstance(ref[0], tuple):
+            assert fit[0] == ref[0]
+        else:
+            assert (_bits(fit[0].alpha), _bits(fit[0].mu), fit[0].class_ratio_ok) == (
+                _bits(ref[0].alpha), _bits(ref[0].mu), ref[0].class_ratio_ok
+            )
+        until = kept.last_period + horizon
+        value = _outcome(lambda: forecast_value(kept, until))
+        ref_value = _outcome(lambda: forecast_value(converted, until))
+        assert value == ref_value
+        if isinstance(value[0], float):
+            assert _bits(value[0]) == _bits(ref_value[0])
+
+    def test_a_copy_shares_the_array_and_equals_its_source(self):
+        series = TimeSeries("s", 2000, [1.0, 2.0, 3.0])
+        twin = copy.copy(series)
+        assert twin.values is series.values
+        assert twin == series
+        with pytest.raises(ValueError, match="ambiguous"):
+            series == TimeSeries("s", 2000, [1.0, 2.0, 3.0])

@@ -313,6 +313,27 @@ class TestLoadDecisionMatrix:
         assert m.rows == reference.rows
         assert m.values.tobytes() == reference.values.tobytes()
 
+    @given(text=st.one_of(
+        st.text(alphabet=',;\t"\' ab1.\n\r', max_size=200),
+        # delimited lines, some cells quoted
+        st.tuples(
+            st.sampled_from([",", ";", "\t", " ", "|", ", "]),
+            st.lists(st.lists(st.text(alphabet='ab1. "\';,', max_size=5), min_size=1, max_size=5),
+                     min_size=1, max_size=8),
+        ).map(lambda t: "".join(t[0].join(cells) + "\n" for cells in t[1])),
+    ))
+    @settings(max_examples=300)
+    def test_sniffed_delimiter_is_the_sniffers(self, text):
+        """A sample with neither ';' nor a tab is ',' without running the
+        Sniffer; any sample reads as the Sniffer reads it, and its failure
+        as ','."""
+        sample = "\n".join(line for line in text[:2048].split("\n")[:-1] if line.strip())
+        try:
+            expected = csv.Sniffer().sniff(sample, delimiters=",;\t").delimiter
+        except csv.Error:
+            expected = ","
+        assert indicators._sniff_delimiter(text) == expected
+
     def test_json_form_accepted(self):
         h = default_hierarchy()
         obj = {
