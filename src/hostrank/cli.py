@@ -818,8 +818,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
     """``warnings.showwarning`` for the process: one ``warning: <message>`` line on stderr."""
     stream = sys.stderr if file is None else file
-    if stream is not None:  # no stderr (pythonw): the warning is lost, as Python's own is
+    if stream is None:  # no stderr (pythonw): the warning is lost, as Python's own is
+        return
+    try:
         stream.write(f"warning: {message}\n")
+    except OSError:  # stderr full or closed: lost too, and the run goes on
+        pass
 
 
 def run() -> int:

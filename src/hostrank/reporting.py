@@ -50,23 +50,13 @@ def format_number(value: float) -> str:
     return format(float(value), NUMBER_FORMAT)
 
 
-_FLOAT_CELL = "%" + NUMBER_FORMAT
-
-
 def _cell(value) -> str:
     # A float cell, numpy's float64 included, prints as format_number prints it.
     if isinstance(value, float):
-        return _FLOAT_CELL % value
+        return format(value, NUMBER_FORMAT)
     if isinstance(value, bool):
         return "1" if value else "0"
     return str(value)
-
-
-def _column(cells: tuple) -> Iterable[str]:
-    """A column's cells as text: a column of floats in one pass, any other cell by cell."""
-    if all(issubclass(kind, float) for kind in set(map(type, cells))):
-        return map(_FLOAT_CELL.__mod__, cells)
-    return map(_cell, cells)
 
 
 def render_table(
@@ -78,10 +68,5 @@ def render_table(
     body = io.StringIO()
     writer = csv.writer(body, lineterminator="\n")
     writer.writerow(columns)
-    rows = list(rows)
-    widths = set(map(len, rows))
-    if len(widths) == 1 and 0 not in widths:
-        writer.writerows(zip(*map(_column, zip(*rows))))
-    else:  # rows of different widths, or none: cell by cell
-        writer.writerows(map(_cell, row) for row in rows)
+    writer.writerows(map(_cell, row) for row in rows)
     return "\n".join(provenance.header_lines()) + "\n" + body.getvalue()

@@ -176,6 +176,36 @@ def test_module_entry_point_matches_golden_files(
     assert proc.stderr == "".join(f"warning: {message}\n" for message in warned)
 
 
+@pytest.mark.parametrize("stderr", ["full", "closed-pipe"])
+def test_module_entry_point_runs_on_with_an_unwritable_stderr(stderr, fixtures_dir, tmp_path):
+    """A warning that cannot be written is lost, as with Python's own
+    display: ``screen winter`` still exits 0 with the golden outputs when
+    each stderr write fails (a full device, or a pipe nobody reads)."""
+    if stderr == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        sink = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, sink = os.pipe()
+        os.close(read_end)
+    argv, names = next((argv, names) for c, argv, names in INVOCATIONS if c == "screen-winter")
+    argv = [a.replace("{fixtures}", str(fixtures_dir)) for a in argv]
+    config = fixtures_dir / "run.json"
+    env = {**os.environ, OUTPUT_DIR_ENV: str(tmp_path)}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hostrank.cli", *argv[:2], "--config", str(config),
+             *argv[2:]],
+            env=env, stdout=subprocess.PIPE, stderr=sink, text=True, timeout=60,
+        )
+    finally:
+        os.close(sink)
+    assert proc.returncode == EXIT_OK
+    assert_matches_golden(tmp_path, GOLDEN / "screen-winter", names, config,
+                          mask_stdout(proc.stdout))
+
+
 def config_with_a_damaged_input(fixtures: Path, tmp_path: Path, key: str) -> Path:
     """The shipped config with input ``key`` unreadable: a decision matrix
     that is not UTF-8, or judgments cut off mid-JSON."""
