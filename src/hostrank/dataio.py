@@ -15,7 +15,7 @@ from typing import IO, Any, Iterator, Mapping, Sequence
 from .errors import ConfigError, ValidationError
 from .grey import TimeSeries
 from .indicators import (
-    _FLOATS, _INTEGER, _LIST, _NUMBER, _OBJECT, _STRING, _STRINGS, IndicatorId, _as_wide, _brief,
+    _INTEGER, _LIST, _NUMBER, _OBJECT, _STRING, _STRINGS, IndicatorId, _as_wide, _brief,
     _cell_number, _csv_errors, _csv_lines, _expect, _json_document, _json_numbers, _malformed,
     _read_text,
 )
@@ -41,11 +41,6 @@ def load_judgments(source: str | Path | IO[str]) -> dict[str, list[list[float]]]
 
 
 def _series_from_obj(label: str, entry: Any) -> TimeSeries:
-    # Nearly every series passes the rules' tests, so the messages are built only on failure.
-    if _OBJECT[1](entry):
-        start, values = entry.get("start_period"), entry.get("values")
-        if _INTEGER[1](start) and _LIST[1](values) and _FLOATS.issuperset(map(type, values)):
-            return TimeSeries(label, start, values)
     quoted = _brief(label)
     _expect(entry, _OBJECT, f"series {quoted}")
     start = _expect(entry["start_period"], _INTEGER, f"start_period of {quoted}")
@@ -65,10 +60,9 @@ def _pool_from_json(text: str) -> list[CityProfile]:
     with _json_document(text, "pool file") as obj:
         entries = _expect(obj["cities"], _LIST, "cities")
     cities: list[CityProfile] = []
-    ids_by_keys: dict[tuple[str, ...], tuple[IndicatorId, ...]] = {}
     try:
         for entry in entries:
-            cities.append(_finite(_city_from_obj(entry, ids_by_keys)))
+            cities.append(_finite(_city_from_obj(entry)))
     except (AttributeError, KeyError, TypeError, ValueError):
         # The failing city is the one after those loaded; _malformed words the error.
         with _malformed(f"pool city #{len(cities) + 1}"):
@@ -77,28 +71,19 @@ def _pool_from_json(text: str) -> list[CityProfile]:
     return cities
 
 
-def _city_from_obj(entry: Any, ids_by_keys: dict) -> CityProfile:
-    """One pool city. ``ids_by_keys`` maps each indicator-key tuple parsed so far
-    to its ids, so a city with known keys and float values skips the parse."""
+def _city_from_obj(entry: Any) -> CityProfile:
     _expect(entry, _OBJECT, "city")
     name = _expect(entry["name"], _STRING, "name")
     climate = {
         var: _series_from_obj(f"{name}/{var}", series)
         for var, series in _expect(entry.get("climate", {}), _OBJECT, "climate").items()
     }
-    given = _expect(entry.get("indicators", {}), _OBJECT, "indicators")
-    keys = tuple(given)
-    ids = ids_by_keys.get(keys)
-    if ids is not None and _FLOATS.issuperset(map(type, given.values())):
-        indicators = dict(zip(ids, given.values()))
-    else:
-        indicators = {}
-        for k, v in given.items():
-            ind = IndicatorId.parse(k)
-            if ind in indicators:
-                raise ValueError(f"indicators name {ind} twice")
-            indicators[ind] = v if type(v) is float else float(_expect(v, _NUMBER, str(ind)))
-        ids_by_keys[keys] = tuple(indicators)
+    indicators = {}
+    for k, v in _expect(entry.get("indicators", {}), _OBJECT, "indicators").items():
+        ind = IndicatorId.parse(k)
+        if ind in indicators:
+            raise ValueError(f"indicators name {ind} twice")
+        indicators[ind] = v if type(v) is float else float(_expect(v, _NUMBER, str(ind)))
     return CityProfile(
         name=name,
         country=_expect(entry.get("country", ""), _STRING, "country"),

@@ -250,13 +250,10 @@ def _fit_shifted(series: TimeSeries, until: int) -> tuple[GreyModel, float]:
             f"until={until} precedes the last observation of {_brief(series.label)} "
             f"({series.last_period})"
         )
-    values = series._x0
-    lowest = min(values)
+    lowest = min(series._x0)
     shift = 1.0 - lowest if lowest <= 0.0 else 0.0
     if shift:
-        if math.isinf(max(values) + shift):
-            raise ValidationError(f"series {_brief(series.label)} contains non-finite values")
-        series = TimeSeries(series.label, series.start_period, [v + shift for v in values])
+        series = TimeSeries(series.label, series.start_period, [v + shift for v in series._x0])
     return fit_gm11(series), shift
 
 
