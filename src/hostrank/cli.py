@@ -57,6 +57,7 @@ from .indicators import (
     IndicatorId,
     _brief,
     _expect,
+    _reading,
     load_decision_matrix,
     load_hierarchy,
 )
@@ -147,6 +148,14 @@ _SETTINGS = (
 )
 
 
+def _input_file(path: Path, missing: str) -> Path:
+    """``path``, if it names a file; else a ConfigError: ``missing`` and the path."""
+    with _reading(path):
+        if path.is_file():
+            return path
+    raise ConfigError(f"{missing}: {_brief(str(path))}")
+
+
 def _checked(doc: dict, key: str, default: Any, rule: tuple[str, Callable[[Any], bool]]) -> Any:
     """The value at dotted ``key``, or ``default`` when it or a block above it is absent or null."""
     value: Any = doc
@@ -187,10 +196,9 @@ class RunConfig(Record):
 
     @classmethod
     def load(cls, path: str | Path) -> RunConfig:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {p}")
-        data = p.read_bytes()
+        p = _input_file(Path(path), "config file not found")
+        with _reading(p):
+            data = p.read_bytes()
         try:
             raw = json.loads(data.decode("utf-8"))
         except ValueError as exc:  # bad UTF-8, bad JSON, an integer of over 4,300 digits
@@ -206,25 +214,20 @@ class RunConfig(Record):
         for key, rule in _REQUIREMENT_KEYS.items():
             _checked(raw, f"{_REQUIREMENT}.{key}", None, rule)
         requirement = load_requirement(block)
+        # Inputs resolve against the config file, unless absolute; the output directory
+        # is working-directory relative so runs stay out of the fixture tree.
         inputs = {}
         for key in _PATH_KEYS:
             value = _checked(raw, key, None, _NAME)
             if value is not None:
-                inputs[key] = p.parent / value  # an absolute value replaces the parent
-                if not inputs[key].is_file():
-                    raise ConfigError(f"config key {key!r} points at missing file {inputs[key]}")
-        # Inputs resolve against the config file; the output directory is
-        # working-directory relative so runs stay out of the fixture tree.
+                inputs[key] = _input_file(p.parent / value, f"config key {key!r} names no file")
         values["output_dir"] = Path(os.environ.get(OUTPUT_DIR_ENV) or values["output_dir"])
         return cls(hash_bytes(data), requirement, inputs, **values)
 
     def input_path(self, key: str, override: str | None = None) -> Path:
         """The input file named by a command-line ``override``, else by the config."""
         if override is not None:
-            path = Path(override)
-            if not path.is_file():
-                raise ConfigError(f"{key} file not found: {path}")
-            return path
+            return _input_file(Path(override), f"{key} file not found")
         if key not in self.inputs:
             raise ConfigError(f"config key {key!r} is required for this subcommand")
         return self.inputs[key]
@@ -302,7 +305,7 @@ def _weighting(cfg: RunConfig, feature_count: int | None = None) -> WeightingOut
     count = cfg.feature_count if feature_count is None else feature_count
     if not 1 <= count <= len(hierarchy.ids):
         name = "config key 'weighting.feature_count'" if feature_count is None else "--features"
-        raise ConfigError(f"{name} must be in 1..{len(hierarchy.ids)}, got {count}")
+        raise ConfigError(f"{name} must be in 1..{len(hierarchy.ids)}, got {_brief(count)}")
     return compute_weights(
         hierarchy,
         load_judgments(cfg.input_path("judgments")),
@@ -425,15 +428,13 @@ def _cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         if not cities:
             raise ValidationError(f"no city in the pool has series {_brief(args.indicator)}")
     _check_until(cities, [args.indicator], args.until, "--until")
-    n_rows = sum(
-        args.until - c.climate[args.indicator].start_period + 1
-        for c in cities
-        if args.indicator in c.climate
-    )
-    if n_rows > _MAX_FORECAST_ROWS:
-        raise ValidationError(
-            f"--until = {args.until} gives a forecast table of {n_rows} rows; "
-            f"at most {_MAX_FORECAST_ROWS} are allowed"
+    starts = [c.climate[args.indicator].start_period for c in cities if args.indicator in c.climate]
+    # A series gives until - start + 1 rows: limit is the last until within the cap.
+    limit = (_MAX_FORECAST_ROWS + sum(starts) - len(starts)) // max(len(starts), 1)
+    if starts and args.until > limit:
+        raise ConfigError(
+            f"--until must be at most {limit} for {len(starts)} series "
+            f"({_MAX_FORECAST_ROWS} rows), got {_brief(args.until)}"
         )
     rows = []
     for city in cities:
@@ -455,7 +456,7 @@ def _check_until(
             series = city.climate.get(name)
             if series is not None and until < series.last_period:
                 raise ValidationError(
-                    f"{source} = {until} precedes the last observation of "
+                    f"{source} = {_brief(until)} precedes the last observation of "
                     f"{_brief(series.label)} ({series.last_period})"
                 )
 
@@ -471,8 +472,12 @@ def _winter_candidates(
     excluded = set(cfg.winter_exclude)
     unknown = excluded - {c.name for c in pool}
     if unknown:
-        names = ", ".join(map(_brief, sorted(unknown)))
-        warnings.warn(f"exclusion list names absent from the pool: [{names}]")
+        names = [_brief(name) for name in sorted(unknown)]
+        # The first three names, or as many as fit in 100 characters (at least one).
+        ends = itertools.accumulate(len(name) + 2 for name in names[:3])
+        shown = [name for name, end in zip(names, ends) if end <= 102] or names[:1]
+        more = f", ... ({len(names)} names)" if len(shown) < len(names) else ""
+        warnings.warn(f"exclusion list names absent from the pool: [{', '.join(shown)}{more}]")
     candidates = [c for c in cities if c.name not in excluded]
     if not candidates:
         who = "stage-1 survivor" if len(cities) < len(pool) else "pool city"
@@ -628,6 +633,8 @@ def _factor_key(token: str) -> int | IndicatorId:
         if lowered.startswith(prefix) and lowered[len(prefix) :].isdecimal():
             token = lowered[len(prefix) :]
     if token.isdecimal():
+        if len(token) > 18:  # past any feature group, and int() refuses 4,300 digits
+            raise ConfigError(f"factor position {_brief(token)} has more than 18 digits")
         if int(token) < 1:
             raise ConfigError(f"factor position {token} is below 1")
         return int(token)
@@ -657,11 +664,11 @@ def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         raise ConfigError("rsm factors must be distinct")
     if args.grid < 3:
         raise ConfigError("grid needs at least 3 levels per factor")
-    n_points = args.grid ** len(keys)
-    if n_points > _MAX_GRID_POINTS:
+    limit = round(_MAX_GRID_POINTS ** (1 / len(keys)))  # 1,000,000 is 1000^2 and 100^3
+    if args.grid > limit:
         raise ConfigError(
-            f"--grid {args.grid} gives {n_points} points for {len(keys)} factors; "
-            f"at most {_MAX_GRID_POINTS} are allowed"
+            f"--grid must be at most {limit} for {len(keys)} factors "
+            f"({_MAX_GRID_POINTS} points), got {_brief(args.grid)}"
         )
     w = _weighting(cfg)
     hierarchy, matrix = w.hierarchy, w.matrix

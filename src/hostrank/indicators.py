@@ -262,13 +262,13 @@ def load_hierarchy(source: str | Path | IO[str]) -> IndicatorHierarchy:
         specs = []
         for entry in _expect(obj["indicators"], _LIST, "indicators"):
             key = _expect(entry, _OBJECT, "indicators entry")["id"]
+            ind = IndicatorId.parse(key)
             interval = entry.get("ideal_interval")
             if interval is not None:
-                _expect(interval, _INTERVAL, f"ideal_interval of {key}")
-                interval = tuple(_json_numbers(interval, f"ideal_interval bound of {key}"))
-            ind = IndicatorId.parse(key)
-            name = _expect(entry.get("name", key), _STRING, f"name of {key}")
-            polarity = _expect(entry.get("polarity", "+"), _POLARITY, f"polarity of {key}")
+                _expect(interval, _INTERVAL, f"ideal_interval of {ind}")
+                interval = tuple(_json_numbers(interval, f"ideal_interval bound of {ind}"))
+            name = _expect(entry.get("name", key), _STRING, f"name of {ind}")
+            polarity = _expect(entry.get("polarity", "+"), _POLARITY, f"polarity of {ind}")
             specs.append(IndicatorSpec(ind, name, Polarity(polarity), interval))
         reduced = _expect(obj.get("reduced", False), _FLAG, "reduced")
         return IndicatorHierarchy(tuple(specs), reduced)
@@ -320,10 +320,20 @@ class DecisionMatrix(Record):
         return dict(zip(self.cols, self.values[i].tolist()))
 
 
+@contextmanager
+def _reading(path: str | Path) -> Iterator[None]:
+    """Report an OSError met checking or reading ``path`` as a one-line ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot read {_brief(str(path))}: {exc.strerror or exc}") from None
+
+
 def _read_text(source: str | Path | IO[str]) -> str:
     if isinstance(source, (str, Path)):
         try:
-            return Path(source).read_text(encoding="utf-8")
+            with _reading(source):
+                return Path(source).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{source} is not UTF-8 text (byte {exc.start})") from None
     return source.read()

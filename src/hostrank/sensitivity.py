@@ -22,7 +22,7 @@ import numpy as np
 from ._record import Record, frozen_array
 from .combining import FeatureSelection, TotalWeights, score_rows
 from .errors import ConfigError, NumericError, ValidationError
-from .indicators import DecisionMatrix, IndicatorHierarchy, IndicatorId
+from .indicators import DecisionMatrix, IndicatorHierarchy, IndicatorId, _brief
 from .reporting import NUMBER_FORMAT
 from .selection import FeatureScaler
 
@@ -130,7 +130,7 @@ def factor_substitution(
     """
     if config.n_swap > selection.k:
         raise ConfigError(
-            f"n_swap={config.n_swap} exceeds the feature-group size {selection.k}"
+            f"n_swap={_brief(config.n_swap)} exceeds the feature-group size {selection.k}"
         )
     omega_by_id = omega.by_id()
     selected = set(selection.ids)

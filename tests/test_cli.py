@@ -199,6 +199,20 @@ class TestScreenPaths:
         )
         assert len(str(caught[0].message)) < 200
 
+    def test_many_absent_exclusion_names_are_shown_as_a_count(
+        self, tmp_path, fixtures_dir, outdir
+    ):
+        def edit(cfg):
+            cfg["screen"]["winter"]["exclude"] = [f"Nowhere {i}" for i in range(2_000)]
+
+        config = write_config(tmp_path, fixtures_dir, edit)
+        with pytest.warns(UserWarning) as caught:
+            assert screen_winter(config, fixtures_dir) == EXIT_OK
+        assert str(caught[0].message) == (
+            "exclusion list names absent from the pool: "
+            "['Nowhere 0', 'Nowhere 1', 'Nowhere 10', ... (2000 names)]"
+        )
+
     def test_exclusion_list_is_checked_against_the_pool_not_the_stage_1_survivors(
         self, tmp_path, fixtures_dir, outdir
     ):
@@ -1028,9 +1042,9 @@ class TestErrorContract:
             (["rsm", "--factors", "A5, A5"], None, "rsm factors must be distinct"),
             (["rsm", "--factors", "0,1"], None, "factor position 0 is below 1"),
             (["rsm", "--factors", "1,2", "--grid", "1001"], None,
-             "--grid 1001 gives 1002001 points for 2 factors; at most 1000000 are allowed"),
+             "--grid must be at most 1000 for 2 factors (1000000 points), got 1001"),
             (["rsm", "--factors", "1,2,3", "--grid", "101"], None,
-             "--grid 101 gives 1030301 points for 3 factors; at most 1000000 are allowed"),
+             "--grid must be at most 100 for 3 factors (1000000 points), got 101"),
             # The indicator count bounds the feature count, so these read the hierarchy.
             (["evaluate", "--features", "0"], None, "--features must be in 1..30, got 0"),
             (["evaluate", "--features", "31"], None, "--features must be in 1..30, got 31"),
@@ -1189,10 +1203,14 @@ class TestErrorContract:
     @pytest.mark.parametrize(
         "until, city, message",
         [
-            (1_002_015, "Calgary", "gives a forecast table of 1000001 rows; at most 1000000"),
-            # 12 cities from 2015 on: 83,334 rows each
-            (85_348, None, "gives a forecast table of 1000008 rows; at most 1000000"),
-            (1_002_014, "Calgary", "series 'Calgary/feb_temp_c' contains non-finite values"),
+            # Calgary from 2015 on: 1,000,001 rows
+            (1_002_015, "Calgary", "config error: --until must be at most 1002014 for 1 series "
+             "(1000000 rows), got 1002015"),
+            # 12 cities from 2015 on: 83,334 rows each, 1,000,008 in all
+            (85_348, None, "config error: --until must be at most 85347 for 12 series "
+             "(1000000 rows), got 85348"),
+            (1_002_014, "Calgary",
+             "validation error: series 'Calgary/feb_temp_c' contains non-finite values"),
         ],
     )
     def test_forecast_table_past_a_million_rows_is_refused(
@@ -1204,9 +1222,8 @@ class TestErrorContract:
                 str(fixtures_dir / "winter_pool.json"), "--indicator", "feb_temp_c",
                 "--until", str(until)]
         code = main([*argv, *(["--city", city] if city else [])])
-        assert code == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("validation error: ") and message in err and err.count("\n") == 1
+        assert code == (EXIT_CONFIG if message.startswith("config") else EXIT_VALIDATION)
+        assert capsys.readouterr().err == message + "\n"
         assert not outdir.exists()
 
 
@@ -1501,6 +1518,82 @@ class TestErrorContract:
         kind = "config" if code == EXIT_CONFIG else "validation"
         assert err == f"{kind} error: {message}\n"
         assert len(err) < 200
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("digits", [301, 4_000])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--features={}"],
+            ["sensitivity", "--n-swap={}"],
+            ["sensitivity", "--trials={}"],
+            ["rsm", "--factors=1,2", "--grid={}"],
+            ["rsm", "--factors={},1"],
+            ["forecast", "--indicator=feb_temp_c", "--until={}"],
+        ],
+        ids=["features", "n-swap", "trials", "grid", "factor", "until"],
+    )
+    def test_long_integer_flag_fails_in_one_short_line(
+        self, fixtures_dir, config_path, outdir, capsys, argv, digits, sign
+    ):
+        """A flag integer of hundreds or thousands of digits is refused, and
+        quoted short: exit 2, or 3 for an --until before the series end."""
+        argv = [arg.format(sign + "9" * digits) for arg in argv]
+        if argv[0] == "forecast":
+            argv.append(f"--pool={fixtures_dir / 'winter_pool.json'}")
+        code = main([*argv, "--config", str(config_path)])
+        err = capsys.readouterr().err
+        assert code in (EXIT_CONFIG, EXIT_VALIDATION)
+        assert err.count("\n") == 1 and len(err) < 200 and "Traceback" not in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rsm", "--factors", "1,2", "--grid", "9" * 3_001],
+             "--grid must be at most 1000 for 2 factors (1000000 points), got "
+             f"{'9' * 60}... (3001 characters)"),
+            (["rsm", "--factors", "9" * 5_000 + ",1"],
+             f"factor position '{'9' * 59}... (5002 characters) has more than 18 digits"),
+            (["forecast", "--indicator", "feb_temp_c", "--until", "9" * 4_300],
+             "--until must be at most 85347 for 12 series (1000000 rows), got "
+             f"{'9' * 60}... (4300 characters)"),
+        ],
+        ids=["grid", "factor", "until"],
+    )
+    def test_integer_too_long_to_print_is_refused_before_it_is_printed(
+        self, fixtures_dir, config_path, outdir, capsys, argv, message
+    ):
+        """Python refuses to format an int of over 4,300 digits: the grid's
+        point count, a factor position and the forecast's row count never are."""
+        if argv[0] == "forecast":
+            argv = [*argv, "--pool", str(fixtures_dir / "winter_pool.json")]
+        assert main([*argv, "--config", str(config_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("where", ["--config", "--pool", "--plans", "config key"])
+    def test_path_too_long_to_check_is_a_config_error(
+        self, tmp_path, fixtures_dir, outdir, capsys, where
+    ):
+        """A 5,000-character file name cannot even be looked up (ENAMETOOLONG):
+        one config-error line that quotes the path short, exit 2."""
+        long_path = tmp_path / ("p" * 5_000)
+        config = write_config(
+            tmp_path, fixtures_dir,
+            lambda cfg: cfg.update(pool=str(long_path)) if where == "config key" else None,
+        )
+        argv = {
+            "--config": ["weights", "--config", str(long_path)],
+            "--pool": ["screen", "winter", "--pool", str(long_path), "--config", str(config)],
+            "--plans": ["compare-schemes", "--plans", str(long_path), "--config", str(config)],
+            "config key": ["weights", "--config", str(config)],
+        }[where]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and _brief(str(long_path)) in err
+        assert err.count("\n") == 1 and len(err) < 200 and "Traceback" not in err
         assert not outdir.exists()
 
 

@@ -17,7 +17,7 @@ from hostrank.dataio import (
     merge_climate,
 )
 from hostrank.errors import ConfigError, ValidationError
-from hostrank.indicators import IndicatorId, all_indicator_ids
+from hostrank.indicators import IndicatorId, _brief, all_indicator_ids
 from hostrank.selection import SwotRecord
 
 
@@ -36,6 +36,12 @@ class TestLoadPool:
         assert set(calgary.climate) == {"feb_temp_c", "feb_snow_cm"}
         assert calgary.climate["feb_temp_c"].start_period == 2015
         assert len(calgary.indicators) == 30
+
+    def test_path_too_long_to_open_is_a_config_error(self, tmp_path):
+        path = tmp_path / ("p" * 5_000)
+        message = f"cannot read {_brief(str(path))}: File name too long"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_pool(path)
 
     def test_missing_columns_rejected(self):
         with pytest.raises(ValidationError, match="columns"):

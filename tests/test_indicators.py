@@ -197,6 +197,22 @@ class TestHierarchyConstruction:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_hierarchy(io.StringIO(json.dumps(obj)))
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("x" * 100_000, f"unknown indicator 'x{'x' * 58}... (100002 characters)"),
+            ("B5" + " " * 100_000, "bad value in hierarchy file: ideal_interval of B5 must be "
+             "[a, b], got 5"),
+        ],
+        ids=["unknown id", "padded id"],
+    )
+    def test_ideal_interval_error_names_the_parsed_id(self, key, message):
+        """The id is parsed before its interval is checked, so a long id is
+        never echoed whole."""
+        text = json.dumps({"indicators": [{"id": key, "ideal_interval": 5}]})
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_hierarchy(io.StringIO(text))
+
     def test_absent_name_is_the_id(self):
         h = load_hierarchy(io.StringIO('{"reduced": true, "indicators": [{"id": "A1"}]}'))
         assert h.specs[0].name == "A1"
