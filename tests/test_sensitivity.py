@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hostrank import sensitivity
 from hostrank.combining import FeatureSelection, select_features, weighted_score
@@ -251,6 +252,29 @@ def test_batched_trials_equal_per_trial_reference(weighting, case, n_swap, seed,
     if case == "zero_baseline":
         assert reference.baseline[0] == 0.0
         assert np.isnan(batched.rel_dev[0, 0])
+
+
+@given(
+    magnitudes=st.integers(1, 6).flatmap(
+        lambda alts: st.integers(1, 40).flatmap(
+            lambda trials: hnp.arrays(
+                np.float64, (trials, alts),
+                elements=st.floats(0, 2),  # |chi - baseline| <= 1 for scores in [0, 1]
+            )
+        )
+    )
+)
+@settings(max_examples=60)
+@example(magnitudes=np.abs(np.random.default_rng(3).normal(size=(500, 45))))
+def test_row_stats_equal_one_deviation_stats_call_per_row(magnitudes):
+    """The row-wise summary gives each alternative the same bits as a 1-D
+    ``_deviation_stats`` call on its column of trial magnitudes."""
+    rows = np.ascontiguousarray(magnitudes.T)
+    labels = [f"alt{j}" for j in range(rows.shape[0])]
+    got = sensitivity._row_stats(labels, rows)
+    want = {label: sensitivity._deviation_stats(row) for label, row in zip(labels, rows)}
+    as_hex = lambda stats: {a: {k: v.hex() for k, v in s.items()} for a, s in stats.items()}
+    assert as_hex(got) == as_hex(want)
 
 
 @pytest.mark.parametrize("label", ['New York, "NY"', "two\nlines", "carriage\rreturn", "plain"])
