@@ -3,9 +3,9 @@
 Substitution trials replace a seeded random subset of the selected
 feature group with draws from the unselected indicators, renormalize
 weights over the new group from its total weights, and record how each
-alternative's evaluation score moves. Every trial derives its random
-stream from (seed, trial index), so runs are reproducible and
-schedule-independent.
+alternative's evaluation score moves. Trial t draws its keys from block t
+of one ``random.Random(seed)`` stream, so runs are reproducible and a
+shorter run is a prefix of a longer one.
 
 The response-surface side fits a full quadratic to design points by
 least squares and locates box-constrained extrema exactly via
@@ -15,6 +15,7 @@ stationary-point plus boundary enumeration.
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Sequence
 
 import numpy as np
@@ -132,7 +133,6 @@ def factor_substitution(
         raise ConfigError(
             f"n_swap={_brief(config.n_swap)} exceeds the feature-group size {selection.k}"
         )
-    omega_by_id = omega.by_id()
     selected = set(selection.ids)
     unselected = [i for i in omega.ids if i not in selected]
     if len(unselected) < config.n_swap:
@@ -141,44 +141,36 @@ def factor_substitution(
             f"need {config.n_swap}"
         )
 
-    column_of = {c: j for j, c in enumerate(data.cols)}
-
-    def columns(group: Sequence[IndicatorId]) -> list[int]:
-        try:
-            return [column_of[i] for i in group]
-        except KeyError as exc:
-            raise ValidationError(
-                f"decision matrix has no column for feature {exc.args[0]}"
-            ) from None
-
     # Min-max scaling is per column across all alternatives, so scaling the
     # whole matrix once gives every trial's scaled cells.
     scaler = FeatureScaler.from_values(data.values, data.cols, hierarchy)
     scaled = scaler.transform_values(data.values)
 
-    # Row 0 scores the baseline group; row t + 1 scores trial t.
-    group_columns = [columns(selection.ids)]
-    gammas = [selection.gamma]
-    swaps: list[Swap] = []
-    for t in range(config.trials):
-        rng = np.random.default_rng([config.seed, t])
-        # With n_swap = 0 both draws are empty and the trial is the identity.
-        positions = sorted(rng.choice(selection.k, size=config.n_swap, replace=False).tolist())
-        picks = sorted(rng.choice(len(unselected), size=config.n_swap, replace=False).tolist())
-        group = list(selection.ids)
-        removed = tuple(group[p] for p in positions)
-        added = tuple(unselected[p] for p in picks)
-        for pos, sub in zip(positions, added):
-            group[pos] = sub
-        gamma = np.array([omega_by_id[i] for i in group])
-        total = gamma.sum()
-        if total <= 0:
-            raise NumericError("substituted group carries no total weight")
-        group_columns.append(columns(group))
-        gammas.append(gamma / total)
-        swaps.append((removed, added))
+    # Each group as indices into pool: row 0 is the baseline group, row t + 1
+    # trial t, with its picks installed at its positions.
+    pool, k = (*selection.ids, *unselected), selection.k
+    positions, picks = _draw_swaps(config, k, len(unselected))
+    members = np.tile(np.arange(k), (config.trials + 1, 1))
+    np.put_along_axis(members[1:], positions, k + picks, axis=1)
 
-    chi = _weighted_scores(scaled, np.array(group_columns, dtype=np.intp), np.array(gammas))
+    column_of = {c: j for j, c in enumerate(data.cols)}
+    group_columns = np.array([column_of.get(i, -1) for i in pool], dtype=np.intp)[members]
+    missing = np.flatnonzero(group_columns < 0)
+    if missing.size:
+        feature = pool[members.flat[missing[0]]]
+        raise ValidationError(f"decision matrix has no column for feature {feature}")
+    omega_by_id = omega.by_id()
+    gammas = np.array([omega_by_id[i] for i in pool])[members]
+    gammas[0] = selection.gamma
+    totals = gammas[1:].sum(axis=1)
+    if np.any(totals <= 0):
+        raise NumericError("substituted group carries no total weight")
+    gammas[1:] /= totals[:, None]
+    names = np.fromiter(pool, dtype=object, count=len(pool))
+    removed, added = names[positions].tolist(), names[k + picks].tolist()
+    swaps = tuple(zip(map(tuple, removed), map(tuple, added)))
+
+    chi = _weighted_scores(scaled, group_columns, gammas)
     chi.flags.writeable = False
     base = chi[0]
     abs_dev = chi[1:] - base
@@ -190,9 +182,31 @@ def factor_substitution(
     summary = _row_stats(data.rows, np.ascontiguousarray(magnitudes.T))
     summary["(overall)"] = _deviation_stats(magnitudes.ravel())
     return SensitivityReport(
-        alternatives=data.rows, baseline=base, trials=tuple(swaps), chi=chi[1:],
+        alternatives=data.rows, baseline=base, trials=swaps, chi=chi[1:],
         abs_dev=abs_dev, rel_dev=rel_dev, summary=summary,
     )
+
+
+def _draw_swaps(config: PerturbationConfig, k: int, u: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's sorted swap positions in the group of ``k`` and picks among ``u``.
+
+    Trial t keys on draws t*w ... t*w + w - 1, w = k + u, of one
+    ``random.Random(config.seed)`` stream. Its positions are the indices of
+    the ``n_swap`` smallest of the first k keys, its picks those of the
+    ``n_swap`` smallest of the last u keys; equal keys go by index. Keys are
+    drawn at most ``_GATHER_CELLS`` at a time.
+    """
+    n, w = config.n_swap, k + u
+    draw = random.Random(config.seed).random
+    positions = np.empty((config.trials, n), dtype=np.intp)
+    picks = np.empty_like(positions)
+    step = max(1, _GATHER_CELLS // w)
+    for lo in range(0, config.trials, step):
+        m = min(step, config.trials - lo)
+        keys = np.fromiter(iter(draw, None), float, count=m * w).reshape(m, w)
+        for out, part in ((positions, keys[:, :k]), (picks, keys[:, k:])):
+            out[lo : lo + m] = np.sort(np.argsort(part, axis=1, kind="stable")[:, :n], axis=1)
+    return positions, picks
 
 
 def _deviation_stats(devs: np.ndarray) -> dict[str, float]:

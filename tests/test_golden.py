@@ -176,6 +176,31 @@ def test_module_entry_point_matches_golden_files(
     assert proc.stderr == "".join(f"warning: {message}\n" for message in warned)
 
 
+@pytest.mark.parametrize(
+    "case", ["sensitivity", "evaluate", "rsm", "weights", "forecast", "screen-winter",
+             "compare-schemes"],
+)
+def test_no_subcommand_imports_numpy_random(case, fixtures_dir, tmp_path):
+    """Substitution trials draw from the standard library's ``random``, so
+    no run pays for importing ``numpy.random``: ``-X importtime`` lists
+    every module the child imports."""
+    argv = next(argv for c, argv, _ in INVOCATIONS if c == case)
+    argv = [a.replace("{fixtures}", str(fixtures_dir)) for a in argv]
+    words = 2 if argv[0] == "screen" else 1
+    env = {**os.environ, OUTPUT_DIR_ENV: str(tmp_path)}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hostrank.cli", *argv[:words],
+         "--config", str(fixtures_dir / "run.json"), *argv[words:]],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "numpy" in imported
+    assert [m for m in imported if m.startswith("numpy.random")] == []
+
+
 @pytest.mark.parametrize("stderr", ["full", "closed-pipe"])
 def test_module_entry_point_runs_on_with_an_unwritable_stderr(stderr, fixtures_dir, tmp_path):
     """A warning that cannot be written is lost, as with Python's own

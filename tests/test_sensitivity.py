@@ -3,6 +3,7 @@
 import csv
 import io
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ class TestFactorSubstitution:
         assert a.to_csv_text() != b.to_csv_text()
 
     def test_trial_streams_are_schedule_independent(self, substitution_setup):
-        """Each trial draws from its own (seed, index) stream, so a shorter
+        """Trial t keys on block t of the seed's one stream, so a shorter
         run is a prefix of a longer one."""
         sel, omega, data, h = substitution_setup
         short = factor_substitution(
@@ -148,16 +149,21 @@ def reference_substitution(selection, omega, data, config, hierarchy):
     unselected = [i for i in omega.ids if i not in set(selection.ids)]
     baseline = score(selection.ids, selection.gamma)
     swaps, chis, abs_devs, rel_devs = [], [], [], []
+    k, w = selection.k, selection.k + len(unselected)
+
+    def smallest(keys):
+        """Indices of the n_swap smallest keys, equal keys by index, ascending."""
+        return sorted(j for _, j in sorted(zip(keys, range(len(keys))))[: config.n_swap])
+
     for t in range(config.trials):
-        rng = np.random.default_rng([config.seed, t])
+        # Trial t alone: a fresh stream with the blocks of trials 0..t-1 discarded.
+        stream = random.Random(config.seed)
+        for _ in range(t * w):
+            stream.random()
+        keys = [stream.random() for _ in range(w)]
         group, removed, added = list(selection.ids), (), ()
         if config.n_swap:
-            positions = sorted(
-                rng.choice(selection.k, size=config.n_swap, replace=False).tolist()
-            )
-            picks = sorted(
-                rng.choice(len(unselected), size=config.n_swap, replace=False).tolist()
-            )
+            positions, picks = smallest(keys[:k]), smallest(keys[k:])
             removed = tuple(group[p] for p in positions)
             added = tuple(unselected[p] for p in picks)
             for pos, sub in zip(positions, added):
@@ -252,6 +258,20 @@ def test_batched_trials_equal_per_trial_reference(weighting, case, n_swap, seed,
     if case == "zero_baseline":
         assert reference.baseline[0] == 0.0
         assert np.isnan(batched.rel_dev[0, 0])
+
+
+@pytest.mark.parametrize("cells", [1, 45, 100])
+def test_key_chunks_do_not_change_the_report(weighting, cells, monkeypatch):
+    """Keys drawn a trial, or a few trials, at a time continue one stream:
+    the report equals the one drawn in a single chunk."""
+    args = (weighting.selection, weighting.total, weighting.matrix)
+    config = PerturbationConfig(seed=11, n_swap=4, trials=9)
+    whole = factor_substitution(*args, config, weighting.hierarchy)
+    monkeypatch.setattr(sensitivity, "_GATHER_CELLS", cells)
+    chunked = factor_substitution(*args, config, weighting.hierarchy)
+    assert chunked.trials == whole.trials
+    assert chunked.chi.tobytes() == whole.chi.tobytes()
+    assert chunked.to_csv_text() == whole.to_csv_text()
 
 
 @given(
