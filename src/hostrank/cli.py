@@ -247,14 +247,16 @@ class RunReport(Record):
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(
-                f"cannot create output directory {outdir}: {exc.strerror or exc}"
+                f"cannot create output directory {_brief(str(outdir))}: {exc.strerror or exc}"
             ) from None
         targets = [outdir / name for name in self.outputs]
-        for target in targets:
-            if target.exists() and not target.is_file():
-                raise ConfigError(f"cannot write {target}: it exists and is not a regular file")
         temps: list[Path] = []
         try:
+            for target in targets:  # a path too long to check fails here, as a write
+                if target.exists() and not target.is_file():
+                    raise ConfigError(
+                        f"cannot write {_brief(str(target))}: it exists and is not a regular file"
+                    )
             for target, content in zip(targets, self.outputs.values()):
                 temps.append(target.with_name(f".{target.name}.{os.getpid()}.tmp"))
                 temps[-1].write_text(content, encoding="utf-8")
@@ -263,7 +265,9 @@ class RunReport(Record):
         except OSError as exc:
             for temp in temps:
                 temp.unlink(missing_ok=True)
-            raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from None
+            raise ConfigError(
+                f"cannot write {_brief(str(target))}: {exc.strerror or exc}"
+            ) from None
         return targets
 
 
@@ -744,6 +748,14 @@ def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> tuple:
 # entry point
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag's value; argparse's error for a bad one quotes it short."""
+    try:
+        return int(text)
+    except ValueError:  # not an integer, or past int()'s 4,300 digits
+        raise argparse.ArgumentTypeError(f"invalid int value: {_brief(text)}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hostrank",
@@ -762,12 +774,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("ahp", "entropy", "combined"), default="combined")
 
     p = add("evaluate", _cmd_evaluate, help="score every decision-matrix row")
-    p.add_argument("--features", type=int, help="feature-group size (default: the config's)")
+    p.add_argument("--features", type=_int_flag, help="feature-group size (default: the config's)")
 
     p = add("forecast", _cmd_forecast, help="grey-forecast a climate series")
     p.add_argument("--pool", help="city pool file (defaults to the config's pool)")
     p.add_argument("--indicator", required=True, help="series name, e.g. feb_temp_c")
-    p.add_argument("--until", type=int, required=True, help="last forecast period")
+    p.add_argument("--until", type=_int_flag, required=True, help="last forecast period")
     p.add_argument("--city", help="restrict to one city")
 
     p = add("screen", _cmd_screen, help="run a screening pipeline")
@@ -782,13 +794,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plans", help="plans file (defaults to the config's plans)")
 
     p = add("sensitivity", _cmd_sensitivity, help="random feature-substitution trials")
-    p.add_argument("--seed", type=int, help="RNG seed (defaults to the config seed)")
-    p.add_argument("--trials", type=int, help="trial count (defaults to the config)")
-    p.add_argument("--n-swap", type=int, dest="n_swap", help="features replaced per trial")
+    p.add_argument("--seed", type=_int_flag, help="RNG seed (defaults to the config seed)")
+    p.add_argument("--trials", type=_int_flag, help="trial count (defaults to the config)")
+    p.add_argument("--n-swap", type=_int_flag, dest="n_swap", help="features replaced per trial")
 
     p = add("rsm", _cmd_rsm, help="response-surface grid over feature-weight perturbations")
     p.add_argument("--factors", required=True, help="comma-separated feature ids or 1-based positions")
-    p.add_argument("--grid", type=int, default=25, help="levels per factor")
+    p.add_argument("--grid", type=_int_flag, default=25, help="levels per factor")
 
     return parser
 

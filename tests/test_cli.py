@@ -985,6 +985,35 @@ class TestErrorContract:
         assert err.count("\n") == 1
         assert blocker.read_text() == "not a directory"
 
+    def test_output_dir_too_long_to_create_is_quoted_short(self, tmp_path, config_path,
+                                                            monkeypatch, capsys):
+        outdir = tmp_path / ("x" * 5_000)
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(outdir))
+        assert main(["weights", "--config", str(config_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (
+            f"config error: cannot create output directory {_brief(str(outdir))}: "
+            "File name too long\n"
+        )
+        assert len(err) < 200
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_path_too_long_to_write_is_quoted_short(self, tmp_path, config_path,
+                                                           monkeypatch, capsys):
+        """A directory just short of the OS path limit is created, but its
+        outputs' paths pass the limit: the first is named short, and the
+        directory is left empty."""
+        outdir = tmp_path
+        while len(str(outdir)) < 4_080:
+            outdir /= "d" * min(200, 4_080 - len(str(outdir)) - 1)
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(outdir))
+        assert main(["weights", "--config", str(config_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        target = outdir / "ahp_categories.csv"
+        assert err == f"config error: cannot write {_brief(str(target))}: File name too long\n"
+        assert len(err) < 200
+        assert list(outdir.iterdir()) == []
+
     def test_output_file_that_cannot_be_written_is_a_config_error(
         self, config_path, outdir, capsys
     ):
@@ -996,7 +1025,7 @@ class TestErrorContract:
 
         assert main(["evaluate", "--config", str(config_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: cannot write {blocker}: ")
+        assert err.startswith(f"config error: cannot write {_brief(str(blocker))}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert blocker.is_dir()
         assert (outdir / "evaluation.csv").read_bytes() == b"stale\n"
@@ -1023,7 +1052,7 @@ class TestErrorContract:
         monkeypatch.undo()
         err = capsys.readouterr().err
         target = outdir / "features.csv"
-        assert err == f"config error: cannot write {target}: No space left on device\n"
+        assert err == f"config error: cannot write {_brief(str(target))}: No space left on device\n"
         assert (outdir / "evaluation.csv").read_bytes() == b"stale\n"
         assert sorted(p.name for p in outdir.iterdir()) == ["evaluation.csv"]
 
@@ -1546,6 +1575,34 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert code in (EXIT_CONFIG, EXIT_VALIDATION)
         assert err.count("\n") == 1 and len(err) < 200 and "Traceback" not in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("value", ["ten", "9" * 5_000])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--features"],
+            ["forecast", "--indicator=feb_temp_c", "--until"],
+            ["sensitivity", "--seed"],
+            ["sensitivity", "--trials"],
+            ["sensitivity", "--n-swap"],
+            ["rsm", "--factors=1,2", "--grid"],
+        ],
+        ids=["features", "until", "seed", "trials", "n-swap", "grid"],
+    )
+    def test_integer_flag_that_does_not_parse_is_quoted_short(
+        self, config_path, outdir, capsys, argv, value
+    ):
+        """A value int() refuses, a word or past its 4,300 digits, is a usage
+        error: exit 2, argparse's usage lines, and the value cut short."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value, "--config", str(config_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: hostrank ")
+        assert lines[-1].endswith(f"argument {argv[-1]}: invalid int value: {_brief(value)}")
+        assert max(map(len, lines)) < 200 and "Traceback" not in err
         assert not outdir.exists()
 
     @pytest.mark.parametrize(
