@@ -230,7 +230,8 @@ def _row_stats(labels: Sequence[str], rows: np.ndarray) -> dict[str, dict[str, f
     }
 
 
-# Cells gathered per batch in _weighted_scores, which bounds its working memory.
+# Keys drawn per batch in _draw_swaps and cells gathered per batch in
+# _weighted_scores, which bounds their working memory.
 _GATHER_CELLS = 1 << 20
 
 
