@@ -170,6 +170,12 @@ def _checked(doc: dict, key: str, default: Any, rule: tuple[str, Callable[[Any],
         raise ConfigError(str(exc)) from None
 
 
+def _at_most(name: str, value: int, limit: int, scope: str) -> None:
+    """Refuse a size ``value`` past ``limit``, the cap for ``scope``, set by ``name``."""
+    if value > limit:
+        raise ConfigError(f"{name} must be at most {limit} for {scope}, got {_brief(value)}")
+
+
 class RunConfig(Record):
     """One run configuration, read and checked whole by ``load``.
 
@@ -200,7 +206,7 @@ class RunConfig(Record):
         with _reading(p):
             data = p.read_bytes()
         try:
-            raw = json.loads(data.decode("utf-8"))
+            raw = json.loads(data.decode("utf-8").removeprefix("\ufeff"))
         except ValueError as exc:  # bad UTF-8, bad JSON, an integer of over 4,300 digits
             raise ConfigError(f"config file {p} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
@@ -435,11 +441,8 @@ def _cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     starts = [c.climate[args.indicator].start_period for c in cities if args.indicator in c.climate]
     # A series gives until - start + 1 rows: limit is the last until within the cap.
     limit = (_MAX_FORECAST_ROWS + sum(starts) - len(starts)) // max(len(starts), 1)
-    if starts and args.until > limit:
-        raise ConfigError(
-            f"--until must be at most {limit} for {len(starts)} series "
-            f"({_MAX_FORECAST_ROWS} rows), got {_brief(args.until)}"
-        )
+    if starts:
+        _at_most("--until", args.until, limit, f"{len(starts)} series ({_MAX_FORECAST_ROWS} rows)")
     rows = []
     for city in cities:
         history_len = len(city.climate[args.indicator]) if args.indicator in city.climate else 0
@@ -610,12 +613,9 @@ def _cmd_sensitivity(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         trials=cfg.trials if args.trials is None else args.trials,
     )
     w = _weighting(cfg)
-    if pconfig.trials * w.matrix.n > _MAX_SENSITIVITY_ROWS:
-        name = "config key 'sensitivity.trials'" if args.trials is None else "--trials"
-        raise ConfigError(
-            f"{name} must be at most {_MAX_SENSITIVITY_ROWS // w.matrix.n} for {w.matrix.n} "
-            f"alternatives ({_MAX_SENSITIVITY_ROWS} rows), got {_brief(pconfig.trials)}"
-        )
+    name = "config key 'sensitivity.trials'" if args.trials is None else "--trials"
+    scope = f"{w.matrix.n} alternatives ({_MAX_SENSITIVITY_ROWS} rows)"
+    _at_most(name, pconfig.trials, _MAX_SENSITIVITY_ROWS // w.matrix.n, scope)
     report = factor_substitution(w.selection, w.total, w.matrix, pconfig, w.hierarchy)
     overall = report.summary["(overall)"]
     summary = [
@@ -669,11 +669,7 @@ def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     if args.grid < 3:
         raise ConfigError("grid needs at least 3 levels per factor")
     limit = round(_MAX_GRID_POINTS ** (1 / len(keys)))  # 1,000,000 is 1000^2 and 100^3
-    if args.grid > limit:
-        raise ConfigError(
-            f"--grid must be at most {limit} for {len(keys)} factors "
-            f"({_MAX_GRID_POINTS} points), got {_brief(args.grid)}"
-        )
+    _at_most("--grid", args.grid, limit, f"{len(keys)} factors ({_MAX_GRID_POINTS} points)")
     w = _weighting(cfg)
     hierarchy, matrix = w.hierarchy, w.matrix
 

@@ -16,8 +16,7 @@ from .errors import ConfigError, ValidationError
 from .grey import TimeSeries
 from .indicators import (
     _INTEGER, _LIST, _NUMBER, _OBJECT, _STRING, _STRINGS, IndicatorId, _as_wide, _brief,
-    _cell_number, _csv_errors, _csv_lines, _expect, _json_document, _json_numbers, _malformed,
-    _read_text,
+    _cell_number, _csv_lines, _expect, _json_document, _json_numbers, _malformed, _read_text,
 )
 from .selection import (
     CityProfile, ClimateRequirement, ImpactScale, SchemePlan, SwotRecord, _check_unique,
@@ -108,13 +107,13 @@ def _finite(city: CityProfile) -> CityProfile:
 
 
 def _csv_rows(text: str, required: set[str], what: str) -> Iterator[dict[str, str]]:
-    """The non-blank rows of CSV ``text``, the file ``what``, keyed by its header's columns.
+    """The non-blank rows of delimited ``text``, the file ``what``, keyed by its header's columns.
 
     The header must name the ``required`` columns, and every row must be
     as wide as the header.
     """
-    with _csv_errors(what):
-        rows = _csv_lines(text, ",")
+    with _malformed(what):
+        rows = _csv_lines(text)
     header = rows[0] if rows else None
     if header is None or not required.issubset(header):
         raise ValidationError(f"{what} must have columns {sorted(required)}, got {_brief(header)}")

@@ -333,7 +333,8 @@ def _read_text(source: str | Path | IO[str]) -> str:
     if isinstance(source, (str, Path)):
         try:
             with _reading(source):
-                return Path(source).read_text(encoding="utf-8")
+                # A leading BOM goes after decoding, so the byte of a decode error counts it.
+                return Path(source).read_text(encoding="utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{source} is not UTF-8 text (byte {exc.start})") from None
     return source.read()
@@ -343,7 +344,7 @@ def _read_text(source: str | Path | IO[str]) -> str:
 def _malformed(what: str) -> Iterator[None]:
     """Report malformed input read in the block as a one-line ValidationError.
 
-    Invalid JSON, a missing key, or a value of the wrong kind is named
+    Invalid JSON or CSV, a missing key, or a value of the wrong kind is named
     after ``what``; the toolkit's own errors pass through unchanged.
     """
     try:
@@ -352,28 +353,29 @@ def _malformed(what: str) -> Iterator[None]:
         raise
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from None
+    except csv.Error as exc:  # a field past csv.field_size_limit(); a lone \r in a stream
+        raise ValidationError(f"{what} is not valid CSV: {exc}") from None
     except KeyError as exc:
         raise ValidationError(f"{what} lacks the key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad value in {what}: {exc}") from None
 
 
-@contextmanager
-def _csv_errors(what: str) -> Iterator[None]:
-    """Report a line the csv reader rejects as a one-line ValidationError naming ``what``.
-
-    It rejects a field longer than ``csv.field_size_limit()`` and, in text
-    read from a stream, a lone carriage return inside a line.
-    """
+def _sniff_delimiter(text: str) -> str:
+    """',', ';' or a tab: the delimiter of ``text``, as its first 2048 characters show."""
+    # Whole, non-blank lines only: a cut-off or empty line spoils the per-line counts.
+    sample = "\n".join(line for line in text[:2048].split("\n")[:-1] if line.strip())
+    if ";" not in sample and "\t" not in sample:
+        return ","  # the Sniffer only picks a delimiter the sample holds
     try:
-        yield
-    except csv.Error as exc:
-        raise ValidationError(f"{what} is not valid CSV: {exc}") from None
+        return csv.Sniffer().sniff(sample, delimiters=",;\t").delimiter
+    except csv.Error:
+        return ","
 
 
-def _csv_lines(text: str, delimiter: str) -> list[list[str]]:
-    """The rows of CSV ``text`` that hold more than whitespace."""
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+def _csv_lines(text: str) -> list[list[str]]:
+    """The rows of delimited ``text`` that hold more than whitespace."""
+    reader = csv.reader(io.StringIO(text), delimiter=_sniff_delimiter(text))
     return [row for row in reader if "".join(row).strip()]
 
 
@@ -456,17 +458,6 @@ def _json_numbers(values: list, what: str) -> list:
     return values
 
 
-def _sniff_delimiter(text: str) -> str:
-    # Whole, non-blank lines only: a cut-off or empty line spoils the per-line counts.
-    sample = "\n".join(line for line in text[:2048].split("\n")[:-1] if line.strip())
-    if ";" not in sample and "\t" not in sample:
-        return ","  # the Sniffer only picks a delimiter the sample holds
-    try:
-        return csv.Sniffer().sniff(sample, delimiters=",;\t").delimiter
-    except csv.Error:
-        return ","
-
-
 def load_decision_matrix(
     source: str | Path | IO[str],
     hierarchy: IndicatorHierarchy,
@@ -485,7 +476,7 @@ def load_decision_matrix(
     if text.lstrip()[:1] in ("{", "["):
         labels, ids, grid = _parse_json_matrix(text)
     else:
-        with _csv_errors("decision matrix file"):
+        with _malformed("decision matrix file"):
             labels, ids, grid = _parse_delimited_matrix(text)
 
     known = set(hierarchy.ids)
@@ -556,7 +547,7 @@ def _parse_delimited_matrix(text: str):
             else:
                 labels = [line.partition(delim)[0].strip() for line in lines[1:]]
                 return labels, ids, values
-    rows = _csv_lines(text, delim)
+    rows = _csv_lines(text)
     if len(rows) < 2:
         raise ValidationError("decision matrix file needs a header row and at least one sample")
     ids = [IndicatorId.parse(tok.strip()) for tok in rows[0][1:]]

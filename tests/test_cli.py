@@ -7,7 +7,9 @@ import importlib
 import io
 import json
 import os
+import hashlib
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -20,6 +22,7 @@ from hostrank.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     OUTPUT_DIR_ENV,
+    RunConfig,
     main,
     run,
 )
@@ -939,6 +942,8 @@ class TestErrorContract:
             ("pool", "winter_pool.json",
              lambda obj: obj["cities"][1]["indicators"].update({" A1": 2.0}),
              ["screen", "winter"], "bad value in pool city #2: indicators name A1 twice"),
+            ("decision_matrix", "decision_matrix.csv", (",A2,", ",A1,"), ["evaluate"],
+             "duplicate indicator column in header"),
         ],
         ids=[
             "pool-json-indicator-nan", "pool-json-gdp-inf", "pool-csv-sports-inf",
@@ -946,6 +951,7 @@ class TestErrorContract:
             "pool-json-gdp-bool", "pool-json-sports-text", "pool-json-indicator-bool",
             "pool-json-indicator-text", "series-start-float", "series-value-text",
             "series-value-bool", "matrix-json-cell-bool", "pool-json-indicator-twice",
+            "matrix-csv-header-twice",
         ],
     )
     def test_input_value_of_the_wrong_kind_is_a_validation_error(
@@ -953,8 +959,9 @@ class TestErrorContract:
     ):
         """A NaN or infinite pool number, a JSON number given as true, false or a string, a
         series start or plan grade that is not a JSON integer, a SWOT entry that is not a
-        list of strings and a pool city naming one indicator twice each stop the run before
-        any output. A damaged decision matrix is written in its JSON form."""
+        list of strings, a pool city naming one indicator twice and a matrix header naming
+        one twice each stop the run before any output. A decision matrix damaged by a
+        function is written in its JSON form."""
         text = (fixtures_dir / fixture).read_text()
         if isinstance(damage, tuple):
             assert damage[0] in text
@@ -970,6 +977,40 @@ class TestErrorContract:
         words = 2 if argv[0] == "screen" else 1
         assert main([*argv[:words], "--config", str(config), *argv[words:]]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "edit, argv, code, message",
+        [
+            (None, ["weights"], EXIT_CONFIG, "config error: config root must be a JSON object"),
+            (lambda cfg: cfg.pop("plans"), ["compare-schemes"], EXIT_CONFIG,
+             "config error: config key 'plans' is required for this subcommand"),
+            (lambda cfg: None,
+             ["forecast", "--pool", "{fixtures}/winter_pool.json", "--indicator", "nope",
+              "--until", "2030"],
+             EXIT_VALIDATION, "validation error: no city in the pool has series 'nope'"),
+            (lambda cfg: None, ["rsm", "--factors", "1,11"], EXIT_CONFIG,
+             "config error: factor position 11 outside 1..10"),
+            # A2 is the first selected feature: only the selection shows it is position 1.
+            (lambda cfg: None, ["rsm", "--factors", "1,A2"], EXIT_CONFIG,
+             "config error: rsm factors must be distinct"),
+        ],
+        ids=["config-root-list", "plans-unset", "series-absent", "factor-past-k",
+             "factor-twice-by-id"],
+    )
+    def test_run_that_fails_after_its_flags_parse_prints_one_line(
+        self, tmp_path, fixtures_dir, outdir, capsys, edit, argv, code, message
+    ):
+        """``edit`` changes the shipped config; None replaces it by a JSON list."""
+        if edit is None:
+            config = tmp_path / "run.json"
+            config.write_text("[]")
+        else:
+            config = write_config(tmp_path, fixtures_dir, edit)
+        argv = [a.format(fixtures=fixtures_dir) for a in argv]
+        assert main([argv[0], "--config", str(config), *argv[1:]]) == code
+        err = capsys.readouterr().err
+        assert err == f"{message}\n" and "Traceback" not in err
         assert not outdir.exists()
 
     def test_output_dir_that_is_a_file_is_a_config_error(
@@ -1673,6 +1714,75 @@ class TestDeterminism:
         assert len(header["config_hash"]) == 64
         assert header["seed"] == "20260810"
         assert header["invocation"].startswith("weights")
+
+
+def table_bodies(outdir: Path) -> dict[str, str]:
+    """Each output file's text without its provenance header lines."""
+    return {
+        path.name: "".join(
+            line for line in path.read_text().splitlines(True) if not line.startswith("# ")
+        )
+        for path in sorted(outdir.iterdir())
+    }
+
+
+class TestInputText:
+    """Every delimited input splits at its sniffed delimiter, and every input
+    loses one leading byte order mark."""
+
+    @pytest.mark.parametrize(
+        "key, fixture, argv",
+        [
+            ("config", "run.json", ["weights"]),
+            ("pool", "winter_pool.json", ["screen", "winter"]),
+            ("pool", "world_pool.csv", ["screen", "summer"]),
+            ("decision_matrix", "decision_matrix.csv", ["evaluate"]),
+        ],
+    )
+    def test_input_with_a_byte_order_mark_gives_the_same_tables(
+        self, tmp_path, fixtures_dir, outdir, key, fixture, argv
+    ):
+        bodies = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            folder = tmp_path / ("marked" if mark else "plain")
+            folder.mkdir()
+            copy = folder / fixture
+
+            def edit(cfg):
+                if key != "config":
+                    copy.write_bytes(mark + (fixtures_dir / fixture).read_bytes())
+                    cfg[key] = str(copy)
+
+            config = write_config(folder, fixtures_dir, edit)
+            if key == "config":
+                config.write_bytes(mark + config.read_bytes())
+            with warnings.catch_warnings(record=True) as caught:  # the winter gate warns
+                warnings.simplefilter("always")
+                assert main([*argv, "--config", str(config)]) == EXIT_OK
+            bodies.append((table_bodies(outdir), [str(w.message) for w in caught]))
+            shutil.rmtree(outdir)
+        assert bodies[0][0] and bodies[1] == bodies[0]
+
+    def test_config_hash_is_the_hash_of_the_marked_bytes(self, tmp_path, fixtures_dir):
+        config = write_config(tmp_path, fixtures_dir, lambda cfg: None)
+        plain = RunConfig.load(config).config_hash
+        config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        marked = RunConfig.load(config).config_hash
+        assert marked == hashlib.sha256(config.read_bytes()).hexdigest() != plain
+
+    def test_semicolon_pool_screens_to_the_same_bytes(
+        self, tmp_path, fixtures_dir, config_path, monkeypatch
+    ):
+        semicolons = tmp_path / "world_pool.csv"
+        semicolons.write_text((fixtures_dir / "world_pool.csv").read_text().replace(",", ";"))
+        written = {}
+        for name, pool in [("comma", fixtures_dir / "world_pool.csv"), ("semicolon", semicolons)]:
+            monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / name))
+            argv = ["screen", "summer", "--config", str(config_path), "--pool", str(pool)]
+            assert main(argv) == EXIT_OK
+            written[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        assert len(written["comma"]) == 4
+        assert written["semicolon"] == written["comma"]
 
 
 class TestTracedRun:

@@ -296,6 +296,70 @@ class TestClimateCsv:
         )
 
 
+def comparable(loaded):
+    """A loaded pool or climate file with each series as (label, start, values list):
+    TimeSeries equality on arrays is ambiguous."""
+    if isinstance(loaded, dict):
+        return {
+            city: {var: (s.label, s.start_period, s.values.tolist()) for var, s in series.items()}
+            for city, series in loaded.items()
+        }
+    return [
+        (c.name, c.country, c.gdp, c.sports_score, c.indicators, comparable({"": c.climate}))
+        for c in loaded
+    ]
+
+
+_BOM = b"\xef\xbb\xbf"
+
+
+class TestInputText:
+    """Pools and climate files split at the delimiter sniffed from their first 2048
+    characters, as decision matrices do; one leading byte order mark is dropped."""
+
+    @pytest.mark.parametrize("delim", [";", "\t"])
+    @pytest.mark.parametrize(
+        "fixture, load", [("world_pool.csv", load_pool), ("climate_sample.csv", load_climate_csv)]
+    )
+    def test_file_split_at_another_delimiter_loads_as_the_comma_file(
+        self, tmp_path, fixtures_dir, fixture, load, delim
+    ):
+        text = (fixtures_dir / fixture).read_text()
+        assert '"' not in text and ";" not in text and "\t" not in text
+        copy = tmp_path / fixture
+        copy.write_text(text.replace(",", delim))
+        expected = comparable(load(fixtures_dir / fixture))
+        assert len(expected) in (60, 1)  # 60 cities; Calgary's two series
+        assert comparable(load(copy)) == expected
+
+    @pytest.mark.parametrize(
+        "fixture, load",
+        [
+            ("world_pool.csv", load_pool),
+            ("winter_pool.json", load_pool),
+            ("climate_sample.csv", load_climate_csv),
+        ],
+    )
+    def test_file_with_a_byte_order_mark_loads_as_the_file(
+        self, tmp_path, fixtures_dir, fixture, load
+    ):
+        marked = tmp_path / fixture
+        marked.write_bytes(_BOM + (fixtures_dir / fixture).read_bytes())
+        assert comparable(load(marked)) == comparable(load(fixtures_dir / fixture))
+
+    def test_only_one_byte_order_mark_is_dropped(self, tmp_path, fixtures_dir):
+        marked = tmp_path / "world_pool.csv"
+        marked.write_bytes(_BOM * 2 + (fixtures_dir / "world_pool.csv").read_bytes())
+        with pytest.raises(ValidationError, match=r"got \['\\ufeffname', "):
+            load_pool(marked)
+
+    def test_byte_of_a_decode_error_counts_the_mark(self, tmp_path):
+        marked = tmp_path / "pool.csv"
+        marked.write_bytes(_BOM + b"name,\xe0")
+        with pytest.raises(ValidationError, match=r"is not UTF-8 text \(byte 8\)$"):
+            load_pool(marked)
+
+
 class TestPlansAndSwot:
     def test_fixture_plans(self, fixtures_dir):
         plans = load_plans(fixtures_dir / "plans.json")
