@@ -3,11 +3,11 @@
 import argparse
 import csv
 import gc
+import hashlib
 import importlib
 import io
 import json
 import os
-import hashlib
 import re
 import shutil
 import subprocess
