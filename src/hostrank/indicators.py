@@ -330,14 +330,17 @@ def _reading(path: str | Path) -> Iterator[None]:
 
 
 def _read_text(source: str | Path | IO[str]) -> str:
+    """The text of a path or a stream, less one leading BOM."""
     if isinstance(source, (str, Path)):
         try:
             with _reading(source):
-                # A leading BOM goes after decoding, so the byte of a decode error counts it.
-                return Path(source).read_text(encoding="utf-8").removeprefix("\ufeff")
+                text = Path(source).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{source} is not UTF-8 text (byte {exc.start})") from None
-    return source.read()
+    else:
+        text = source.read()
+    # The BOM goes after decoding, so the byte of a decode error counts it.
+    return text.removeprefix("\ufeff")
 
 
 @contextmanager
@@ -373,9 +376,9 @@ def _sniff_delimiter(text: str) -> str:
         return ","
 
 
-def _csv_lines(text: str) -> list[list[str]]:
-    """The rows of delimited ``text`` that hold more than whitespace."""
-    reader = csv.reader(io.StringIO(text), delimiter=_sniff_delimiter(text))
+def _csv_lines(text: str, delimiter: str | None = None) -> list[list[str]]:
+    """The rows of delimited ``text`` that hold more than whitespace; None sniffs ``delimiter``."""
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter or _sniff_delimiter(text))
     return [row for row in reader if "".join(row).strip()]
 
 
@@ -547,7 +550,7 @@ def _parse_delimited_matrix(text: str):
             else:
                 labels = [line.partition(delim)[0].strip() for line in lines[1:]]
                 return labels, ids, values
-    rows = _csv_lines(text)
+    rows = _csv_lines(text, delim)
     if len(rows) < 2:
         raise ValidationError("decision matrix file needs a header row and at least one sample")
     ids = [IndicatorId.parse(tok.strip()) for tok in rows[0][1:]]

@@ -17,7 +17,9 @@ from hostrank.dataio import (
     merge_climate,
 )
 from hostrank.errors import ConfigError, ValidationError
-from hostrank.indicators import IndicatorId, _brief, all_indicator_ids
+from hostrank.indicators import (
+    IndicatorId, _brief, all_indicator_ids, load_decision_matrix, load_hierarchy,
+)
 from hostrank.selection import SwotRecord
 
 
@@ -313,6 +315,28 @@ def comparable(loaded):
 _BOM = b"\xef\xbb\xbf"
 
 
+def _matrix_cells(matrix):
+    return matrix.rows, matrix.cols, matrix.values.tolist()
+
+
+# Each loader that takes a path or a stream: (fixture file, load it into a value
+# that compares with ==, given the fixture hierarchy). matrix.json is the
+# decision-matrix fixture in its JSON form, which the test writes.
+_LOADERS = {
+    "pool-csv": ("world_pool.csv", lambda src, h: comparable(load_pool(src))),
+    "pool-json": ("winter_pool.json", lambda src, h: comparable(load_pool(src))),
+    "climate": ("climate_sample.csv", lambda src, h: comparable(load_climate_csv(src))),
+    "matrix-csv": (
+        "decision_matrix.csv", lambda src, h: _matrix_cells(load_decision_matrix(src, h))
+    ),
+    "matrix-json": ("matrix.json", lambda src, h: _matrix_cells(load_decision_matrix(src, h))),
+    "hierarchy": ("hierarchy.json", lambda src, h: load_hierarchy(src)),
+    "judgments": ("judgments.json", lambda src, h: load_judgments(src)),
+    "plans": ("plans.json", lambda src, h: load_plans(src)),
+    "swot": ("swot.json", lambda src, h: load_swot(src)),
+}
+
+
 class TestInputText:
     """Pools and climate files split at the delimiter sniffed from their first 2048
     characters, as decision matrices do; one leading byte order mark is dropped."""
@@ -352,6 +376,24 @@ class TestInputText:
         marked.write_bytes(_BOM * 2 + (fixtures_dir / "world_pool.csv").read_bytes())
         with pytest.raises(ValidationError, match=r"got \['\\ufeffname', "):
             load_pool(marked)
+
+    @pytest.mark.parametrize("case", list(_LOADERS))
+    def test_path_stream_and_marked_stream_load_alike(self, tmp_path, fixtures_dir, case):
+        """A stream loses one leading BOM exactly as a path does, so each loader
+        that takes either gives the same value from its fixture as a path, as a
+        stream and as a stream that starts with a BOM."""
+        name, load = _LOADERS[case]
+        hierarchy = load_hierarchy(fixtures_dir / "hierarchy.json")
+        path = fixtures_dir / name
+        if not path.exists():  # the decision matrix in its JSON form
+            m = load_decision_matrix(fixtures_dir / "decision_matrix.csv", hierarchy)
+            doc = {"rows": m.rows, "columns": [str(c) for c in m.cols], "values": m.values.tolist()}
+            path = tmp_path / name
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
+        expected = load(path, hierarchy)
+        assert load(io.StringIO(text), hierarchy) == expected
+        assert load(io.StringIO("\ufeff" + text), hierarchy) == expected
 
     def test_byte_of_a_decode_error_counts_the_mark(self, tmp_path):
         marked = tmp_path / "pool.csv"

@@ -350,6 +350,20 @@ class TestLoadDecisionMatrix:
             expected = ","
         assert indicators._sniff_delimiter(text) == expected
 
+    def test_matrix_off_the_fast_path_is_sniffed_once(self, fixtures_dir, monkeypatch):
+        """A quoted label sends a ';' matrix to the csv reader, which splits
+        it at the delimiter the fast path already sniffed."""
+        hierarchy = load_hierarchy(fixtures_dir / "hierarchy.json")
+        comma = (fixtures_dir / "decision_matrix.csv").read_text()
+        text = comma.replace(",", ";").replace("\nNew York;", '\n"New York";', 1)
+        sniff = indicators._sniff_delimiter
+        sniffed = []
+        monkeypatch.setattr(indicators, "_sniff_delimiter", lambda t: sniffed.append(t) or sniff(t))
+        m = load_decision_matrix(io.StringIO(text), hierarchy)
+        assert len(sniffed) == 1
+        reference = load_decision_matrix(io.StringIO(comma), hierarchy)
+        assert m.rows == reference.rows and m.values.tobytes() == reference.values.tobytes()
+
     def test_json_form_accepted(self):
         h = default_hierarchy()
         obj = {
