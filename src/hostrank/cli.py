@@ -19,6 +19,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import itertools
 import json
@@ -27,7 +28,7 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import IO, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -809,6 +810,20 @@ _ERRORS = {
 }
 
 
+def _write_lines(stream: IO[str] | None, lines: Sequence[str]) -> None:
+    """Write ``lines`` to ``stream`` and flush it; lines that no stream (pythonw), a closed,
+    full or broken one, or its encoding cannot take are lost, and the exit code stands.
+    """
+    if stream is None:
+        return
+    with contextlib.suppress(OSError, ValueError):  # ValueError: closed, or not encodable
+        try:
+            stream.write("".join(f"{line}\n" for line in lines))
+            stream.flush()
+        except OSError:  # closing drops what it holds, which the exit flush would retry
+            stream.close()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -817,28 +832,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         written = report.write(cfg.output_dir)
     except tuple(_ERRORS) as exc:
         label, code = _ERRORS[type(exc)]
-        print(f"{label} error: {exc}", file=sys.stderr)
+        _write_lines(sys.stderr, [f"{label} error: {exc}"])
         return code
 
     prov = report.provenance
     stage = prov.invocation.partition(" --")[0]
-    print(f"[{stage}] config {prov.config_hash[:12]} seed {prov.seed}")
-    for line in report.summary:
-        print(f"  {line}")
-    for path in written:
-        print(f"  wrote {path}")
+    _write_lines(sys.stdout, [
+        f"[{stage}] config {prov.config_hash[:12]} seed {prov.seed}",
+        *(f"  {line}" for line in report.summary),
+        *(f"  wrote {path}" for path in written),
+    ])
     return EXIT_OK
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
     """``warnings.showwarning`` for the process: one ``warning: <message>`` line on stderr."""
-    stream = sys.stderr if file is None else file
-    if stream is None:  # no stderr (pythonw): the warning is lost, as Python's own is
-        return
-    try:
-        stream.write(f"warning: {message}\n")
-    except OSError:  # stderr full or closed: lost too, and the run goes on
-        pass
+    _write_lines(sys.stderr if file is None else file, [f"warning: {message}"])
 
 
 def run() -> int:
@@ -846,13 +855,15 @@ def run() -> int:
 
     Each warning that reaches the display prints as one ``warning:``
     line, with no source path or line; the warning filters (``-W``) are
-    left as they are. It freezes every object the garbage collector
-    tracks (``gc.freeze``) before returning, so the collections of
-    interpreter shutdown skip them; the OS frees that memory at exit
-    anyway. ``main`` leaves the display and the collector alone for
-    library callers.
+    left as they are. stdout escapes what its encoding lacks, as stderr
+    does. It freezes every object the garbage collector tracks
+    (``gc.freeze``) before returning, so the collections of interpreter
+    shutdown skip them; the OS frees that memory at exit anyway. ``main``
+    leaves the display and the collector alone for library callers.
     """
     warnings.showwarning = _show_warning
+    if hasattr(sys.stdout, "reconfigure"):  # None without a console (pythonw)
+        sys.stdout.reconfigure(errors="backslashreplace")
     code = main()
     gc.freeze()
     return code

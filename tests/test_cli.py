@@ -1013,6 +1013,65 @@ class TestErrorContract:
         assert err == f"{message}\n" and "Traceback" not in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stdout", ["full", "closed-pipe", "ascii"])
+    def test_run_with_an_unusable_stdout_exits_0_with_every_output(
+        self, tmp_path, fixtures_dir, monkeypatch, stdout, unbuffered
+    ):
+        """The summary lines go through the writer warnings use: a full stdout
+        or a pipe nobody reads loses them, an ASCII console gets them escaped,
+        and the run exits 0 with the outputs a normal run writes."""
+        env = {"PYTHONUNBUFFERED": unbuffered}
+        sink = subprocess.PIPE
+        if stdout == "ascii":
+            env["PYTHONIOENCODING"] = "ascii"
+            config = write_config(
+                tmp_path, fixtures_dir,
+                lambda cfg: cfg["rsm"].update(baseline_alternative="Brasília"),
+            )
+            argv = ["rsm", "--config", str(config), "--factors", "1,2", "--grid", "5"]
+        else:
+            argv = ["weights", "--config", str(fixtures_dir / "run.json")]
+            sink = unwritable_stream(stdout)
+        try:
+            proc = run_python(
+                ["-m", "hostrank.cli", *argv], tmp_path / "child", fixtures_dir.parent,
+                env=env, stdout=sink,
+            )
+        finally:
+            if sink is not subprocess.PIPE:
+                os.close(sink)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        if stdout == "ascii":
+            assert "  baseline alternative: Bras\\xedlia\n" in proc.stdout
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "normal"))
+        assert main(argv) == EXIT_OK
+        normal = {p.name: p.read_bytes() for p in (tmp_path / "normal").iterdir()}
+        assert {p.name: p.read_bytes() for p in (tmp_path / "child").iterdir()} == normal
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stderr", ["full", "closed"])
+    def test_error_with_an_unusable_stderr_keeps_its_exit_code(
+        self, tmp_path, fixtures_dir, stderr, unbuffered
+    ):
+        """A run whose one error line cannot be written still exits 2, and
+        prints nothing in its place."""
+        argv = ["-m", "hostrank.cli", "weights", "--config", str(tmp_path / "missing.json")]
+        env = {"PYTHONUNBUFFERED": unbuffered}
+        if stderr == "closed":
+            proc = run_python(["-c", CLOSE_STDERR_AND_RUN, *argv], tmp_path / "out",
+                              fixtures_dir.parent, env=env)
+        else:
+            sink = unwritable_stream(stderr)
+            try:
+                proc = run_python(argv, tmp_path / "out", fixtures_dir.parent, env=env, stderr=sink)
+            finally:
+                os.close(sink)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+
     def test_output_dir_that_is_a_file_is_a_config_error(
         self, tmp_path, config_path, monkeypatch, capsys
     ):
@@ -1866,15 +1925,38 @@ class TestTracedRun:
         )
 
 
-def run_python(args: list[str], outdir: Path, cwd: Path) -> subprocess.CompletedProcess:
-    """``python ARGS`` in a child process with ``src`` on the path, writing into ``outdir``."""
-    env = {**os.environ, OUTPUT_DIR_ENV: str(outdir)}
+def run_python(
+    args: list[str], outdir: Path, cwd: Path, env: dict[str, str] | None = None,
+    stdout: int = subprocess.PIPE, stderr: int = subprocess.PIPE,
+) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a child process with ``src`` on the path, writing into
+    ``outdir``; ``env`` adds to the environment, and a stream not piped is
+    the file descriptor given."""
+    env = {**os.environ, **(env or {}), OUTPUT_DIR_ENV: str(outdir)}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(cwd / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *args], cwd=cwd, env=env, stdout=stdout, stderr=stderr, text=True,
+        timeout=60,
     )
+
+
+def unwritable_stream(kind: str) -> int:
+    """A file descriptor every write to fails: the full device, or a pipe nobody reads."""
+    if kind == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        return os.open("/dev/full", os.O_WRONLY)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+# A child that closes its stderr, then runs Python on its own arguments.
+CLOSE_STDERR_AND_RUN = (
+    "import os, sys; os.close(2); os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+)
 
 
 # The forecast run whose GM(1,1) curve leaves the float range (exit 3).
