@@ -53,7 +53,7 @@ from .entropy import (
     vector_normalize,
 )
 from .errors import ConfigError, NumericError, ValidationError
-from .grey import GreyModel, TimeSeries, fit_gm11, forecast_indicator, predict
+from .grey import GreyModel, TimeSeries, fit_gm11, forecast_indicator
 from .indicators import (
     Category,
     DecisionMatrix,
@@ -129,7 +129,6 @@ __all__ = [
     "TimeSeries",
     "GreyModel",
     "fit_gm11",
-    "predict",
     "forecast_indicator",
     # selection
     "CityProfile",

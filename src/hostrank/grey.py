@@ -54,7 +54,6 @@ __all__ = [
     "GreyModel",
     "class_ratio_bounds",
     "fit_gm11",
-    "predict",
     "forecast_series",
     "forecast_value",
     "climate_series",
@@ -228,19 +227,6 @@ def fit_gm11(series: TimeSeries) -> GreyModel:
         alpha = math.log1p(2 * a / (_COEF_LIMIT - a))
         mu = b * alpha / a
     return GreyModel(alpha=alpha, mu=mu, source=series, class_ratio_ok=ratio_ok)
-
-
-def predict(model: GreyModel, horizon: int) -> np.ndarray:
-    """In-sample fitted values plus ``horizon`` original-scale forecasts.
-
-    Returns length n + horizon; the first entry equals the first
-    observation exactly, and cumulative sums of the result reproduce
-    the cumulative predictions.
-    """
-    if horizon < 0:
-        raise ValidationError("horizon must be nonnegative")
-    curve = _curve(model, range(len(model.source) + horizon))
-    return np.array([b - a for a, b in zip([0.0, *curve], curve)])
 
 
 def _fit_shifted(series: TimeSeries, until: int) -> tuple[GreyModel, float]:

@@ -22,9 +22,10 @@ from hostrank.grey import (
     forecast_indicator,
     forecast_series,
     forecast_value,
-    predict,
 )
 from hostrank.selection import CityProfile, ClimateRequirement, winter_climate_filter
+
+from _grey_curve import predict
 
 
 def geometric(q: float, n: int, c: float = 1.0) -> TimeSeries:
