@@ -19,7 +19,7 @@ import numpy as np
 
 from ._record import Record, frozen_array
 from .errors import NumericError, ValidationError
-from .indicators import Category, IndicatorHierarchy, IndicatorId, _json_numbers
+from .indicators import IndicatorHierarchy, IndicatorId, _json_numbers
 
 __all__ = [
     "SAATY_RANDOM_INDEX",
@@ -71,9 +71,6 @@ class ConsistencyReport(Record):
     """
 
     _fields = ("lambda_max", "ci", "ri", "cr", "passed")
-
-    def __init__(self, lambda_max: float, ci: float, ri: float, cr: float, passed: bool) -> None:
-        self.__dict__.update(lambda_max=lambda_max, ci=ci, ri=ri, cr=cr, passed=passed)
 
 
 def validate_judgment(matrix: Sequence[Sequence[float]] | np.ndarray) -> JudgmentMatrix:
@@ -165,16 +162,6 @@ class AhpWeights(Record):
     """
 
     _fields = ("category_weights", "indicator_weights", "reports")
-
-    def __init__(
-        self,
-        category_weights: dict[Category, float],
-        indicator_weights: dict[IndicatorId, float],
-        reports: dict[str, ConsistencyReport],
-    ) -> None:
-        self.__dict__.update(
-            category_weights=category_weights, indicator_weights=indicator_weights, reports=reports
-        )
 
 
 def _level_weights(key: str, raw, size: int) -> tuple[np.ndarray, ConsistencyReport | None]:

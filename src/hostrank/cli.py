@@ -207,9 +207,15 @@ class RunConfig(Record):
         with _reading(p):
             data = p.read_bytes()
         try:
-            raw = json.loads(data.decode("utf-8").removeprefix("\ufeff"))
-        except ValueError as exc:  # bad UTF-8, bad JSON, an integer of over 4,300 digits
-            raise ConfigError(f"config file {p} is not valid JSON: {exc}") from None
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"config file {_brief(str(p))} is not UTF-8 text (byte {exc.start})"
+            ) from None
+        try:
+            raw = json.loads(text.removeprefix("\ufeff"))
+        except ValueError as exc:  # bad JSON, an integer of over 4,300 digits
+            raise ConfigError(f"config file {_brief(str(p))} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         values = {name: _checked(raw, *row) for name, *row in _SETTINGS}
@@ -244,9 +250,6 @@ class RunReport(Record):
     """Stage outputs held in memory until the stage has fully succeeded."""
 
     _fields = ("provenance", "outputs", "summary")
-
-    def __init__(self, provenance: Provenance, outputs: dict[str, str], summary: list[str]) -> None:
-        self.__dict__.update(provenance=provenance, outputs=outputs, summary=summary)
 
     def write(self, outdir: Path) -> list[Path]:
         """Write every output or none; return the final paths in output order."""

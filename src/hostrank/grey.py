@@ -127,9 +127,6 @@ class GreyModel(Record):
 
     _fields = ("alpha", "mu", "source", "class_ratio_ok")
 
-    def __init__(self, alpha: float, mu: float, source: TimeSeries, class_ratio_ok: bool) -> None:
-        self.__dict__.update(alpha=alpha, mu=mu, source=source, class_ratio_ok=class_ratio_ok)
-
 
 def class_ratio_bounds(n: int) -> tuple[float, float]:
     """Admissible band for the backward ratios x0(k-1)/x0(k) of an n-point series."""
@@ -197,7 +194,7 @@ def fit_gm11(series: TimeSeries) -> GreyModel:
         raise NumericError(f"cumulative sum of series {_brief(label)} overflows")
     ratio_ok = _check_class_ratios(x0, label)
     if constant:
-        return GreyModel(alpha=0.0, mu=x0[0], source=series, class_ratio_ok=ratio_ok)
+        return GreyModel(0.0, x0[0], series, ratio_ok)
 
     # Least squares of y = x0(k) on u = -z(k), z(k) = (x1(k) + x1(k-1)) / 2, in
     # centred sums. No sum leaves the float range while n * x1[-1]**2 stays in
@@ -226,7 +223,7 @@ def fit_gm11(series: TimeSeries) -> GreyModel:
         # ln((2 + a) / (2 - a)) as ln(1 + 2a / (2 - a)): the ratio would round a small a.
         alpha = math.log1p(2 * a / (_COEF_LIMIT - a))
         mu = b * alpha / a
-    return GreyModel(alpha=alpha, mu=mu, source=series, class_ratio_ok=ratio_ok)
+    return GreyModel(alpha, mu, series, ratio_ok)
 
 
 def _fit_shifted(series: TimeSeries, until: int) -> tuple[GreyModel, float]:

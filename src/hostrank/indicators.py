@@ -90,6 +90,7 @@ class IndicatorId(Record):
     _fields = ("category", "index")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    __init__ = object.__init__  # __new__ returns a built id: nothing to bind
 
     def __new__(cls, category: Category, index: int) -> IndicatorId:
         limit = CATEGORY_SIZES[category]
@@ -336,7 +337,9 @@ def _read_text(source: str | Path | IO[str]) -> str:
             with _reading(source):
                 text = Path(source).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
-            raise ValidationError(f"{source} is not UTF-8 text (byte {exc.start})") from None
+            raise ValidationError(
+                f"{_brief(str(source))} is not UTF-8 text (byte {exc.start})"
+            ) from None
     else:
         text = source.read()
     # The BOM goes after decoding, so the byte of a decode error counts it.

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._record import Record
-from .ahp import AhpWeights, ahp_weights
+from .ahp import ahp_weights
 from .combining import (
     CombinedWeights,
     FeatureSelection,
@@ -26,7 +26,7 @@ from .combining import (
     select_features,
     total_weights,
 )
-from .entropy import EntropyResult, entropy_weights, positivize_matrix, vector_normalize
+from .entropy import entropy_weights, positivize_matrix, vector_normalize
 from .errors import ValidationError
 from .indicators import Category, DecisionMatrix, IndicatorHierarchy
 from .selection import FeatureScaler, _feature_grid
@@ -38,21 +38,6 @@ class WeightingOutputs(Record):
     """Everything the weighting chain produces, stage by stage."""
 
     _fields = ("hierarchy", "matrix", "ahp", "entropy", "per_category", "total", "selection")
-
-    def __init__(
-        self,
-        hierarchy: IndicatorHierarchy,
-        matrix: DecisionMatrix,
-        ahp: AhpWeights,
-        entropy: EntropyResult,
-        per_category: dict[Category, CombinedWeights],
-        total: TotalWeights,
-        selection: FeatureSelection,
-    ) -> None:
-        self.__dict__.update(
-            hierarchy=hierarchy, matrix=matrix, ahp=ahp, entropy=entropy,
-            per_category=per_category, total=total, selection=selection,
-        )
 
 
 def compute_weights(

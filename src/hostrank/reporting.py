@@ -27,11 +27,6 @@ class Provenance(Record):
 
     _fields = ("config_hash", "seed", "version", "invocation")
 
-    def __init__(self, config_hash: str, seed: int, version: str, invocation: str) -> None:
-        self.__dict__.update(
-            config_hash=config_hash, seed=seed, version=version, invocation=invocation
-        )
-
     def header_lines(self) -> list[str]:
         return [
             f"# config_hash={self.config_hash}",

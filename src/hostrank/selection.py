@@ -103,13 +103,6 @@ class ClimateAssessment(Record):
 
     _fields = ("city", "feb_temp", "feb_snow", "passed", "ideal")
 
-    def __init__(
-        self, city: CityProfile, feb_temp: float, feb_snow: float, passed: bool, ideal: bool
-    ) -> None:
-        self.__dict__.update(
-            city=city, feb_temp=feb_temp, feb_snow=feb_snow, passed=passed, ideal=ideal
-        )
-
 
 class SuitabilityScore(Record):
     """Score decomposition; the total is the exact sum of its parts.
@@ -155,11 +148,6 @@ class SchemeComparison(Record):
     """Aggregate impact of one plan plus its per-feature contributions."""
 
     _fields = ("plan", "aggregate", "contributions")
-
-    def __init__(
-        self, plan: SchemePlan, aggregate: float, contributions: dict[IndicatorId, float]
-    ) -> None:
-        self.__dict__.update(plan=plan, aggregate=aggregate, contributions=contributions)
 
 
 class SwotRecord(Record):
@@ -243,12 +231,7 @@ def winter_climate_filter(
         passed = temp < requirement.max_feb_temp and snow >= requirement.min_feb_snow
         lo, hi = requirement.ideal_temp_range
         ideal = passed and lo <= temp <= hi
-        out.append(
-            ClimateAssessment(
-                city=city, feb_temp=temp, feb_snow=snow,
-                passed=passed, ideal=ideal,
-            )
-        )
+        out.append(ClimateAssessment(city, temp, snow, passed, ideal))
     return out
 
 

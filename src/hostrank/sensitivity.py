@@ -23,7 +23,7 @@ import numpy as np
 from ._record import Record, frozen_array
 from .combining import FeatureSelection, TotalWeights, score_rows
 from .errors import ConfigError, NumericError, ValidationError
-from .indicators import DecisionMatrix, IndicatorHierarchy, IndicatorId, _brief
+from .indicators import DecisionMatrix, IndicatorHierarchy, _brief
 from .reporting import NUMBER_FORMAT
 from .selection import FeatureScaler
 
@@ -53,35 +53,17 @@ class PerturbationConfig(Record):
         self.__dict__.update(seed=seed, n_swap=n_swap, trials=trials)
 
 
-# One trial's swap: the features it removed and the ones it added in their place.
-Swap = tuple[tuple[IndicatorId, ...], tuple[IndicatorId, ...]]
-
-
 class SensitivityReport(Record):
     """Baseline scores, per-trial scores and deviations, and deviation summaries.
 
-    ``baseline`` holds one score per alternative. ``chi``, ``abs_dev``
-    and ``rel_dev`` are read-only (trials x alternatives) arrays whose
-    row t belongs to ``trials[t]``; ``rel_dev`` is NaN where the
-    baseline is 0.
+    ``baseline`` holds one score per alternative. ``trials[t]`` is trial
+    t's swap: the features it removed and those it added in their place.
+    ``chi``, ``abs_dev`` and ``rel_dev`` are read-only (trials x
+    alternatives) arrays whose row t belongs to ``trials[t]``; ``rel_dev``
+    is NaN where the baseline is 0.
     """
 
     _fields = ("alternatives", "baseline", "trials", "chi", "abs_dev", "rel_dev", "summary")
-
-    def __init__(
-        self,
-        alternatives: tuple[str, ...],
-        baseline: np.ndarray,
-        trials: tuple[Swap, ...],
-        chi: np.ndarray,
-        abs_dev: np.ndarray,
-        rel_dev: np.ndarray,
-        summary: dict[str, dict[str, float]],
-    ) -> None:
-        self.__dict__.update(
-            alternatives=alternatives, baseline=baseline, trials=trials, chi=chi,
-            abs_dev=abs_dev, rel_dev=rel_dev, summary=summary,
-        )
 
     def to_csv_text(self) -> str:
         """Deterministic serialization, numbers as ``format_number`` prints them."""
@@ -180,7 +162,7 @@ def factor_substitution(
 
     magnitudes = np.abs(abs_dev)
     summary = _row_stats(data.rows, np.ascontiguousarray(magnitudes.T))
-    summary["(overall)"] = _deviation_stats(magnitudes.ravel())
+    summary.update(_row_stats(["(overall)"], magnitudes.reshape(1, -1)))
     return SensitivityReport(
         alternatives=data.rows, baseline=base, trials=swaps, chi=chi[1:],
         abs_dev=abs_dev, rel_dev=rel_dev, summary=summary,
@@ -209,19 +191,11 @@ def _draw_swaps(config: PerturbationConfig, k: int, u: int) -> tuple[np.ndarray,
     return positions, picks
 
 
-def _deviation_stats(devs: np.ndarray) -> dict[str, float]:
-    return {
-        "mean_abs_dev": float(devs.mean()),
-        "max_abs_dev": float(devs.max()),
-        "std_abs_dev": float(devs.std()),
-    }
-
-
 def _row_stats(labels: Sequence[str], rows: np.ndarray) -> dict[str, dict[str, float]]:
-    """``_deviation_stats`` of each row of a C-contiguous array, under its label.
+    """Mean, max and std of each row of a C-contiguous array, under its label.
 
     Each row is a contiguous run, so reducing along the last axis sums it
-    in the same order as the 1-D call: the floats are the same bits.
+    in the same order as reducing the row alone: the floats are the same bits.
     """
     stats = zip(rows.mean(axis=1).tolist(), rows.max(axis=1).tolist(), rows.std(axis=1).tolist())
     return {

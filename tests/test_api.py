@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import hostrank
+from hostrank._record import Record
 from hostrank.ahp import AhpWeights, ConsistencyReport, JudgmentMatrix
 from hostrank.cli import RunConfig, RunReport
 from hostrank.combining import CombinedWeights, FeatureSelection, ImportanceRatios, TotalWeights
@@ -416,6 +417,56 @@ class TestRecordContract:
             delattr(sample, first)
         with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'extra'$"):
             sample.extra = None
+
+
+# The records that only store their fields, through the constructor of Record.
+BOUND = [
+    AhpWeights, ConsistencyReport, RunReport, GreyModel, WeightingOutputs, Provenance,
+    ClimateAssessment, SchemeComparison, SensitivityReport,
+]
+
+
+@pytest.mark.parametrize("cls", BOUND, ids=lambda cls: cls.__name__)
+class TestRecordBinding:
+    def test_keywords_bind_as_positions(self, cls):
+        args = SAMPLES[cls][0]
+        half = len(args) // 2
+        made = [
+            cls(*args),
+            cls(**dict(zip(cls._fields, args))),
+            cls(*args[:half], **dict(zip(cls._fields[half:], args[half:]))),
+        ]
+        for record in made:
+            assert all(getattr(record, f) is a for f, a in zip(cls._fields, args))
+            assert record == made[0]
+
+    @pytest.mark.parametrize("wrong", ["missing", "extra", "unknown", "repeated"])
+    def test_wrong_arguments_raise_a_type_error_naming_the_class(self, cls, wrong):
+        args, (first, *_, last) = SAMPLES[cls][0], cls._fields
+        positional, keywords, named = {
+            "missing": (args[:-1], {}, last),
+            "extra": ((*args, None), {}, ""),
+            "unknown": (args, {"extra": None}, "extra"),
+            "repeated": (args, {first: args[0]}, first),
+        }[wrong]
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\): .*{named}"):
+            cls(*positional, **keywords)
+
+
+def test_record_without_its_own_init_takes_its_fields_as_parameters():
+    records = [c for c in Record.__subclasses__() if c.__module__.startswith("hostrank.")]
+    assert len(records) == len(SAMPLES)
+    bound = [c for c in records if "__init__" not in vars(c)]
+    assert sorted(c.__name__ for c in bound) == sorted(c.__name__ for c in BOUND)
+    for cls in bound:
+        assert list(inspect.signature(cls).parameters) == list(cls._fields)
+
+
+def test_indicator_id_binds_nothing_to_the_id_it_returns():
+    """An id is interned through ``__new__``: the call returns the built A1 as it was."""
+    a1 = IndicatorId.parse("A1")
+    assert IndicatorId(Category.ECONOMY, True) is a1
+    assert type(a1.index) is int and str(a1) == "A1" == str(IndicatorId.parse("A1"))
 
 
 def test_run_config_defaults_are_those_of_an_empty_config_file(tmp_path, monkeypatch):

@@ -824,7 +824,7 @@ class TestErrorContract:
         assert main([*argv[:words], "--config", str(config), *argv[words:]]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("validation error:")
-        assert f"{damaged} is not UTF-8 text" in err
+        assert f"{_brief(str(damaged))} is not UTF-8 text" in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not outdir.exists()
 
@@ -1751,6 +1751,38 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and _brief(str(long_path)) in err
         assert err.count("\n") == 1 and len(err) < 200 and "Traceback" not in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("case", ["config not JSON", "config not UTF-8", "input not UTF-8"])
+    def test_undecodable_file_in_a_long_directory_is_quoted_short(
+        self, tmp_path, fixtures_dir, outdir, capsys, case
+    ):
+        """A config that is not JSON or not UTF-8, or an input that is not
+        UTF-8, under a 200-character directory name: one line under 200
+        characters that quotes the path short, exit 2 for the config, else 3."""
+        deep = tmp_path / ("d" * 200)
+        deep.mkdir()
+        damaged = deep / "hierarchy.json"
+        damaged.write_bytes((fixtures_dir / "hierarchy.json").read_bytes().replace(b"a", b"\xe0", 1))
+
+        def edit(cfg):
+            if case == "input not UTF-8":
+                cfg["hierarchy"] = str(damaged)
+
+        config = write_config(deep, fixtures_dir, edit)
+        quoted = f"config file {_brief(str(config))}"
+        if case == "config not JSON":
+            config.write_text(config.read_text()[:40])
+            code, message = EXIT_CONFIG, f"{quoted} is not valid JSON: "
+        elif case == "config not UTF-8":
+            config.write_bytes(b"\xe0" + config.read_bytes())
+            code, message = EXIT_CONFIG, f"{quoted} is not UTF-8 text (byte 0)\n"
+        else:
+            code, message = EXIT_VALIDATION, f"{_brief(str(damaged))} is not UTF-8 text (byte "
+        assert main(["weights", "--config", str(config)]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert err.count("\n") == 1 and len(err) < 200
         assert not outdir.exists()
 
 

@@ -274,6 +274,15 @@ def test_key_chunks_do_not_change_the_report(weighting, cells, monkeypatch):
     assert chunked.to_csv_text() == whole.to_csv_text()
 
 
+def _deviation_stats(devs: np.ndarray) -> dict[str, float]:
+    """The reference summary: mean, max and std of a 1-D array."""
+    return {
+        "mean_abs_dev": float(devs.mean()),
+        "max_abs_dev": float(devs.max()),
+        "std_abs_dev": float(devs.std()),
+    }
+
+
 @given(
     magnitudes=st.integers(1, 6).flatmap(
         lambda alts: st.integers(1, 40).flatmap(
@@ -287,12 +296,15 @@ def test_key_chunks_do_not_change_the_report(weighting, cells, monkeypatch):
 @settings(max_examples=60)
 @example(magnitudes=np.abs(np.random.default_rng(3).normal(size=(500, 45))))
 def test_row_stats_equal_one_deviation_stats_call_per_row(magnitudes):
-    """The row-wise summary gives each alternative the same bits as a 1-D
-    ``_deviation_stats`` call on its column of trial magnitudes."""
+    """The row-wise summary gives each alternative, and the whole array as
+    its one row, the same bits as a 1-D ``_deviation_stats`` call on its
+    column of trial magnitudes, or on all of them."""
     rows = np.ascontiguousarray(magnitudes.T)
     labels = [f"alt{j}" for j in range(rows.shape[0])]
     got = sensitivity._row_stats(labels, rows)
-    want = {label: sensitivity._deviation_stats(row) for label, row in zip(labels, rows)}
+    got.update(sensitivity._row_stats(["(overall)"], magnitudes.reshape(1, -1)))
+    want = {label: _deviation_stats(row) for label, row in zip(labels, rows)}
+    want["(overall)"] = _deviation_stats(magnitudes.ravel())
     as_hex = lambda stats: {a: {k: v.hex() for k, v in s.items()} for a, s in stats.items()}
     assert as_hex(got) == as_hex(want)
 
