@@ -1,14 +1,21 @@
 """The shared base of hostrank's immutable records.
 
-A record lists its fields, in order, in ``_fields``. From that list the
-base gives what a frozen dataclass would: repr, equality and hashing
-over the field tuple, no assignment or deletion afterwards, and, for a
-record without an ``__init__`` of its own, a constructor that takes the
-fields by position or keyword, with the signature to match. A record
-that converts or validates its arguments keeps its own ``__init__`` and
-sets its fields through ``self.__dict__``. Unlike ``@dataclass``, the
-base generates no code when a class is defined, which keeps the
-package's import cheap.
+A record lists its fields, in order, in ``_fields``, and those that hold
+float arrays in ``_arrays``. From these the base gives what a frozen
+dataclass would: repr, equality and hashing over the field tuple, no
+assignment or deletion afterwards, and a constructor that stores each
+``_arrays`` field as a read-only float64 copy (``frozen_array``). A
+record without an ``__init__`` of its own takes its fields by position
+or keyword, with the signature to match; one that converts or validates
+passes its converted values to ``Record.__init__``, or, with no array
+field, sets ``self.__dict__``. Unlike ``@dataclass``, the base generates
+no code when a class is defined, which keeps the package's import cheap.
+
+Three records freeze their own arrays: ``FeatureScaler`` keeps their
+dtype (``flip`` is boolean), ``TimeSeries`` builds its array from a tuple
+on first use, and ``SensitivityReport`` holds the trial arrays that
+``factor_substitution`` freezes in place, since a copy would double the
+memory of the largest arrays a run makes.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ class Record:
     """An immutable value whose identity is the tuple of its ``_fields``."""
 
     _fields: tuple[str, ...] = ()
+    _arrays: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -37,7 +45,10 @@ class Record:
                 args = self.__signature__.bind(*args, **kwargs).args
             except TypeError as exc:
                 raise TypeError(f"{type(self).__qualname__}(): {exc}") from None
-        self.__dict__.update(zip(fields, args))
+        values = self.__dict__
+        values.update(zip(fields, args))
+        for name in self._arrays:
+            values[name] = frozen_array(values[name])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._record import Record, frozen_array
+from ._record import Record
 from .errors import NumericError, ValidationError
 from .indicators import IndicatorHierarchy, IndicatorId, _json_numbers
 
@@ -53,10 +53,7 @@ CR_THRESHOLD = 0.1
 class JudgmentMatrix(Record):
     """A validated positive reciprocal pairwise-comparison matrix."""
 
-    _fields = ("values",)
-
-    def __init__(self, values: np.ndarray) -> None:
-        self.__dict__["values"] = frozen_array(values)
+    _fields = _arrays = ("values",)
 
     @property
     def order(self) -> int:

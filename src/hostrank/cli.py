@@ -22,7 +22,6 @@ import argparse
 import contextlib
 import gc
 import itertools
-import json
 import math
 import os
 import sys
@@ -58,6 +57,7 @@ from .indicators import (
     IndicatorId,
     _brief,
     _expect,
+    _json_loads,
     _reading,
     load_decision_matrix,
     load_hierarchy,
@@ -213,7 +213,7 @@ class RunConfig(Record):
                 f"config file {_brief(str(p))} is not UTF-8 text (byte {exc.start})"
             ) from None
         try:
-            raw = json.loads(text.removeprefix("\ufeff"))
+            raw = _json_loads(text.removeprefix("\ufeff"))
         except ValueError as exc:  # bad JSON, an integer of over 4,300 digits
             raise ConfigError(f"config file {_brief(str(p))} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._record import Record, frozen_array
+from ._record import Record
 from .errors import ValidationError
 from .indicators import Category, IndicatorHierarchy, IndicatorId
 
@@ -63,11 +63,10 @@ class ImportanceRatios(Record):
     """
 
     _fields = ("values", "ordering")
+    _arrays = ("values",)
 
     def __init__(self, values: np.ndarray, ordering: tuple[int, ...]) -> None:
-        self.__dict__.update(
-            values=frozen_array(values), ordering=tuple(int(i) for i in ordering)
-        )
+        super().__init__(values, tuple(int(i) for i in ordering))
 
 
 class CombinedWeights(Record):
@@ -79,15 +78,14 @@ class CombinedWeights(Record):
     """
 
     _fields = ("weights", "ordering")
+    _arrays = ("weights",)
 
     def __init__(self, weights: np.ndarray, ordering: tuple[int, ...]) -> None:
-        vals = frozen_array(weights)
-        ordering = tuple(int(i) for i in ordering)
-        self.__dict__.update(weights=vals, ordering=ordering)
-        total = vals.sum()
+        super().__init__(weights, tuple(int(i) for i in ordering))
+        total = self.weights.sum()
         if abs(total - 1.0) > _SUM_TOL:
             raise ValidationError(f"combined weights sum to {float(total)!r}, expected 1")
-        ordered = vals[list(ordering)]
+        ordered = self.weights[list(self.ordering)]
         if np.any(np.diff(ordered) > _SUM_TOL):
             raise ValidationError("combined weights increase along the ordering")
 
@@ -96,13 +94,12 @@ class TotalWeights(Record):
     """Per-secondary-indicator weights: category weight times in-category weight."""
 
     _fields = ("ids", "omega")
+    _arrays = ("omega",)
 
     def __init__(self, ids: tuple[IndicatorId, ...], omega: np.ndarray) -> None:
-        ids = tuple(ids)
-        vals = frozen_array(omega)
-        if vals.shape != (len(ids),):
+        super().__init__(tuple(ids), omega)
+        if self.omega.shape != (len(self.ids),):
             raise ValidationError("omega length does not match ids")
-        self.__dict__.update(ids=ids, omega=vals)
 
     def by_id(self) -> dict[IndicatorId, float]:
         return {i: float(w) for i, w in zip(self.ids, self.omega)}
@@ -116,11 +113,11 @@ class FeatureSelection(Record):
     """
 
     _fields = ("ids", "gamma", "coverage")
+    _arrays = ("gamma",)
 
     def __init__(self, ids: tuple[IndicatorId, ...], gamma: np.ndarray, coverage: float) -> None:
-        ids = tuple(ids)
-        g = frozen_array(gamma)
-        self.__dict__.update(ids=ids, gamma=g, coverage=coverage)
+        super().__init__(tuple(ids), gamma, coverage)
+        ids, g = self.ids, self.gamma
         if len(set(ids)) != len(ids):
             raise ValidationError("feature ids must be distinct")
         if g.shape != (len(ids),):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._record import Record, frozen_array
+from ._record import Record
 from .errors import NumericError, ValidationError
 from .indicators import DecisionMatrix, IndicatorHierarchy, Polarity
 
@@ -35,10 +35,7 @@ __all__ = [
 class EntropyResult(Record):
     """Per-column information entropies and entropy weights."""
 
-    _fields = ("entropies", "weights")
-
-    def __init__(self, entropies: np.ndarray, weights: np.ndarray) -> None:
-        self.__dict__.update(entropies=frozen_array(entropies), weights=frozen_array(weights))
+    _fields = _arrays = ("entropies", "weights")
 
 
 def interval_normalize(x, a: float, b: float) -> np.ndarray:

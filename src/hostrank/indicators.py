@@ -26,7 +26,7 @@ from typing import IO, Any, Callable, Iterator
 
 import numpy as np
 
-from ._record import Record, frozen_array
+from ._record import Record
 from .errors import ConfigError, ValidationError
 
 __all__ = [
@@ -284,13 +284,13 @@ class DecisionMatrix(Record):
     """
 
     _fields = ("rows", "cols", "values")
+    _arrays = ("values",)
 
     def __init__(
         self, rows: tuple[str, ...], cols: tuple[IndicatorId, ...], values: np.ndarray
     ) -> None:
-        rows = tuple(rows)
-        cols = tuple(cols)
-        vals = frozen_array(values)
+        super().__init__(tuple(rows), tuple(cols), values)
+        rows, cols, vals = self.rows, self.cols, self.values
         if vals.shape != (len(rows), len(cols)):
             raise ValidationError(
                 f"value shape {vals.shape} does not match "
@@ -303,7 +303,7 @@ class DecisionMatrix(Record):
             raise ValidationError("duplicate sample label")
         if len(set(cols)) != len(cols):
             raise ValidationError("duplicate indicator column")
-        self.__dict__.update(rows=rows, cols=cols, values=vals, _row_index=row_index)
+        self.__dict__["_row_index"] = row_index
 
     @property
     def n(self) -> int:
@@ -405,11 +405,22 @@ def _cell_number(cell: str, row: str, column: object, kind: Callable = float) ->
         ) from None
 
 
+def _json_loads(text: str) -> Any:
+    """``json.loads(text)``; an integer past 4,300 digits fails with the first
+    clause of Python's 140-character error, the one that names the limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise ValueError(str(exc).partition(":")[0]) from None
+
+
 @contextmanager
 def _json_document(text: str, what: str) -> Iterator[dict]:
     """Parse ``text`` as a JSON object for the block that builds a value from it."""
     with _malformed(what):
-        doc = json.loads(text)
+        doc = _json_loads(text)
         yield _expect(doc, _DOCUMENT, "the document", shown=lambda v: _KINDS[type(v)])
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._record import Record, frozen_array
+from ._record import Record
 from .combining import FeatureSelection, TotalWeights, score_rows
 from .errors import ConfigError, NumericError, ValidationError
 from .indicators import DecisionMatrix, IndicatorHierarchy, _brief
@@ -232,21 +232,7 @@ class QuadraticSurface(Record):
     """
 
     _fields = ("factor_count", "intercept", "linear", "interactions", "squares", "r_squared")
-
-    def __init__(
-        self,
-        factor_count: int,
-        intercept: float,
-        linear: np.ndarray,
-        interactions: np.ndarray,
-        squares: np.ndarray,
-        r_squared: float,
-    ) -> None:
-        self.__dict__.update(
-            factor_count=factor_count, intercept=intercept,
-            linear=frozen_array(linear), interactions=frozen_array(interactions),
-            squares=frozen_array(squares), r_squared=r_squared,
-        )
+    _arrays = ("linear", "interactions", "squares")
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -327,19 +313,7 @@ class SurfaceExtrema(Record):
     """
 
     _fields = ("min_value", "max_value", "baseline", "per_factor_range", "joint_range")
-
-    def __init__(
-        self,
-        min_value: float,
-        max_value: float,
-        baseline: float,
-        per_factor_range: np.ndarray,
-        joint_range: float,
-    ) -> None:
-        self.__dict__.update(
-            min_value=min_value, max_value=max_value, baseline=baseline,
-            per_factor_range=frozen_array(per_factor_range), joint_range=joint_range,
-        )
+    _arrays = ("per_factor_range",)
 
 
 _BOUND_TOL = 1e-12

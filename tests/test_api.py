@@ -12,6 +12,7 @@ import textwrap
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hostrank
@@ -419,10 +420,46 @@ class TestRecordContract:
             sample.extra = None
 
 
-# The records that only store their fields, through the constructor of Record.
+# The float-array fields of each record that declares them in ``_arrays``.
+ARRAYS = {
+    JudgmentMatrix: ("values",),
+    ImportanceRatios: ("values",),
+    CombinedWeights: ("weights",),
+    TotalWeights: ("omega",),
+    FeatureSelection: ("gamma",),
+    EntropyResult: ("entropies", "weights"),
+    DecisionMatrix: ("values",),
+    QuadraticSurface: ("linear", "interactions", "squares"),
+    SurfaceExtrema: ("per_factor_range",),
+}
+
+
+def test_arrays_names_the_float_array_fields():
+    assert {cls: cls._arrays for cls in SAMPLES if cls._arrays} == ARRAYS
+
+
+@pytest.mark.parametrize("cls", ARRAYS, ids=lambda cls: cls.__name__)
+def test_array_fields_are_read_only_float64_copies(cls):
+    """Each array field is stored as float64, cannot be written, and does not
+    follow the array it was made from."""
+    sample = dict(zip(cls._fields, SAMPLES[cls][0]))
+    sources = {name: np.array(sample[name], dtype=np.float32) for name in ARRAYS[cls]}
+    record = cls(**{**sample, **sources})
+    for name, source in sources.items():
+        value = getattr(record, name)
+        assert value.dtype == np.float64 and np.array_equal(value, source)
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0.0
+        source += 1.0
+        assert np.array_equal(value, sample[name])
+
+
+# The records that only store their fields, through the constructor of Record,
+# which freezes their ``_arrays``.
 BOUND = [
     AhpWeights, ConsistencyReport, RunReport, GreyModel, WeightingOutputs, Provenance,
-    ClimateAssessment, SchemeComparison, SensitivityReport,
+    ClimateAssessment, SchemeComparison, SensitivityReport, JudgmentMatrix, EntropyResult,
+    QuadraticSurface, SurfaceExtrema,
 ]
 
 
@@ -437,12 +474,18 @@ class TestRecordBinding:
             cls(*args[:half], **dict(zip(cls._fields[half:], args[half:]))),
         ]
         for record in made:
-            assert all(getattr(record, f) is a for f, a in zip(cls._fields, args))
-            assert record == made[0]
+            for f, a in zip(cls._fields, args):
+                value = getattr(record, f)
+                if f in cls._arrays:  # a copy, equal in value
+                    assert np.array_equal(value, a) and not np.shares_memory(value, a)
+                else:
+                    assert value is a
+            if not cls._arrays:  # distinct arrays compare elementwise, some ambiguously
+                assert record == made[0]
 
     @pytest.mark.parametrize("wrong", ["missing", "extra", "unknown", "repeated"])
     def test_wrong_arguments_raise_a_type_error_naming_the_class(self, cls, wrong):
-        args, (first, *_, last) = SAMPLES[cls][0], cls._fields
+        args, first, last = SAMPLES[cls][0], cls._fields[0], cls._fields[-1]
         positional, keywords, named = {
             "missing": (args[:-1], {}, last),
             "extra": ((*args, None), {}, ""),

@@ -7,10 +7,12 @@ a ';' or tab delimiter (delimited files only), trailing blank lines,
 truncation at a drawn byte, or one byte that is not UTF-8. The subcommand
 then runs in process through ``cli.main``, with warnings recorded.
 
+Some examples start with an output directory that an earlier run left.
 Whatever the bytes, a run exits 0, 2, 3 or 4 and prints no traceback; a
 run that fails prints exactly one stderr line, under 200 characters, and
-creates no output directory. The seed and the example count are fixed, so
-every tier-1 run draws the same files.
+leaves the output directory as it found it: absent, or holding the
+earlier files byte for byte. The seed and the example count are fixed,
+so every tier-1 run draws the same files.
 """
 
 import io
@@ -51,6 +53,17 @@ READERS = {
 }
 
 
+# What an earlier run left in the output directory: a file each reader's
+# subcommand writes, and one that no run writes.
+EARLIER = {
+    name: f"from an earlier run: {name}\n".encode()
+    for name in (
+        "ahp_categories.csv", "entropy.csv", "summer_screen.csv", "schemes.csv", "forecast.csv",
+        "notes.txt",
+    )
+}
+
+
 def _mutation(delimited: bool):
     """A strategy for one mutation: a function from the file's bytes to new bytes."""
     kinds = [
@@ -73,9 +86,13 @@ def _mutation(delimited: bool):
     return st.one_of(kinds)
 
 
-def _run(name: str, data: bytes) -> tuple[int, str, bool]:
-    """Run ``name``'s reader on a fixture copy whose ``name`` holds ``data``:
-    the exit code, what it printed on stderr and whether it made its output directory."""
+def _run(
+    name: str, data: bytes, earlier: dict[str, bytes] | None = None
+) -> tuple[int, str, dict[str, bytes] | None]:
+    """Run ``name``'s reader on a fixture copy whose ``name`` holds ``data``,
+    into an output directory that holds ``earlier``, or none when None: the
+    exit code, what it printed on stderr and the output directory's files
+    afterwards, None when it does not exist."""
     with TemporaryDirectory() as tmp:
         shutil.copytree(FIXTURES, tmp, dirs_exist_ok=True)
         config = (FIXTURES / "run.json").read_text(encoding="utf-8")
@@ -87,26 +104,33 @@ def _run(name: str, data: bytes) -> tuple[int, str, bool]:
         if "--config" not in argv:
             argv += ["--config", f"{tmp}/run.json"]
         outdir = Path(tmp, "out")
+        if earlier is not None:
+            outdir.mkdir()
+            for file, content in earlier.items():
+                (outdir / file).write_bytes(content)
         err = io.StringIO()
         with warnings.catch_warnings(record=True), \
                 mock.patch.dict(os.environ, {OUTPUT_DIR_ENV: str(outdir)}), \
                 redirect_stdout(io.StringIO()), redirect_stderr(err):
             warnings.simplefilter("always")
             code = main(argv)
-        return code, err.getvalue(), outdir.exists()
+        files = {p.name: p.read_bytes() for p in outdir.iterdir()} if outdir.exists() else None
+        return code, err.getvalue(), files
 
 
 def test_climate_config_reads_the_climate_file():
     assert '"climate": null' in (FIXTURES / "run.json").read_text(encoding="utf-8")
     data = (FIXTURES / "climate_sample.csv").read_bytes()
-    assert _run("climate_sample.csv", data) == (0, "", True)
+    code, err, files = _run("climate_sample.csv", data)
+    assert (code, err) == (0, "") and "forecast.csv" in files
     # The climate file is read: cut off, it fails the run.
     assert _run("climate_sample.csv", data[:40])[0] == 3
 
 
 @pytest.mark.parametrize("name", list(READERS))
 def test_unmutated_fixture_runs(name):
-    assert _run(name, (FIXTURES / name).read_bytes()) == (0, "", True)
+    code, err, files = _run(name, (FIXTURES / name).read_bytes())
+    assert (code, err) == (0, "") and files
 
 
 @pytest.mark.parametrize("name", list(READERS))
@@ -117,11 +141,14 @@ def test_mutated_input_keeps_the_error_contract(name, data):
     content = (FIXTURES / name).read_bytes()
     for mutate in data.draw(st.lists(_mutation(name.endswith(".csv")), min_size=1, max_size=3)):
         content = mutate(content)
-    code, err, made_outdir = _run(name, content)
+    earlier = EARLIER if data.draw(st.booleans()) else None
+    code, err, files = _run(name, content, earlier)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
     if code == 0:
         assert err == ""
+        if earlier is not None:  # a file the stage does not write is never touched
+            assert files["notes.txt"] == earlier["notes.txt"]
     else:
         assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200, err
-        assert not made_outdir
+        assert files == earlier

@@ -17,6 +17,7 @@ import os
 import platform
 import random
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -422,6 +423,52 @@ def test_evaluate_on_a_padded_semicolon_crlf_matrix_matches_golden(
     _, stdout = run_cli(["evaluate", "--features", "10"], config, outdir, monkeypatch, capsys)
     names = ["evaluation.csv", "features.csv"]
     assert_matches_golden(outdir, GOLDEN / "evaluate", names, config, stdout)
+
+
+def shuffle_rows(path: Path, rng: random.Random) -> None:
+    """Put the data rows of a CSV file, or the cities of a JSON pool, in a drawn order."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        header, *rows = text.splitlines(keepends=True)
+        rng.shuffle(rows)
+        text = header + "".join(rows)
+    else:
+        doc = json.loads(text)
+        rng.shuffle(doc["cities"])
+        text = json.dumps(doc, indent=1)
+    path.write_bytes(text.encode("utf-8"))
+
+
+@pytest.mark.parametrize("shuffle_seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "case", ["weights", "evaluate", "screen-winter", "screen-summer", "sensitivity"]
+)
+def test_outputs_do_not_depend_on_input_row_order(
+    case, shuffle_seed, fixtures_dir, tmp_path, monkeypatch, capsys
+):
+    """Shuffled decision-matrix, summer-pool and winter-pool rows leave every
+    output byte as it was, except that ``sensitivity.csv`` lists its
+    alternatives in decision-matrix order: it keeps the same lines."""
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(fixtures_dir, fixtures)
+    rng = random.Random(shuffle_seed)
+    for name in ("decision_matrix.csv", "world_pool.csv", "winter_pool.json"):
+        shuffle_rows(fixtures / name, rng)
+    assert (fixtures / "decision_matrix.csv").read_bytes() != (
+        fixtures_dir / "decision_matrix.csv"
+    ).read_bytes()
+    _, argv, names = next(row for row in INVOCATIONS if row[0] == case)
+    argv = [a.replace("{fixtures}", str(fixtures)) for a in argv]
+    config = fixtures / "run.json"
+    outdir = tmp_path / "out"
+    _, stdout = run_cli(argv, config, outdir, monkeypatch, capsys)
+    if case != "sensitivity":
+        assert_matches_golden(outdir, GOLDEN / case, names, config, stdout)
+    else:
+        lines = strip_provenance((outdir / "sensitivity.csv").read_text(encoding="utf-8"))
+        golden = (GOLDEN / case / "sensitivity.csv").read_text(encoding="utf-8")
+        assert lines != golden
+        assert sorted(lines.splitlines()) == sorted(golden.splitlines())
 
 
 def _dynamic_arch_openblas() -> bool:
