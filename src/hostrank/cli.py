@@ -345,7 +345,7 @@ def _features_table(w: WeightingOutputs) -> Table:
     omega = w.total.by_id()
     for rank, (ind, g) in enumerate(zip(w.selection.ids, w.selection.gamma), start=1):
         acc += omega[ind]
-        rows.append((rank, str(ind), float(g), float(omega[ind]), acc))
+        rows.append((rank, ind, g, omega[ind], acc))
     return ["rank", "indicator", "gamma", "omega", "cumulative_omega"], rows
 
 
@@ -362,7 +362,7 @@ def _ahp_tables(subjective) -> dict[str, Table]:
         ),
         "ahp_indicators.csv": (
             ["indicator", "weight"],
-            [(str(i), v) for i, v in subjective.indicator_weights.items()],
+            list(subjective.indicator_weights.items()),
         ),
         "ahp_consistency.csv": (
             ["matrix", "lambda_max", "ci", "ri", "cr", "passed"],
@@ -375,8 +375,7 @@ def _ahp_tables(subjective) -> dict[str, Table]:
 
 
 def _entropy_table(cols, ent) -> Table:
-    rows = [(str(i), float(e), float(hw)) for i, e, hw in zip(cols, ent.entropies, ent.weights)]
-    return ["indicator", "entropy", "weight"], rows
+    return ["indicator", "entropy", "weight"], list(zip(cols, ent.entropies, ent.weights))
 
 
 def _cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> tuple:
@@ -392,7 +391,7 @@ def _cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         matrix = _load_matrix(cfg, hierarchy)
         ent = entropy_weights(vector_normalize(positivize_matrix(matrix, hierarchy)))
         tables = {"entropy.csv": _entropy_table(matrix.cols, ent)}
-        summary = [f"entropy weights sum: {format_number(float(ent.weights.sum()))}"]
+        summary = [f"entropy weights sum: {format_number(ent.weights.sum())}"]
     else:  # combined
         w = _weighting(cfg)
         tables = _ahp_tables(w.ahp)
@@ -400,15 +399,12 @@ def _cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         combined_rows = []
         for cat, cw in w.per_category.items():
             for spec, weight in zip(w.hierarchy.by_category(cat), cw.weights):
-                combined_rows.append((str(spec.id), cat.value, float(weight)))
+                combined_rows.append((spec.id, cat.value, weight))
         tables["combined.csv"] = (["indicator", "category", "weight"], combined_rows)
-        tables["total.csv"] = (
-            ["indicator", "omega"],
-            [(str(i), float(o)) for i, o in zip(w.total.ids, w.total.omega)],
-        )
+        tables["total.csv"] = (["indicator", "omega"], list(zip(w.total.ids, w.total.omega)))
         tables["features.csv"] = _features_table(w)
         summary = [
-            f"total weights sum: {format_number(float(w.total.omega.sum()))}",
+            f"total weights sum: {format_number(w.total.omega.sum())}",
             f"feature group: {', '.join(str(i) for i in w.selection.ids)} "
             f"(coverage {format_number(w.selection.coverage)})",
         ]
@@ -452,7 +448,7 @@ def _cmd_forecast(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         history_len = len(city.climate[args.indicator]) if args.indicator in city.climate else 0
         series = forecast_indicator(city, args.indicator, args.until)
         for offset, (period, value) in enumerate(zip(series.periods, series.values)):
-            rows.append((city.name, int(period), float(value), offset >= history_len))
+            rows.append((city.name, period, value, offset >= history_len))
     tables = {"forecast.csv": (["city", "period", "value", "forecast"], rows)}
     summary = [f"forecast {args.indicator} to {args.until} for {len(cities)} cities"]
     return f"forecast --indicator {args.indicator} --until {args.until}", tables, summary
@@ -554,7 +550,7 @@ def _cmd_screen(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         (i + 1, c.name, c.country, s.s_base, s.s_evaluate, s.total)
         for i, (c, s) in enumerate(ranked)
     ]
-    features = [(str(ind), float(g)) for ind, g in zip(w.selection.ids, w.selection.gamma)]
+    features = list(zip(w.selection.ids, w.selection.gamma))
     feature_rows = [
         (c.name, ind, value, g, g * value)
         for c, s in ranked
@@ -592,13 +588,8 @@ def _cmd_compare_schemes(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         "scheme_features.csv": (
             ["plan", "indicator", "impact", "gamma", "contribution"],
             [
-                (
-                    r.plan.id,
-                    str(ind),
-                    int(r.plan.impacts[ind]),
-                    float(g),
-                    r.contributions[ind],
-                )
+                # int(): Python 3.10 prints an IntEnum member by its name.
+                (r.plan.id, ind, int(r.plan.impacts[ind]), g, r.contributions[ind])
                 for r in results
                 for ind, g in zip(w.selection.ids, w.selection.gamma)
             ],
@@ -701,18 +692,16 @@ def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     # Scored as the substitution trials score: under weights renormalized to sum to 1.
     responses = score_rows(gammas / gammas.sum(axis=1, keepdims=True), xi)
     factor_names = [str(w.selection.ids[p]) for p in positions]
-    grid_rows = [
-        (*[float(v) for v in point], float(r)) for point, r in zip(points, responses)
-    ]
+    grid_rows = [(*point, r) for point, r in zip(points, responses)]
 
     surface = fit_response_surface(points, responses)
     extrema = surface_extrema(surface, box)
 
     coef_rows = [("intercept", surface.intercept)]
-    coef_rows += [(f"linear[{name}]", float(c)) for name, c in zip(factor_names, surface.linear)]
+    coef_rows += [(f"linear[{name}]", c) for name, c in zip(factor_names, surface.linear)]
     for (i, j), c in zip(itertools.combinations(range(len(positions)), 2), surface.interactions):
-        coef_rows.append((f"interaction[{factor_names[i]}*{factor_names[j]}]", float(c)))
-    coef_rows += [(f"square[{name}]", float(c)) for name, c in zip(factor_names, surface.squares)]
+        coef_rows.append((f"interaction[{factor_names[i]}*{factor_names[j]}]", c))
+    coef_rows += [(f"square[{name}]", c) for name, c in zip(factor_names, surface.squares)]
     coef_rows.append(("r_squared", surface.r_squared))
 
     extrema_rows = [
@@ -722,8 +711,7 @@ def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         ("joint_relative_range", extrema.joint_range),
     ]
     extrema_rows += [
-        (f"relative_range[{name}]", float(r))
-        for name, r in zip(factor_names, extrema.per_factor_range)
+        (f"relative_range[{name}]", r) for name, r in zip(factor_names, extrema.per_factor_range)
     ]
 
     tables = {
@@ -736,7 +724,7 @@ def _cmd_rsm(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         f"fit R^2: {format_number(surface.r_squared)}",
         "relative ranges: "
         + ", ".join(
-            f"{name}={format_number(float(r))}"
+            f"{name}={format_number(r)}"
             for name, r in zip(factor_names, extrema.per_factor_range)
         )
         + f", joint={format_number(extrema.joint_range)}",

@@ -187,12 +187,13 @@ _GRADE = (
 def load_plans(source: str | Path | IO[str]) -> list[SchemePlan]:
     """Hosting schemes with per-feature impact grades; ids are free-form, non-empty, unique."""
     with _json_document(_read_text(source), "plans file") as obj:
-        plans = []
+        plans, seen = [], set()
         for entry in _expect(obj["plans"], _LIST, "plans"):
             plan_id = _expect(_expect(entry, _OBJECT, "plans entry")["id"], _PLAN_ID, "plan id")
             quoted = _brief(plan_id)
-            if any(p.id == plan_id for p in plans):
+            if plan_id in seen:
                 raise ValidationError(f"duplicate plan id {quoted} in plans file")
+            seen.add(plan_id)
             description = _expect(entry.get("description", ""), _STRING, f"description of {quoted}")
             impacts = {}
             for k, v in _expect(entry["impacts"], _OBJECT, f"impacts of {quoted}").items():

@@ -46,7 +46,9 @@ def format_number(value: float) -> str:
 
 
 def _cell(value) -> str:
-    # A float cell, numpy's float64 included, prints as format_number prints it.
+    # The one rule for how a cell prints, so callers pass their values as they are:
+    # a float, numpy's float64 included, as format_number prints it; a bool, numpy's
+    # bool_ excluded, as 1 or 0; anything else (ints, numpy int64, ids, text) as str().
     if isinstance(value, float):
         return format(value, NUMBER_FORMAT)
     if isinstance(value, bool):
@@ -65,3 +67,11 @@ def render_table(
     writer.writerow(columns)
     writer.writerows(map(_cell, row) for row in rows)
     return "\n".join(provenance.header_lines()) + "\n" + body.getvalue()
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted as a default ``csv.writer`` quotes it, for
+    writers that build their rows as text."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text

@@ -24,7 +24,7 @@ from ._record import Record
 from .combining import FeatureSelection, TotalWeights, score_rows
 from .errors import ConfigError, NumericError, ValidationError
 from .indicators import DecisionMatrix, IndicatorHierarchy, _brief
-from .reporting import NUMBER_FORMAT
+from .reporting import NUMBER_FORMAT, _csv_field
 from .selection import FeatureScaler
 
 __all__ = [
@@ -87,13 +87,6 @@ class SensitivityReport(Record):
             label = _csv_field(alt)
             out += [summary_row % (label, key, value) for key, value in stats.items()]
         return "".join(out)
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as one CSV field, quoted as ``csv.writer`` quotes it."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def factor_substitution(

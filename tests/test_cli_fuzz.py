@@ -7,6 +7,10 @@ a ';' or tab delimiter (delimited files only), trailing blank lines,
 truncation at a drawn byte, or one byte that is not UTF-8. The subcommand
 then runs in process through ``cli.main``, with warnings recorded.
 
+A second test replaces one value of each JSON input, the run config
+included, with a value of another JSON type: a string, a number, a list,
+an object, null or a bool.
+
 Some examples start with an output directory that an earlier run left.
 Whatever the bytes, a run exits 0, 2, 3 or 4 and prints no traceback; a
 run that fails prints exactly one stderr line, under 200 characters, and
@@ -16,6 +20,7 @@ so every tier-1 run draws the same files.
 """
 
 import io
+import json
 import os
 import shutil
 import warnings
@@ -62,6 +67,34 @@ EARLIER = {
         "notes.txt",
     )
 }
+
+
+# Values of each JSON type, to put where a value of another type was.
+JSON_VALUES = {
+    "string": ["x", "", "2050"],
+    "number": [0, -7, 1.5, 2050],
+    "list": [[], [1, "a"], [[1, 2]]],
+    "object": [{}, {"a": 1}],
+    "null": [None],
+    "bool": [True, False],
+}
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    kinds = {str: "string", int: "number", float: "number", list: "list", dict: "object"}
+    return kinds[type(value)]
+
+
+def _json_paths(doc, path=()):
+    """The path of every value in ``doc``, the root's included, in document order."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _json_paths(value, (*path, key))
 
 
 def _mutation(delimited: bool):
@@ -141,7 +174,26 @@ def test_mutated_input_keeps_the_error_contract(name, data):
     content = (FIXTURES / name).read_bytes()
     for mutate in data.draw(st.lists(_mutation(name.endswith(".csv")), min_size=1, max_size=3)):
         content = mutate(content)
-    earlier = EARLIER if data.draw(st.booleans()) else None
+    _assert_contract(name, content, EARLIER if data.draw(st.booleans()) else None)
+
+
+@pytest.mark.parametrize("name", [name for name in READERS if name.endswith(".json")])
+@seed(20261022)
+@settings(max_examples=25, database=None, deadline=None)
+@given(data=st.data())
+def test_value_of_another_json_type_keeps_the_error_contract(name, data):
+    root = [json.loads((FIXTURES / name).read_bytes())]  # so the root is one more value
+    path = (0, *data.draw(st.sampled_from(list(_json_paths(root[0]))), label="path"))
+    container = root
+    for key in path[:-1]:
+        container = container[key]
+    kind = data.draw(st.sampled_from(sorted(set(JSON_VALUES) - {_json_type(container[path[-1]])})))
+    container[path[-1]] = data.draw(st.sampled_from(JSON_VALUES[kind]), label="value")
+    content = json.dumps(root[0], indent=1).encode()
+    _assert_contract(name, content, EARLIER if data.draw(st.booleans()) else None)
+
+
+def _assert_contract(name: str, content: bytes, earlier: dict[str, bytes] | None) -> None:
     code, err, files = _run(name, content, earlier)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err

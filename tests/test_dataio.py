@@ -432,6 +432,20 @@ class TestPlansAndSwot:
         with pytest.raises(ValidationError, match=re.escape(message)):
             load_plans(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "repeat",
+        [
+            {"id": "A", "impacts": {"A1": 4}},  # the repeat's own grade is bad
+            {"id": "A", "impacts": ["A1"]},  # the repeat's own impacts are bad
+            {"id": "A", "impacts": {"A1": 5}},  # a later entry is malformed
+        ],
+    )
+    def test_repeated_id_is_reported_before_a_later_fault(self, repeat):
+        entries = [{"id": i, "impacts": {"A1": 5}} for i in ("A", "B")]
+        entries += [repeat, {"id": "C", "impacts": {"A1": 4}}, 7]
+        with pytest.raises(ValidationError, match="^duplicate plan id 'A' in plans file$"):
+            load_plans(io.StringIO(json.dumps({"plans": entries})))
+
     @pytest.mark.parametrize("grade", [3.9, 3.0, True, "3", None])
     def test_grade_that_is_not_a_json_integer_rejected(self, grade):
         text = json.dumps({"plans": [{"id": "A", "impacts": {"A1": 3, "B2": grade}}]})

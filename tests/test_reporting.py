@@ -4,10 +4,19 @@ import csv
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hostrank.reporting import NUMBER_FORMAT, Provenance, format_number, hash_bytes, render_table
+from hostrank.indicators import IndicatorId
+from hostrank.reporting import (
+    NUMBER_FORMAT,
+    Provenance,
+    _csv_field,
+    format_number,
+    hash_bytes,
+    render_table,
+)
 
 PROV = Provenance(config_hash="ab" * 32, seed=7, version="0.1.0", invocation="weights")
 
@@ -113,6 +122,58 @@ class TestRenderEqualsPerCellReference:
         assert render_table(["i", "v"], rows, PROV).splitlines()[5:] == [
             "0,0", "1,0.142857143", "2,0.285714286",
         ]
+
+
+class TestCellRule:
+    """Callers pass the stages' own values; render_table prints them as the
+    conversions they replace would: format_number, str() and 1/0."""
+
+    _FLOATS = [1 / 3, 2.0, -0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e-10, 2.5e12]
+
+    def _body(self, rows):
+        return render_table(["v"], rows, PROV).splitlines()[5:]
+
+    @pytest.mark.parametrize("value", _FLOATS)
+    def test_float64_prints_as_format_number(self, value):
+        cells = [np.float64(value), value, np.array([value])[0]]
+        assert self._body([(c,) for c in cells]) == [format_number(value)] * 3
+
+    @pytest.mark.parametrize("value", [0, -1, 2050, 2**62, -(2**63)])
+    def test_int64_prints_as_str(self, value):
+        assert self._body([(np.int64(value),), (value,)]) == [str(value)] * 2
+
+    def test_indicator_id_prints_as_str(self):
+        ids = [IndicatorId.parse("A1"), IndicatorId.parse("E5")]
+        assert self._body([(i,) for i in ids]) == ["A1", "E5"]
+
+    def test_bools_print_as_bits(self):
+        assert self._body([(True,), (False,), (1 > 0,)]) == ["1", "0", "1"]
+
+    def test_a_row_of_stage_values(self):
+        row = (np.int64(3), IndicatorId.parse("B2"), np.float64(-0.0), np.float64("nan"), True)
+        plain = (3, "B2", format_number(-0.0), format_number(float("nan")), 1)
+        columns = ["a", "b", "c", "d", "e"]
+        assert render_table(columns, [row], PROV) == render_table(columns, [plain], PROV)
+
+
+class TestCsvField:
+    """The quoting of writers that build CSV rows as text, as csv.writer quotes."""
+
+    @pytest.mark.parametrize(
+        "label", ["plain", "a,b", 'say "hi"', "a\rb", "a\nb", "a\r\nb", " padded ", "two words", ""]
+    )
+    def test_same_field_as_csv_writer(self, label):
+        body = io.StringIO()
+        csv.writer(body).writerow(["x", label, "y"])
+        assert body.getvalue() == f"x,{_csv_field(label)},y\r\n"
+
+    @given(label=st.text(alphabet='ab ,"\r\n;\t', max_size=8))
+    @settings(max_examples=200)
+    def test_drawn_labels_quote_as_csv_writer(self, label):
+        body = io.StringIO()
+        csv.writer(body).writerow(["x", label, "y"])
+        assert body.getvalue() == f"x,{_csv_field(label)},y\r\n"
+        assert next(csv.reader(io.StringIO(f"x,{_csv_field(label)},y"))) == ["x", label, "y"]
 
 
 def test_hash_is_stable():
